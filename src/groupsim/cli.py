@@ -145,9 +145,12 @@ def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOption
     prior = None
     if dim is not None and (config.prior_nu0 is not None or config.prior_kappa0 != 1.0):
         nu0 = config.prior_nu0 if config.prior_nu0 is not None else float(dim + 2)
-        prior = comparison.NormalWishartPrior(
-            mu0=np.zeros(dim), kappa0=config.prior_kappa0, nu0=nu0, t0=np.eye(dim)
-        )
+        try:
+            prior = comparison.NormalWishartPrior(
+                mu0=np.zeros(dim), kappa0=config.prior_kappa0, nu0=nu0, t0=np.eye(dim)
+            )
+        except ValueError as exc:
+            raise UsageError(f"bad prior: {exc}") from exc
     return evaluation.EvalOptions(
         pad_token=config.pad_token,
         workers=config.workers,

@@ -16,11 +16,13 @@ to the factor; the breakdown records which convention produced the value.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
@@ -245,47 +247,71 @@ def similarity_bic(d1, d2, model: str = DIAG) -> SimilarityScore:
 class NormalWishartPrior:
     """Conjugate prior over the mean and precision of a full-covariance Gaussian.
 
-    ``t0`` must be symmetric positive definite and ``nu0 > d - 1``; its
-    Cholesky factor is taken at construction (which validates) and kept on
-    the instance.
+    ``t0`` must be symmetric positive definite and ``nu0 > d - 1``.  The
+    per-prior constants of the evidence (the Cholesky factor of ``t0``,
+    log|t0| and log Gamma_d(nu0 / 2)) are computed once at construction,
+    which also validates; the arrays are kept as read-only copies so the
+    constants cannot drift from them.
     """
 
     mu0: np.ndarray
     kappa0: float
     nu0: float
     t0: np.ndarray
+    chol_t0: np.ndarray = field(init=False, repr=False)
+    log_det_t0: float = field(init=False, repr=False)
+    log_gamma_nu0: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d = self.mu0.size
-        if self.kappa0 <= 0.0:
-            raise ValueError("kappa0 must be positive")
-        if not self.nu0 > d - 1:
+        mu0 = _read_only(self.mu0)
+        t0 = _read_only(self.t0)
+        d = mu0.size
+        if not (math.isfinite(self.kappa0) and self.kappa0 > 0.0):
+            raise ValueError("kappa0 must be positive and finite")
+        if not (math.isfinite(self.nu0) and self.nu0 > d - 1):
             raise ValueError(f"nu0 must exceed d - 1 = {d - 1}")
-        if self.t0.shape != (d, d):
+        if t0.shape != (d, d):
             raise ValueError("t0 must be d x d")
-        chol = np.linalg.cholesky(self.t0)  # raises LinAlgError if not SPD
+        chol = np.linalg.cholesky(t0)  # raises LinAlgError if not SPD
+        chol.setflags(write=False)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "chol_t0", chol)
+        object.__setattr__(self, "log_det_t0", 2.0 * float(np.log(np.diag(chol)).sum()))
+        object.__setattr__(self, "log_gamma_nu0", log_multivariate_gamma(d, self.nu0 / 2.0))
 
     @property
     def dim(self) -> int:
         return self.mu0.size
 
-    @property
-    def log_det_t0(self) -> float:
-        return 2.0 * float(np.log(np.diag(self.chol_t0)).sum())
+
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
+@functools.lru_cache(maxsize=4)
 def default_prior(d: int) -> NormalWishartPrior:
-    """Weak proper default: zero mean, kappa0 = 1, nu0 = d + 2, identity scale."""
+    """Weak proper default: zero mean, kappa0 = 1, nu0 = d + 2, identity scale.
+
+    Cached per d (a run scores at one or a few widths); every caller shares
+    the same read-only instance.
+    """
     return NormalWishartPrior(mu0=np.zeros(d), kappa0=1.0, nu0=float(d + 2), t0=np.eye(d))
 
 
 def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
     """Log marginal likelihood of a bag under the Normal-Wishart prior.
 
-    Conjugate closed form in log space; log-determinants go through Cholesky
-    so the full-covariance posterior scale stays usable at d in the hundreds
-    (d <= 512 is the intended desk scale; each call factors a d x d matrix).
+    Conjugate closed form in log space (Murphy 2007).  The posterior scale
+    T_n = T_0 + U U^T is a rank-(n + 1) update of T_0, where U holds the n
+    centred rows and sqrt(n kappa0 / kappa_n) (xbar - mu0).  With the
+    whitened update W = L_0^{-1} U (L_0 the prior's Cholesky factor), the
+    matrix determinant lemma (Harville 1997) gives
+    log|T_n| = log|T_0| + log|I + G|, with G the Gram of W on its smaller
+    side (W^T W when n + 1 < d, else W W^T; Sylvester's identity).  T_n is
+    never formed: for n < d a call costs O(d^2 n + n^3).
     """
     x = as_matrix(data)
     n, d = x.shape
@@ -293,26 +319,30 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
         raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
     if n < 1:
         raise ValueError("need at least one observation")
+    if not np.isfinite(x).all():
+        raise ValueError("bag contains non-finite values (NaN or inf)")
     nu_n = prior.nu0 + n
     kappa_n = prior.kappa0 + n
     xbar = x.mean(axis=0)
-    dev = x - xbar
-    scatter = dev.T @ dev
-    diff = xbar - prior.mu0
-    t_n = prior.t0 + scatter + (n * prior.kappa0 / kappa_n) * np.outer(diff, diff)
+    update = np.empty((d, n + 1))
+    update[:, :n] = (x - xbar).T
+    update[:, n] = math.sqrt(n * prior.kappa0 / kappa_n) * (xbar - prior.mu0)
+    w = solve_triangular(prior.chol_t0, update, lower=True, check_finite=False)
+    gram = w.T @ w if n + 1 < d else w @ w.T
+    gram[np.diag_indices_from(gram)] += 1.0
     try:
-        chol = np.linalg.cholesky(t_n)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"posterior scale matrix not positive definite (n={n}, d={d}): {exc}"
         ) from exc
-    log_det_tn = 2.0 * float(np.log(np.diag(chol)).sum())
+    log_det_tn = prior.log_det_t0 + 2.0 * float(np.log(np.diag(chol)).sum())
     return (
         -0.5 * n * d * math.log(math.pi)
         + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n))
         + 0.5 * (prior.nu0 * prior.log_det_t0 - nu_n * log_det_tn)
         + log_multivariate_gamma(d, nu_n / 2.0)
-        - log_multivariate_gamma(d, prior.nu0 / 2.0)
+        - prior.log_gamma_nu0
     )
 
 

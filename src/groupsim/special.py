@@ -24,6 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammaln
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 MIN_DIM = 2
@@ -239,10 +242,8 @@ def log_multivariate_gamma(d: int, a: float) -> float:
         raise ValueError(f"dimension must be >= 1, got {d!r}")
     if not a > (d - 1) / 2.0:
         raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
-    out = 0.25 * d * (d - 1) * math.log(math.pi)
-    for j in range(1, d + 1):
-        out += math.lgamma(a + (1 - j) / 2.0)
-    return out
+    terms = gammaln(a - 0.5 * np.arange(d))
+    return 0.25 * d * (d - 1) * math.log(math.pi) + float(terms.sum())
 
 
 def bessel_second_derivative_term(d: int, kappa: float) -> float:

@@ -4,7 +4,7 @@ Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
 mpmath, dense finite-difference information matrices, analytic Gaussian
 score/curvature matrices, and brute-force quadrature for marginal
-likelihoods.
+likelihoods, plus the dense Normal-Wishart evidence.
 """
 
 from __future__ import annotations
@@ -215,6 +215,38 @@ def nw_log_evidence_quadrature(x: np.ndarray, mu0: float, kappa0: float,
         integrand, 1e-10, 80.0, mu_lo, mu_hi, epsabs=1e-13, epsrel=1e-11
     )
     return math.log(value)
+
+
+# ---------------------------------------------------------------------------
+# dense marginal likelihood, any d
+# ---------------------------------------------------------------------------
+
+def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
+    """Normal-Wishart log evidence from the dense d x d posterior scale.
+
+    Forms T_n = T_0 + scatter + (n kappa0 / kappa_n) (xbar - mu0)(xbar - mu0)^T
+    and factors it, with log|T_0| and the multivariate gammas recomputed
+    here, so nothing is shared with the library's low-rank path.
+    """
+    from scipy.special import multigammaln
+
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    nu_n = prior.nu0 + n
+    kappa_n = prior.kappa0 + n
+    xbar = x.mean(axis=0)
+    dev = x - xbar
+    diff = xbar - prior.mu0
+    t_n = prior.t0 + dev.T @ dev + (n * prior.kappa0 / kappa_n) * np.outer(diff, diff)
+    log_det_t0 = 2.0 * float(np.log(np.diag(np.linalg.cholesky(prior.t0))).sum())
+    log_det_tn = 2.0 * float(np.log(np.diag(np.linalg.cholesky(t_n))).sum())
+    return (
+        -0.5 * n * d * math.log(math.pi)
+        + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n))
+        + 0.5 * (prior.nu0 * log_det_t0 - nu_n * log_det_tn)
+        + float(multigammaln(nu_n / 2.0, d))
+        - float(multigammaln(prior.nu0 / 2.0, d))
+    )
 
 
 # ---------------------------------------------------------------------------

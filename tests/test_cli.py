@@ -68,6 +68,15 @@ class TestScore:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", [["--prior-nu0", "0.5"], ["--prior-kappa0", "-1"]])
+    def test_bad_prior_flag_usage_error(self, embedding_file, flag, capsys):
+        code = main([
+            "score", "--embeddings", str(embedding_file), "--method", "bayes_factor",
+            *flag, "the cat", "the dog",
+        ])
+        assert code == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_missing_embeddings_flag(self, capsys):
         assert main(["score", "a", "b"]) == EXIT_USAGE
 

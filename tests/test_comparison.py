@@ -24,7 +24,12 @@ from groupsim.comparison import (
 from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
 from groupsim.vmf import fit_vmf
 
-from helpers import nw_log_evidence_quadrature, random_rotation, uniform_sphere
+from helpers import (
+    nw_log_evidence_dense,
+    nw_log_evidence_quadrature,
+    random_rotation,
+    uniform_sphere,
+)
 
 
 def random_pair(rng, d, lo=3, hi=10, unit=False):
@@ -229,6 +234,45 @@ class TestBayesFactor:
             closed = nw_log_evidence(x, prior)
             quad = nw_log_evidence_quadrature(x.ravel(), 0.0, 1.0, 3.0, 1.0)
             assert closed == pytest.approx(quad, abs=1e-4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 50, 300])
+    @pytest.mark.parametrize("prior_kind", ["default", "random"])
+    def test_log_evidence_matches_dense_oracle(self, d, prior_kind):
+        rng = np.random.default_rng(1000 + d)
+        if prior_kind == "default":
+            prior = default_prior(d)
+        else:
+            a = rng.standard_normal((d, d))
+            prior = NormalWishartPrior(
+                mu0=rng.standard_normal(d),
+                kappa0=0.3,
+                nu0=d + 1.5,
+                t0=a @ a.T / d + 0.5 * np.eye(d),
+            )
+        # n + 1 < d takes the (n + 1) x (n + 1) Gram, n + 1 >= d the d x d one
+        sizes = sorted({n for n in (1, 2, d - 2, d - 1, d, d + 7) if n >= 1})
+        for n in sizes:
+            x = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d) + rng.uniform(-2, 2)
+            assert nw_log_evidence(x, prior) == pytest.approx(
+                nw_log_evidence_dense(x, prior), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_bag_raises(self, bad):
+        rng = np.random.default_rng(14)
+        x1, x2 = random_pair(rng, 3)
+        x1[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nw_log_evidence(x1, default_prior(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            bayes_factor_similarity(x1, x2)
+
+    def test_default_prior_cached_and_read_only(self):
+        prior = default_prior(5)
+        assert default_prior(5) is prior
+        for values in (prior.mu0, prior.t0, prior.chol_t0):
+            with pytest.raises(ValueError):
+                values[0] = 5.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(10)

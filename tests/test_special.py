@@ -160,7 +160,7 @@ class TestLogMultivariateGamma:
     def test_matches_scipy(self):
         from scipy.special import multigammaln
 
-        for d, a in [(3, 5.0), (10, 8.0), (50, 30.0)]:
+        for d, a in [(3, 5.0), (10, 8.0), (50, 30.0), (300, 151.0), (2048, 1030.0)]:
             assert log_multivariate_gamma(d, a) == pytest.approx(
                 float(multigammaln(a, d)), rel=1e-12
             )
