@@ -207,6 +207,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_modelsel(args: argparse.Namespace) -> int:
     config = _merge_config(args)
+    config.validate()
     store = _load_store(config)
     pad = config.pad_token or find_pad_token(store)
     with open(args.corpus, "r", encoding="utf-8") as handle:
@@ -235,14 +236,20 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
 
 def _cmd_penalty_curve(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = comparison.penalty_curve(
-        model=args.curve_model,
-        d=args.dim,
-        sample_sizes=sizes,
-        trials=args.trials,
-        seed=config.seed,
-    )
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
+    try:
+        rows = comparison.penalty_curve(
+            model=args.curve_model,
+            d=args.dim,
+            sample_sizes=sizes,
+            trials=args.trials,
+            seed=config.seed,
+        )
+    except ValueError as exc:  # penalty_curve checks its arguments before any work
+        raise UsageError(str(exc)) from exc
     csv = comparison.penalty_curve_csv(rows)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:

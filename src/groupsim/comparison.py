@@ -27,8 +27,15 @@ from scipy.linalg import solve_triangular
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
 from .gaussian import DIAGONAL, SPHERICAL, fit_gaussian, gaussian_tic_penalty
-from .special import log_multivariate_gamma
-from .vmf import fit_vmf, vmf_tic_penalty
+from .special import MAX_DIM, MIN_DIM, inv_bessel_ratio, log_multivariate_gamma, vmf_kernels
+from .vmf import (
+    CURVATURE_FLOOR,
+    R_BAR_CEIL,
+    R_BAR_FLOOR,
+    as_unit_matrix,
+    fit_vmf,
+    vmf_tic_penalty,
+)
 
 VMF = "vmf"
 DIAG = "diag"
@@ -91,7 +98,8 @@ def _fit_loglik_penalty(
         if ic == "aic":
             return fit.max_loglik, float(k), False
         try:
-            return fit.max_loglik, vmf_tic_penalty(fit, x), False
+            # fit_vmf has just checked that these rows are unit vectors
+            return fit.max_loglik, vmf_tic_penalty(fit, x, check_unit=False), False
         except DegenerateCurvatureError:
             if on_degenerate == "aic":
                 return fit.max_loglik, float(k), True
@@ -155,15 +163,22 @@ def similarity_closed_vmf(
 ) -> SimilarityScore:
     """Closed-form vMF score with the gradient penalty (no factor 2).
 
-    ``(m+l) k_j R_j - m k_1 R_1 - l k_2 R_2`` minus the matching normalizer
-    terms and penalty traces; the angle-chart volume terms cancel between the
-    joint and independent fits and never appear.
+    Written out from the resultants, without the fitting code: for m and l
+    unit rows with resultants S_1, S_2 the joint resultant is S_1 + S_2, and
+    each fit contributes ``n (kappa R_bar - log C_d(kappa))`` with
+    R_bar = |S| / n (clamped as in :func:`groupsim.vmf.fit_vmf`) and
+    A_d(kappa) = R_bar solved by :func:`groupsim.special.inv_bessel_ratio`.
+    Each penalty is the tangent-space trace
+    ``mean((w . mu - A_d)^2) / A_d' + kappa (mean |w|^2 - mean (w . mu)^2) / R_bar``
+    with mu = S / |S|.  The score is ``L_joint - L_1 - L_2 - P_joint + P_1 + P_2``.
     """
     x1, x2 = _validated_pair(d1, d2)
-    joint = np.vstack([x1, x2])
-    ll_j, p_j, f_j = _fit_loglik_penalty(joint, VMF, "tic", refine_kappa, on_degenerate)
-    ll_1, p_1, f_1 = _fit_loglik_penalty(x1, VMF, "tic", refine_kappa, on_degenerate)
-    ll_2, p_2, f_2 = _fit_loglik_penalty(x2, VMF, "tic", refine_kappa, on_degenerate)
+    x1, x2 = as_unit_matrix(x1), as_unit_matrix(x2)
+    terms = [
+        _closed_vmf_terms(rows, refine_kappa, on_degenerate)
+        for rows in ((x1, x2), (x1,), (x2,))
+    ]
+    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = terms
     value = ll_j - ll_1 - ll_2 - p_j + p_1 + p_2
     return SimilarityScore(
         value=value,
@@ -171,6 +186,32 @@ def similarity_closed_vmf(
         breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=1.0),
         fallback=f_j or f_1 or f_2,
     )
+
+
+def _closed_vmf_terms(parts, refine_kappa: bool, on_degenerate: str) -> tuple[float, float, bool]:
+    """(max loglik, tangent-space penalty, fallback) of one vMF fit to the stacked parts."""
+    n = sum(x.shape[0] for x in parts)
+    if n < 2:
+        raise ValueError("need at least two vectors to fit")
+    d = parts[0].shape[1]
+    resultant = sum(x.sum(axis=0) for x in parts)
+    length = float(np.linalg.norm(resultant))
+    raw_r_bar = length / n
+    r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
+    kappa = inv_bessel_ratio(d, r_bar, refine=refine_kappa)
+    a, a_prime, log_c = vmf_kernels(d, kappa)
+    loglik = n * (kappa * r_bar - log_c)
+    degenerate = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
+    if degenerate or a_prime < CURVATURE_FLOOR or kappa * r_bar < CURVATURE_FLOOR:
+        if on_degenerate == "aic":
+            return loglik, float(aic_param_count(VMF, d)), True
+        raise DegenerateCurvatureError("vMF curvature degenerate; penalty undefined on this bag")
+    mu = resultant / length
+    dots = np.concatenate([x @ mu for x in parts])
+    mean_sq_norm = sum(float(np.einsum("ij,ij->", x, x)) for x in parts) / n
+    info_kappa = float(np.mean((dots - a) ** 2))
+    info_tangent = kappa * (mean_sq_norm - float(np.mean(dots**2))) / r_bar
+    return loglik, info_kappa / a_prime + info_tangent, False
 
 
 def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
@@ -414,23 +455,29 @@ def penalty_curve(
 
     Diagonal Gaussian penalties are measured on standard-normal samples, vMF
     penalties on uniform draws from the unit sphere.  Deterministic under a
-    fixed seed.
+    fixed seed.  Every argument is checked before any draw: a ``ValueError``
+    from this function always names a bad argument.
     """
     if model not in (VMF, DIAG):
         raise ValueError(f"model must be '{VMF}' or '{DIAG}', got {model!r}")
+    if model == VMF and not MIN_DIM <= d <= MAX_DIM:
+        raise ValueError(f"vmf dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d!r}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    sizes = [int(n) for n in sample_sizes]
+    if any(n < 2 for n in sizes):
+        raise ValueError(f"sample sizes must be >= 2, got {sizes}")
     rng = np.random.default_rng(seed)
     rows = []
-    for n in sample_sizes:
-        n = int(n)
-        if n < 2:
-            raise ValueError("sample sizes must be >= 2")
+    for n in sizes:
         values = np.empty(trials)
         for t in range(trials):
             x = rng.standard_normal((n, d))
             if model == VMF:
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
-                fit = fit_vmf(x)
-                values[t] = vmf_tic_penalty(fit, x)
+                values[t] = vmf_tic_penalty(fit_vmf(x), x, check_unit=False)
             else:
                 values[t] = gaussian_tic_penalty(fit_gaussian(x, kind=DIAGONAL))
         rows.append(

@@ -6,8 +6,9 @@ at dimension ~2000 and concentration ~1e10, where raw Bessel values leave the
 float64 range by hundreds of orders of magnitude.
 
 Supported domain: d integer in [2, 2048] and kappa in [0, 1e16]; out-of-range
-inputs raise rather than silently degrade.  Two complementary evaluation
-strategies cover it:
+inputs raise rather than silently degrade.  One kernel, :func:`vmf_kernels`,
+returns everything the von Mises-Fisher model needs at (d, kappa) from a
+single evaluation, by one of two complementary strategies:
 
 * a backward ratio recurrence ``r_nu = 1 / (2 nu / x + r_{nu+1})`` started from
   an Amos-type approximation well above the largest order of interest (the
@@ -15,14 +16,15 @@ strategies cover it:
 * the large-argument Hankel expansion, used once ``x`` dominates the square of
   the largest order, where the recurrence would need O(sqrt(x)) steps.
 
-The downward pass also yields every intermediate ratio, so ``log I_nu(x)``
-telescopes from a base order in {0, 1/2} with closed-form logs.
+The downward pass runs through every order below the ones it returns, so
+``log I_nu(x)`` telescopes from a base order in {0, 1/2} with closed-form
+logs.  ``bessel_ratio``, ``log_vmf_normalizer`` and
+``bessel_second_derivative_term`` are views of the kernel's three outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,21 +39,9 @@ MAX_KAPPA = 1e16
 # below that the recurrence needs at most ~sqrt(order^2 + 40x) steps.
 _ASYM_MIN_X = 1e4
 
-
-@dataclass(frozen=True)
-class BesselRatioTable:
-    """Ratios of modified Bessel functions at three consecutive orders.
-
-    ``r0 = I_order / I_{order-1}``, ``r1`` and ``r2`` shift the order up by
-    one and two.  ``log_i`` is ``log I_order(kappa)``.
-    """
-
-    order: float
-    kappa: float
-    r0: float
-    r1: float
-    r2: float
-    log_i: float
+# The telescoped product of ratios is folded into its log whenever it drops
+# below this, so it never underflows while each ratio exceeds ~1e-150.
+_RESCALE_BELOW = 1e-150
 
 
 def _check_dim(d: int) -> None:
@@ -96,25 +86,6 @@ def _hankel_log_i(nu: float, x: float) -> float:
     return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(_hankel_sum(nu, x))
 
 
-def _ratio_chain(x: float, frac: float, length: int) -> list[float]:
-    """Backward recurrence for ratios r[i] = I_{frac+i}(x) / I_{frac+i-1}(x).
-
-    Returns a list indexed 1..length (index 0 unused).  The start order is
-    chosen so the Amos-type seed error contracts below 1e-30 before the first
-    collected ratio.
-    """
-    top = frac + length
-    start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * x)) - frac)) + 12
-    nu = frac + start
-    r = x / (nu - 0.5 + math.hypot(nu + 0.5, x))
-    out = [0.0] * (length + 1)
-    for i in range(start - 1, 0, -1):
-        r = 1.0 / (2.0 * (frac + i) / x + r)
-        if i <= length:
-            out[i] = r
-    return out
-
-
 def _log_i0(x: float) -> float:
     if x > 40.0:
         return _hankel_log_i(0.0, x)
@@ -135,13 +106,69 @@ def _log_i_half(x: float) -> float:
     return 0.5 * (math.log(2.0) - math.log(math.pi) - math.log(x)) + log_sinh
 
 
-def _log_base(frac: float, x: float) -> float:
-    return _log_i0(x) if frac == 0.0 else _log_i_half(x)
+def _ratio_chain(x: float, frac: float, idx: int) -> tuple[float, float, float]:
+    """One backward pass for the ratios r_i = I_{frac+i}(x) / I_{frac+i-1}(x).
+
+    Returns ``(r_idx, r_{idx+1}, log I_{frac+idx-1}(x))``.  The start order
+    sits far enough above ``idx + 2`` that the Amos-type seed error contracts
+    below 1e-30 before the first returned ratio; below ``idx`` the pass keeps
+    only the running product of the ratios, which telescopes onto the base
+    order ``frac``.
+    """
+    top = frac + idx + 2
+    start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * x)) - frac)) + 12
+    nu = frac + start
+    two_over_x = 2.0 / x
+    r = x / (nu - 0.5 + math.hypot(nu + 0.5, x))
+    for i in range(start - 1, idx + 1, -1):
+        r = 1.0 / ((frac + i) * two_over_x + r)
+    r_next = r = 1.0 / ((frac + idx + 1) * two_over_x + r)
+    r_idx = r = 1.0 / ((frac + idx) * two_over_x + r)
+    log_i = _log_i0(x) if frac == 0.0 else _log_i_half(x)
+    prod = 1.0
+    for i in range(idx - 1, 0, -1):
+        r = 1.0 / ((frac + i) * two_over_x + r)
+        prod *= r
+        if prod < _RESCALE_BELOW:
+            log_i += math.log(prod)
+            prod = 1.0
+    return r_idx, r_next, log_i + math.log(prod)
 
 
-def _frac_and_index(d: int, order: float) -> tuple[float, int]:
-    frac = 0.0 if d % 2 == 0 else 0.5
-    return frac, int(round(order - frac))
+def vmf_kernels(d: int, kappa: float) -> tuple[float, float, float]:
+    """``(A_d(kappa), A_d'(kappa), log C_d(kappa))`` from one Bessel evaluation.
+
+    With v = d/2 - 1:
+
+    * ``A_d = I_{v+1} / I_v`` is the mean resultant length, in (0, 1);
+    * ``A_d' = 1 - A_d^2 - (d-1) A_d / kappa`` is its slope, assembled from
+      the ratios at orders v+1 and v+2 so no unscaled Bessel value is formed;
+      it is the per-observation curvature of the concentration
+      log-likelihood, positive in exact arithmetic, and cancellation leaves
+      it a relative error of about 1e-16 / A_d' once kappa >> d;
+    * ``log C_d = (d/2) log 2pi + log I_v(kappa) - v log kappa`` is the log of
+      the normalizer Z(kappa) of the density ``exp(kappa mu . w) / Z``.
+
+    The recurrence branch runs one backward ratio chain; the Hankel branch
+    sums the expansion at orders v, v+1 and v+2.
+    """
+    _check_dim(d)
+    _check_kappa(kappa, positive=True)
+    v = d / 2.0 - 1.0
+    if _use_asymptotic(kappa, v + 3.0):
+        s0, s1, s2 = (_hankel_sum(v + j, kappa) for j in range(3))
+        a, r_next = s1 / s0, s2 / s1
+        log_i = kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(s0)
+    else:
+        frac = 0.0 if d % 2 == 0 else 0.5
+        a, r_next, log_i = _ratio_chain(kappa, frac, int(round(v + 1.0 - frac)))
+    # Three-term recurrence at order v: I_{v-1} / I_v = a + 2v / kappa.
+    slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / kappa) + a))
+    if not math.isfinite(slope):
+        raise ValueError(
+            f"curvature term not finite at d={d}, kappa={kappa!r}; inputs out of supported range"
+        )
+    return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -153,40 +180,7 @@ def bessel_ratio(d: int, kappa: float) -> float:
     _check_kappa(kappa)
     if kappa == 0.0:
         return 0.0
-    order = d / 2.0
-    if _use_asymptotic(kappa, order):
-        return _hankel_sum(order, kappa) / _hankel_sum(order - 1.0, kappa)
-    frac, idx = _frac_and_index(d, order)
-    return _ratio_chain(kappa, frac, idx)[idx]
-
-
-def bessel_ratio_table(d: int, kappa: float) -> BesselRatioTable:
-    """Ratios at orders d/2, d/2+1, d/2+2 plus log I_{d/2}(kappa), in one pass."""
-    _check_dim(d)
-    _check_kappa(kappa, positive=True)
-    order = d / 2.0
-    top = order + 2.0
-    if _use_asymptotic(kappa, top):
-        sums = [_hankel_sum(order - 1.0 + j, kappa) for j in range(4)]
-        return BesselRatioTable(
-            order=order,
-            kappa=kappa,
-            r0=sums[1] / sums[0],
-            r1=sums[2] / sums[1],
-            r2=sums[3] / sums[2],
-            log_i=_hankel_log_i(order, kappa),
-        )
-    frac, idx = _frac_and_index(d, order)
-    chain = _ratio_chain(kappa, frac, idx + 2)
-    log_i = _log_base(frac, kappa) + sum(math.log(chain[i]) for i in range(1, idx + 1))
-    return BesselRatioTable(
-        order=order,
-        kappa=kappa,
-        r0=chain[idx],
-        r1=chain[idx + 1],
-        r2=chain[idx + 2],
-        log_i=log_i,
-    )
+    return vmf_kernels(d, kappa)[0]
 
 
 def inv_bessel_ratio(d: int, r_bar: float, refine: bool = False) -> float:
@@ -204,12 +198,8 @@ def inv_bessel_ratio(d: int, r_bar: float, refine: bool = False) -> float:
     if not refine:
         return kappa
     for _ in range(20):
-        a = bessel_ratio(d, kappa)
-        if abs(a - r_bar) < 1e-8:
-            break
-        # dA/dkappa = 1 - A^2 - (d-1) A / kappa
-        slope = 1.0 - a * a - (d - 1.0) * a / kappa
-        if not math.isfinite(slope) or slope <= 0.0:
+        a, slope, _ = vmf_kernels(d, kappa)
+        if abs(a - r_bar) < 1e-8 or slope <= 0.0:
             break
         step = (a - r_bar) / slope
         nxt = kappa - step
@@ -221,19 +211,16 @@ def inv_bessel_ratio(d: int, r_bar: float, refine: bool = False) -> float:
 
 def log_vmf_normalizer(d: int, kappa: float) -> float:
     """log Z(kappa) = (d/2) log 2pi + log I_{d/2-1}(kappa) - (d/2-1) log kappa."""
-    _check_dim(d)
-    _check_kappa(kappa, positive=True)
-    order = d / 2.0 - 1.0
-    if _use_asymptotic(kappa, order):
-        log_i = _hankel_log_i(order, kappa)
-    else:
-        frac, idx = _frac_and_index(d, order)
-        if idx == 0:
-            log_i = _log_base(frac, kappa)
-        else:
-            chain = _ratio_chain(kappa, frac, idx)
-            log_i = _log_base(frac, kappa) + sum(math.log(chain[i]) for i in range(1, idx + 1))
-    return 0.5 * d * LOG_2PI + log_i - order * math.log(kappa)
+    return vmf_kernels(d, kappa)[2]
+
+
+def bessel_second_derivative_term(d: int, kappa: float) -> float:
+    """Second derivative of the concentration log-likelihood per observation.
+
+    Equals -dA_d/dkappa (see :func:`vmf_kernels`) and is therefore always
+    negative.
+    """
+    return -vmf_kernels(d, kappa)[1]
 
 
 def log_multivariate_gamma(d: int, a: float) -> float:
@@ -244,28 +231,3 @@ def log_multivariate_gamma(d: int, a: float) -> float:
         raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
     terms = gammaln(a - 0.5 * np.arange(d))
     return 0.25 * d * (d - 1) * math.log(math.pi) + float(terms.sum())
-
-
-def bessel_second_derivative_term(d: int, kappa: float) -> float:
-    """Second derivative of the concentration log-likelihood per observation.
-
-    Writing v = d/2 - 1, this is
-    ``[I_{v+1} (I_{v-1} + I_{v+1}) - I_v (I_v + I_{v+2})] / (2 I_v^2)``
-    assembled purely from ratios so no unscaled Bessel value is ever formed.
-    Equals -dA_d/dkappa and is therefore always negative.
-    """
-    _check_dim(d)
-    _check_kappa(kappa, positive=True)
-    table = bessel_ratio_table(d, kappa)
-    a = table.r0  # I_{v+1} / I_v with v = d/2 - 1
-    r1 = table.r1  # I_{v+2} / I_{v+1}
-    v = d / 2.0 - 1.0
-    # Three-term recurrence at order v: I_{v-1} = I_{v+1} + (2v/kappa) I_v,
-    # so I_{v-1}/I_v = a + 2v/kappa.
-    ratio_down = a + 2.0 * v / kappa
-    value = 0.5 * (a * (ratio_down + a) - (1.0 + a * r1))
-    if not math.isfinite(value):
-        raise ValueError(
-            f"curvature term not finite at d={d}, kappa={kappa!r}; inputs out of supported range"
-        )
-    return value

@@ -2,14 +2,20 @@
 
 The model places mass on the unit sphere with density proportional to
 ``exp(kappa mu . w)``.  The maximum-likelihood mean direction is the
-normalised resultant and the concentration solves A_d(kappa) = R_bar; the
-penalty ``tr(I J^-1)`` is evaluated in the polar-angle parametrisation where
-the observed information is diagonal, which keeps the whole computation at
-O(nd) via one suffix-sum pass.
+normalised resultant and the concentration solves A_d(kappa) = R_bar.  One
+Bessel evaluation per fit (:func:`groupsim.special.vmf_kernels`) gives
+A_d(kappa), its slope A_d'(kappa) and the log-normalizer together.
 
-Log-likelihoods exclude the angle-chart volume term: it carries no
-parameters, and in the model-comparison score each observation appears once
-on each side so the term cancels identically.
+The penalty ``tr(I J^-1)`` does not depend on the parametrisation at the
+maximum (Takeuchi 1976), so it is taken in the tangent space of the sphere
+at the fitted direction (Mardia & Jupp, *Directional Statistics*, 2000),
+with no angle chart.  There the curvature is block diagonal: the
+concentration contributes ``mean((w . mu - A)^2) / A'`` and the d - 1
+tangent directions, which share the curvature ``kappa R_bar``, contribute
+``kappa mean(|w|^2 - (w . mu)^2) / R_bar``.  The whole penalty is O(nd).
+
+Log-likelihoods are taken with respect to the surface measure of the
+sphere, so they carry no chart volume term.
 """
 
 from __future__ import annotations
@@ -20,17 +26,16 @@ import numpy as np
 
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
-from .hypersphere import from_spherical, to_spherical
-from .special import (
+from .hypersphere import to_spherical
+from .special import (  # noqa: F401 - bessel_ratio stays importable from this module
     bessel_ratio,
-    bessel_second_derivative_term,
     inv_bessel_ratio,
     log_vmf_normalizer,
+    vmf_kernels,
 )
 
 R_BAR_FLOOR = 1e-7
 R_BAR_CEIL = 1.0 - 1e-7
-ANGLE_CLAMP = 1e-6
 CURVATURE_FLOOR = 1e-12
 
 
@@ -38,9 +43,11 @@ CURVATURE_FLOOR = 1e-12
 class VmfFit:
     """Maximum-likelihood fit of a von Mises-Fisher model.
 
-    ``max_loglik`` is the Cartesian-parametrisation value
-    ``n (kappa_hat r_bar - log Z(kappa_hat))``; the chart volume term is
-    excluded (see module docstring).
+    ``max_loglik`` is ``n (kappa_hat r_bar - log Z(kappa_hat))``.  ``a_hat``
+    and ``a_prime`` are A_d and its slope A_d' at ``kappa_hat``; they are the
+    concentration's score offset and curvature in the penalty.
+    ``theta_hat`` holds the polar angles of ``mu_hat`` for reference only;
+    no computation here reads it.
     """
 
     mu_hat: np.ndarray
@@ -49,6 +56,8 @@ class VmfFit:
     r_bar: float
     n: int
     max_loglik: float
+    a_hat: float
+    a_prime: float
     degenerate: bool = False
 
     @property
@@ -56,11 +65,12 @@ class VmfFit:
         return self.mu_hat.size
 
 
-def _unit_matrix(data) -> np.ndarray:
+def as_unit_matrix(data) -> np.ndarray:
+    """``data`` as a 2-D float array whose rows are unit vectors (within 1e-6)."""
     x = as_matrix(data)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        worst = float(np.max(np.abs(norms - 1.0)))
+    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0)
+    if np.any(deviation > 1e-6):
+        worst = float(np.max(deviation))
         raise ValueError(f"vectors must be unit-norm within 1e-6 (worst deviation {worst:.2e})")
     return x
 
@@ -72,7 +82,7 @@ def fit_vmf(sample, refine_kappa: bool = False) -> VmfFit:
     concentration stays finite on degenerate bags (all vectors equal, or
     exactly cancelling); such fits carry ``degenerate=True``.
     """
-    x = _unit_matrix(sample)
+    x = as_unit_matrix(sample)
     n, d = x.shape
     if n < 2:
         raise ValueError("need at least two vectors to fit")
@@ -87,77 +97,53 @@ def fit_vmf(sample, refine_kappa: bool = False) -> VmfFit:
         # fully cancelling bag: direction is arbitrary, pick the first vector
         mu_hat = x[0].copy()
     kappa_hat = inv_bessel_ratio(d, r_bar, refine=refine_kappa)
-    max_loglik = n * (kappa_hat * r_bar - log_vmf_normalizer(d, kappa_hat))
+    a_hat, a_prime, log_c = vmf_kernels(d, kappa_hat)
     return VmfFit(
         mu_hat=mu_hat,
         theta_hat=to_spherical(mu_hat),
         kappa_hat=kappa_hat,
         r_bar=r_bar,
         n=n,
-        max_loglik=max_loglik,
+        max_loglik=n * (kappa_hat * r_bar - log_c),
+        a_hat=a_hat,
+        a_prime=a_prime,
         degenerate=degenerate,
     )
 
 
 def vmf_loglik(fit: VmfFit, sample) -> float:
     """Log-likelihood of a bag of unit vectors at the fit's parameters."""
-    x = _unit_matrix(sample)
+    x = as_unit_matrix(sample)
     if x.shape[1] != fit.dim:
         raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
     dots = x @ fit.mu_hat
     return float(fit.kappa_hat * dots.sum() - x.shape[0] * log_vmf_normalizer(fit.dim, fit.kappa_hat))
 
 
-def _clamp_angles(theta: np.ndarray) -> np.ndarray:
-    """Push each angle at least ANGLE_CLAMP away from multiples of pi/2.
+def vmf_tic_penalty(fit: VmfFit, sample, check_unit: bool = True) -> float:
+    """Gradient/curvature penalty tr(I J^-1) in the tangent space at the fit.
 
-    cot and tan are evaluated at these angles; the chart poles are
-    measure-zero but occur on real data (axis-aligned mean directions).
+    ``mean((w . mu - A)^2) / A' + kappa mean(|w|^2 - (w . mu)^2) / R_bar``,
+    two passes over the rows with no (n, d) temporary.  A fit that is not
+    degenerate has 1 - R_bar >= 1e-7, which bounds the cancellation in
+    ``|w|^2 - (w . mu)^2`` to about 1e-9 relative.  ``check_unit=False``
+    skips the unit-norm check for rows the caller has already validated
+    (for example through :func:`fit_vmf` on the same rows).
+
+    Raises :class:`DegenerateCurvatureError` when the fit is flagged
+    degenerate, or when A' or kappa R_bar falls below 1e-12 (e.g. every
+    vector equal to the mean direction).
     """
-    half_pi = 0.5 * np.pi
-    nearest = np.round(theta / half_pi) * half_pi
-    delta = theta - nearest
-    shift = np.where(delta >= 0.0, ANGLE_CLAMP, -ANGLE_CLAMP)
-    return np.where(np.abs(delta) < ANGLE_CLAMP, nearest + shift, theta)
-
-
-def vmf_tic_penalty(fit: VmfFit, sample) -> float:
-    """Gradient/curvature penalty tr(I J^-1) in the polar parametrisation.
-
-    One O(nd) suffix-sum pass produces every per-observation score; the
-    curvature is diagonal at the maximum (mixed second derivatives vanish
-    there), so the trace splits into d scalar ratios.
-
-    Raises :class:`DegenerateCurvatureError` when a curvature diagonal entry
-    falls below 1e-12 (e.g. every vector equal to the mean direction).
-    """
-    x = _unit_matrix(sample)
+    x = as_unit_matrix(sample) if check_unit else sample
     n, d = x.shape
     if d != fit.dim:
         raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {d}")
-    kappa = fit.kappa_hat
-    theta = _clamp_angles(fit.theta_hat)
-    # Re-derive the direction from the clamped angles so the suffix sums and
-    # the cot/tan factors describe the same point on the sphere.
-    mu = from_spherical(theta)
-
-    prods = x * mu  # (n, d)
-    suffix = np.cumsum(prods[:, ::-1], axis=1)[:, ::-1]  # suffix[i, k] = sum_{j>=k} w_ij mu_j
-
-    a = bessel_ratio(d, kappa)
-    grad_kappa = suffix[:, 0] - a
-    info_kappa = float(np.mean(grad_kappa**2))
-    curv_kappa = -bessel_second_derivative_term(d, kappa)
-
-    cot = np.cos(theta) / np.sin(theta)
-    tan = np.sin(theta) / np.cos(theta)
-    grad_theta = kappa * (cot * suffix[:, 1:] - tan * prods[:, :-1])
-    info_theta = np.mean(grad_theta**2, axis=0)
-    curv_theta = kappa * np.mean(suffix[:, :-1], axis=0)
-
-    curvatures = np.concatenate(([curv_kappa], curv_theta))
-    if np.any(curvatures < CURVATURE_FLOOR):
+    tangent_curvature = fit.kappa_hat * fit.r_bar
+    if fit.degenerate or min(fit.a_prime, tangent_curvature) < CURVATURE_FLOOR:
         raise DegenerateCurvatureError(
-            f"curvature diagonal below {CURVATURE_FLOOR:g}; penalty undefined on this bag"
+            f"curvature below {CURVATURE_FLOOR:g} or degenerate fit; penalty undefined on this bag"
         )
-    return float(info_kappa / curv_kappa + np.sum(info_theta / curv_theta))
+    dots = x @ fit.mu_hat
+    info_kappa = float(np.mean((dots - fit.a_hat) ** 2))
+    spread = float(np.mean(np.einsum("ij,ij->i", x, x) - dots * dots))
+    return info_kappa / fit.a_prime + fit.kappa_hat * spread / fit.r_bar

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
-mpmath, dense finite-difference information matrices, analytic Gaussian
-score/curvature matrices, and brute-force quadrature for marginal
-likelihoods, plus the dense Normal-Wishart evidence.
+mpmath, dense finite-difference information matrices, the polar-chart vMF
+penalty, analytic Gaussian score/curvature matrices, and brute-force
+quadrature for marginal likelihoods, plus the dense Normal-Wishart evidence.
 """
 
 from __future__ import annotations
@@ -23,6 +23,13 @@ mp.mp.dps = 50
 
 def bessel_ratio_mp(d: int, kappa: float) -> float:
     return float(mp.besseli(d / 2.0, kappa) / mp.besseli(d / 2.0 - 1.0, kappa))
+
+
+def bessel_ratio_slope_mp(d: int, kappa: float) -> float:
+    """dA_d/dkappa = 1 - A^2 - (d - 1) A / kappa, in 50-digit arithmetic."""
+    k = mp.mpf(kappa)
+    a = mp.besseli(mp.mpf(d) / 2, k) / mp.besseli(mp.mpf(d) / 2 - 1, k)
+    return float(1 - a * a - (d - 1) * a / k)
 
 
 def log_vmf_normalizer_mp(d: int, kappa: float) -> float:
@@ -122,6 +129,62 @@ def vmf_dense_tic_fd(x: np.ndarray, mu_hat: np.ndarray, kappa_hat: float,
     info = np.einsum("ni,nj->ij", grads, grads) / n
     curv = -hessians.mean(axis=0)
     return float(np.trace(info @ np.linalg.inv(curv)))
+
+
+# ---------------------------------------------------------------------------
+# polar-chart penalty for the sphere model
+# ---------------------------------------------------------------------------
+
+POLAR_ANGLE_CLAMP = 1e-6
+
+
+def _clamp_angles(theta: np.ndarray) -> np.ndarray:
+    """Push each angle at least POLAR_ANGLE_CLAMP away from multiples of pi/2.
+
+    cot and tan are evaluated at these angles; the chart poles are
+    measure-zero but occur on real data (axis-aligned mean directions).
+    """
+    half_pi = 0.5 * np.pi
+    nearest = np.round(theta / half_pi) * half_pi
+    delta = theta - nearest
+    shift = np.where(delta >= 0.0, POLAR_ANGLE_CLAMP, -POLAR_ANGLE_CLAMP)
+    return np.where(np.abs(delta) < POLAR_ANGLE_CLAMP, nearest + shift, theta)
+
+
+def vmf_tic_penalty_polar(x: np.ndarray, mu_hat: np.ndarray, kappa_hat: float) -> float:
+    """tr(I J^-1) in the polar parametrisation (kappa, theta_1..theta_{d-1}).
+
+    One O(nd) suffix-sum pass gives every per-observation score; the
+    curvature is diagonal at the maximum (mixed second derivatives vanish
+    there), so the trace splits into d scalar ratios.  A_d and its slope come
+    from mpmath.  Raises ``ArithmeticError`` when a curvature diagonal entry
+    falls below 1e-12.
+    """
+    n, d = x.shape
+    kappa = kappa_hat
+    theta = _clamp_angles(vec_to_sph(mu_hat))
+    # Re-derive the direction from the clamped angles so the suffix sums and
+    # the cot/tan factors describe the same point on the sphere.
+    mu = sph_to_vec(theta)
+
+    prods = x * mu  # (n, d)
+    suffix = np.cumsum(prods[:, ::-1], axis=1)[:, ::-1]  # suffix[i, k] = sum_{j>=k} w_ij mu_j
+
+    a = bessel_ratio_mp(d, kappa)
+    grad_kappa = suffix[:, 0] - a
+    info_kappa = float(np.mean(grad_kappa**2))
+    curv_kappa = bessel_ratio_slope_mp(d, kappa)
+
+    cot = np.cos(theta) / np.sin(theta)
+    tan = np.sin(theta) / np.cos(theta)
+    grad_theta = kappa * (cot * suffix[:, 1:] - tan * prods[:, :-1])
+    info_theta = np.mean(grad_theta**2, axis=0)
+    curv_theta = kappa * np.mean(suffix[:, :-1], axis=0)
+
+    curvatures = np.concatenate(([curv_kappa], curv_theta))
+    if np.any(curvatures < 1e-12):
+        raise ArithmeticError("curvature diagonal below 1e-12; penalty undefined on this bag")
+    return float(info_kappa / curv_kappa + np.sum(info_theta / curv_theta))
 
 
 # ---------------------------------------------------------------------------

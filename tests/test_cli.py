@@ -180,6 +180,14 @@ class TestModelsel:
         code = main(["modelsel", "--embeddings", str(embedding_file), str(corpus)])
         assert code == EXIT_USAGE
 
+    def test_unknown_method_usage_error(self, embedding_file, corpus_file, capsys):
+        code = main([
+            "modelsel", "--embeddings", str(embedding_file), "--method", "bogus",
+            str(corpus_file),
+        ])
+        assert code == EXIT_USAGE
+        assert "bogus" in capsys.readouterr().err
+
 
 class TestPenaltyCurve:
     def test_csv_to_stdout(self, capsys):
@@ -201,6 +209,18 @@ class TestPenaltyCurve:
                 "--trials", "3", "--seed", "11", "--out", str(f),
             ]) == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "0"],
+        ["--sizes", "5,x"],
+        ["--model", "vmf", "--dim", "1"],
+    ], ids=["zero-trials", "non-integer-size", "vmf-dim-1"])
+    def test_bad_arguments_usage_error(self, flags, capsys):
+        code = main(["penalty-curve", "--sizes", "5", *flags])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
 
 
 class TestConfigFile:

@@ -369,3 +369,13 @@ class TestPenaltyCurve:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             penalty_curve(SPHERICAL, 5, [10], trials=2, seed=0)
+
+    @pytest.mark.parametrize("model,d,sizes,trials", [
+        (DIAG, 5, [10], 0),
+        (VMF, 5, [10], -1),
+        (VMF, 1, [10], 2),
+        (DIAG, 5, [10, 1], 2),
+    ])
+    def test_rejects_bad_arguments(self, model, d, sizes, trials):
+        with pytest.raises(ValueError):
+            penalty_curve(model, d, sizes, trials=trials, seed=0)

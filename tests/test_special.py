@@ -5,16 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.special import (
-    BesselRatioTable,
+    LOG_2PI,
     bessel_ratio,
-    bessel_ratio_table,
     bessel_second_derivative_term,
     inv_bessel_ratio,
     log_multivariate_gamma,
     log_vmf_normalizer,
+    vmf_kernels,
 )
 
-from helpers import bessel_ratio_mp, log_vmf_normalizer_mp
+from helpers import bessel_ratio_mp, bessel_ratio_slope_mp, log_vmf_normalizer_mp
+
+# (d, kappa) spanning both branches: short and long recurrences, Hankel sums
+REGIMES = [(2, 1e-6), (2, 3e4), (5, 12.0), (17, 9000.0), (300, 1.0), (300, 2.5e6),
+           (2048, 1e6), (4, 1e9)]
 
 
 class TestBesselRatio:
@@ -34,11 +38,7 @@ class TestBesselRatio:
         assert 0.0 < val < 1.0
         assert val == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize(
-        "d,kappa",
-        [(2, 1e-6), (2, 3e4), (5, 12.0), (17, 9000.0), (300, 1.0), (300, 2.5e6),
-         (2048, 1e6), (4, 1e9)],
-    )
+    @pytest.mark.parametrize("d,kappa", REGIMES)
     def test_matches_mp_across_regimes(self, d, kappa):
         assert bessel_ratio(d, kappa) == pytest.approx(bessel_ratio_mp(d, kappa), rel=1e-11)
 
@@ -63,35 +63,55 @@ class TestBesselRatio:
             bessel_ratio(3, 1e17)
 
 
-class TestRatioTable:
+class TestVmfKernels:
+    @pytest.mark.parametrize("d,kappa", REGIMES)
+    def test_matches_mp_across_regimes(self, d, kappa):
+        a, slope, log_c = vmf_kernels(d, kappa)
+        assert a == pytest.approx(bessel_ratio_mp(d, kappa), rel=1e-11)
+        assert slope == pytest.approx(bessel_ratio_slope_mp(d, kappa), rel=1e-10, abs=1e-12)
+        assert log_c == pytest.approx(log_vmf_normalizer_mp(d, kappa), rel=1e-8)
+
     @given(
         d=st.integers(min_value=2, max_value=300),
         kappa=st.floats(min_value=1e-2, max_value=1e4),
     )
     @settings(max_examples=60, deadline=None)
     def test_three_term_recurrence(self, d, kappa):
-        # 1 / r_nu = r_{nu+1} + 2 nu / kappa, checked at nu = order + 1
-        t = bessel_ratio_table(d, kappa)
-        lhs = 1.0 / t.r1
-        rhs = t.r2 + 2.0 * (t.order + 1.0) / kappa
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        # 1 / r_nu = r_{nu+1} + 2 nu / kappa with r_nu = A_{2 nu}, checked at
+        # nu = d/2 + 1 and nu = d/2; each A comes from its own kernel call
+        a0, a1, a2 = (vmf_kernels(d + 2 * j, kappa)[0] for j in range(3))
+        assert 1.0 / a1 == pytest.approx(a2 + (d + 2.0) / kappa, rel=1e-10)
+        assert 1.0 / a0 == pytest.approx(a1 + d / kappa, rel=1e-10)
 
     def test_entries_finite_and_in_range(self):
         for d in (2, 3, 64, 2048):
             for kappa in (1e-5, 1.0, 1e3, 1e6):
-                t = bessel_ratio_table(d, kappa)
-                assert isinstance(t, BesselRatioTable)
-                for r in (t.r0, t.r1, t.r2):
-                    assert 0.0 <= r < 1.0
-                assert math.isfinite(t.log_i)
+                a, slope, log_c = vmf_kernels(d, kappa)
+                assert 0.0 <= a < 1.0
+                assert 0.0 < slope < 1.0
+                assert math.isfinite(log_c)
 
     def test_log_i_against_mp(self):
         import mpmath as mp
 
+        # log I_{d/2}(kappa) is the Bessel part of log C_{d+2}(kappa)
         for d, kappa in [(4, 2.0), (31, 77.0), (300, 150.0)]:
-            t = bessel_ratio_table(d, kappa)
+            log_c = vmf_kernels(d + 2, kappa)[2]
+            log_i = log_c - 0.5 * (d + 2) * LOG_2PI + 0.5 * d * math.log(kappa)
             ref = float(mp.log(mp.besseli(d / 2.0, kappa)))
-            assert t.log_i == pytest.approx(ref, rel=1e-11, abs=1e-11)
+            assert log_i == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+    def test_views_agree_with_kernel(self):
+        for d, kappa in REGIMES:
+            a, slope, log_c = vmf_kernels(d, kappa)
+            assert bessel_ratio(d, kappa) == a
+            assert bessel_second_derivative_term(d, kappa) == -slope
+            assert log_vmf_normalizer(d, kappa) == log_c
+
+    def test_rejects_bad_inputs(self):
+        for d, kappa in [(1, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")), (3, 1e17)]:
+            with pytest.raises(ValueError):
+                vmf_kernels(d, kappa)
 
 
 class TestInverseRatio:

@@ -3,12 +3,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.special import log_vmf_normalizer
 from groupsim.vmf import fit_vmf, vmf_loglik, vmf_tic_penalty
 
-from helpers import random_rotation, sample_vmf, uniform_sphere, vmf_dense_tic_fd
+from helpers import (
+    random_rotation,
+    sample_vmf,
+    uniform_sphere,
+    vmf_dense_tic_fd,
+    vmf_tic_penalty_polar,
+)
 
 
 class TestFit:
@@ -107,6 +115,35 @@ class TestTicPenalty:
         closed = vmf_tic_penalty(fit, x)
         dense = vmf_dense_tic_fd(x, fit.mu_hat, fit.kappa_hat)
         assert closed == pytest.approx(dense, rel=1e-3)
+
+    @given(
+        d=st.sampled_from([3, 5, 50, 300]),
+        n=st.sampled_from([5, 13, 40]),
+        concentrated=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chart_free_equals_polar(self, d, n, concentrated, seed):
+        rng = np.random.default_rng(seed)
+        if concentrated:
+            x = sample_vmf(rng, rng.standard_normal(d), kappa=20.0 * d, n=n)
+        else:
+            x = uniform_sphere(rng, n, d)
+        fit = fit_vmf(x)
+        polar = vmf_tic_penalty_polar(x, fit.mu_hat, fit.kappa_hat)
+        assert vmf_tic_penalty(fit, x) == pytest.approx(polar, rel=1e-9)
+
+    def test_axis_aligned_mean_needs_no_clamp(self):
+        # the polar chart has a pole at this mean direction, the tangent form
+        # does not: the penalty equals that of a rotated copy of the bag
+        x = np.array([[0.8, 0.6, 0.0], [0.8, -0.6, 0.0], [0.8, 0.0, 0.6], [0.8, 0.0, -0.6]])
+        fit = fit_vmf(x)
+        np.testing.assert_allclose(fit.mu_hat, [1.0, 0.0, 0.0], atol=1e-15)
+        xr = x @ random_rotation(np.random.default_rng(11), 3).T
+        fr = fit_vmf(xr)
+        assert vmf_tic_penalty(fit, x) == pytest.approx(vmf_tic_penalty(fr, xr), rel=1e-12)
+        dense = vmf_dense_tic_fd(xr, fr.mu_hat, fr.kappa_hat)
+        assert vmf_tic_penalty(fit, x) == pytest.approx(dense, rel=1e-3)
 
     def test_degenerate_raises_never_nan(self):
         x = np.tile(np.array([1.0, 0.0, 0.0]), (6, 1))
