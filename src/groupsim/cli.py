@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class RunConfig:
     prior_nu0: float | None = None
     out: str | None = None
     seed: int = 0
-    workers: int = 1
     refine_kappa: bool = False
 
     def validate(self, allow_all: bool = False) -> None:
@@ -46,8 +45,6 @@ class RunConfig:
             raise UsageError(
                 f"unknown method {self.method!r}; choose from {sorted(valid)}"
             )
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
         if self.sif_a <= 0:
             raise UsageError("sif-a must be positive")
 
@@ -72,7 +69,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="Normal-Wishart prior degrees of freedom")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--workers", type=int, help="parallel pair-scoring workers")
     parser.add_argument("--refine-kappa", dest="refine_kappa", action="store_true",
                         default=None, help="Newton-polish the concentration estimate")
     parser.add_argument("--verbose", action="store_true", help="print score breakdowns")
@@ -118,6 +114,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - set(vars(config))
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for field in fields(RunConfig):
+            if field.name in file_values:
+                _check_config_value(field, file_values[field.name])
     for key in vars(config):
         flag = getattr(args, key, None)
         if flag is not None:
@@ -132,6 +131,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         elif config.method not in ("all",) and not config.method.endswith(ic):
             raise UsageError(f"--ic {ic!r} conflicts with --method {config.method!r}")
     return config
+
+
+# JSON values each RunConfig field type accepts; JSON true/false fit bool fields only
+_CONFIG_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _check_config_value(field, value) -> None:
+    """Raise UsageError unless a config-file value fits the field's type (null: default None)."""
+    if value is None and field.default is None:
+        return
+    kind = field.type.split(" | ")[0]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _CONFIG_TYPES[kind]):
+        raise UsageError(f"config key {field.name!r} must be {kind}, got {json.dumps(value)}")
 
 
 def _load_store(config: RunConfig):
@@ -153,7 +165,6 @@ def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOption
             raise UsageError(f"bad prior: {exc}") from exc
     return evaluation.EvalOptions(
         pad_token=config.pad_token,
-        workers=config.workers,
         sif_a=config.sif_a,
         freqs=freqs,
         prior=prior,

@@ -1,17 +1,17 @@
 """Similarity scores from penalised model comparison.
 
 A pair of vector bags is scored by contrasting a shared-parameter fit of
-their concatenation against independent per-bag fits.  The generic composer
-``similarity_ic`` works for any supported likelihood (von Mises-Fisher,
-diagonal Gaussian, spherical Gaussian) and penalty (gradient-based "tic" or
-parameter-count "aic"); ``similarity_bic`` applies the sample-size penalty
-law instead, and ``bayes_factor_similarity`` scores with Normal-Wishart
-marginal likelihoods (full covariance, conjugate closed form).
-
-Score conventions: the generic and BIC compositions carry the conventional
-factor 2 (alpha = 2); the closed forms ``similarity_closed_*`` reproduce the
-same quantity without it (alpha = 1).  Rank-based evaluation is insensitive
-to the factor; the breakdown records which convention produced the value.
+their concatenation against independent per-bag fits.  Every model score is
+one composition: a per-bag criterion gives (L, P) for the joint bag and for
+each bag alone, and the score is alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).
+``similarity_ic`` fits a von Mises-Fisher, diagonal or spherical Gaussian
+model with a gradient-based ("tic") or parameter-count ("aic") penalty and
+``similarity_bic`` the same fits with P = (k/2) log n, both with alpha = 2;
+``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
+covariance, conjugate closed form), P = 0 and alpha = 1.  The closed forms
+``similarity_closed_*`` write the tic score out independently of the
+composer, with alpha = 1.  Rank-based evaluation is insensitive to alpha;
+the breakdown records which convention produced the value.
 """
 
 from __future__ import annotations
@@ -90,25 +90,30 @@ def _fit_loglik_penalty(
     refine_kappa: bool,
     on_degenerate: str,
 ) -> tuple[float, float, bool]:
-    """Fit one bag; return (max loglik, penalty, degenerate-fallback flag)."""
-    d = x.shape[1]
+    """Fit one bag; return (max loglik, penalty, degenerate-fallback flag).
+
+    The penalty is the gradient trace for ``ic="tic"``, the parameter count
+    k for "aic" and ``(k/2) log n`` for "bic".
+    """
+    n, d = x.shape
     k = aic_param_count(model, d)
     if model == VMF:
         fit = fit_vmf(x, refine_kappa=refine_kappa)
-        if ic == "aic":
-            return fit.max_loglik, float(k), False
-        try:
-            # fit_vmf has just checked that these rows are unit vectors
-            return fit.max_loglik, vmf_tic_penalty(fit, x, check_unit=False), False
-        except DegenerateCurvatureError:
-            if on_degenerate == "aic":
-                return fit.max_loglik, float(k), True
-            raise
-    kind = DIAGONAL if model == DIAG else SPHERICAL
-    fit = fit_gaussian(x, kind=kind)
+    else:
+        fit = fit_gaussian(x, kind=DIAGONAL if model == DIAG else SPHERICAL)
     if ic == "aic":
         return fit.max_loglik, float(k), False
-    return fit.max_loglik, gaussian_tic_penalty(fit), False
+    if ic == "bic":
+        return fit.max_loglik, 0.5 * k * math.log(n), False
+    if model != VMF:
+        return fit.max_loglik, gaussian_tic_penalty(fit), False
+    try:
+        # fit_vmf has just checked that these rows are unit vectors
+        return fit.max_loglik, vmf_tic_penalty(fit, x, check_unit=False), False
+    except DegenerateCurvatureError:
+        if on_degenerate == "aic":
+            return fit.max_loglik, float(k), True
+        raise
 
 
 def _validated_pair(d1, d2, model: str | None = None, ic: str | None = None):
@@ -121,6 +126,23 @@ def _validated_pair(d1, d2, model: str | None = None, ic: str | None = None):
     if ic is not None and ic not in IC_KINDS:
         raise ValueError(f"ic must be one of {IC_KINDS}, got {ic!r}")
     return x1, x2
+
+
+def _compose(x1, x2, criterion, alpha: float, method: str) -> SimilarityScore:
+    """``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from one per-bag criterion.
+
+    ``criterion(x)`` returns ``(L, P, fallback)`` for one bag; it runs on the
+    stacked pair, then on each bag alone.
+    """
+    ll_j, p_j, f_j = criterion(np.vstack([x1, x2]))
+    ll_1, p_1, f_1 = criterion(x1)
+    ll_2, p_2, f_2 = criterion(x2)
+    return SimilarityScore(
+        value=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
+        method=method,
+        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=alpha),
+        fallback=f_j or f_1 or f_2,
+    )
 
 
 def similarity_ic(
@@ -142,17 +164,8 @@ def similarity_ic(
     count for the affected fit and flags the score.
     """
     x1, x2 = _validated_pair(d1, d2, model, ic)
-    joint = np.vstack([x1, x2])
-    ll_j, p_j, f_j = _fit_loglik_penalty(joint, model, ic, refine_kappa, on_degenerate)
-    ll_1, p_1, f_1 = _fit_loglik_penalty(x1, model, ic, refine_kappa, on_degenerate)
-    ll_2, p_2, f_2 = _fit_loglik_penalty(x2, model, ic, refine_kappa, on_degenerate)
-    value = 2.0 * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2)
-    return SimilarityScore(
-        value=value,
-        method=f"{model}_{ic}",
-        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=2.0),
-        fallback=f_j or f_1 or f_2,
-    )
+    criterion = lambda x: _fit_loglik_penalty(x, model, ic, refine_kappa, on_degenerate)
+    return _compose(x1, x2, criterion, 2.0, f"{model}_{ic}")
 
 
 def similarity_closed_vmf(
@@ -255,33 +268,12 @@ def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
 def similarity_bic(d1, d2, model: str = DIAG) -> SimilarityScore:
     """Sample-size-penalised score: 2 (L_j - L_1 - L_2) - k log((n+m)/(nm)).
 
-    Equivalent to composing per-fit criteria ``-2 L + k log n``; the
-    breakdown stores each fit's penalty as ``(k/2) log n`` so the uniform
-    alpha = 2 identity holds.
+    Composed from per-fit penalties ``(k/2) log n``, which sum to the same
+    value under the uniform alpha = 2 identity.
     """
-    x1, x2 = _validated_pair(d1, d2)
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    n, m = x1.shape[0], x2.shape[0]
-    joint = np.vstack([x1, x2])
-    ll_j, _, _ = _fit_loglik_penalty(joint, model, "aic", False, "error")
-    ll_1, _, _ = _fit_loglik_penalty(x1, model, "aic", False, "error")
-    ll_2, _, _ = _fit_loglik_penalty(x2, model, "aic", False, "error")
-    k = aic_param_count(model, x1.shape[1])
-    value = 2.0 * (ll_j - ll_1 - ll_2) - k * math.log((n + m) / (n * m))
-    return SimilarityScore(
-        value=value,
-        method=f"{model}_bic",
-        breakdown=ScoreBreakdown(
-            ll_j,
-            ll_1,
-            ll_2,
-            0.5 * k * math.log(n + m),
-            0.5 * k * math.log(n),
-            0.5 * k * math.log(m),
-            alpha=2.0,
-        ),
-    )
+    x1, x2 = _validated_pair(d1, d2, model)
+    criterion = lambda x: _fit_loglik_penalty(x, model, "bic", False, "error")
+    return _compose(x1, x2, criterion, 2.0, f"{model}_bic")
 
 
 @dataclass(frozen=True)
@@ -392,15 +384,7 @@ def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> 
     x1, x2 = _validated_pair(d1, d2)
     if prior is None:
         prior = default_prior(x1.shape[1])
-    joint = np.vstack([x1, x2])
-    ev_j = nw_log_evidence(joint, prior)
-    ev_1 = nw_log_evidence(x1, prior)
-    ev_2 = nw_log_evidence(x2, prior)
-    return SimilarityScore(
-        value=ev_j - ev_1 - ev_2,
-        method="bayes_factor",
-        breakdown=ScoreBreakdown(ev_j, ev_1, ev_2, 0.0, 0.0, 0.0, alpha=1.0),
-    )
+    return _compose(x1, x2, lambda x: (nw_log_evidence(x, prior), 0.0, False), 1.0, "bayes_factor")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,6 @@ MODEL_METHODS = (
 )
 BASELINE_METHODS = ("mwv", "sif", "sif_pca")
 SUPPORTED_METHODS = MODEL_METHODS + BASELINE_METHODS
-
-# methods whose likelihood lives on the unit sphere: inputs are row-normalised
-_NEEDS_UNIT_ROWS = ("vmf_tic", "vmf_aic")
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ class EvalOptions:
     """Knobs shared by the evaluation harness and the command line."""
 
     pad_token: str | None = None
-    workers: int = 1
     sif_a: float = baselines.DEFAULT_SIF_A
     freqs: baselines.FrequencyTable | None = None
     prior: comparison.NormalWishartPrior | None = None
@@ -158,29 +153,27 @@ def unit_rows(sample: SentenceSample) -> np.ndarray:
 def pair_scorer(method: str, options: EvalOptions):
     """Callable scoring two SentenceSamples, returning a SimilarityScore.
 
-    Covers the model-comparison methods; the sentence-embedding baselines
-    need corpus context and go through :func:`embedding_scores`.
+    A model method name ``<model>_<criterion>`` selects one :mod:`comparison`
+    function: ``similarity_ic`` for "tic"/"aic", ``similarity_bic`` for
+    "bic", ``bayes_factor_similarity`` otherwise.  vMF likelihoods live on
+    the unit sphere, so their inputs are row-normalised.  The
+    sentence-embedding baselines need corpus context and go through
+    :func:`embedding_scores`.
     """
-    if method == "bayes_factor":
-        return lambda a, b: comparison.bayes_factor_similarity(a, b, prior=options.prior)
-    if method == "diag_bic":
-        return lambda a, b: comparison.similarity_bic(a, b, model=comparison.DIAG)
+    if method not in MODEL_METHODS:
+        raise ValueError(f"unknown model method {method!r}; supported: {MODEL_METHODS}")
     model, _, ic = method.partition("_")
-    normalize = method in _NEEDS_UNIT_ROWS
-
-    def score(a: SentenceSample, b: SentenceSample) -> comparison.SimilarityScore:
-        xa = unit_rows(a) if normalize else a.vectors
-        xb = unit_rows(b) if normalize else b.vectors
-        return comparison.similarity_ic(
-            xa,
-            xb,
-            model=model,
-            ic=ic,
-            refine_kappa=options.refine_kappa,
-            on_degenerate=options.on_degenerate,
+    if ic in comparison.IC_KINDS:
+        compare = lambda x1, x2: comparison.similarity_ic(
+            x1, x2, model, ic, options.refine_kappa, options.on_degenerate
         )
-
-    return score
+    elif ic == "bic":
+        compare = lambda x1, x2: comparison.similarity_bic(x1, x2, model)
+    else:
+        compare = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
+    if model != comparison.VMF:
+        return lambda a, b: compare(a.vectors, b.vectors)
+    return lambda a, b: compare(unit_rows(a), unit_rows(b))
 
 
 def sentence_vector(
@@ -271,15 +264,10 @@ def evaluate(
         else:
             if isinstance(method, str):
                 scorer = pair_scorer(method, options)
-                run = lambda ab: scorer(ab[0], ab[1]).value
+                run = lambda a, b: scorer(a, b).value
             else:
-                run = lambda ab: float(method(ab[0], ab[1]))
-            pairs = list(zip(samples_a, samples_b))
-            if options.workers > 1:
-                with ThreadPoolExecutor(max_workers=options.workers) as pool:
-                    scores = list(pool.map(run, pairs))
-            else:
-                scores = [run(ab) for ab in pairs]
+                run = lambda a, b: float(method(a, b))
+            scores = [run(sa, sb) for sa, sb in zip(samples_a, samples_b)]
         golds = [g for _, _, g in dataset.pairs]
         rho = spearman(scores, golds)
         if math.isnan(rho):

@@ -101,8 +101,9 @@ def _log_i0(x: float) -> float:
 
 
 def _log_i_half(x: float) -> float:
-    # I_{1/2}(x) = sqrt(2 / (pi x)) sinh(x); log sinh written overflow-free.
-    log_sinh = x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+    # I_{1/2}(x) = sqrt(2 / (pi x)) sinh(x); log sinh written overflow-free, and
+    # through expm1 so 1 - e^{-2x} keeps full precision (and stays > 0) as x -> 0.
+    log_sinh = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
     return 0.5 * (math.log(2.0) - math.log(math.pi) - math.log(x)) + log_sinh
 
 

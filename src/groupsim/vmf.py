@@ -66,10 +66,12 @@ class VmfFit:
 
 
 def as_unit_matrix(data) -> np.ndarray:
-    """``data`` as a 2-D float array whose rows are unit vectors (within 1e-6)."""
+    """``data`` as a 2-D float array whose rows are finite unit vectors (within 1e-6)."""
     x = as_matrix(data)
     deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0)
-    if np.any(deviation > 1e-6):
+    if not np.all(deviation <= 1e-6):  # a NaN deviation fails this comparison too
+        if not np.isfinite(x).all():
+            raise ValueError("vectors must be finite; a row holds NaN or inf")
         worst = float(np.max(deviation))
         raise ValueError(f"vectors must be unit-norm within 1e-6 (worst deviation {worst:.2e})")
     return x

@@ -235,7 +235,7 @@ def test_criterion_8_external_sts_reproduction():
     assert paths, f"no .tsv files under {sts_dir}"
     datasets = [load_pairs(p) for p in paths]
     store = load_embeddings(emb_path)
-    options = EvalOptions(workers=1)
+    options = EvalOptions()
     diag = evaluate("diag_aic", datasets, store, options).weighted_average
     mwv = evaluate("mwv", datasets, store, options).weighted_average
     ok = abs(diag - 0.6564) <= 0.02 and abs(mwv - 0.5784) <= 0.02

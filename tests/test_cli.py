@@ -138,6 +138,11 @@ class TestEval:
 
         assert methods == set(SUPPORTED_METHODS)
 
+    def test_workers_flag_is_unknown(self, embedding_file, pairs_file, capsys):
+        code = main(["eval", "--embeddings", str(embedding_file), "--workers", "2",
+                     str(pairs_file)])
+        assert code == EXIT_USAGE
+
     def test_unreadable_dataset(self, embedding_file, tmp_path, capsys):
         code = main([
             "eval", "--embeddings", str(embedding_file), str(tmp_path / "nope.tsv"),
@@ -230,7 +235,7 @@ class TestConfigFile:
         config.write_text(json.dumps({
             "embeddings": str(embedding_file),
             "method": "mwv",
-            "workers": 2,
+            "seed": 2,
         }))
         code = main(["eval", "--config", str(config), "--method", "diag_aic",
                      str(pairs_file)])
@@ -242,6 +247,43 @@ class TestConfigFile:
         config.write_text(json.dumps({"mystery": 1}))
         code = main(["eval", "--config", str(config), str(pairs_file)])
         assert code == EXIT_USAGE
+
+    def test_workers_key_is_unknown(self, embedding_file, pairs_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"embeddings": str(embedding_file), "workers": 2}))
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['workers']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("sif_a", "0.5"),
+        ("sif_a", True),
+        ("prior_kappa0", None),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("normalize", "yes"),
+        ("refine_kappa", 1),
+        ("method", 3),
+        ("method", None),
+        ("pad_token", 0),
+    ])
+    def test_config_value_type_checked(self, key, value, embedding_file, pairs_file,
+                                       tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"embeddings": str(embedding_file), key: value}))
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert f"usage error: config key {key!r}" in capsys.readouterr().err
+
+    def test_config_values_of_the_field_types_accepted(self, embedding_file, pairs_file,
+                                                       tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "embeddings": str(embedding_file), "sif_a": 1, "prior_nu0": None,
+            "normalize": False, "seed": 3, "pad_token": None, "method": "mwv",
+        }))
+        assert main(["eval", "--config", str(config), str(pairs_file)]) == EXIT_OK
 
     def test_usage_exit_code_from_argparse(self, capsys):
         assert main(["unknown-subcommand"]) == EXIT_USAGE

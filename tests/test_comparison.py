@@ -142,6 +142,12 @@ class TestClosedForms:
         assert math.isfinite(score.value)
         assert score.fallback
 
+    def test_vmf_rejects_non_finite_row(self):
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        bad = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            similarity_closed_vmf(x, bad)
+
     def test_vmf_rotation_invariance(self):
         rng = np.random.default_rng(4)
         x1, x2 = random_pair(rng, 5, unit=True)

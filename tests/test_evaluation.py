@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupsim import comparison
 from groupsim.errors import EmbeddingFormatError
 from groupsim.evaluation import (
+    MODEL_METHODS,
     SUPPORTED_METHODS,
     EvalOptions,
     ScoredPairSet,
@@ -16,6 +18,7 @@ from groupsim.evaluation import (
     report_lines,
     score_pair,
     spearman,
+    unit_rows,
 )
 from groupsim.embeddings import lookup_sentence
 
@@ -150,11 +153,6 @@ class TestEvaluate:
             assert len(report.rows) == 1
             assert all(-1.0 <= r.spearman <= 1.0 for r in report.rows if r.defined)
 
-    def test_deterministic_across_worker_counts(self, store, dataset_a, dataset_b):
-        serial = evaluate("diag_aic", [dataset_a, dataset_b], store, EvalOptions(workers=1))
-        threaded = evaluate("diag_aic", [dataset_a, dataset_b], store, EvalOptions(workers=4))
-        assert report_lines(serial) == report_lines(threaded)
-
     def test_pair_order_shuffle_invariance(self, store, dataset_a):
         rng = np.random.default_rng(1)
         perm = rng.permutation(dataset_a.count)
@@ -222,6 +220,39 @@ class TestEvaluate:
     def test_unknown_method_rejected(self, store, dataset_a):
         with pytest.raises(ValueError, match="unknown method"):
             evaluate("nope", [dataset_a], store)
+
+
+# the comparison call each model method stands for, with EvalOptions() defaults
+DIRECT_CALLS = {
+    "vmf_tic": lambda a, b: comparison.similarity_ic(
+        unit_rows(a), unit_rows(b), "vmf", "tic", on_degenerate="aic"),
+    "vmf_aic": lambda a, b: comparison.similarity_ic(
+        unit_rows(a), unit_rows(b), "vmf", "aic", on_degenerate="aic"),
+    "diag_tic": lambda a, b: comparison.similarity_ic(
+        a.vectors, b.vectors, "diag", "tic", on_degenerate="aic"),
+    "diag_aic": lambda a, b: comparison.similarity_ic(
+        a.vectors, b.vectors, "diag", "aic", on_degenerate="aic"),
+    "diag_bic": lambda a, b: comparison.similarity_bic(a.vectors, b.vectors, model="diag"),
+    "spherical_aic": lambda a, b: comparison.similarity_ic(
+        a.vectors, b.vectors, "spherical", "aic", on_degenerate="aic"),
+    "bayes_factor": lambda a, b: comparison.bayes_factor_similarity(a.vectors, b.vectors),
+}
+
+
+class TestDispatch:
+    def test_table_covers_every_model_method(self):
+        assert set(DIRECT_CALLS) == set(MODEL_METHODS)
+
+    @pytest.mark.parametrize("method", MODEL_METHODS)
+    def test_score_pair_is_one_comparison_call(self, method, store):
+        a = lookup_sentence(store, "the cat sat on the mat", ".")
+        b = lookup_sentence(store, "dog sat on mat", ".")
+        assert score_pair(method, a, b, store).value == DIRECT_CALLS[method](a, b).value
+
+    def test_unknown_model_method_rejected(self, store):
+        a = lookup_sentence(store, "the cat sat", ".")
+        with pytest.raises(ValueError, match="unknown model method"):
+            score_pair("vmf_bogus", a, a, store)
 
 
 class TestReportLines:

@@ -101,6 +101,13 @@ class TestVmfKernels:
             ref = float(mp.log(mp.besseli(d / 2.0, kappa)))
             assert log_i == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 300, 301])
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-17, 1e-12, 1e-10, 3e-7])
+    def test_log_c_tiny_kappa_against_mp(self, d, kappa):
+        # odd d telescopes onto log I_{1/2}, whose log sinh must keep 1 - e^{-2 kappa}
+        log_c = vmf_kernels(d, kappa)[2]
+        assert log_c == pytest.approx(log_vmf_normalizer_mp(d, kappa), rel=1e-12)
+
     def test_views_agree_with_kernel(self):
         for d, kappa in REGIMES:
             a, slope, log_c = vmf_kernels(d, kappa)

@@ -71,6 +71,11 @@ class TestFit:
         with pytest.raises(ValueError, match="unit-norm"):
             fit_vmf(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_row(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_vmf(np.array([[1.0, 0.0, 0.0], [bad, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
 
 class TestLoglik:
     def test_self_evaluation_matches_max(self):
