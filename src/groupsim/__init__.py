@@ -19,7 +19,6 @@ from .comparison import (
     nw_log_evidence,
     penalty_curve,
     penalty_curve_csv,
-    similarity_bic,
     similarity_closed_gaussian,
     similarity_closed_vmf,
     similarity_ic,
@@ -85,7 +84,6 @@ __all__ = [
     "remove_first_pc",
     "score_pair",
     "sif_embed",
-    "similarity_bic",
     "similarity_closed_gaussian",
     "similarity_closed_vmf",
     "similarity_ic",

@@ -9,6 +9,7 @@ from every sentence vector before taking cosines.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def sif_embed(
     so coverage matches the unweighted mean.  Raises when no token is in the
     vocabulary.
     """
-    if a <= 0.0:
-        raise ValueError("smoothing parameter must be positive")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"smoothing parameter must be positive and finite, got {a!r}")
     retained = [t for t in tokens if t in store]
     if not retained:
         raise ValueError("no in-vocabulary tokens to embed")

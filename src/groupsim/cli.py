@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -45,8 +46,8 @@ class RunConfig:
             raise UsageError(
                 f"unknown method {self.method!r}; choose from {sorted(valid)}"
             )
-        if self.sif_a <= 0:
-            raise UsageError("sif-a must be positive")
+        if not (math.isfinite(self.sif_a) and self.sif_a > 0):
+            raise UsageError(f"sif-a must be positive and finite, got {self.sif_a!r}")
 
 
 class UsageError(Exception):
@@ -59,7 +60,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--normalize", action="store_true", default=None,
                         help="unit-normalize stored vectors")
     parser.add_argument("--method", help="similarity method identifier")
-    parser.add_argument("--ic", help="shorthand: combine with bare model names (tic/aic/bic)")
     parser.add_argument("--pad-token", dest="pad_token", help="padding token (default: auto)")
     parser.add_argument("--sif-a", dest="sif_a", type=float, help="SIF smoothing parameter")
     parser.add_argument("--freq-file", dest="freq_file", help="token frequency file for SIF")
@@ -111,6 +111,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise UsageError(
+                f"config file must hold a JSON object, got {json.dumps(file_values)}"
+            )
         unknown = set(file_values) - set(vars(config))
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -123,13 +127,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, key, flag)
         elif key in file_values:
             setattr(config, key, file_values[key])
-    # bare model name plus --ic combines into a method identifier
-    ic = getattr(args, "ic", None)
-    if ic:
-        if config.method in ("vmf", "diag", "spherical"):
-            config.method = f"{config.method}_{ic}"
-        elif config.method not in ("all",) and not config.method.endswith(ic):
-            raise UsageError(f"--ic {ic!r} conflicts with --method {config.method!r}")
     return config
 
 

@@ -5,13 +5,15 @@ their concatenation against independent per-bag fits.  Every model score is
 one composition: a per-bag criterion gives (L, P) for the joint bag and for
 each bag alone, and the score is alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).
 ``similarity_ic`` fits a von Mises-Fisher, diagonal or spherical Gaussian
-model with a gradient-based ("tic") or parameter-count ("aic") penalty and
-``similarity_bic`` the same fits with P = (k/2) log n, both with alpha = 2;
-``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
-covariance, conjugate closed form), P = 0 and alpha = 1.  The closed forms
-``similarity_closed_*`` write the tic score out independently of the
-composer, with alpha = 1.  Rank-based evaluation is insensitive to alpha;
-the breakdown records which convention produced the value.
+model and takes P from one information criterion, with alpha = 2: the
+gradient trace ("tic"), the parameter count k ("aic") or (k/2) log n
+("bic").  ``corpus_model_selection`` and ``penalty_curve`` read the same
+per-bag criterion.  ``bayes_factor_similarity`` takes L as the
+Normal-Wishart log evidence (full covariance, conjugate closed form), P = 0
+and alpha = 1.  The closed forms ``similarity_closed_*`` write the tic score
+out independently of the composer, with alpha = 1.  Rank-based evaluation is
+insensitive to alpha; the breakdown records which convention produced the
+value.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ VMF = "vmf"
 DIAG = "diag"
 
 MODELS = (VMF, DIAG, SPHERICAL)
-IC_KINDS = ("tic", "aic")
+IC_KINDS = ("tic", "aic", "bic")
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,11 @@ def similarity_ic(
 ) -> SimilarityScore:
     """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
 
-    ``P`` is the gradient-based trace for ``ic="tic"`` or the parameter count
-    for ``ic="aic"``.  The two independent-fit penalties add because the
-    joint curvature of two disjoint parameter blocks is block diagonal.
+    ``P`` is the gradient-based trace for ``ic="tic"``, the parameter count k
+    for "aic" and ``(k/2) log n`` for "bic"; the bic score is therefore
+    ``2 (L_j - L_1 - L_2) - k log((n+m)/(nm))``.  The two independent-fit
+    penalties add because the joint curvature of two disjoint parameter
+    blocks is block diagonal.
 
     ``on_degenerate`` chooses the reaction to a degenerate curvature under
     "tic": "error" (default) propagates, "aic" substitutes the parameter
@@ -263,17 +267,6 @@ def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
             alpha=1.0,
         ),
     )
-
-
-def similarity_bic(d1, d2, model: str = DIAG) -> SimilarityScore:
-    """Sample-size-penalised score: 2 (L_j - L_1 - L_2) - k log((n+m)/(nm)).
-
-    Composed from per-fit penalties ``(k/2) log n``, which sum to the same
-    value under the uniform alpha = 2 identity.
-    """
-    x1, x2 = _validated_pair(d1, d2, model)
-    criterion = lambda x: _fit_loglik_penalty(x, model, "bic", False, "error")
-    return _compose(x1, x2, criterion, 2.0, f"{model}_bic")
 
 
 @dataclass(frozen=True)
@@ -402,8 +395,9 @@ def corpus_model_selection(
 ) -> list[ModelCandidateScore]:
     """Mean per-bag criterion ``-2 (L - P)`` for each candidate, best first.
 
-    Lets two likelihoods be compared on a plain corpus of bags, without any
-    labelled similarity data.
+    A candidate is a (model, ic) pair with ic in :data:`IC_KINDS`; a "bic"
+    candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
+    on a plain corpus of bags, without any labelled similarity data.
     """
     bags = [as_matrix(b) for b in corpus]
     if not bags:
@@ -435,10 +429,11 @@ def penalty_curve(
     trials: int,
     seed: int,
 ) -> list[PenaltyCurveRow]:
-    """Gradient-penalty statistics on synthetic draws for each sample size.
+    """Gradient-penalty (tic) statistics on synthetic draws for each sample size.
 
     Diagonal Gaussian penalties are measured on standard-normal samples, vMF
-    penalties on uniform draws from the unit sphere.  Deterministic under a
+    penalties on uniform draws from the unit sphere; each is the "tic"
+    penalty of the per-bag criterion that scores pairs.  Deterministic under a
     fixed seed.  Every argument is checked before any draw: a ``ValueError``
     from this function always names a bad argument.
     """
@@ -461,9 +456,7 @@ def penalty_curve(
             x = rng.standard_normal((n, d))
             if model == VMF:
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
-                values[t] = vmf_tic_penalty(fit_vmf(x), x, check_unit=False)
-            else:
-                values[t] = gaussian_tic_penalty(fit_gaussian(x, kind=DIAGONAL))
+            values[t] = _fit_loglik_penalty(x, model, "tic", False, "error")[1]
         rows.append(
             PenaltyCurveRow(
                 n=n,

@@ -29,14 +29,12 @@ PAD_TOKEN_CANDIDATES = (".", "the")
 class EmbeddingStore:
     """Immutable token -> vector map backed by a single matrix.
 
-    ``vocab`` maps each token to its row in ``matrix``.  With ``normalized``
-    set every stored vector has unit Euclidean norm.
+    ``vocab`` maps each token to its row in ``matrix``.
     """
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray
-    normalized: bool
     duplicate_count: int = 0
 
     def __post_init__(self) -> None:
@@ -67,7 +65,6 @@ class SentenceSample:
 
     vectors: np.ndarray
     token_count_before_padding: int
-    padded: bool
     tokens: tuple[str, ...] = ()
     oov_count: int = 0
 
@@ -110,22 +107,15 @@ def _looks_like_header(parts: list[str]) -> bool:
     return True
 
 
-def load_embeddings(
-    path,
-    expect_header: str = "auto",
-    normalize: bool = False,
-    dtype=np.float32,
-) -> EmbeddingStore:
+def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     """Parse a text embedding file into an :class:`EmbeddingStore`.
 
-    ``expect_header`` is one of "auto", "yes", "no"; in auto mode a first line
-    of exactly two integers is treated as a count/dimension header.  On
-    duplicate tokens the first occurrence wins and the count is reported.
-    Vectors are stored as ``dtype`` (float32 by default) to halve memory for
-    large lexicons; lookups return float64.
+    A first line of exactly two integers is treated as a count/dimension
+    header.  With ``normalize`` every row is scaled to unit Euclidean norm.
+    On duplicate tokens the first occurrence wins and the count is reported.
+    Vectors are stored as float32 to halve memory for large lexicons;
+    lookups return float64.
     """
-    if expect_header not in ("auto", "yes", "no"):
-        raise ValueError(f"expect_header must be auto/yes/no, got {expect_header!r}")
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
@@ -135,11 +125,8 @@ def load_embeddings(
             parts = line.split()
             if not parts:
                 continue
-            if lineno == 1:
-                if expect_header == "yes":
-                    continue
-                if expect_header == "auto" and _looks_like_header(parts):
-                    continue
+            if lineno == 1 and _looks_like_header(parts):
+                continue
             token = parts[0]
             try:
                 vec = np.array(parts[1:], dtype=np.float64)
@@ -166,7 +153,7 @@ def load_embeddings(
                     )
                 vec = vec / norm
             vocab[token] = len(rows)
-            rows.append(vec.astype(dtype))
+            rows.append(vec.astype(np.float32))
     if not rows:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
     if duplicates:
@@ -176,7 +163,6 @@ def load_embeddings(
         dim=int(dim),
         vocab=vocab,
         matrix=matrix,
-        normalized=normalize,
         duplicate_count=duplicates,
     )
 
@@ -210,7 +196,6 @@ def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> Sentenc
     return SentenceSample(
         vectors=vectors,
         token_count_before_padding=len(retained),
-        padded=True,
         tokens=tuple(retained),
         oov_count=len(tokens) - len(retained),
     )

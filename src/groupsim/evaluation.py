@@ -82,7 +82,6 @@ class EvalOptions:
     freqs: baselines.FrequencyTable | None = None
     prior: comparison.NormalWishartPrior | None = None
     refine_kappa: bool = False
-    on_degenerate: str = "aic"
     seed: int = 0
 
 
@@ -124,7 +123,7 @@ def spearman(xs, ys) -> float:
     """Rank correlation with average ranks for ties.
 
     Returns nan (the explicit undefined sentinel) when either argument is
-    constant.
+    constant, and raises ``ValueError`` on a NaN input, which has no rank.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -132,6 +131,8 @@ def spearman(xs, ys) -> float:
         raise ValueError("inputs must be 1-D sequences of equal length")
     if x.size < 2:
         raise ValueError("need at least two observations")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("inputs must not contain NaN")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return float("nan")
     rx = rankdata(x)
@@ -154,21 +155,20 @@ def pair_scorer(method: str, options: EvalOptions):
     """Callable scoring two SentenceSamples, returning a SimilarityScore.
 
     A model method name ``<model>_<criterion>`` selects one :mod:`comparison`
-    function: ``similarity_ic`` for "tic"/"aic", ``similarity_bic`` for
-    "bic", ``bayes_factor_similarity`` otherwise.  vMF likelihoods live on
-    the unit sphere, so their inputs are row-normalised.  The
-    sentence-embedding baselines need corpus context and go through
-    :func:`embedding_scores`.
+    function: ``similarity_ic`` for a criterion in ``IC_KINDS`` ("tic",
+    "aic", "bic"), ``bayes_factor_similarity`` otherwise.  A degenerate vMF
+    curvature under "tic" falls back to the parameter count and flags the
+    score.  vMF likelihoods live on the unit sphere, so their inputs are
+    row-normalised.  The sentence-embedding baselines need corpus context
+    and go through :func:`embedding_scores`.
     """
     if method not in MODEL_METHODS:
         raise ValueError(f"unknown model method {method!r}; supported: {MODEL_METHODS}")
     model, _, ic = method.partition("_")
     if ic in comparison.IC_KINDS:
         compare = lambda x1, x2: comparison.similarity_ic(
-            x1, x2, model, ic, options.refine_kappa, options.on_degenerate
+            x1, x2, model, ic, options.refine_kappa, on_degenerate="aic"
         )
-    elif ic == "bic":
-        compare = lambda x1, x2: comparison.similarity_bic(x1, x2, model)
     else:
         compare = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
     if model != comparison.VMF:
@@ -228,26 +228,21 @@ def score_pair(
 
 
 def evaluate(
-    method,
+    method: str,
     datasets,
     store: EmbeddingStore,
     options: EvalOptions | None = None,
 ) -> EvalReport:
     """Score every pair of every dataset and aggregate rank correlations.
 
-    ``method`` is a name from :data:`SUPPORTED_METHODS` or a callable taking
-    two :class:`SentenceSample` objects and returning a float.  Datasets
-    whose correlation is undefined (constant scores) are flagged and left out
-    of the weighted average, loudly.
+    ``method`` is a name from :data:`SUPPORTED_METHODS`.  Datasets whose
+    correlation is undefined (constant scores) are flagged and left out of
+    the weighted average, loudly.
     """
     options = options or EvalOptions()
     pad = options.pad_token or find_pad_token(store)
-    if isinstance(method, str):
-        if method not in SUPPORTED_METHODS:
-            raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
-        method_name = method
-    else:
-        method_name = getattr(method, "__name__", "custom")
+    if method not in SUPPORTED_METHODS:
+        raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
 
     rows = []
     degenerate_pairs = 0
@@ -259,15 +254,11 @@ def evaluate(
             for sa, sb in zip(samples_a, samples_b)
             if sa.token_count_before_padding == 0 or sb.token_count_before_padding == 0
         )
-        if isinstance(method, str) and method in BASELINE_METHODS:
+        if method in BASELINE_METHODS:
             scores = embedding_scores(method, samples_a, samples_b, store, options)
         else:
-            if isinstance(method, str):
-                scorer = pair_scorer(method, options)
-                run = lambda a, b: scorer(a, b).value
-            else:
-                run = lambda a, b: float(method(a, b))
-            scores = [run(sa, sb) for sa, sb in zip(samples_a, samples_b)]
+            scorer = pair_scorer(method, options)
+            scores = [scorer(sa, sb).value for sa, sb in zip(samples_a, samples_b)]
         golds = [g for _, _, g in dataset.pairs]
         rho = spearman(scores, golds)
         if math.isnan(rho):
@@ -284,7 +275,7 @@ def evaluate(
     else:
         weighted = float("nan")
     return EvalReport(
-        method=method_name,
+        method=method,
         rows=tuple(rows),
         weighted_average=weighted,
         degenerate_pair_count=degenerate_pairs,

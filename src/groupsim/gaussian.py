@@ -44,11 +44,6 @@ class GaussianFit:
     def dim(self) -> int:
         return self.mu_hat.size
 
-    @property
-    def param_count(self) -> int:
-        """AIC parameter count: 2d diagonal, d+1 spherical."""
-        return 2 * self.dim if self.kind == DIAGONAL else self.dim + 1
-
 
 def fit_gaussian(sample, kind: str = DIAGONAL) -> GaussianFit:
     """Fit by maximum likelihood with biased moments.

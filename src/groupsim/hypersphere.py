@@ -1,48 +1,20 @@
-"""Conversions between unit vectors and polar hyperspherical angles.
+"""Polar hyperspherical angles of a unit vector.
 
 A point on the unit sphere in R^d is parametrised by d-1 angles: the first
 d-2 lie in [0, pi] and the last in [0, 2pi).  Component i (1-based) is
 ``cos(phi_i) * prod_{k<i} sin(phi_k)`` for i < d and ``prod_{k<d} sin(phi_k)``
-for i = d.  Angles are plain float arrays; these functions are exact, any
-clamping needed for cot/tan downstream belongs to the caller.
+for i = d.  No likelihood or penalty reads these angles: the vMF penalty is
+taken chart-free in the tangent space, and :func:`to_spherical` only fills
+the informational ``VmfFit.theta_hat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SphericalAngles = np.ndarray
 
-
-def check_angles(angles: np.ndarray) -> np.ndarray:
-    """Validate angle ranges; returns the angles as a float array."""
-    phi = np.asarray(angles, dtype=float)
-    if phi.ndim != 1 or phi.size < 1:
-        raise ValueError("angles must be a 1-D array of length d-1 >= 1")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("angles must be finite")
-    tol = 1e-12
-    if phi.size > 1 and (np.any(phi[:-1] < -tol) or np.any(phi[:-1] > np.pi + tol)):
-        raise ValueError("leading angles must lie in [0, pi]")
-    if phi[-1] < -tol or phi[-1] >= 2.0 * np.pi + tol:
-        raise ValueError("last angle must lie in [0, 2pi)")
-    return phi
-
-
-def from_spherical(angles: np.ndarray) -> np.ndarray:
-    """Unit vector in R^d from d-1 polar angles."""
-    phi = check_angles(angles)
-    s = np.sin(phi)
-    c = np.cos(phi)
-    prefix = np.concatenate(([1.0], np.cumprod(s)))
-    w = np.empty(phi.size + 1)
-    w[:-1] = c * prefix[:-1]
-    w[-1] = prefix[-1]
-    return w
-
-
-def to_spherical(w: np.ndarray) -> SphericalAngles:
-    """Polar angles of a unit vector (inverse of :func:`from_spherical`).
+def to_spherical(w: np.ndarray) -> np.ndarray:
+    """Polar angles of a unit vector.
 
     When all components from some index on are zero the remaining angles are
     set to 0 (the convention at those measure-zero poles).
@@ -63,20 +35,3 @@ def to_spherical(w: np.ndarray) -> SphericalAngles:
     last = np.arctan2(v[-1], v[-2])
     phi[-1] = last if last >= 0.0 else last + 2.0 * np.pi
     return phi
-
-
-def log_jacobian(angles: np.ndarray) -> float:
-    """Log volume element of the polar chart, sum_k (d-k-1) log sin(phi_k).
-
-    Only the first d-2 angles enter.  Returns -inf at the chart poles
-    (some sin(phi_k) = 0), which callers treat as an explicit sentinel.
-    """
-    phi = check_angles(angles)
-    d = phi.size + 1
-    if d == 2:
-        return 0.0
-    s = np.sin(phi[: d - 2])
-    if np.any(s <= 0.0):
-        return float("-inf")
-    powers = np.arange(d - 2, 0, -1, dtype=float)
-    return float(np.dot(powers, np.log(s)))

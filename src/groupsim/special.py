@@ -18,8 +18,9 @@ single evaluation, by one of two complementary strategies:
 
 The downward pass runs through every order below the ones it returns, so
 ``log I_nu(x)`` telescopes from a base order in {0, 1/2} with closed-form
-logs.  ``bessel_ratio``, ``log_vmf_normalizer`` and
-``bessel_second_derivative_term`` are views of the kernel's three outputs.
+logs.  ``bessel_ratio`` and ``log_vmf_normalizer`` are views of the
+kernel's first and last outputs; its middle output, the slope A_d', is read
+from the kernel directly.
 """
 
 from __future__ import annotations
@@ -213,15 +214,6 @@ def inv_bessel_ratio(d: int, r_bar: float, refine: bool = False) -> float:
 def log_vmf_normalizer(d: int, kappa: float) -> float:
     """log Z(kappa) = (d/2) log 2pi + log I_{d/2-1}(kappa) - (d/2-1) log kappa."""
     return vmf_kernels(d, kappa)[2]
-
-
-def bessel_second_derivative_term(d: int, kappa: float) -> float:
-    """Second derivative of the concentration log-likelihood per observation.
-
-    Equals -dA_d/dkappa (see :func:`vmf_kernels`) and is therefore always
-    negative.
-    """
-    return -vmf_kernels(d, kappa)[1]
 
 
 def log_multivariate_gamma(d: int, a: float) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,11 @@ class TestSif:
     def test_rejects_nonpositive_a(self, store):
         with pytest.raises(ValueError):
             sif_embed(["cat"], store, None, a=0.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_non_finite_a(self, store, a):
+        with pytest.raises(ValueError, match="finite"):
+            sif_embed(["cat"], store, None, a=a)
 
 
 class TestFrequencyTable:

@@ -86,13 +86,12 @@ class TestScore:
         ])
         assert code == EXIT_RUNTIME
 
-    def test_model_plus_ic_flag(self, embedding_file, capsys):
+    def test_ic_flag_is_unknown(self, embedding_file, capsys):
         code = main([
             "score", "--embeddings", str(embedding_file), "--method", "diag",
             "--ic", "tic", "the cat", "the dog",
         ])
-        assert code == EXIT_OK
-        assert capsys.readouterr().out.startswith("diag_tic\t")
+        assert code == EXIT_USAGE
 
     def test_vmf_method_normalizes_rows(self, embedding_file, capsys):
         code = main([
@@ -142,6 +141,13 @@ class TestEval:
         code = main(["eval", "--embeddings", str(embedding_file), "--workers", "2",
                      str(pairs_file)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sif_a_not_finite_usage_error(self, embedding_file, pairs_file, value, capsys):
+        code = main(["eval", "--embeddings", str(embedding_file), "--method", "sif",
+                     "--sif-a", value, str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert "sif-a must be positive and finite" in capsys.readouterr().err
 
     def test_unreadable_dataset(self, embedding_file, tmp_path, capsys):
         code = main([
@@ -275,6 +281,22 @@ class TestConfigFile:
         code = main(["eval", "--config", str(config), str(pairs_file)])
         assert code == EXIT_USAGE
         assert f"usage error: config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"x"', "null"])
+    def test_config_not_an_object(self, text, pairs_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
+    def test_config_sif_a_nan(self, embedding_file, pairs_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(f'{{"embeddings": {json.dumps(str(embedding_file))}, '
+                          '"method": "sif", "sif_a": NaN}')
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert "sif-a must be positive and finite" in capsys.readouterr().err
 
     def test_config_values_of_the_field_types_accepted(self, embedding_file, pairs_file,
                                                        tmp_path, capsys):

@@ -16,7 +16,6 @@ from groupsim.comparison import (
     nw_log_evidence,
     penalty_curve,
     penalty_curve_csv,
-    similarity_bic,
     similarity_closed_gaussian,
     similarity_closed_vmf,
     similarity_ic,
@@ -107,7 +106,7 @@ class TestGenericComposition:
         with pytest.raises(ValueError):
             similarity_ic(x, x, "full", "tic")
         with pytest.raises(ValueError):
-            similarity_ic(x, x, DIAG, "bic")
+            similarity_ic(x, x, DIAG, "bogus")
 
 
 class TestClosedForms:
@@ -171,7 +170,7 @@ class TestBic:
         n, d = 5, 3
         x1 = rng.standard_normal((n, d))
         x2 = rng.standard_normal((n, d))
-        score = similarity_bic(x1, x2, model=DIAG)
+        score = similarity_ic(x1, x2, DIAG, ic="bic")
         br = score.breakdown
         loglik_part = 2.0 * (br.loglik_joint - br.loglik_1 - br.loglik_2)
         assert score.value - loglik_part == pytest.approx(
@@ -193,7 +192,7 @@ class TestBic:
                 return -2.0 * fit.max_loglik + k * math.log(x.shape[0])
 
             expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
-            assert similarity_bic(x1, x2, model=model).value == pytest.approx(
+            assert similarity_ic(x1, x2, model, ic="bic").value == pytest.approx(
                 expected, rel=1e-9, abs=1e-9
             )
 
@@ -201,12 +200,13 @@ class TestBic:
         d1 = np.array([[0.0], [0.1]])
         far = np.array([[5.0], [5.1]])
         near = np.array([[0.05], [0.15]])
-        assert similarity_bic(d1, far).value < similarity_bic(d1, near).value
+        assert (similarity_ic(d1, far, DIAG, ic="bic").value
+                < similarity_ic(d1, near, DIAG, ic="bic").value)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(8)
         x1, x2 = random_pair(rng, 3)
-        score = similarity_bic(x1, x2)
+        score = similarity_ic(x1, x2, DIAG, ic="bic")
         br = score.breakdown
         recomposed = (
             2.0 * (br.loglik_joint - br.loglik_1 - br.loglik_2)
@@ -225,7 +225,7 @@ class TestBic:
             return -2.0 * fit.max_loglik + 4 * math.log(x.shape[0])
 
         expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
-        assert similarity_bic(x1, x2, model=VMF).value == pytest.approx(
+        assert similarity_ic(x1, x2, VMF, ic="bic").value == pytest.approx(
             expected, rel=1e-9, abs=1e-9
         )
 
@@ -342,8 +342,21 @@ class TestModelSelection:
         rows = corpus_model_selection([x], candidates=[(DIAG, "aic")])
         fit = fit_gaussian(x)
         assert rows[0].mean_ic == pytest.approx(
-            -2.0 * (fit.max_loglik - fit.param_count), rel=1e-12
+            -2.0 * (fit.max_loglik - 2 * x.shape[1]), rel=1e-12
         )
+
+    @pytest.mark.parametrize("model,kind,k_of_d", [(DIAG, "diagonal", lambda d: 2 * d),
+                                                   (SPHERICAL, "spherical", lambda d: d + 1)])
+    def test_bic_candidate_is_mean_bic(self, model, kind, k_of_d):
+        rng = np.random.default_rng(18)
+        corpus = [rng.standard_normal((int(rng.integers(3, 15)), 4)) for _ in range(7)]
+        rows = corpus_model_selection(corpus, candidates=[(model, "bic")])
+        expected = np.mean([
+            -2.0 * fit_gaussian(x, kind=kind).max_loglik + k_of_d(4) * math.log(x.shape[0])
+            for x in corpus
+        ])
+        assert rows[0].ic == "bic"
+        assert rows[0].mean_ic == pytest.approx(expected, rel=1e-12)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

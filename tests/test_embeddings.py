@@ -61,15 +61,12 @@ class TestLoader:
         path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
         store = load_embeddings(path)
         assert len(store) == 2 and store.dim == 3
-        # forced no-header: the first line is a 1-dim entry and conflicts
-        with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path, expect_header="no")
 
-    def test_header_forced(self, tmp_path):
-        path = tmp_path / "hdr.txt"
-        path.write_text("skipme 9 9 9\na 1 2 3\nb 4 5 6\n")
-        store = load_embeddings(path, expect_header="yes")
-        assert "skipme" not in store and len(store) == 2
+    def test_first_line_without_header_is_data(self, tmp_path):
+        path = tmp_path / "nohdr.txt"
+        path.write_text("keep 9 9 9\na 1 2 3\n")
+        store = load_embeddings(path)
+        assert "keep" in store and len(store) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -100,7 +97,6 @@ class TestLookup:
         sample = lookup_sentence(store, "The cat", ".")
         assert sample.n == 3  # the, cat, pad
         assert sample.token_count_before_padding == 2
-        assert sample.padded
         np.testing.assert_allclose(sample.vectors[-1], store.vector("."), atol=1e-7)
 
     def test_all_oov_double_pad(self, store):
@@ -152,21 +148,19 @@ class TestTokenizer:
 class TestSentenceSample:
     def test_rejects_single_vector(self):
         with pytest.raises(ValueError):
-            SentenceSample(
-                vectors=np.ones((1, 3)), token_count_before_padding=1, padded=False
-            )
+            SentenceSample(vectors=np.ones((1, 3)), token_count_before_padding=1)
 
     def test_rejects_non_finite(self):
         bad = np.ones((2, 3))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            SentenceSample(vectors=bad, token_count_before_padding=2, padded=False)
+            SentenceSample(vectors=bad, token_count_before_padding=2)
 
 
 class TestStoreInvariants:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
-            EmbeddingStore(dim=2, vocab={}, matrix=np.zeros((0, 2)), normalized=False)
+            EmbeddingStore(dim=2, vocab={}, matrix=np.zeros((0, 2)))
 
     def test_lookup_returns_float64(self, store):
         assert store.vector("cat").dtype == np.float64

@@ -106,6 +106,15 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([1.0, math.nan, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [math.nan, 2.0, 3.0, 4.0]),
+        ([math.nan, math.nan], [1.0, 2.0]),
+    ])
+    def test_nan_input_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman(xs, ys)
+
     @given(
         st.lists(st.integers(min_value=-1000, max_value=1000), min_size=3, max_size=20,
                  unique=True),
@@ -168,14 +177,13 @@ class TestEvaluate:
     def test_positive_scaling_leaves_spearman_unchanged(self, store, dataset_a):
         base = evaluate("diag_aic", [dataset_a], store)
         options = EvalOptions()
-
-        def scaled(a, b):
-            return 3.7 * score_pair("diag_aic", a, b, store, options).value
-
-        scaled_report = evaluate(scaled, [dataset_a], store, options)
-        assert scaled_report.rows[0].spearman == pytest.approx(
-            base.rows[0].spearman, abs=1e-12
-        )
+        scaled = [
+            3.7 * score_pair("diag_aic", lookup_sentence(store, a, "."),
+                             lookup_sentence(store, b, "."), store, options).value
+            for a, b, _ in dataset_a.pairs
+        ]
+        golds = [g for _, _, g in dataset_a.pairs]
+        assert spearman(scaled, golds) == pytest.approx(base.rows[0].spearman, abs=1e-12)
 
     def test_degenerate_pairs_counted(self, store, tmp_path):
         path = tmp_path / "deg.tsv"
@@ -232,7 +240,8 @@ DIRECT_CALLS = {
         a.vectors, b.vectors, "diag", "tic", on_degenerate="aic"),
     "diag_aic": lambda a, b: comparison.similarity_ic(
         a.vectors, b.vectors, "diag", "aic", on_degenerate="aic"),
-    "diag_bic": lambda a, b: comparison.similarity_bic(a.vectors, b.vectors, model="diag"),
+    "diag_bic": lambda a, b: comparison.similarity_ic(
+        a.vectors, b.vectors, "diag", "bic", on_degenerate="aic"),
     "spherical_aic": lambda a, b: comparison.similarity_ic(
         a.vectors, b.vectors, "spherical", "aic", on_degenerate="aic"),
     "bayes_factor": lambda a, b: comparison.bayes_factor_similarity(a.vectors, b.vectors),

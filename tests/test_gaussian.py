@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupsim.comparison import DIAG, aic_param_count
 from groupsim.gaussian import (
     DIAGONAL,
     SPHERICAL,
@@ -66,10 +67,8 @@ class TestFit:
             assert np.all(fit.kurt_hat >= 1.0 - 1e-9)
 
     def test_param_counts(self):
-        x = np.zeros((3, 5))
-        x[1] = 1.0
-        assert fit_gaussian(x, DIAGONAL).param_count == 10
-        assert fit_gaussian(x, SPHERICAL).param_count == 6
+        assert aic_param_count(DIAG, 5) == 10
+        assert aic_param_count(SPHERICAL, 5) == 6
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):

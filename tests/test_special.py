@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from groupsim.special import (
     LOG_2PI,
     bessel_ratio,
-    bessel_second_derivative_term,
     inv_bessel_ratio,
     log_multivariate_gamma,
     log_vmf_normalizer,
@@ -112,7 +111,6 @@ class TestVmfKernels:
         for d, kappa in REGIMES:
             a, slope, log_c = vmf_kernels(d, kappa)
             assert bessel_ratio(d, kappa) == a
-            assert bessel_second_derivative_term(d, kappa) == -slope
             assert log_vmf_normalizer(d, kappa) == log_c
 
     def test_rejects_bad_inputs(self):
@@ -198,11 +196,13 @@ class TestLogMultivariateGamma:
 
 
 class TestSecondDerivativeTerm:
+    # the second derivative of the concentration log-likelihood per
+    # observation is -A_d', the kernel's middle output
     def test_dimension_three_closed_form(self):
         # -d/dkappa [coth k - 1/k] = -(1/k^2 - 1/sinh^2 k)
         for kappa in (0.5, 1.0, 4.0):
             expected = -(1.0 / kappa**2 - 1.0 / math.sinh(kappa) ** 2)
-            assert bessel_second_derivative_term(3, kappa) == pytest.approx(expected, rel=1e-10)
+            assert -vmf_kernels(3, kappa)[1] == pytest.approx(expected, rel=1e-10)
 
     @given(
         d=st.integers(min_value=2, max_value=300),
@@ -213,11 +213,11 @@ class TestSecondDerivativeTerm:
         # equals -(1 - A^2 - (d-1) A / kappa)
         a = bessel_ratio(d, kappa)
         expected = -(1.0 - a * a - (d - 1.0) * a / kappa)
-        assert bessel_second_derivative_term(d, kappa) == pytest.approx(
+        assert -vmf_kernels(d, kappa)[1] == pytest.approx(
             expected, rel=1e-10, abs=1e-12
         )
 
     def test_negative_and_finite_high_dim(self):
-        value = bessel_second_derivative_term(300, 500.0)
+        value = -vmf_kernels(300, 500.0)[1]
         assert math.isfinite(value)
         assert value < 0.0
