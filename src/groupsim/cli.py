@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import baselines, comparison, evaluation
 from .embeddings import find_pad_token, load_embeddings, lookup_sentence
 
@@ -36,7 +34,6 @@ class RunConfig:
     prior_nu0: float | None = None
     out: str | None = None
     seed: int = 0
-    refine_kappa: bool = False
 
     def validate(self, allow_all: bool = False) -> None:
         valid = set(evaluation.SUPPORTED_METHODS)
@@ -48,6 +45,8 @@ class RunConfig:
             )
         if not (math.isfinite(self.sif_a) and self.sif_a > 0):
             raise UsageError(f"sif-a must be positive and finite, got {self.sif_a!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class UsageError(Exception):
@@ -69,8 +68,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="Normal-Wishart prior degrees of freedom")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--refine-kappa", dest="refine_kappa", action="store_true",
-                        default=None, help="Newton-polish the concentration estimate")
     parser.add_argument("--verbose", action="store_true", help="print score breakdowns")
 
 
@@ -146,7 +143,10 @@ def _check_config_value(field, value) -> None:
 def _load_store(config: RunConfig):
     if not config.embeddings:
         raise UsageError("--embeddings is required")
-    return load_embeddings(config.embeddings, normalize=config.normalize)
+    store = load_embeddings(config.embeddings, normalize=config.normalize)
+    if config.pad_token and config.pad_token not in store:
+        raise UsageError(f"pad token {config.pad_token!r} not in vocabulary")
+    return store
 
 
 def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOptions:
@@ -155,9 +155,7 @@ def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOption
     if dim is not None and (config.prior_nu0 is not None or config.prior_kappa0 != 1.0):
         nu0 = config.prior_nu0 if config.prior_nu0 is not None else float(dim + 2)
         try:
-            prior = comparison.NormalWishartPrior(
-                mu0=np.zeros(dim), kappa0=config.prior_kappa0, nu0=nu0, t0=np.eye(dim)
-            )
+            prior = comparison.NormalWishartPrior(dim, kappa0=config.prior_kappa0, nu0=nu0)
         except ValueError as exc:
             raise UsageError(f"bad prior: {exc}") from exc
     return evaluation.EvalOptions(
@@ -165,7 +163,6 @@ def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOption
         sif_a=config.sif_a,
         freqs=freqs,
         prior=prior,
-        refine_kappa=config.refine_kappa,
         seed=config.seed,
     )
 
@@ -227,9 +224,7 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
     if config.normalize:
         candidates.append((comparison.VMF, "tic"))
         candidates.append((comparison.VMF, "aic"))
-    rows = comparison.corpus_model_selection(
-        corpus, candidates, refine_kappa=config.refine_kappa, on_degenerate="aic"
-    )
+    rows = comparison.corpus_model_selection(corpus, candidates, on_degenerate="aic")
     print(f"{'model':<12} {'ic':<5} {'mean_ic':>14}")
     for row in rows:
         print(f"{row.model:<12} {row.ic:<5} {row.mean_ic:>14.4f}")
@@ -244,6 +239,7 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
 
 def _cmd_penalty_curve(args: argparse.Namespace) -> int:
     config = _merge_config(args)
+    config.validate()
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:

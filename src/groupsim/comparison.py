@@ -9,9 +9,10 @@ model and takes P from one information criterion, with alpha = 2: the
 gradient trace ("tic"), the parameter count k ("aic") or (k/2) log n
 ("bic").  ``corpus_model_selection`` and ``penalty_curve`` read the same
 per-bag criterion.  ``bayes_factor_similarity`` takes L as the
-Normal-Wishart log evidence (full covariance, conjugate closed form), P = 0
-and alpha = 1.  The closed forms ``similarity_closed_*`` write the tic score
-out independently of the composer, with alpha = 1.  Rank-based evaluation is
+Normal-Wishart log evidence (full covariance, conjugate closed form under a
+prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
+alpha = 1.  The closed forms ``similarity_closed_*`` write the tic score out
+independently of the composer, with alpha = 1.  Rank-based evaluation is
 insensitive to alpha; the breakdown records which convention produced the
 value.
 """
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
@@ -89,7 +89,6 @@ def _fit_loglik_penalty(
     x: np.ndarray,
     model: str,
     ic: str,
-    refine_kappa: bool,
     on_degenerate: str,
 ) -> tuple[float, float, bool]:
     """Fit one bag; return (max loglik, penalty, degenerate-fallback flag).
@@ -100,7 +99,7 @@ def _fit_loglik_penalty(
     n, d = x.shape
     k = aic_param_count(model, d)
     if model == VMF:
-        fit = fit_vmf(x, refine_kappa=refine_kappa)
+        fit = fit_vmf(x)
     else:
         fit = fit_gaussian(x, kind=DIAGONAL if model == DIAG else SPHERICAL)
     if ic == "aic":
@@ -147,14 +146,7 @@ def _compose(x1, x2, criterion, alpha: float, method: str) -> SimilarityScore:
     )
 
 
-def similarity_ic(
-    d1,
-    d2,
-    model: str,
-    ic: str,
-    refine_kappa: bool = False,
-    on_degenerate: str = "error",
-) -> SimilarityScore:
+def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> SimilarityScore:
     """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
 
     ``P`` is the gradient-based trace for ``ic="tic"``, the parameter count k
@@ -168,16 +160,11 @@ def similarity_ic(
     count for the affected fit and flags the score.
     """
     x1, x2 = _validated_pair(d1, d2, model, ic)
-    criterion = lambda x: _fit_loglik_penalty(x, model, ic, refine_kappa, on_degenerate)
+    criterion = lambda x: _fit_loglik_penalty(x, model, ic, on_degenerate)
     return _compose(x1, x2, criterion, 2.0, f"{model}_{ic}")
 
 
-def similarity_closed_vmf(
-    d1,
-    d2,
-    refine_kappa: bool = False,
-    on_degenerate: str = "error",
-) -> SimilarityScore:
+def similarity_closed_vmf(d1, d2, on_degenerate: str = "error") -> SimilarityScore:
     """Closed-form vMF score with the gradient penalty (no factor 2).
 
     Written out from the resultants, without the fitting code: for m and l
@@ -191,10 +178,7 @@ def similarity_closed_vmf(
     """
     x1, x2 = _validated_pair(d1, d2)
     x1, x2 = as_unit_matrix(x1), as_unit_matrix(x2)
-    terms = [
-        _closed_vmf_terms(rows, refine_kappa, on_degenerate)
-        for rows in ((x1, x2), (x1,), (x2,))
-    ]
+    terms = [_closed_vmf_terms(rows, on_degenerate) for rows in ((x1, x2), (x1,), (x2,))]
     (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = terms
     value = ll_j - ll_1 - ll_2 - p_j + p_1 + p_2
     return SimilarityScore(
@@ -205,7 +189,7 @@ def similarity_closed_vmf(
     )
 
 
-def _closed_vmf_terms(parts, refine_kappa: bool, on_degenerate: str) -> tuple[float, float, bool]:
+def _closed_vmf_terms(parts, on_degenerate: str) -> tuple[float, float, bool]:
     """(max loglik, tangent-space penalty, fallback) of one vMF fit to the stacked parts."""
     n = sum(x.shape[0] for x in parts)
     if n < 2:
@@ -215,7 +199,7 @@ def _closed_vmf_terms(parts, refine_kappa: bool, on_degenerate: str) -> tuple[fl
     length = float(np.linalg.norm(resultant))
     raw_r_bar = length / n
     r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
-    kappa = inv_bessel_ratio(d, r_bar, refine=refine_kappa)
+    kappa = inv_bessel_ratio(d, r_bar)
     a, a_prime, log_c = vmf_kernels(d, kappa)
     loglik = n * (kappa * r_bar - log_c)
     degenerate = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
@@ -273,71 +257,49 @@ def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
 class NormalWishartPrior:
     """Conjugate prior over the mean and precision of a full-covariance Gaussian.
 
-    ``t0`` must be symmetric positive definite and ``nu0 > d - 1``.  The
-    per-prior constants of the evidence (the Cholesky factor of ``t0``,
-    log|t0| and log Gamma_d(nu0 / 2)) are computed once at construction,
-    which also validates; the arrays are kept as read-only copies so the
-    constants cannot drift from them.
+    The prior mean is 0 and the scale matrix T_0 is the d x d identity;
+    ``kappa0 > 0`` scales the precision of the mean and ``nu0 > d - 1`` is the
+    degrees of freedom.  The per-prior constant of the evidence,
+    log Gamma_d(nu0 / 2), is computed once at construction, which also
+    validates.
     """
 
-    mu0: np.ndarray
+    dim: int
     kappa0: float
     nu0: float
-    t0: np.ndarray
-    chol_t0: np.ndarray = field(init=False, repr=False)
-    log_det_t0: float = field(init=False, repr=False)
     log_gamma_nu0: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mu0 = _read_only(self.mu0)
-        t0 = _read_only(self.t0)
-        d = mu0.size
+        if not (isinstance(self.dim, int) and self.dim >= 1):
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not (math.isfinite(self.kappa0) and self.kappa0 > 0.0):
             raise ValueError("kappa0 must be positive and finite")
-        if not (math.isfinite(self.nu0) and self.nu0 > d - 1):
-            raise ValueError(f"nu0 must exceed d - 1 = {d - 1}")
-        if t0.shape != (d, d):
-            raise ValueError("t0 must be d x d")
-        chol = np.linalg.cholesky(t0)  # raises LinAlgError if not SPD
-        chol.setflags(write=False)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "chol_t0", chol)
-        object.__setattr__(self, "log_det_t0", 2.0 * float(np.log(np.diag(chol)).sum()))
-        object.__setattr__(self, "log_gamma_nu0", log_multivariate_gamma(d, self.nu0 / 2.0))
-
-    @property
-    def dim(self) -> int:
-        return self.mu0.size
-
-
-def _read_only(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+        if not (math.isfinite(self.nu0) and self.nu0 > self.dim - 1):
+            raise ValueError(f"nu0 must exceed d - 1 = {self.dim - 1}")
+        object.__setattr__(self, "log_gamma_nu0", log_multivariate_gamma(self.dim, self.nu0 / 2.0))
 
 
 @functools.lru_cache(maxsize=4)
 def default_prior(d: int) -> NormalWishartPrior:
-    """Weak proper default: zero mean, kappa0 = 1, nu0 = d + 2, identity scale.
+    """Weak proper default: kappa0 = 1, nu0 = d + 2 (zero mean, identity scale).
 
     Cached per d (a run scores at one or a few widths); every caller shares
-    the same read-only instance.
+    the same frozen instance.
     """
-    return NormalWishartPrior(mu0=np.zeros(d), kappa0=1.0, nu0=float(d + 2), t0=np.eye(d))
+    return NormalWishartPrior(d, kappa0=1.0, nu0=float(d + 2))
 
 
 def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
     """Log marginal likelihood of a bag under the Normal-Wishart prior.
 
-    Conjugate closed form in log space (Murphy 2007).  The posterior scale
-    T_n = T_0 + U U^T is a rank-(n + 1) update of T_0, where U holds the n
-    centred rows and sqrt(n kappa0 / kappa_n) (xbar - mu0).  With the
-    whitened update W = L_0^{-1} U (L_0 the prior's Cholesky factor), the
-    matrix determinant lemma (Harville 1997) gives
-    log|T_n| = log|T_0| + log|I + G|, with G the Gram of W on its smaller
-    side (W^T W when n + 1 < d, else W W^T; Sylvester's identity).  T_n is
-    never formed: for n < d a call costs O(d^2 n + n^3).
+    Conjugate closed form in log space (Murphy 2007), with mu_0 = 0 and
+    T_0 = I.  The posterior scale T_n = I + U U^T is a rank-(n + 1) update of
+    the identity, where U holds the n centred rows and
+    sqrt(n kappa0 / kappa_n) xbar.  The matrix determinant lemma (Harville
+    1997) gives log|T_n| = log|I + G|, with G the Gram of U on its smaller
+    side (U^T U when n + 1 < d, else U U^T; Sylvester's identity), and
+    log|T_0| = 0.  T_n is never formed: for n < d a call costs
+    O(d n^2 + n^3).
     """
     x = as_matrix(data)
     n, d = x.shape
@@ -352,9 +314,8 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
     xbar = x.mean(axis=0)
     update = np.empty((d, n + 1))
     update[:, :n] = (x - xbar).T
-    update[:, n] = math.sqrt(n * prior.kappa0 / kappa_n) * (xbar - prior.mu0)
-    w = solve_triangular(prior.chol_t0, update, lower=True, check_finite=False)
-    gram = w.T @ w if n + 1 < d else w @ w.T
+    update[:, n] = math.sqrt(n * prior.kappa0 / kappa_n) * xbar
+    gram = update.T @ update if n + 1 < d else update @ update.T
     gram[np.diag_indices_from(gram)] += 1.0
     try:
         chol = np.linalg.cholesky(gram)
@@ -362,11 +323,11 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
         raise np.linalg.LinAlgError(
             f"posterior scale matrix not positive definite (n={n}, d={d}): {exc}"
         ) from exc
-    log_det_tn = prior.log_det_t0 + 2.0 * float(np.log(np.diag(chol)).sum())
+    log_det_tn = 2.0 * float(np.log(np.diag(chol)).sum())
     return (
         -0.5 * n * d * math.log(math.pi)
         + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n))
-        + 0.5 * (prior.nu0 * prior.log_det_t0 - nu_n * log_det_tn)
+        - 0.5 * nu_n * log_det_tn
         + log_multivariate_gamma(d, nu_n / 2.0)
         - prior.log_gamma_nu0
     )
@@ -390,7 +351,6 @@ class ModelCandidateScore:
 def corpus_model_selection(
     corpus,
     candidates=((DIAG, "aic"), (SPHERICAL, "aic")),
-    refine_kappa: bool = False,
     on_degenerate: str = "error",
 ) -> list[ModelCandidateScore]:
     """Mean per-bag criterion ``-2 (L - P)`` for each candidate, best first.
@@ -408,7 +368,7 @@ def corpus_model_selection(
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
         total = 0.0
         for x in bags:
-            ll, pen, _ = _fit_loglik_penalty(x, model, ic, refine_kappa, on_degenerate)
+            ll, pen, _ = _fit_loglik_penalty(x, model, ic, on_degenerate)
             total += -2.0 * (ll - pen)
         rows.append(ModelCandidateScore(model=model, ic=ic, mean_ic=total / len(bags)))
     rows.sort(key=lambda r: r.mean_ic)
@@ -446,8 +406,8 @@ def penalty_curve(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     sizes = [int(n) for n in sample_sizes]
-    if any(n < 2 for n in sizes):
-        raise ValueError(f"sample sizes must be >= 2, got {sizes}")
+    if not sizes or any(n < 2 for n in sizes):
+        raise ValueError(f"sample sizes must be a non-empty list of integers >= 2, got {sizes}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:
@@ -456,7 +416,7 @@ def penalty_curve(
             x = rng.standard_normal((n, d))
             if model == VMF:
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
-            values[t] = _fit_loglik_penalty(x, model, "tic", False, "error")[1]
+            values[t] = _fit_loglik_penalty(x, model, "tic", "error")[1]
         rows.append(
             PenaltyCurveRow(
                 n=n,

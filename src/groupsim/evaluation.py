@@ -81,7 +81,6 @@ class EvalOptions:
     sif_a: float = baselines.DEFAULT_SIF_A
     freqs: baselines.FrequencyTable | None = None
     prior: comparison.NormalWishartPrior | None = None
-    refine_kappa: bool = False
     seed: int = 0
 
 
@@ -166,9 +165,7 @@ def pair_scorer(method: str, options: EvalOptions):
         raise ValueError(f"unknown model method {method!r}; supported: {MODEL_METHODS}")
     model, _, ic = method.partition("_")
     if ic in comparison.IC_KINDS:
-        compare = lambda x1, x2: comparison.similarity_ic(
-            x1, x2, model, ic, options.refine_kappa, on_degenerate="aic"
-        )
+        compare = lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
     else:
         compare = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
     if model != comparison.VMF:

@@ -185,30 +185,18 @@ def bessel_ratio(d: int, kappa: float) -> float:
     return vmf_kernels(d, kappa)[0]
 
 
-def inv_bessel_ratio(d: int, r_bar: float, refine: bool = False) -> float:
-    """Concentration estimate solving A_d(kappa) = r_bar.
+def inv_bessel_ratio(d: int, r_bar: float) -> float:
+    """Concentration estimate for A_d(kappa) = r_bar (Banerjee et al., JMLR 2005).
 
-    Uses the closed rational approximation ``r_bar (d - r_bar^2) / (1 - r_bar^2)``;
-    with ``refine`` a Newton polish runs until |A_d(kappa) - r_bar| < 1e-8
-    (at most 20 steps).  ``r_bar`` must lie strictly inside (0, 1); callers
-    clamp before calling.
+    The closed rational approximation ``r_bar (d - r_bar^2) / (1 - r_bar^2)``,
+    not the exact root: for r_bar in [0.1, 0.99] it is within 6e-4 relative
+    of the root at d = 300 and within 4e-2 at d = 4.  ``r_bar`` must lie
+    strictly inside (0, 1); callers clamp before calling.
     """
     _check_dim(d)
     if not (0.0 < r_bar < 1.0):
         raise ValueError(f"resultant length must be in (0, 1), got {r_bar!r}")
-    kappa = r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-    if not refine:
-        return kappa
-    for _ in range(20):
-        a, slope, _ = vmf_kernels(d, kappa)
-        if abs(a - r_bar) < 1e-8 or slope <= 0.0:
-            break
-        step = (a - r_bar) / slope
-        nxt = kappa - step
-        if nxt <= 0.0:
-            nxt = kappa / 2.0
-        kappa = nxt
-    return kappa
+    return r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
 
 
 def log_vmf_normalizer(d: int, kappa: float) -> float:

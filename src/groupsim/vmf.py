@@ -2,7 +2,8 @@
 
 The model places mass on the unit sphere with density proportional to
 ``exp(kappa mu . w)``.  The maximum-likelihood mean direction is the
-normalised resultant and the concentration solves A_d(kappa) = R_bar.  One
+normalised resultant; the concentration is the closed-form estimate of
+A_d(kappa) = R_bar by Banerjee et al. (JMLR 2005), with no Newton polish.  One
 Bessel evaluation per fit (:func:`groupsim.special.vmf_kernels`) gives
 A_d(kappa), its slope A_d'(kappa) and the log-normalizer together.
 
@@ -41,7 +42,7 @@ CURVATURE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class VmfFit:
-    """Maximum-likelihood fit of a von Mises-Fisher model.
+    """Fit of a von Mises-Fisher model (see :func:`fit_vmf`).
 
     ``max_loglik`` is ``n (kappa_hat r_bar - log Z(kappa_hat))``.  ``a_hat``
     and ``a_prime`` are A_d and its slope A_d' at ``kappa_hat``; they are the
@@ -77,8 +78,8 @@ def as_unit_matrix(data) -> np.ndarray:
     return x
 
 
-def fit_vmf(sample, refine_kappa: bool = False) -> VmfFit:
-    """Fit mean direction and concentration by maximum likelihood.
+def fit_vmf(sample) -> VmfFit:
+    """Fit the mean direction by maximum likelihood and the concentration in closed form.
 
     The resultant length is clamped into [1e-7, 1 - 1e-7] so the
     concentration stays finite on degenerate bags (all vectors equal, or
@@ -98,7 +99,7 @@ def fit_vmf(sample, refine_kappa: bool = False) -> VmfFit:
     else:
         # fully cancelling bag: direction is arbitrary, pick the first vector
         mu_hat = x[0].copy()
-    kappa_hat = inv_bessel_ratio(d, r_bar, refine=refine_kappa)
+    kappa_hat = inv_bessel_ratio(d, r_bar)
     a_hat, a_prime, log_c = vmf_kernels(d, kappa_hat)
     return VmfFit(
         mu_hat=mu_hat,

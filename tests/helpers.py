@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
-mpmath, dense finite-difference information matrices, the polar-chart vMF
-penalty, analytic Gaussian score/curvature matrices, and brute-force
-quadrature for marginal likelihoods, plus the dense Normal-Wishart evidence.
+mpmath, the Newton-polished maximum-likelihood vMF concentration, dense
+finite-difference information matrices, the polar-chart vMF penalty,
+analytic Gaussian score/curvature matrices, and brute-force quadrature for
+marginal likelihoods, plus the dense Normal-Wishart evidence.
 """
 
 from __future__ import annotations
@@ -39,6 +40,28 @@ def log_vmf_normalizer_mp(d: int, kappa: float) -> float:
         + mp.log(mp.besseli(v, mp.mpf(kappa)))
         - v * mp.log(mp.mpf(kappa))
     )
+
+
+# ---------------------------------------------------------------------------
+# maximum-likelihood vMF concentration
+# ---------------------------------------------------------------------------
+
+def inv_bessel_ratio_newton(d: int, r_bar: float) -> float:
+    """Root of A_d(kappa) = r_bar: Newton steps from the closed-form estimate.
+
+    Runs until |A_d(kappa) - r_bar| < 1e-8 (at most 20 steps).  A_d and its
+    slope come from ``vmf_kernels``, which test_special pins to mpmath.
+    """
+    from groupsim.special import inv_bessel_ratio, vmf_kernels
+
+    kappa = inv_bessel_ratio(d, r_bar)
+    for _ in range(20):
+        a, slope, _ = vmf_kernels(d, kappa)
+        if abs(a - r_bar) < 1e-8 or slope <= 0.0:
+            break
+        nxt = kappa - (a - r_bar) / slope
+        kappa = nxt if nxt > 0.0 else kappa / 2.0
+    return kappa
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +310,8 @@ def nw_log_evidence_quadrature(x: np.ndarray, mu0: float, kappa0: float,
 def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
     """Normal-Wishart log evidence from the dense d x d posterior scale.
 
-    Forms T_n = T_0 + scatter + (n kappa0 / kappa_n) (xbar - mu0)(xbar - mu0)^T
+    Takes the prior's mean mu0 = 0 and scale T_0 = I, forms
+    T_n = T_0 + scatter + (n kappa0 / kappa_n) (xbar - mu0)(xbar - mu0)^T
     and factors it, with log|T_0| and the multivariate gammas recomputed
     here, so nothing is shared with the library's low-rank path.
     """
@@ -295,13 +319,14 @@ def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
 
     x = np.asarray(x, dtype=float)
     n, d = x.shape
+    mu0, t0 = np.zeros(d), np.eye(d)
     nu_n = prior.nu0 + n
     kappa_n = prior.kappa0 + n
     xbar = x.mean(axis=0)
     dev = x - xbar
-    diff = xbar - prior.mu0
-    t_n = prior.t0 + dev.T @ dev + (n * prior.kappa0 / kappa_n) * np.outer(diff, diff)
-    log_det_t0 = 2.0 * float(np.log(np.diag(np.linalg.cholesky(prior.t0))).sum())
+    diff = xbar - mu0
+    t_n = t0 + dev.T @ dev + (n * prior.kappa0 / kappa_n) * np.outer(diff, diff)
+    log_det_t0 = 2.0 * float(np.log(np.diag(np.linalg.cholesky(t0))).sum())
     log_det_tn = 2.0 * float(np.log(np.diag(np.linalg.cholesky(t_n))).sum())
     return (
         -0.5 * n * d * math.log(math.pi)

@@ -105,7 +105,7 @@ def test_criterion_3_large_sample_aic_limit():
 
 def test_criterion_4_bayes_factor_quadrature():
     rng = np.random.default_rng(4)
-    prior = NormalWishartPrior(mu0=np.zeros(1), kappa0=1.0, nu0=3.0, t0=np.eye(1))
+    prior = NormalWishartPrior(1, kappa0=1.0, nu0=3.0)
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 7))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from groupsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from groupsim.comparison import NormalWishartPrior, bayes_factor_similarity
+from groupsim.embeddings import find_pad_token, lookup_sentence
 
 PAIRS = "the cat\tthe dog\t3.0\ncat sat\tdog sat\t4.0\nthe mat\tcat dog\t1.0\n"
 
@@ -99,6 +101,26 @@ class TestScore:
             "the cat", "dog sat",
         ])
         assert code == EXIT_OK
+
+    def test_prior_flags_set_the_bayes_factor_prior(self, embedding_file, store, capsys):
+        d = store.dim
+        code = main([
+            "score", "--embeddings", str(embedding_file), "--method", "bayes_factor",
+            "--prior-kappa0", "0.5", "--prior-nu0", str(d + 4), "the cat", "dog sat",
+        ])
+        assert code == EXIT_OK
+        pad = find_pad_token(store)
+        a, b = (lookup_sentence(store, text, pad).vectors for text in ("the cat", "dog sat"))
+        expected = bayes_factor_similarity(a, b, NormalWishartPrior(d, 0.5, d + 4)).value
+        assert capsys.readouterr().out == f"bayes_factor\t{expected!r}\n"
+        assert expected != bayes_factor_similarity(a, b).value
+
+    def test_refine_kappa_flag_is_unknown(self, embedding_file, capsys):
+        code = main([
+            "score", "--embeddings", str(embedding_file), "--method", "vmf_tic",
+            "--refine-kappa", "the cat", "the dog",
+        ])
+        assert code == EXIT_USAGE
 
 
 class TestEval:
@@ -225,13 +247,42 @@ class TestPenaltyCurve:
         ["--trials", "0"],
         ["--sizes", "5,x"],
         ["--model", "vmf", "--dim", "1"],
-    ], ids=["zero-trials", "non-integer-size", "vmf-dim-1"])
+        ["--sizes", ","],
+    ], ids=["zero-trials", "non-integer-size", "vmf-dim-1", "no-sizes"])
     def test_bad_arguments_usage_error(self, flags, capsys):
         code = main(["penalty-curve", "--sizes", "5", *flags])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error:")
+
+
+class TestCommonFlags:
+    @pytest.mark.parametrize("command", ["score", "eval", "modelsel"])
+    def test_pad_token_not_in_vocabulary_usage_error(self, command, embedding_file,
+                                                     pairs_file, corpus_file, capsys):
+        operands = {
+            "score": ["the cat", "the dog"],
+            "eval": [str(pairs_file)],
+            "modelsel": [str(corpus_file)],
+        }[command]
+        code = main([command, "--embeddings", str(embedding_file), "--pad-token", "zzz",
+                     *operands])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: pad token 'zzz' not in vocabulary\n"
+
+    @pytest.mark.parametrize("command", ["eval", "penalty-curve"])
+    def test_negative_seed_usage_error(self, command, embedding_file, pairs_file, capsys):
+        argv = {
+            "eval": ["eval", "--embeddings", str(embedding_file), "--method", "sif_pca",
+                     str(pairs_file)],
+            "penalty-curve": ["penalty-curve", "--sizes", "5"],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: seed must be a non-negative integer, got -1" in captured.err
 
 
 class TestConfigFile:
@@ -261,6 +312,13 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "unknown config keys: ['workers']" in capsys.readouterr().err
 
+    def test_refine_kappa_key_is_unknown(self, embedding_file, pairs_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"embeddings": str(embedding_file), "refine_kappa": True}))
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['refine_kappa']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [
         ("sif_a", "0.5"),
         ("sif_a", True),
@@ -269,7 +327,6 @@ class TestConfigFile:
         ("seed", 1.5),
         ("seed", False),
         ("normalize", "yes"),
-        ("refine_kappa", 1),
         ("method", 3),
         ("method", None),
         ("pad_token", 0),

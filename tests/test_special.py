@@ -13,7 +13,12 @@ from groupsim.special import (
     vmf_kernels,
 )
 
-from helpers import bessel_ratio_mp, bessel_ratio_slope_mp, log_vmf_normalizer_mp
+from helpers import (
+    bessel_ratio_mp,
+    bessel_ratio_slope_mp,
+    inv_bessel_ratio_newton,
+    log_vmf_normalizer_mp,
+)
 
 # (d, kappa) spanning both branches: short and long recurrences, Hankel sums
 REGIMES = [(2, 1e-6), (2, 3e4), (5, 12.0), (17, 9000.0), (300, 1.0), (300, 2.5e6),
@@ -125,12 +130,12 @@ class TestInverseRatio:
 
     def test_refined_meets_tolerance(self):
         for d, r in [(2, 0.1), (3, 0.5), (10, 0.9), (300, 0.37), (300, 0.9)]:
-            kappa = inv_bessel_ratio(d, r, refine=True)
+            kappa = inv_bessel_ratio_newton(d, r)
             assert abs(bessel_ratio(d, kappa) - r) < 1e-8
 
     def test_approximation_close_to_refined_high_dim(self):
-        approx = inv_bessel_ratio(300, 0.9, refine=False)
-        refined = inv_bessel_ratio(300, 0.9, refine=True)
+        approx = inv_bessel_ratio(300, 0.9)
+        refined = inv_bessel_ratio_newton(300, 0.9)
         assert approx == pytest.approx(refined, rel=0.02)
 
     @given(
@@ -139,7 +144,7 @@ class TestInverseRatio:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, d, r):
-        kappa = inv_bessel_ratio(d, r, refine=True)
+        kappa = inv_bessel_ratio_newton(d, r)
         assert abs(bessel_ratio(d, kappa) - r) < 1e-8
 
     def test_rejects_out_of_range(self):
