@@ -30,7 +30,12 @@ from .embeddings import (
     load_embeddings,
     lookup_sentence,
 )
-from .errors import DegenerateCurvatureError, EmbeddingFormatError, GroupsimError
+from .errors import (
+    DegenerateCurvatureError,
+    EmbeddingFormatError,
+    GroupsimError,
+    UnknownTokenError,
+)
 from .evaluation import (
     EvalOptions,
     EvalReport,
@@ -63,6 +68,7 @@ __all__ = [
     "SentenceSample",
     "SimilarityScore",
     "SUPPORTED_METHODS",
+    "UnknownTokenError",
     "VmfFit",
     "bayes_factor_similarity",
     "corpus_model_selection",

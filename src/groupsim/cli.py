@@ -63,9 +63,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sif-a", dest="sif_a", type=float, help="SIF smoothing parameter")
     parser.add_argument("--freq-file", dest="freq_file", help="token frequency file for SIF")
     parser.add_argument("--prior-kappa0", dest="prior_kappa0", type=float,
-                        help="Normal-Wishart prior mean-precision scale")
+                        help="Normal-Wishart prior mean-precision scale "
+                             "(read only by --method bayes_factor)")
     parser.add_argument("--prior-nu0", dest="prior_nu0", type=float,
-                        help="Normal-Wishart prior degrees of freedom")
+                        help="Normal-Wishart prior degrees of freedom "
+                             "(read only by --method bayes_factor)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--seed", type=int, help="seed for all randomness")
     parser.add_argument("--verbose", action="store_true", help="print score breakdowns")
@@ -149,10 +151,11 @@ def _load_store(config: RunConfig):
     return store
 
 
-def _options(config: RunConfig, dim: int | None = None) -> evaluation.EvalOptions:
+def _options(config: RunConfig, dim: int) -> evaluation.EvalOptions:
     freqs = baselines.load_frequencies(config.freq_file) if config.freq_file else None
     prior = None
-    if dim is not None and (config.prior_nu0 is not None or config.prior_kappa0 != 1.0):
+    reads_prior = config.method in ("bayes_factor", "all")
+    if reads_prior and (config.prior_nu0 is not None or config.prior_kappa0 != 1.0):
         nu0 = config.prior_nu0 if config.prior_nu0 is not None else float(dim + 2)
         try:
             prior = comparison.NormalWishartPrior(dim, kappa0=config.prior_kappa0, nu0=nu0)

@@ -5,7 +5,8 @@ the library code paths it checks: high-precision Bessel evaluation through
 mpmath, the Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
-marginal likelihoods, plus the dense Normal-Wishart evidence.
+marginal likelihoods, plus the dense Normal-Wishart evidence and the
+line-by-line embedding loader.
 """
 
 from __future__ import annotations
@@ -335,6 +336,63 @@ def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
         + float(multigammaln(nu_n / 2.0, d))
         - float(multigammaln(prior.nu0 / 2.0, d))
     )
+
+
+# ---------------------------------------------------------------------------
+# line-by-line embedding loader
+# ---------------------------------------------------------------------------
+
+def load_embeddings_per_line(path, normalize: bool = False):
+    """The loader before chunked parsing: one ``np.array`` per row.
+
+    Returns the same store, or raises the same ``EmbeddingFormatError``
+    message, that ``groupsim.embeddings.load_embeddings`` must.
+    """
+    from groupsim.embeddings import EmbeddingStore, _looks_like_header
+    from groupsim.errors import EmbeddingFormatError
+
+    vocab: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    dim = None
+    duplicates = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if lineno == 1 and _looks_like_header(parts):
+                continue
+            token = parts[0]
+            try:
+                vec = np.array(parts[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"{path}:{lineno}: unparsable number ({exc})") from None
+            if vec.size == 0:
+                raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise EmbeddingFormatError(
+                    f"{path}:{lineno}: expected {dim} components, found {vec.size}"
+                )
+            if token in vocab:
+                duplicates += 1
+                continue
+            if normalize:
+                norm = float(np.linalg.norm(vec))
+                if norm == 0.0:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: zero vector cannot be normalized"
+                    )
+                vec = vec / norm
+            vocab[token] = len(rows)
+            rows.append(vec.astype(np.float32))
+    if not rows:
+        raise EmbeddingFormatError(f"{path}: no embedding rows found")
+    return EmbeddingStore(dim=int(dim), vocab=vocab, matrix=np.vstack(rows),
+                          duplicate_count=duplicates)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ class TestScore:
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--prior-nu0", "0.5"], ["--prior-kappa0", "-1"]])
+    def test_prior_flags_ignored_by_other_methods(self, embedding_file, flag, capsys):
+        argv = ["score", "--embeddings", str(embedding_file), "--method", "diag_aic",
+                "the cat", "dog sat"]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(argv[:-2] + flag + argv[-2:]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
     def test_missing_embeddings_flag(self, capsys):
         assert main(["score", "a", "b"]) == EXIT_USAGE
 
@@ -170,6 +179,15 @@ class TestEval:
                      "--sif-a", value, str(pairs_file)])
         assert code == EXIT_USAGE
         assert "sif-a must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, code", [("diag_aic", EXIT_OK), ("bayes_factor", EXIT_USAGE),
+                                              ("all", EXIT_USAGE)])
+    def test_bad_prior_read_only_by_bayes_factor(self, embedding_file, pairs_file, method, code,
+                                                 capsys):
+        assert main([
+            "eval", "--embeddings", str(embedding_file), "--method", method,
+            "--prior-nu0", "0.5", str(pairs_file),
+        ]) == code
 
     def test_unreadable_dataset(self, embedding_file, tmp_path, capsys):
         code = main([

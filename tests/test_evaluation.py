@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim import comparison
-from groupsim.errors import EmbeddingFormatError
+from groupsim.errors import EmbeddingFormatError, UnknownTokenError
 from groupsim.evaluation import (
     MODEL_METHODS,
     SUPPORTED_METHODS,
@@ -161,6 +161,12 @@ class TestEvaluate:
             report = evaluate(method, [dataset_a], use)
             assert len(report.rows) == 1
             assert all(-1.0 <= r.spearman <= 1.0 for r in report.rows if r.defined)
+
+    def test_unknown_pad_token_message_unquoted(self, store, dataset_a):
+        with pytest.raises(UnknownTokenError) as info:
+            evaluate("diag_aic", [dataset_a], store, EvalOptions(pad_token="zzz"))
+        assert isinstance(info.value, KeyError)
+        assert str(info.value) == "pad token 'zzz' not in vocabulary"
 
     def test_pair_order_shuffle_invariance(self, store, dataset_a):
         rng = np.random.default_rng(1)
