@@ -78,6 +78,19 @@ def mwv_similarity(d1, d2) -> float:
     return cosine(x1.mean(axis=0), x2.mean(axis=0))
 
 
+def sif_weights(tokens, freqs: FrequencyTable | None, a: float = DEFAULT_SIF_A) -> np.ndarray:
+    """Inverse-frequency weights ``a / (a + p(w))`` of a sentence's tokens.
+
+    A token absent from the frequency table gets probability 0, i.e. weight
+    1, and so does every token without a table.
+    """
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"smoothing parameter must be positive and finite, got {a!r}")
+    if freqs is None:
+        return np.ones(len(tokens))
+    return np.array([a / (a + freqs.probability(t)) for t in tokens])
+
+
 def sif_embed(
     tokens,
     store: EmbeddingStore,
@@ -86,20 +99,20 @@ def sif_embed(
 ) -> np.ndarray:
     """Inverse-frequency weighted mean of the in-vocabulary token vectors.
 
-    A token absent from the frequency table gets probability 0, i.e. weight 1,
-    so coverage matches the unweighted mean.  Raises when no token is in the
-    vocabulary.
+    The weights are :func:`sif_weights`, so coverage matches the unweighted
+    mean.  Raises when no token is in the vocabulary.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"smoothing parameter must be positive and finite, got {a!r}")
     retained = [t for t in tokens if t in store]
+    weights = sif_weights(retained, freqs, a)
     if not retained:
         raise ValueError("no in-vocabulary tokens to embed")
-    out = np.zeros(store.dim)
-    for token in retained:
-        p = freqs.probability(token) if freqs is not None else 0.0
-        out += (a / (a + p)) * store.vector(token)
-    return out / len(retained)
+    rows = store.matrix[[store.vocab[t] for t in retained]].astype(np.float64)
+    return weighted_mean(weights, rows)
+
+
+def weighted_mean(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_t weights[t] rows[t] / len(rows)``, accumulated row by row in order."""
+    return (weights[:, None] * rows).sum(axis=0) / len(rows)
 
 
 def first_singular_direction(

@@ -7,8 +7,11 @@ each bag alone, and the score is alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).
 ``similarity_ic`` fits a von Mises-Fisher, diagonal or spherical Gaussian
 model and takes P from one information criterion, with alpha = 2: the
 gradient trace ("tic"), the parameter count k ("aic") or (k/2) log n
-("bic").  ``corpus_model_selection`` and ``penalty_curve`` read the same
-per-bag criterion.  ``bayes_factor_similarity`` takes L as the
+("bic").  The Gaussian criteria read each bag's moments, and the joint bag's
+are the two bags' moments merged, so a batch of pairs is scored at once
+(``gaussian_pair_scores``; one pair is a batch of one).
+``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
+criterion.  ``bayes_factor_similarity`` takes L as the
 Normal-Wishart log evidence (full covariance, conjugate closed form under a
 prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
 alpha = 1.  The closed forms ``similarity_closed_*`` write the tic score out
@@ -28,7 +31,16 @@ import numpy as np
 
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
-from .gaussian import DIAGONAL, SPHERICAL, fit_gaussian, gaussian_tic_penalty
+from .gaussian import (
+    DIAGONAL,
+    SPHERICAL,
+    GaussianMoments,
+    merge_moments,
+    moment_fit,
+    moments,
+    radial_sq_sum,
+    tic_penalties,
+)
 from .special import MAX_DIM, MIN_DIM, inv_bessel_ratio, log_multivariate_gamma, vmf_kernels
 from .vmf import (
     CURVATURE_FLOOR,
@@ -74,6 +86,53 @@ class SimilarityScore:
     fallback: bool = False
 
 
+@dataclass(frozen=True)
+class PairScores:
+    """Scores of a batch of P pairs, with their audit trail as arrays.
+
+    ``values`` and ``fallback`` have shape (P,); row p of ``terms`` holds
+    pair p's (L_joint, L_1, L_2, P_joint, P_1, P_2), and is None for the
+    baselines.  ``floored_dims`` counts the Gaussian dimensions held at the
+    variance floor over every fit of the batch.  Indexing gives one pair's
+    :class:`SimilarityScore`.
+    """
+
+    method: str
+    values: np.ndarray
+    terms: np.ndarray | None = None
+    alpha: float = 1.0
+    fallback: np.ndarray | None = None
+    floored_dims: int = 0
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @property
+    def fallback_pairs(self) -> int:
+        return 0 if self.fallback is None else int(np.count_nonzero(self.fallback))
+
+    def __getitem__(self, p: int) -> SimilarityScore:
+        breakdown = None
+        if self.terms is not None:
+            breakdown = ScoreBreakdown(*(float(t) for t in self.terms[p]), alpha=self.alpha)
+        fallback = self.fallback is not None and bool(self.fallback[p])
+        return SimilarityScore(float(self.values[p]), self.method, breakdown, fallback)
+
+    @classmethod
+    def collect(cls, method: str, scores) -> PairScores:
+        """A batch of per-pair model scores."""
+        terms = np.array([[b.loglik_joint, b.loglik_1, b.loglik_2,
+                           b.penalty_joint, b.penalty_1, b.penalty_2]
+                          for b in (s.breakdown for s in scores)]).reshape(-1, 6)
+        return cls(
+            method=method,
+            values=np.array([s.value for s in scores]),
+            terms=terms,
+            alpha=scores[0].breakdown.alpha if scores else 1.0,
+            fallback=np.array([s.fallback for s in scores], dtype=bool),
+        )
+
+
 def aic_param_count(model: str, d: int) -> int:
     """Parameter counts: vMF d, diagonal Gaussian 2d, spherical Gaussian d+1."""
     if model == VMF:
@@ -85,6 +144,12 @@ def aic_param_count(model: str, d: int) -> int:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _count_penalty(model: str, d: int, ic: str, n):
+    """The parameter count k for "aic", ``(k/2) log n`` for "bic"."""
+    k = aic_param_count(model, d)
+    return float(k) if ic == "aic" else 0.5 * k * np.log(n)
+
+
 def _fit_loglik_penalty(
     x: np.ndarray,
     model: str,
@@ -94,27 +159,78 @@ def _fit_loglik_penalty(
     """Fit one bag; return (max loglik, penalty, degenerate-fallback flag).
 
     The penalty is the gradient trace for ``ic="tic"``, the parameter count
-    k for "aic" and ``(k/2) log n`` for "bic".
+    k for "aic" and ``(k/2) log n`` for "bic".  A Gaussian bag is a batch of
+    one of :func:`_gaussian_terms`.
     """
     n, d = x.shape
-    k = aic_param_count(model, d)
-    if model == VMF:
-        fit = fit_vmf(x)
-    else:
-        fit = fit_gaussian(x, kind=DIAGONAL if model == DIAG else SPHERICAL)
-    if ic == "aic":
-        return fit.max_loglik, float(k), False
-    if ic == "bic":
-        return fit.max_loglik, 0.5 * k * math.log(n), False
     if model != VMF:
-        return fit.max_loglik, gaussian_tic_penalty(fit), False
+        mom = moments(x)
+        loglik, penalty, _ = _gaussian_terms(mom, model, ic, _radial_sq_means(model, ic, [x], mom))
+        return float(loglik[0]), float(penalty[0]), False
+    fit = fit_vmf(x)
+    if ic != "tic":
+        return fit.max_loglik, float(_count_penalty(model, d, ic, n)), False
     try:
         # fit_vmf has just checked that these rows are unit vectors
         return fit.max_loglik, vmf_tic_penalty(fit, x, check_unit=False), False
     except DegenerateCurvatureError:
         if on_degenerate == "aic":
-            return fit.max_loglik, float(k), True
+            return fit.max_loglik, float(aic_param_count(VMF, d)), True
         raise
+
+
+def _gaussian_terms(mom: GaussianMoments, model: str, ic: str, radial_sq_mean=None):
+    """(max loglik, penalty, floored dims) of the diagonal or spherical Gaussian
+    fit of every bag of a batch, as (B,) arrays, from the bags' moments.
+
+    The spherical "tic" penalty also needs each bag's ``radial_sq_mean``.
+    """
+    kind = DIAGONAL if model == DIAG else SPHERICAL
+    loglik, var, kurt, floored = moment_fit(mom, kind)
+    if ic == "tic":
+        penalty = tic_penalties(kind, mom.dim, var, kurt, radial_sq_mean)
+    else:
+        penalty = np.broadcast_to(_count_penalty(model, mom.dim, ic, mom.n), loglik.shape)
+    return loglik, penalty, floored
+
+
+def _radial_sq_means(model: str, ic: str, bags, mom: GaussianMoments):
+    """Each bag's mean ``(|x - mu|^2)^2`` where the spherical "tic" penalty reads it, else None."""
+    if model != SPHERICAL or ic != "tic":
+        return None
+    return np.array([radial_sq_sum(x, mu) / len(x) for x, mu in zip(bags, mom.mean)])
+
+
+def gaussian_pair_scores(m1: GaussianMoments, m2: GaussianMoments, model: str, ic: str,
+                         rows=None) -> PairScores:
+    """Diagonal or spherical Gaussian scores of the pairs (m1[p], m2[p]).
+
+    The joint fit of each pair reads the merged moments (:func:`merge_moments`),
+    so no bag is stacked or refitted.  ``rows``, one ``(x1, x2)`` per pair, is
+    read only by the spherical "tic" penalty, whose radial term needs each
+    row's distance to the fitted mean.
+    """
+    joint = merge_moments(m1, m2)
+    radial = (None, None, None)
+    if model == SPHERICAL and ic == "tic":
+        if rows is None:
+            raise ValueError("the spherical tic penalty needs the rows of every pair")
+        radial = np.array([
+            ((radial_sq_sum(x1, mu_j) + radial_sq_sum(x2, mu_j)) / (len(x1) + len(x2)),
+             radial_sq_sum(x1, mu_1) / len(x1),
+             radial_sq_sum(x2, mu_2) / len(x2))
+            for (x1, x2), mu_j, mu_1, mu_2 in zip(rows, joint.mean, m1.mean, m2.mean)
+        ]).T
+    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = (
+        _gaussian_terms(mom, model, ic, r) for mom, r in zip((joint, m1, m2), radial))
+    return PairScores(
+        method=f"{model}_{ic}",
+        values=2.0 * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
+        terms=np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2]),
+        alpha=2.0,
+        fallback=np.zeros(len(joint), dtype=bool),
+        floored_dims=int(f_j.sum() + f_1.sum() + f_2.sum()),
+    )
 
 
 def _validated_pair(d1, d2, model: str | None = None, ic: str | None = None):
@@ -160,6 +276,8 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
     count for the affected fit and flags the score.
     """
     x1, x2 = _validated_pair(d1, d2, model, ic)
+    if model != VMF:
+        return gaussian_pair_scores(moments(x1), moments(x2), model, ic, rows=[(x1, x2)])[0]
     criterion = lambda x: _fit_loglik_penalty(x, model, ic, on_degenerate)
     return _compose(x1, x2, criterion, 2.0, f"{model}_{ic}")
 
@@ -223,31 +341,23 @@ def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
     """
     x1, x2 = _validated_pair(d1, d2)
     m, l = x1.shape[0], x2.shape[0]
-    joint = np.vstack([x1, x2])
-    fit_j = fit_gaussian(joint, kind=DIAGONAL)
-    fit_1 = fit_gaussian(x1, kind=DIAGONAL)
-    fit_2 = fit_gaussian(x2, kind=DIAGONAL)
+    single = moments(x1, x2)
+    joint = merge_moments(single.take(slice(0, 1)), single.take(slice(1, 2)))
+    d = single.dim
+    ll_j, var_j, kurt_j, _ = moment_fit(joint, DIAGONAL)
+    ll_s, var_s, kurt_s, _ = moment_fit(single, DIAGONAL)
     ll_part = 0.5 * float(
-        np.sum(
-            -(m + l) * np.log(fit_j.var_hat)
-            + m * np.log(fit_1.var_hat)
-            + l * np.log(fit_2.var_hat)
-        )
+        np.sum(-(m + l) * np.log(var_j[0]) + m * np.log(var_s[0]) + l * np.log(var_s[1]))
     )
-    d = fit_j.dim
-    pen_part = 0.5 * d + 0.5 * float(
-        np.sum(-fit_j.kurt_hat + fit_1.kurt_hat + fit_2.kurt_hat)
-    )
+    pen_part = 0.5 * d + 0.5 * float(np.sum(-kurt_j[0] + kurt_s[0] + kurt_s[1]))
+    pen_j = tic_penalties(DIAGONAL, d, var_j, kurt_j)
+    pen_s = tic_penalties(DIAGONAL, d, var_s, kurt_s)
     return SimilarityScore(
         value=ll_part + pen_part,
         method="diag_tic_closed",
         breakdown=ScoreBreakdown(
-            fit_j.max_loglik,
-            fit_1.max_loglik,
-            fit_2.max_loglik,
-            gaussian_tic_penalty(fit_j),
-            gaussian_tic_penalty(fit_1),
-            gaussian_tic_penalty(fit_2),
+            float(ll_j[0]), float(ll_s[0]), float(ll_s[1]),
+            float(pen_j[0]), float(pen_s[0]), float(pen_s[1]),
             alpha=1.0,
         ),
     )
@@ -362,15 +472,19 @@ def corpus_model_selection(
     bags = [as_matrix(b) for b in corpus]
     if not bags:
         raise ValueError("corpus must contain at least one bag")
+    mom = None
     rows = []
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        total = 0.0
-        for x in bags:
-            ll, pen, _ = _fit_loglik_penalty(x, model, ic, on_degenerate)
-            total += -2.0 * (ll - pen)
-        rows.append(ModelCandidateScore(model=model, ic=ic, mean_ic=total / len(bags)))
+        if model == VMF:
+            criteria = [-2.0 * (ll - pen) for ll, pen, _ in
+                        (_fit_loglik_penalty(x, model, ic, on_degenerate) for x in bags)]
+        else:
+            mom = mom if mom is not None else moments(*bags)
+            ll, pen, _ = _gaussian_terms(mom, model, ic, _radial_sq_means(model, ic, bags, mom))
+            criteria = -2.0 * (ll - pen)
+        rows.append(ModelCandidateScore(model=model, ic=ic, mean_ic=float(np.mean(criteria))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows
 

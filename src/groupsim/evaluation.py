@@ -4,7 +4,19 @@ Datasets are TSV files, one ``sentence_a<TAB>sentence_b<TAB>gold_score`` per
 line.  Every configured method scores every pair; per-dataset Spearman
 correlations against the gold scores are aggregated into an average weighted
 by pair count.  Reports serialise to JSON lines, one row per dataset plus a
-summary row.
+summary row, which also counts the pairs whose gradient penalty fell back to
+the parameter count and the Gaussian dimensions held at the variance floor.
+
+A dataset is scored as one batch.  Its sentences are looked up together into
+one float64 block (:func:`groupsim.embeddings.lookup_sentences`), each bag a
+row range of it.  The Gaussian methods reduce every bag to its moments once
+and take each pair's joint fit from the merged moments
+(:func:`groupsim.comparison.gaussian_pair_scores`), over (pairs x d) arrays;
+the baselines take their sentence vectors from the same rows.  The vMF and
+Normal-Wishart methods score pair by pair on views of the block (the vMF ones
+on its rows normalised once).  Every per-pair value agrees with scoring the
+pair alone through :mod:`groupsim.comparison` (the tests check 1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -19,7 +31,16 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import baselines, comparison
-from .embeddings import EmbeddingStore, SentenceSample, find_pad_token, lookup_sentence
+from .embeddings import (
+    SLAB_ROWS,
+    EmbeddingStore,
+    SentenceBlock,
+    SentenceSample,
+    as_matrix,
+    find_pad_token,
+    lookup_sentences,
+)
+from .gaussian import block_moments
 from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
@@ -67,10 +88,20 @@ class DatasetResult:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Per-dataset correlations and run counters.
+
+    ``degenerate_pair_count`` counts pairs with a sentence that kept no
+    token, ``fallback_pairs`` pairs whose gradient penalty fell back to the
+    parameter count, and ``floored_dims`` the Gaussian dimensions held at
+    the variance floor, summed over the joint and per-bag fits of every pair.
+    """
+
     method: str
     rows: tuple[DatasetResult, ...]
     weighted_average: float
     degenerate_pair_count: int
+    fallback_pairs: int = 0
+    floored_dims: int = 0
 
 
 @dataclass
@@ -141,72 +172,95 @@ def spearman(xs, ys) -> float:
     return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def unit_rows(sample: SentenceSample) -> np.ndarray:
-    """Row-normalised copy of a sample's vectors (for sphere likelihoods)."""
-    x = sample.vectors
+def unit_rows(sample, out=None) -> np.ndarray:
+    """Row-normalised copy of a sample's (or a block's) vectors, for sphere
+    likelihoods; written to ``out`` when given, which may be the vectors."""
+    x = as_matrix(sample)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero vector cannot be projected to the sphere")
-    return x / norms
+    return np.divide(x, norms, out=out)
 
 
 def pair_scorer(method: str, options: EvalOptions):
-    """Callable scoring two SentenceSamples, returning a SimilarityScore.
+    """Callable scoring two bags' rows, returning a SimilarityScore.
 
     A model method name ``<model>_<criterion>`` selects one :mod:`comparison`
     function: ``similarity_ic`` for a criterion in ``IC_KINDS`` ("tic",
     "aic", "bic"), ``bayes_factor_similarity`` otherwise.  A degenerate vMF
     curvature under "tic" falls back to the parameter count and flags the
-    score.  vMF likelihoods live on the unit sphere, so their inputs are
-    row-normalised.  The sentence-embedding baselines need corpus context
-    and go through :func:`embedding_scores`.
+    score.  vMF likelihoods live on the unit sphere, so vMF callers pass
+    unit rows (:func:`unit_rows`).  The sentence-embedding baselines need
+    corpus context and go through :func:`embedding_scores`.
     """
     if method not in MODEL_METHODS:
         raise ValueError(f"unknown model method {method!r}; supported: {MODEL_METHODS}")
     model, _, ic = method.partition("_")
     if ic in comparison.IC_KINDS:
-        compare = lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
-    else:
-        compare = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
-    if model != comparison.VMF:
-        return lambda a, b: compare(a.vectors, b.vectors)
-    return lambda a, b: compare(unit_rows(a), unit_rows(b))
+        return lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
+    return lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
 
 
-def sentence_vector(
-    method: str,
-    sample: SentenceSample,
-    store: EmbeddingStore,
-    options: EvalOptions,
-) -> np.ndarray:
-    if method == "mwv":
-        return sample.vectors.mean(axis=0)
-    # SIF variants weight the retained tokens; a fully out-of-vocabulary
-    # sentence falls back to its padded mean so every pair stays scoreable.
-    if sample.tokens:
-        return baselines.sif_embed(sample.tokens, store, options.freqs, a=options.sif_a)
-    return sample.vectors.mean(axis=0)
+def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair; 0 (a neutral score) where either row is zero."""
+    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    dots = np.einsum("ij,ij->i", u, v)
+    out = np.zeros(dots.size)
+    np.divide(dots, norms, out=out, where=norms != 0.0)
+    return out
 
 
-def embedding_scores(method, samples_a, samples_b, store, options) -> list[float]:
-    """Cosine scores for the sentence-embedding baselines over one dataset.
+def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) -> np.ndarray:
+    """Cosine scores of the pairs (i, P + i) of a block of 2P bags, for the
+    sentence-embedding baselines.
 
-    The offline variant deflates the first principal direction of all the
-    dataset's sentence vectors before the cosines are taken.
+    ``mwv`` takes each bag's mean row.  The SIF variants take the weighted
+    mean of a sentence's token rows, with weights ``a / (a + p(w))``; a fully
+    out-of-vocabulary sentence falls back to its padded mean so every pair
+    stays scoreable.  The offline variant deflates the first principal
+    direction of all the block's sentence vectors before the cosines are
+    taken.
     """
-    va = np.vstack([sentence_vector(method, s, store, options) for s in samples_a])
-    vb = np.vstack([sentence_vector(method, s, store, options) for s in samples_b])
+    vectors = block.means()
+    if method != "mwv":
+        for i, tokens in enumerate(block.tokens):
+            if tokens:
+                weights = baselines.sif_weights(tokens, options.freqs, options.sif_a)
+                vectors[i] = baselines.weighted_mean(weights, block.rows(i)[:len(tokens)])
     if method == "sif_pca":
-        stacked = np.vstack([va, vb])
-        deflated = baselines.remove_first_pc(stacked, seed=options.seed)
-        va, vb = deflated[: va.shape[0]], deflated[va.shape[0]:]
-    scores = []
-    for u, v in zip(va, vb):
-        try:
-            scores.append(baselines.cosine(u, v))
-        except ValueError:
-            scores.append(0.0)  # deflation can zero a vector; score neutrally
-    return scores
+        vectors = baselines.remove_first_pc(vectors, seed=options.seed)
+    half = len(block) // 2
+    return _row_cosines(vectors[:half], vectors[half:])
+
+
+def pair_block(store: EmbeddingStore, pairs, pad_token: str) -> SentenceBlock:
+    """The bags of a dataset's pairs: first every sentence a, then every sentence b."""
+    return lookup_sentences(store, [a for a, _, _ in pairs] + [b for _, b, _ in pairs], pad_token)
+
+
+def score_block(method: str, block: SentenceBlock, options: EvalOptions) -> comparison.PairScores:
+    """Scores of the pairs (i, P + i) of a block of 2P bags, with any supported method.
+
+    The vMF methods normalise the block's rows in place, so a dataset's rows
+    are held once.
+    """
+    half = len(block) // 2
+    if method in BASELINE_METHODS:
+        return comparison.PairScores(method, embedding_scores(method, block, options))
+    model, _, ic = method.partition("_")
+    if model in (comparison.DIAG, comparison.SPHERICAL):
+        mom = block_moments(block)
+        first, second = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
+        return comparison.gaussian_pair_scores(first, second, model, ic)
+    scorer = pair_scorer(method, options)
+    rows = block.vectors
+    if model == comparison.VMF:
+        for first in range(0, len(rows), SLAB_ROWS):
+            slab = rows[first:first + SLAB_ROWS]
+            unit_rows(slab, out=slab)
+    bags = [rows[start:start + size] for start, size in zip(block.starts, block.sizes)]
+    return comparison.PairScores.collect(
+        method, [scorer(bags[i], bags[half + i]) for i in range(half)])
 
 
 def score_pair(
@@ -219,9 +273,22 @@ def score_pair(
     """Score one pair with any supported method (baselines included)."""
     options = options or EvalOptions()
     if method in BASELINE_METHODS:
-        value = embedding_scores(method, [sample_a], [sample_b], store, options)[0]
-        return comparison.SimilarityScore(value=value, method=method)
-    return pair_scorer(method, options)(sample_a, sample_b)
+        block = SentenceBlock.stack([sample_a, sample_b])
+        return comparison.PairScores(method, embedding_scores(method, block, options))[0]
+    if method.startswith(comparison.VMF):
+        return pair_scorer(method, options)(unit_rows(sample_a), unit_rows(sample_b))
+    return pair_scorer(method, options)(sample_a.vectors, sample_b.vectors)
+
+
+def _score_dataset(method, dataset, store, pad, options):
+    """A dataset's scores and its number of pairs with a sentence that kept no token.
+
+    The block lives only here, so one dataset's rows are held at a time.
+    """
+    block = pair_block(store, dataset.pairs, pad)
+    kept = [bool(tokens) for tokens in block.tokens]
+    degenerate = sum(not (a and b) for a, b in zip(kept[:dataset.count], kept[dataset.count:]))
+    return score_block(method, block, options), degenerate
 
 
 def evaluate(
@@ -232,9 +299,10 @@ def evaluate(
 ) -> EvalReport:
     """Score every pair of every dataset and aggregate rank correlations.
 
-    ``method`` is a name from :data:`SUPPORTED_METHODS`.  Datasets whose
-    correlation is undefined (constant scores) are flagged and left out of
-    the weighted average, loudly.
+    ``method`` is a name from :data:`SUPPORTED_METHODS`.  Each dataset is
+    looked up once and scored as one batch (:func:`score_block`).  Datasets
+    whose correlation is undefined (constant scores) are flagged and left out
+    of the weighted average, loudly.
     """
     options = options or EvalOptions()
     pad = options.pad_token or find_pad_token(store)
@@ -242,22 +310,14 @@ def evaluate(
         raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
 
     rows = []
-    degenerate_pairs = 0
+    degenerate_pairs = fallback_pairs = floored_dims = 0
     for dataset in datasets:
-        samples_a = [lookup_sentence(store, a, pad) for a, _, _ in dataset.pairs]
-        samples_b = [lookup_sentence(store, b, pad) for _, b, _ in dataset.pairs]
-        degenerate_pairs += sum(
-            1
-            for sa, sb in zip(samples_a, samples_b)
-            if sa.token_count_before_padding == 0 or sb.token_count_before_padding == 0
-        )
-        if method in BASELINE_METHODS:
-            scores = embedding_scores(method, samples_a, samples_b, store, options)
-        else:
-            scorer = pair_scorer(method, options)
-            scores = [scorer(sa, sb).value for sa, sb in zip(samples_a, samples_b)]
+        scores, degenerate = _score_dataset(method, dataset, store, pad, options)
+        degenerate_pairs += degenerate
+        fallback_pairs += scores.fallback_pairs
+        floored_dims += scores.floored_dims
         golds = [g for _, _, g in dataset.pairs]
-        rho = spearman(scores, golds)
+        rho = spearman(scores.values, golds)
         if math.isnan(rho):
             logger.warning(
                 "dataset %s: correlation undefined (constant scores); excluded from average",
@@ -276,6 +336,8 @@ def evaluate(
         rows=tuple(rows),
         weighted_average=weighted,
         degenerate_pair_count=degenerate_pairs,
+        fallback_pairs=fallback_pairs,
+        floored_dims=floored_dims,
     )
 
 
@@ -302,6 +364,8 @@ def report_lines(report: EvalReport) -> list[str]:
                 if math.isnan(report.weighted_average)
                 else report.weighted_average,
                 "degenerate_count": report.degenerate_pair_count,
+                "fallback_pairs": report.fallback_pairs,
+                "floored_dims": report.floored_dims,
             },
             sort_keys=True,
         )
@@ -323,4 +387,6 @@ def format_table(report: EvalReport) -> str:
     )
     lines.append(f"{'weighted average':<24} {'':>7} {avg:>10}")
     lines.append(f"degenerate pairs: {report.degenerate_pair_count}")
+    lines.append(f"fallback pairs: {report.fallback_pairs}")
+    lines.append(f"floored dims: {report.floored_dims}")
     return "\n".join(lines)

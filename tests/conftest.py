@@ -1,9 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# In CI (GitHub sets CI), draw the same hypothesis examples on every run and
+# print the reproduction blob of a failure; example budgets are unchanged.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 from groupsim.embeddings import load_embeddings
 

@@ -5,8 +5,10 @@ the library code paths it checks: high-precision Bessel evaluation through
 mpmath, the Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
-marginal likelihoods, plus the dense Normal-Wishart evidence and the
-line-by-line embedding loader.
+marginal likelihoods, plus the dense Normal-Wishart evidence, the
+line-by-line embedding loader, and the per-pair evaluation path: sentence
+by sentence lookups, row-based Gaussian fits and a stacked joint bag for
+every pair.
 """
 
 from __future__ import annotations
@@ -393,6 +395,169 @@ def load_embeddings_per_line(path, normalize: bool = False):
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
     return EmbeddingStore(dim=int(dim), vocab=vocab, matrix=np.vstack(rows),
                           duplicate_count=duplicates)
+
+
+# ---------------------------------------------------------------------------
+# per-pair evaluation path: row-based fits, stacked joint bags, one lookup
+# per sentence and per method
+# ---------------------------------------------------------------------------
+
+def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal"):
+    """The Gaussian fit computed from the rows, before per-bag moments."""
+    from groupsim.gaussian import VAR_FLOOR, GaussianFit
+    from groupsim.special import LOG_2PI
+
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    mu = x.mean(axis=0)
+    dev = x - mu
+    sq = dev**2
+    radial_sq_mean = None
+    if kind == "diagonal":
+        raw_var = sq.mean(axis=0)
+        var = np.maximum(raw_var, VAR_FLOOR)
+        floored = int(np.sum(raw_var < VAR_FLOOR))
+        kurt = (sq**2).mean(axis=0) / var**2
+    else:
+        raw_pool = float(sq.mean())
+        pool = max(raw_pool, VAR_FLOOR)
+        floored = d if raw_pool < VAR_FLOOR else 0
+        var = np.full(d, pool)
+        kurt = np.full(d, float((sq**2).mean()) / pool**2)
+        radial = sq.sum(axis=1)
+        radial_sq_mean = float(np.mean(radial**2))
+    max_loglik = -0.5 * n * float(np.log(var).sum()) - 0.5 * n * d * (LOG_2PI + 1.0)
+    return GaussianFit(kind=kind, mu_hat=mu, var_hat=var, kurt_hat=kurt, n=n,
+                       max_loglik=max_loglik, floored_dims=floored,
+                       radial_sq_mean=radial_sq_mean)
+
+
+def _gaussian_criterion_rows(x: np.ndarray, model: str, ic: str):
+    """(L, P, floored dims) of one bag from :func:`fit_gaussian_rows`."""
+    n, d = x.shape
+    fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
+    k = 2 * d if model == "diag" else d + 1
+    if ic == "aic":
+        penalty = float(k)
+    elif ic == "bic":
+        penalty = 0.5 * k * math.log(n)
+    elif model == "diag":
+        penalty = 0.5 * d + 0.5 * float(fit.kurt_hat.sum())
+    else:
+        pool = float(fit.var_hat[0])
+        var_q = fit.radial_sq_mean - (d * pool) ** 2
+        penalty = d + var_q / (2.0 * d * pool**2)
+    return fit.max_loglik, penalty, fit.floored_dims
+
+
+def similarity_ic_rows(x1, x2, model: str, ic: str, on_degenerate: str = "aic"):
+    """The per-pair composition: (SimilarityScore, floored dims of its three fits).
+
+    A Gaussian pair is scored by ``np.vstack`` and three row-based fits; a
+    vMF pair by the library's per-pair vMF composition, which per-bag
+    moments do not touch.
+    """
+    from groupsim.comparison import ScoreBreakdown, SimilarityScore, similarity_ic
+
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    if model == "vmf":
+        return similarity_ic(x1, x2, model, ic, on_degenerate=on_degenerate), 0
+    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = (
+        _gaussian_criterion_rows(x, model, ic) for x in (np.vstack([x1, x2]), x1, x2))
+    score = SimilarityScore(
+        value=2.0 * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
+        method=f"{model}_{ic}",
+        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=2.0),
+    )
+    return score, f_j + f_1 + f_2
+
+
+def lookup_sentence_per_token(store, text: str, pad_token: str):
+    """The sentence lookup before dataset blocks: one bag per call."""
+    from groupsim.embeddings import SentenceSample, tokenize
+
+    if pad_token not in store:
+        raise KeyError(f"pad token {pad_token!r} not in vocabulary")
+    tokens = tokenize(text)
+    retained = [t for t in tokens if t in store]
+    pad_vec = store.vector(pad_token)
+    if retained:
+        idx = [store.vocab[t] for t in retained]
+        body = store.matrix[idx].astype(np.float64)
+        vectors = np.vstack([body, pad_vec])
+    else:
+        vectors = np.vstack([pad_vec, pad_vec])
+    return SentenceSample(vectors=vectors, token_count_before_padding=len(retained),
+                          tokens=tuple(retained), oov_count=len(tokens) - len(retained))
+
+
+def unit_rows_per_bag(sample) -> np.ndarray:
+    """Row-normalised copy of one bag, as the evaluation harness made it per pair."""
+    x = sample.vectors
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("zero vector cannot be projected to the sphere")
+    return x / norms
+
+
+def sif_embed_per_token(tokens, store, freqs, a: float) -> np.ndarray:
+    """SIF sentence vector accumulated one token vector at a time."""
+    retained = [t for t in tokens if t in store]
+    out = np.zeros(store.dim)
+    for token in retained:
+        p = freqs.probability(token) if freqs is not None else 0.0
+        out += (a / (a + p)) * store.vector(token)
+    return out / len(retained)
+
+
+def embedding_scores_per_sentence(method, samples_a, samples_b, store, options) -> list[float]:
+    """Baseline cosines with one sentence vector and one cosine call at a time."""
+    from groupsim.baselines import cosine, remove_first_pc
+
+    def sentence_vector(sample):
+        if method == "mwv" or not sample.tokens:
+            return sample.vectors.mean(axis=0)
+        return sif_embed_per_token(sample.tokens, store, options.freqs, options.sif_a)
+
+    va = np.vstack([sentence_vector(s) for s in samples_a])
+    vb = np.vstack([sentence_vector(s) for s in samples_b])
+    if method == "sif_pca":
+        deflated = remove_first_pc(np.vstack([va, vb]), seed=options.seed)
+        va, vb = deflated[: va.shape[0]], deflated[va.shape[0]:]
+    scores = []
+    for u, v in zip(va, vb):
+        try:
+            scores.append(cosine(u, v))
+        except ValueError:
+            scores.append(0.0)
+    return scores
+
+
+def pair_scores_per_pair(method: str, pairs, store, options, pad_token: str):
+    """Every pair's SimilarityScore and the floored dims summed over all fits,
+    scored one pair at a time as the evaluation harness did before dataset
+    batches."""
+    from groupsim.comparison import SimilarityScore, bayes_factor_similarity
+
+    samples_a = [lookup_sentence_per_token(store, a, pad_token) for a, _, _ in pairs]
+    samples_b = [lookup_sentence_per_token(store, b, pad_token) for _, b, _ in pairs]
+    if method in ("mwv", "sif", "sif_pca"):
+        values = embedding_scores_per_sentence(method, samples_a, samples_b, store, options)
+        return [SimilarityScore(value=v, method=method) for v in values], 0
+    model, _, ic = method.partition("_")
+    scores, floored = [], 0
+    for sa, sb in zip(samples_a, samples_b):
+        if model == "bayes":
+            score, dims = bayes_factor_similarity(sa.vectors, sb.vectors, options.prior), 0
+        elif model == "vmf":
+            score, dims = similarity_ic_rows(unit_rows_per_bag(sa), unit_rows_per_bag(sb),
+                                             model, ic)
+        else:
+            score, dims = similarity_ic_rows(sa.vectors, sb.vectors, model, ic)
+        scores.append(score)
+        floored += dims
+    return scores, floored
 
 
 # ---------------------------------------------------------------------------

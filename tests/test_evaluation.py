@@ -278,4 +278,5 @@ class TestReportLines:
         row = json.loads(lines[0])
         assert set(row) == {"method", "dataset", "count", "spearman"}
         summary = json.loads(lines[-1])
-        assert set(summary) == {"method", "weighted_average", "degenerate_count"}
+        assert set(summary) == {"method", "weighted_average", "degenerate_count",
+                                "fallback_pairs", "floored_dims"}
