@@ -254,8 +254,6 @@ def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> Sentenc
     return lookup_sentences(store, [text], pad_token).sample(0)
 
 
-# values per (k, n, d) run of SentenceBlock.runs; each temporary of a run stays within 128 KiB
-_RUN_VALUES = 1 << 14
 # rows per slab when a block is filled or rewritten, so no whole-block temporary sits next to it
 SLAB_ROWS = 512
 
@@ -267,10 +265,10 @@ class SentenceBlock:
     Bag ``i`` is ``vectors[starts[i]:starts[i] + sizes[i]]``: the rows of
     ``tokens[i]``, its retained tokens in sentence order, then the pad
     vector once (twice when no token was retained).  The bags tile the block
-    without gaps.  ``tokens[i]`` is a list: a dataset's worth of short
-    tuples freed at once fills CPython's per-size tuple free lists, which
-    held about 2 MB more of small-object arenas after a dozen benchmark
-    passes.
+    in order, without gaps.  ``tokens[i]`` is a list: a dataset's worth of
+    short tuples freed at once fills CPython's per-size tuple free lists,
+    which held about 2 MB more of small-object arenas after a dozen
+    benchmark passes.
     """
 
     vectors: np.ndarray
@@ -298,34 +296,6 @@ class SentenceBlock:
             oov_count=self.oov_counts[i],
         )
 
-    def runs(self):
-        """Yield ``(bags, rows)`` for runs of adjacent bags of one size n.
-
-        ``rows`` is a (k, n, d) view of the block holding the k bags whose
-        indices are ``bags``; a run of more than one bag holds at most
-        2^14 values, so its temporaries stay in cache.
-        """
-        by_row = np.argsort(self.starts, kind="stable")
-        sizes = self.sizes[by_row].tolist()
-        d = self.dim
-        i = 0
-        while i < len(sizes):
-            n = sizes[i]
-            end = min(len(sizes), i + max(1, _RUN_VALUES // (n * d)))
-            j = i + 1
-            while j < end and sizes[j] == n:
-                j += 1
-            start = self.starts[by_row[i]]
-            yield by_row[i:j], self.vectors[start:start + (j - i) * n].reshape(j - i, n, d)
-            i = j
-
-    def means(self) -> np.ndarray:
-        """(bags, d) array of every bag's mean row."""
-        out = np.empty((len(self), self.dim))
-        for bags, rows in self.runs():
-            out[bags] = rows.sum(axis=1) / rows.shape[1]
-        return out
-
     @classmethod
     def stack(cls, samples) -> SentenceBlock:
         """A block holding the given sentence samples, in order."""
@@ -345,8 +315,7 @@ def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBl
     Each text is tokenised once; the rows of all bags are gathered from the
     store and cast to float64 into one block, 512 rows per ``take``.  The
     store's rows are checked finite as they are gathered.  Bags are laid out
-    shortest first, so bags of one size are adjacent and
-    :meth:`SentenceBlock.runs` reduces them together.
+    in the order of ``texts``.
     """
     if pad_token not in store:
         raise UnknownTokenError(f"pad token {pad_token!r} not in vocabulary")
@@ -360,14 +329,11 @@ def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBl
         oov_counts.append(len(words) - len(retained))
         indices.append([vocab[t] for t in retained] + [pad] * (1 if retained else 2))
     sizes = np.array([len(rows) for rows in indices], dtype=np.intp)
-    order = np.argsort(sizes, kind="stable")
-    starts = np.empty_like(sizes)
-    starts[order] = np.cumsum(sizes[order]) - sizes[order]
-    rows = np.fromiter(itertools.chain.from_iterable(indices[i] for i in order), dtype=np.intp)
+    rows = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.intp)
     vectors = np.empty((rows.size, store.dim))
     for first in range(0, rows.size, SLAB_ROWS):
         slab = store.matrix.take(rows[first:first + SLAB_ROWS], axis=0)
         if not np.isfinite(slab).all():
             raise ValueError("sentence vectors must be finite")
         vectors[first:first + SLAB_ROWS] = slab
-    return SentenceBlock(vectors, starts, sizes, tuple(tokens), tuple(oov_counts))
+    return SentenceBlock(vectors, np.cumsum(sizes) - sizes, sizes, tuple(tokens), tuple(oov_counts))

@@ -40,8 +40,8 @@ from .embeddings import (
     find_pad_token,
     lookup_sentences,
 )
-from .gaussian import block_moments
 from .errors import EmbeddingFormatError
+from .gaussian import moments
 
 logger = logging.getLogger(__name__)
 
@@ -182,25 +182,6 @@ def unit_rows(sample, out=None) -> np.ndarray:
     return np.divide(x, norms, out=out)
 
 
-def pair_scorer(method: str, options: EvalOptions):
-    """Callable scoring two bags' rows, returning a SimilarityScore.
-
-    A model method name ``<model>_<criterion>`` selects one :mod:`comparison`
-    function: ``similarity_ic`` for a criterion in ``IC_KINDS`` ("tic",
-    "aic", "bic"), ``bayes_factor_similarity`` otherwise.  A degenerate vMF
-    curvature under "tic" falls back to the parameter count and flags the
-    score.  vMF likelihoods live on the unit sphere, so vMF callers pass
-    unit rows (:func:`unit_rows`).  The sentence-embedding baselines need
-    corpus context and go through :func:`embedding_scores`.
-    """
-    if method not in MODEL_METHODS:
-        raise ValueError(f"unknown model method {method!r}; supported: {MODEL_METHODS}")
-    model, _, ic = method.partition("_")
-    if ic in comparison.IC_KINDS:
-        return lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
-    return lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
-
-
 def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cosine of each row pair; 0 (a neutral score) where either row is zero."""
     norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
@@ -221,12 +202,14 @@ def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) ->
     direction of all the block's sentence vectors before the cosines are
     taken.
     """
-    vectors = block.means()
-    if method != "mwv":
-        for i, tokens in enumerate(block.tokens):
-            if tokens:
-                weights = baselines.sif_weights(tokens, options.freqs, options.sif_a)
-                vectors[i] = baselines.weighted_mean(weights, block.rows(i)[:len(tokens)])
+    vectors = np.empty((len(block), block.dim))
+    for i, tokens in enumerate(block.tokens):
+        rows = block.rows(i)
+        if method != "mwv" and tokens:
+            weights = baselines.sif_weights(tokens, options.freqs, options.sif_a)
+            vectors[i] = baselines.weighted_mean(weights, rows[:len(tokens)])
+        else:
+            np.divide(np.add.reduce(rows, 0), len(rows), out=vectors[i])
     if method == "sif_pca":
         vectors = baselines.remove_first_pc(vectors, seed=options.seed)
     half = len(block) // 2
@@ -238,29 +221,38 @@ def pair_block(store: EmbeddingStore, pairs, pad_token: str) -> SentenceBlock:
     return lookup_sentences(store, [a for a, _, _ in pairs] + [b for _, b, _ in pairs], pad_token)
 
 
-def score_block(method: str, block: SentenceBlock, options: EvalOptions) -> comparison.PairScores:
+def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> comparison.PairScores:
     """Scores of the pairs (i, P + i) of a block of 2P bags, with any supported method.
 
-    The vMF methods normalise the block's rows in place, so a dataset's rows
-    are held once.
+    The block is consumed: the vMF methods, whose likelihoods live on the
+    unit sphere, normalise its rows in place, so a dataset's rows are held
+    once.  A model method name ``<model>_<criterion>`` selects
+    ``similarity_ic`` for a criterion in ``IC_KINDS`` ("tic", "aic",
+    "bic"), ``bayes_factor_similarity`` otherwise; a degenerate vMF
+    curvature under "tic" falls back to the parameter count and flags the
+    score.  The Gaussian models score every pair at once from the bags'
+    moments; vMF and Normal-Wishart score pair by pair on views of the block.
     """
     half = len(block) // 2
     if method in BASELINE_METHODS:
         return comparison.PairScores(method, embedding_scores(method, block, options))
+    if method not in MODEL_METHODS:
+        raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
     model, _, ic = method.partition("_")
     if model in (comparison.DIAG, comparison.SPHERICAL):
-        mom = block_moments(block)
+        mom = moments(*(block.rows(i) for i in range(len(block))))
         first, second = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
         return comparison.gaussian_pair_scores(first, second, model, ic)
-    scorer = pair_scorer(method, options)
-    rows = block.vectors
     if model == comparison.VMF:
+        rows = block.vectors
         for first in range(0, len(rows), SLAB_ROWS):
             slab = rows[first:first + SLAB_ROWS]
             unit_rows(slab, out=slab)
-    bags = [rows[start:start + size] for start, size in zip(block.starts, block.sizes)]
+        score = lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
+    else:
+        score = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
     return comparison.PairScores.collect(
-        method, [scorer(bags[i], bags[half + i]) for i in range(half)])
+        method, [score(block.rows(i), block.rows(half + i)) for i in range(half)])
 
 
 def score_pair(
@@ -270,14 +262,10 @@ def score_pair(
     store: EmbeddingStore,
     options: EvalOptions | None = None,
 ) -> comparison.SimilarityScore:
-    """Score one pair with any supported method (baselines included)."""
-    options = options or EvalOptions()
-    if method in BASELINE_METHODS:
-        block = SentenceBlock.stack([sample_a, sample_b])
-        return comparison.PairScores(method, embedding_scores(method, block, options))[0]
-    if method.startswith(comparison.VMF):
-        return pair_scorer(method, options)(unit_rows(sample_a), unit_rows(sample_b))
-    return pair_scorer(method, options)(sample_a.vectors, sample_b.vectors)
+    """Score one pair with any supported method (baselines included): a
+    batch of one, on a copy of the two samples' rows."""
+    block = SentenceBlock.stack([sample_a, sample_b])
+    return _score_block(method, block, options or EvalOptions())[0]
 
 
 def _score_dataset(method, dataset, store, pad, options):
@@ -288,7 +276,7 @@ def _score_dataset(method, dataset, store, pad, options):
     block = pair_block(store, dataset.pairs, pad)
     kept = [bool(tokens) for tokens in block.tokens]
     degenerate = sum(not (a and b) for a, b in zip(kept[:dataset.count], kept[dataset.count:]))
-    return score_block(method, block, options), degenerate
+    return _score_block(method, block, options), degenerate
 
 
 def evaluate(
@@ -300,9 +288,9 @@ def evaluate(
     """Score every pair of every dataset and aggregate rank correlations.
 
     ``method`` is a name from :data:`SUPPORTED_METHODS`.  Each dataset is
-    looked up once and scored as one batch (:func:`score_block`).  Datasets
-    whose correlation is undefined (constant scores) are flagged and left out
-    of the weighted average, loudly.
+    looked up once and scored as one batch.  Datasets whose correlation is
+    undefined (constant scores) are flagged and left out of the weighted
+    average, loudly.
     """
     options = options or EvalOptions()
     pad = options.pad_token or find_pad_token(store)

@@ -13,17 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.baselines import FrequencyTable
-from groupsim.embeddings import EmbeddingStore, load_embeddings, lookup_sentences
+from groupsim.embeddings import EmbeddingStore, load_embeddings, lookup_sentence, lookup_sentences
 from groupsim.evaluation import (
     BASELINE_METHODS,
     MODEL_METHODS,
     EvalOptions,
+    _score_block,
     evaluate,
     format_table,
     load_pairs,
     pair_block,
     report_lines,
-    score_block,
+    score_pair,
     unit_rows,
 )
 
@@ -80,7 +81,7 @@ def assert_matches_oracle(got, want):
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_per_pair_oracle(stores, method, pairs):
     store = store_for(stores, method)
-    batch = score_block(method, pair_block(store, pairs, PAD), OPTIONS)
+    batch = _score_block(method, pair_block(store, pairs, PAD), OPTIONS)
     want, floored = pair_scores_per_pair(method, pairs, store, OPTIONS, PAD)
     assert len(batch) == len(want)
     for p, expected in enumerate(want):
@@ -102,6 +103,21 @@ def test_block_bags_equal_per_sentence_lookups(stores, texts):
         assert got.tokens == want.tokens
         assert got.token_count_before_padding == want.token_count_before_padding
         assert got.oov_count == want.oov_count
+
+
+def test_score_pair_leaves_samples_for_the_next_method(stores):
+    """A vMF score normalises the rows it scores; score_pair scores a copy, so
+    the same samples then score right with a Gaussian model and a baseline."""
+    store = stores[False]
+    pairs = [("the cat sat on the mat", "dog sat on the mat", 1.0)]
+    sa = lookup_sentence(store, pairs[0][0], PAD)
+    sb = lookup_sentence(store, pairs[0][1], PAD)
+    before = sa.vectors.copy(), sb.vectors.copy()
+    for method in ("vmf_tic", "diag_aic", "mwv"):
+        want, _ = pair_scores_per_pair(method, pairs, store, OPTIONS, PAD)
+        assert_matches_oracle(score_pair(method, sa, sb, store, OPTIONS), want[0])
+    np.testing.assert_array_equal(sa.vectors, before[0])
+    np.testing.assert_array_equal(sb.vectors, before[1])
 
 
 class TestUnitRows:

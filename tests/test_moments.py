@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.comparison import gaussian_pair_scores, similarity_ic
-from groupsim.embeddings import SentenceBlock, SentenceSample
 from groupsim.gaussian import (
     DIAGONAL,
     SPHERICAL,
-    block_moments,
     fit_gaussian,
     merge_moments,
     moment_fit,
@@ -94,18 +92,6 @@ class TestMerge:
         for k in (2, 3, 4):
             np.testing.assert_allclose(getattr(merged, f"m{k}")[0], (dev**k).sum(axis=0),
                                        rtol=1e-14, atol=1e-12)
-
-    def test_block_moments_equal_per_bag_moments(self):
-        rng = np.random.default_rng(4)
-        bags = [rng.standard_normal((n, 7)) for n in (3, 5, 3, 3, 9, 5, 2)]
-        samples = [SentenceSample(vectors=x, token_count_before_padding=len(x) - 1)
-                   for x in bags]
-        block = SentenceBlock.stack(samples)
-        got = block_moments(block)
-        want = moments(*bags)
-        for field in ("n", "mean", "m2", "m3", "m4"):
-            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
-                                       rtol=1e-14, atol=1e-14)
 
 
 class TestFitsFromMoments:
