@@ -2,22 +2,22 @@
 
 A pair of vector bags is scored by contrasting a shared-parameter fit of
 their concatenation against independent per-bag fits.  Every model score is
-one composition: a per-bag criterion gives (L, P) for the joint bag and for
-each bag alone, and the score is alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).
-``similarity_ic`` fits a von Mises-Fisher, diagonal or spherical Gaussian
-model and takes P from one information criterion, with alpha = 2: the
-gradient trace ("tic"), the parameter count k ("aic") or (k/2) log n
-("bic").  The Gaussian criteria read each bag's moments, and the joint bag's
-are the two bags' moments merged, so a batch of pairs is scored at once
-(``gaussian_pair_scores``; one pair is a batch of one).
-``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
-criterion.  ``bayes_factor_similarity`` takes L as the
-Normal-Wishart log evidence (full covariance, conjugate closed form under a
-prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
-alpha = 1.  The closed forms ``similarity_closed_*`` write the tic score out
-independently of the composer, with alpha = 1.  Rank-based evaluation is
-insensitive to alpha; the breakdown records which convention produced the
-value.
+one composition over a batch of pairs (``pair_scores``; one pair is a batch
+of one): a per-bag criterion (``bag_criteria``) gives (L, P) for each joint
+bag and for each bag alone, and the score is
+alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).  ``similarity_ic`` fits a von
+Mises-Fisher, diagonal or spherical Gaussian model and takes P from one
+information criterion, with alpha = 2: the gradient trace ("tic"), the
+parameter count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
+each bag's moments, and a joint bag's are its two bags' moments merged; vMF
+bags are fitted one by one on their rows.  ``corpus_model_selection`` and
+``penalty_curve`` read the same per-bag criterion.
+``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
+covariance, conjugate closed form under a prior with mean 0, scale I and
+settable kappa0 and nu0), P = 0 and alpha = 1.  The closed forms
+``similarity_closed_*`` write the tic score out independently of the
+composer, with alpha = 1.  Rank-based evaluation is insensitive to alpha; the
+breakdown records which convention produced the value.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .vmf import (
 
 VMF = "vmf"
 DIAG = "diag"
+BAYES = "bayes"
 
 MODELS = (VMF, DIAG, SPHERICAL)
 IC_KINDS = ("tic", "aic", "bic")
@@ -118,20 +119,6 @@ class PairScores:
         fallback = self.fallback is not None and bool(self.fallback[p])
         return SimilarityScore(float(self.values[p]), self.method, breakdown, fallback)
 
-    @classmethod
-    def collect(cls, method: str, scores) -> PairScores:
-        """A batch of per-pair model scores."""
-        terms = np.array([[b.loglik_joint, b.loglik_1, b.loglik_2,
-                           b.penalty_joint, b.penalty_1, b.penalty_2]
-                          for b in (s.breakdown for s in scores)]).reshape(-1, 6)
-        return cls(
-            method=method,
-            values=np.array([s.value for s in scores]),
-            terms=terms,
-            alpha=scores[0].breakdown.alpha if scores else 1.0,
-            fallback=np.array([s.fallback for s in scores], dtype=bool),
-        )
-
 
 def aic_param_count(model: str, d: int) -> int:
     """Parameter counts: vMF d, diagonal Gaussian 2d, spherical Gaussian d+1."""
@@ -144,92 +131,98 @@ def aic_param_count(model: str, d: int) -> int:
     raise ValueError(f"unknown model {model!r}")
 
 
-def _count_penalty(model: str, d: int, ic: str, n):
-    """The parameter count k for "aic", ``(k/2) log n`` for "bic"."""
-    k = aic_param_count(model, d)
-    return float(k) if ic == "aic" else 0.5 * k * np.log(n)
+def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
+                 prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None):
+    """(max loglik L, penalty P, fallback flag, floored dims) of every bag of a
+    batch, as (B,) arrays.
 
-
-def _fit_loglik_penalty(
-    x: np.ndarray,
-    model: str,
-    ic: str,
-    on_degenerate: str,
-) -> tuple[float, float, bool]:
-    """Fit one bag; return (max loglik, penalty, degenerate-fallback flag).
-
-    The penalty is the gradient trace for ``ic="tic"``, the parameter count
-    k for "aic" and ``(k/2) log n`` for "bic".  A Gaussian bag is a batch of
-    one of :func:`_gaussian_terms`.
+    A bag is a tuple of (n_i, d) row blocks fitted as one.  P is the gradient
+    trace for ``ic="tic"``, the parameter count k for "aic" and
+    ``(k/2) log n`` for "bic"; a "bayes" bag has its Normal-Wishart log
+    evidence as L and P = 0.  Gaussian bags are read from their moments
+    ``mom`` (taken from the rows of one-block bags when omitted); the
+    spherical "tic" radial term reads each block about its bag's mean.  A
+    vMF bag is fitted on its stacked blocks; ``on_degenerate="aic"`` puts the
+    parameter count in place of a "tic" penalty whose curvature is
+    degenerate, and flags the bag.
     """
-    n, d = x.shape
-    if model != VMF:
-        mom = moments(x)
-        loglik, penalty, _ = _gaussian_terms(mom, model, ic, _radial_sq_means(model, ic, [x], mom))
-        return float(loglik[0]), float(penalty[0]), False
-    fit = fit_vmf(x)
-    if ic != "tic":
-        return fit.max_loglik, float(_count_penalty(model, d, ic, n)), False
-    try:
-        # fit_vmf has just checked that these rows are unit vectors
-        return fit.max_loglik, vmf_tic_penalty(fit, x, check_unit=False), False
-    except DegenerateCurvatureError:
-        if on_degenerate == "aic":
-            return fit.max_loglik, float(aic_param_count(VMF, d)), True
-        raise
+    if model != BAYES and (model not in MODELS or ic not in IC_KINDS):
+        raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
+    d = bags[0][0].shape[1]
+    for x in (x for bag in bags for x in bag):
+        if x.shape[1] != d:
+            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+    count = len(bags)
+    fallback, floored, penalty = np.zeros(count, bool), np.zeros(count, np.intp), np.zeros(count)
+    if model != BAYES and ic != "tic":
+        k = aic_param_count(model, d)
+        n = [sum(len(x) for x in bag) for bag in bags]
+        penalty += k if ic == "aic" else 0.5 * k * np.log(n)
+    if model in (DIAG, SPHERICAL):
+        kind = DIAGONAL if model == DIAG else SPHERICAL
+        mom = moments(*(x for x, in bags)) if mom is None else mom
+        loglik, var, kurt, floored = moment_fit(mom, kind)
+        if ic == "tic":
+            radial = None if model == DIAG else np.array([
+                sum(radial_sq_sum(x, mu) for x in bag) / sum(len(x) for x in bag)
+                for bag, mu in zip(bags, mom.mean)])
+            penalty = tic_penalties(kind, d, var, kurt, radial)
+        return loglik, penalty, fallback, floored
+    loglik = np.empty(count)
+    if model == BAYES and prior is None:
+        prior = default_prior(d)
+    for b, bag in enumerate(bags):
+        x = bag[0] if len(bag) == 1 else np.vstack(bag)
+        if model == BAYES:
+            loglik[b] = nw_log_evidence(x, prior)
+            continue
+        fit = fit_vmf(x)
+        loglik[b] = fit.max_loglik
+        if ic != "tic":
+            continue
+        try:
+            # fit_vmf has just checked that these rows are unit vectors
+            penalty[b] = vmf_tic_penalty(fit, x, check_unit=False)
+        except DegenerateCurvatureError:
+            if on_degenerate != "aic":
+                raise
+            penalty[b], fallback[b] = aic_param_count(VMF, d), True
+    return loglik, penalty, fallback, floored
 
 
-def _gaussian_terms(mom: GaussianMoments, model: str, ic: str, radial_sq_mean=None):
-    """(max loglik, penalty, floored dims) of the diagonal or spherical Gaussian
-    fit of every bag of a batch, as (B,) arrays, from the bags' moments.
+def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
+                prior: NormalWishartPrior | None = None) -> PairScores:
+    """Scores of the pairs (first[p], second[p]), two equal-length lists of (n, d) rows.
 
-    The spherical "tic" penalty also needs each bag's ``radial_sq_mean``.
+    Every model's score is one composition over the batch:
+    ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from
+    :func:`bag_criteria` on the joint bags, the first bags and the second
+    bags, with alpha = 2 for the information criteria and 1 for "bayes".  A
+    Gaussian joint bag reads the merged moments of its two bags
+    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; vMF
+    and Normal-Wishart fit the stacked pair.
     """
-    kind = DIAGONAL if model == DIAG else SPHERICAL
-    loglik, var, kurt, floored = moment_fit(mom, kind)
-    if ic == "tic":
-        penalty = tic_penalties(kind, mom.dim, var, kurt, radial_sq_mean)
-    else:
-        penalty = np.broadcast_to(_count_penalty(model, mom.dim, ic, mom.n), loglik.shape)
-    return loglik, penalty, floored
-
-
-def _radial_sq_means(model: str, ic: str, bags, mom: GaussianMoments):
-    """Each bag's mean ``(|x - mu|^2)^2`` where the spherical "tic" penalty reads it, else None."""
-    if model != SPHERICAL or ic != "tic":
-        return None
-    return np.array([radial_sq_sum(x, mu) / len(x) for x, mu in zip(bags, mom.mean)])
-
-
-def gaussian_pair_scores(m1: GaussianMoments, m2: GaussianMoments, model: str, ic: str,
-                         rows=None) -> PairScores:
-    """Diagonal or spherical Gaussian scores of the pairs (m1[p], m2[p]).
-
-    The joint fit of each pair reads the merged moments (:func:`merge_moments`),
-    so no bag is stacked or refitted.  ``rows``, one ``(x1, x2)`` per pair, is
-    read only by the spherical "tic" penalty, whose radial term needs each
-    row's distance to the fitted mean.
-    """
-    joint = merge_moments(m1, m2)
-    radial = (None, None, None)
-    if model == SPHERICAL and ic == "tic":
-        if rows is None:
-            raise ValueError("the spherical tic penalty needs the rows of every pair")
-        radial = np.array([
-            ((radial_sq_sum(x1, mu_j) + radial_sq_sum(x2, mu_j)) / (len(x1) + len(x2)),
-             radial_sq_sum(x1, mu_1) / len(x1),
-             radial_sq_sum(x2, mu_2) / len(x2))
-            for (x1, x2), mu_j, mu_1, mu_2 in zip(rows, joint.mean, m1.mean, m2.mean)
-        ]).T
-    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = (
-        _gaussian_terms(mom, model, ic, r) for mom, r in zip((joint, m1, m2), radial))
+    first, second = list(first), list(second)
+    if not first or len(first) != len(second):
+        raise ValueError(f"need as many first bags as second bags, at least one: "
+                         f"got {len(first)} and {len(second)}")
+    half = len(first)
+    moms = (None, None, None)
+    if model in (DIAG, SPHERICAL):
+        mom = moments(*first, *second)
+        m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
+        moms = (merge_moments(m1, m2), m1, m2)
+    bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
+    (ll_j, p_j, f_j, d_j), (ll_1, p_1, f_1, d_1), (ll_2, p_2, f_2, d_2) = (
+        bag_criteria(model, ic, b, on_degenerate, prior, m) for b, m in zip(bags, moms))
+    alpha = 1.0 if model == BAYES else 2.0
     return PairScores(
-        method=f"{model}_{ic}",
-        values=2.0 * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
+        method="bayes_factor" if model == BAYES else f"{model}_{ic}",
+        values=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
         terms=np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2]),
-        alpha=2.0,
-        fallback=np.zeros(len(joint), dtype=bool),
-        floored_dims=int(f_j.sum() + f_1.sum() + f_2.sum()),
+        alpha=alpha,
+        fallback=f_j | f_1 | f_2,
+        floored_dims=int(d_j.sum() + d_1.sum() + d_2.sum()),
     )
 
 
@@ -245,23 +238,6 @@ def _validated_pair(d1, d2, model: str | None = None, ic: str | None = None):
     return x1, x2
 
 
-def _compose(x1, x2, criterion, alpha: float, method: str) -> SimilarityScore:
-    """``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from one per-bag criterion.
-
-    ``criterion(x)`` returns ``(L, P, fallback)`` for one bag; it runs on the
-    stacked pair, then on each bag alone.
-    """
-    ll_j, p_j, f_j = criterion(np.vstack([x1, x2]))
-    ll_1, p_1, f_1 = criterion(x1)
-    ll_2, p_2, f_2 = criterion(x2)
-    return SimilarityScore(
-        value=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
-        method=method,
-        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=alpha),
-        fallback=f_j or f_1 or f_2,
-    )
-
-
 def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> SimilarityScore:
     """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
 
@@ -273,13 +249,11 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
 
     ``on_degenerate`` chooses the reaction to a degenerate curvature under
     "tic": "error" (default) propagates, "aic" substitutes the parameter
-    count for the affected fit and flags the score.
+    count for the affected fit and flags the score.  A batch of one of
+    :func:`pair_scores`.
     """
     x1, x2 = _validated_pair(d1, d2, model, ic)
-    if model != VMF:
-        return gaussian_pair_scores(moments(x1), moments(x2), model, ic, rows=[(x1, x2)])[0]
-    criterion = lambda x: _fit_loglik_penalty(x, model, ic, on_degenerate)
-    return _compose(x1, x2, criterion, 2.0, f"{model}_{ic}")
+    return pair_scores(model, ic, [x1], [x2], on_degenerate)[0]
 
 
 def similarity_closed_vmf(d1, d2, on_degenerate: str = "error") -> SimilarityScore:
@@ -446,9 +420,7 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
 def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> SimilarityScore:
     """Log ratio of the joint-bag evidence to the product of per-bag evidences."""
     x1, x2 = _validated_pair(d1, d2)
-    if prior is None:
-        prior = default_prior(x1.shape[1])
-    return _compose(x1, x2, lambda x: (nw_log_evidence(x, prior), 0.0, False), 1.0, "bayes_factor")
+    return pair_scores(BAYES, None, [x1], [x2], prior=prior)[0]
 
 
 @dataclass(frozen=True)
@@ -469,22 +441,16 @@ def corpus_model_selection(
     candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
     on a plain corpus of bags, without any labelled similarity data.
     """
-    bags = [as_matrix(b) for b in corpus]
+    bags = [(as_matrix(b),) for b in corpus]
     if not bags:
         raise ValueError("corpus must contain at least one bag")
-    mom = None
+    mom = moments(*(x for x, in bags))  # shared by the Gaussian candidates
     rows = []
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        if model == VMF:
-            criteria = [-2.0 * (ll - pen) for ll, pen, _ in
-                        (_fit_loglik_penalty(x, model, ic, on_degenerate) for x in bags)]
-        else:
-            mom = mom if mom is not None else moments(*bags)
-            ll, pen, _ = _gaussian_terms(mom, model, ic, _radial_sq_means(model, ic, bags, mom))
-            criteria = -2.0 * (ll - pen)
-        rows.append(ModelCandidateScore(model=model, ic=ic, mean_ic=float(np.mean(criteria))))
+        ll, pen, _, _ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
+        rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows
 
@@ -530,7 +496,7 @@ def penalty_curve(
             x = rng.standard_normal((n, d))
             if model == VMF:
                 x /= np.linalg.norm(x, axis=1, keepdims=True)
-            values[t] = _fit_loglik_penalty(x, model, "tic", "error")[1]
+            values[t] = bag_criteria(model, "tic", [(x,)])[1][0]
         rows.append(
             PenaltyCurveRow(
                 n=n,

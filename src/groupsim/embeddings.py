@@ -298,7 +298,10 @@ class SentenceBlock:
 
     @classmethod
     def stack(cls, samples) -> SentenceBlock:
-        """A block holding the given sentence samples, in order."""
+        """A block holding the given sentence samples, in order; they must share one width."""
+        for s in samples:
+            if s.dim != samples[0].dim:
+                raise ValueError(f"dimension mismatch: {samples[0].dim} vs {s.dim}")
         sizes = np.array([s.n for s in samples], dtype=np.intp)
         return cls(
             vectors=np.vstack([s.vectors for s in samples]),

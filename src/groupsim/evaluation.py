@@ -9,14 +9,14 @@ the parameter count and the Gaussian dimensions held at the variance floor.
 
 A dataset is scored as one batch.  Its sentences are looked up together into
 one float64 block (:func:`groupsim.embeddings.lookup_sentences`), each bag a
-row range of it.  The Gaussian methods reduce every bag to its moments once
-and take each pair's joint fit from the merged moments
-(:func:`groupsim.comparison.gaussian_pair_scores`), over (pairs x d) arrays;
-the baselines take their sentence vectors from the same rows.  The vMF and
-Normal-Wishart methods score pair by pair on views of the block (the vMF ones
-on its rows normalised once).  Every per-pair value agrees with scoring the
-pair alone through :mod:`groupsim.comparison` (the tests check 1e-12
-relative).
+row range of it.  Every model method scores all the pairs of the block in
+one call of :func:`groupsim.comparison.pair_scores`, the one composition
+that serves every model: the Gaussian methods from the bags' moments merged
+pairwise, the vMF ones fit by fit on the block's rows normalised once, and
+Normal-Wishart evidence by evidence.  The baselines take their sentence
+vectors from the same rows.  Every per-pair value agrees with scoring the
+pair alone the way the harness did before dataset batches (the tests check
+1e-12 relative).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .embeddings import (
     lookup_sentences,
 )
 from .errors import EmbeddingFormatError
-from .gaussian import moments
 
 logger = logging.getLogger(__name__)
 
@@ -226,12 +225,11 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
 
     The block is consumed: the vMF methods, whose likelihoods live on the
     unit sphere, normalise its rows in place, so a dataset's rows are held
-    once.  A model method name ``<model>_<criterion>`` selects
-    ``similarity_ic`` for a criterion in ``IC_KINDS`` ("tic", "aic",
-    "bic"), ``bayes_factor_similarity`` otherwise; a degenerate vMF
-    curvature under "tic" falls back to the parameter count and flags the
-    score.  The Gaussian models score every pair at once from the bags'
-    moments; vMF and Normal-Wishart score pair by pair on views of the block.
+    once.  A model method name ``<model>_<criterion>`` selects the model and
+    the criterion of :func:`groupsim.comparison.pair_scores` ("bayes_factor"
+    is the Normal-Wishart evidence), which scores every pair at once; a
+    degenerate vMF curvature under "tic" falls back to the parameter count
+    and flags the score.
     """
     half = len(block) // 2
     if method in BASELINE_METHODS:
@@ -239,20 +237,14 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
     if method not in MODEL_METHODS:
         raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
     model, _, ic = method.partition("_")
-    if model in (comparison.DIAG, comparison.SPHERICAL):
-        mom = moments(*(block.rows(i) for i in range(len(block))))
-        first, second = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
-        return comparison.gaussian_pair_scores(first, second, model, ic)
     if model == comparison.VMF:
         rows = block.vectors
         for first in range(0, len(rows), SLAB_ROWS):
             slab = rows[first:first + SLAB_ROWS]
             unit_rows(slab, out=slab)
-        score = lambda x1, x2: comparison.similarity_ic(x1, x2, model, ic, on_degenerate="aic")
-    else:
-        score = lambda x1, x2: comparison.bayes_factor_similarity(x1, x2, options.prior)
-    return comparison.PairScores.collect(
-        method, [score(block.rows(i), block.rows(half + i)) for i in range(half)])
+    bags = [block.rows(i) for i in range(2 * half)]
+    return comparison.pair_scores(model, ic, bags[:half], bags[half:], on_degenerate="aic",
+                                  prior=options.prior)
 
 
 def score_pair(

@@ -7,8 +7,8 @@ finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
 marginal likelihoods, plus the dense Normal-Wishart evidence, the
 line-by-line embedding loader, and the per-pair evaluation path: sentence
-by sentence lookups, row-based Gaussian fits and a stacked joint bag for
-every pair.
+by sentence lookups, row-based Gaussian fits, and one composition per pair
+on a stacked joint bag, for every model.
 """
 
 from __future__ import annotations
@@ -161,36 +161,39 @@ def vmf_dense_tic_fd(x: np.ndarray, mu_hat: np.ndarray, kappa_hat: float,
 # polar-chart penalty for the sphere model
 # ---------------------------------------------------------------------------
 
-POLAR_ANGLE_CLAMP = 1e-6
+def _reflect_to_diagonal(x: np.ndarray, mu_hat: np.ndarray):
+    """The bag and mean direction under the Householder reflection that sends
+    mu_hat to the diagonal direction (1, ..., 1) / sqrt(d).
 
-
-def _clamp_angles(theta: np.ndarray) -> np.ndarray:
-    """Push each angle at least POLAR_ANGLE_CLAMP away from multiples of pi/2.
-
-    cot and tan are evaluated at these angles; the chart poles are
-    measure-zero but occur on real data (axis-aligned mean directions).
+    The diagonal's polar angles lie at least atan(1 / sqrt(d - 1)) from every
+    multiple of pi/2, so the chart's cot and tan stay finite there; the
+    penalty is invariant under orthogonal maps of the bag and its fit.
     """
-    half_pi = 0.5 * np.pi
-    nearest = np.round(theta / half_pi) * half_pi
-    delta = theta - nearest
-    shift = np.where(delta >= 0.0, POLAR_ANGLE_CLAMP, -POLAR_ANGLE_CLAMP)
-    return np.where(np.abs(delta) < POLAR_ANGLE_CLAMP, nearest + shift, theta)
+    d = mu_hat.size
+    v = mu_hat - np.full(d, 1.0 / math.sqrt(d))
+    vv = float(v @ v)
+    if vv == 0.0:
+        return x, mu_hat
+    return x - np.outer(x @ v, (2.0 / vv) * v), mu_hat - (2.0 * float(mu_hat @ v) / vv) * v
 
 
 def vmf_tic_penalty_polar(x: np.ndarray, mu_hat: np.ndarray, kappa_hat: float) -> float:
     """tr(I J^-1) in the polar parametrisation (kappa, theta_1..theta_{d-1}).
 
-    One O(nd) suffix-sum pass gives every per-observation score; the
-    curvature is diagonal at the maximum (mixed second derivatives vanish
-    there), so the trace splits into d scalar ratios.  A_d and its slope come
-    from mpmath.  Raises ``ArithmeticError`` when a curvature diagonal entry
-    falls below 1e-12.
+    The bag is first reflected so that the mean direction's polar angles are
+    far from the chart's poles (:func:`_reflect_to_diagonal`).  One O(nd)
+    suffix-sum pass gives every per-observation score; the curvature is
+    diagonal at the maximum (mixed second derivatives vanish there), so the
+    trace splits into d scalar ratios.  A_d and its slope come from mpmath.
+    Raises ``ArithmeticError`` when a curvature diagonal entry falls below
+    1e-12.
     """
     n, d = x.shape
     kappa = kappa_hat
-    theta = _clamp_angles(vec_to_sph(mu_hat))
-    # Re-derive the direction from the clamped angles so the suffix sums and
-    # the cot/tan factors describe the same point on the sphere.
+    x, mu_hat = _reflect_to_diagonal(x, mu_hat)
+    theta = vec_to_sph(mu_hat)
+    # Re-derive the direction from the angles so the suffix sums and the
+    # cot/tan factors describe the same point on the sphere.
     mu = sph_to_vec(theta)
 
     prods = x * mu  # (n, d)
@@ -432,43 +435,68 @@ def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal"):
                        radial_sq_mean=radial_sq_mean)
 
 
-def _gaussian_criterion_rows(x: np.ndarray, model: str, ic: str):
-    """(L, P, floored dims) of one bag from :func:`fit_gaussian_rows`."""
+def _criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior):
+    """(L, P, fallback, floored dims) of one bag from its rows.
+
+    Gaussian bags through :func:`fit_gaussian_rows`, vMF bags through one
+    ``fit_vmf`` and one ``vmf_tic_penalty`` (the parameter count in place of
+    a degenerate "tic" penalty when ``on_degenerate="aic"``), "bayes" bags
+    through one ``nw_log_evidence``.
+    """
+    from groupsim.comparison import nw_log_evidence
+    from groupsim.errors import DegenerateCurvatureError
+    from groupsim.vmf import fit_vmf, vmf_tic_penalty
+
     n, d = x.shape
+    if model == "bayes":
+        return nw_log_evidence(x, prior), 0.0, False, 0
+    k = {"vmf": d, "diag": 2 * d, "spherical": d + 1}[model]
+    count_penalty = float(k) if ic == "aic" else 0.5 * k * math.log(n)
+    if model == "vmf":
+        fit = fit_vmf(x)
+        if ic != "tic":
+            return fit.max_loglik, count_penalty, False, 0
+        try:
+            return fit.max_loglik, vmf_tic_penalty(fit, x), False, 0
+        except DegenerateCurvatureError:
+            if on_degenerate != "aic":
+                raise
+            return fit.max_loglik, float(k), True, 0
     fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
-    k = 2 * d if model == "diag" else d + 1
-    if ic == "aic":
-        penalty = float(k)
-    elif ic == "bic":
-        penalty = 0.5 * k * math.log(n)
+    if ic != "tic":
+        penalty = count_penalty
     elif model == "diag":
         penalty = 0.5 * d + 0.5 * float(fit.kurt_hat.sum())
     else:
         pool = float(fit.var_hat[0])
         var_q = fit.radial_sq_mean - (d * pool) ** 2
         penalty = d + var_q / (2.0 * d * pool**2)
-    return fit.max_loglik, penalty, fit.floored_dims
+    return fit.max_loglik, penalty, False, fit.floored_dims
 
 
-def similarity_ic_rows(x1, x2, model: str, ic: str, on_degenerate: str = "aic"):
+def pair_score_rows(x1, x2, model: str, ic: str | None = None, on_degenerate: str = "aic",
+                    prior=None):
     """The per-pair composition: (SimilarityScore, floored dims of its three fits).
 
-    A Gaussian pair is scored by ``np.vstack`` and three row-based fits; a
-    vMF pair by the library's per-pair vMF composition, which per-bag
-    moments do not touch.
+    ``np.vstack`` of the pair and three per-bag criteria
+    (:func:`_criterion_rows`) on the stacked pair and on each bag, composed
+    as ``alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2)`` with alpha = 2, or 1
+    and the default prior for ``model="bayes"``.
     """
-    from groupsim.comparison import ScoreBreakdown, SimilarityScore, similarity_ic
+    from groupsim.comparison import ScoreBreakdown, SimilarityScore, default_prior
 
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    if model == "vmf":
-        return similarity_ic(x1, x2, model, ic, on_degenerate=on_degenerate), 0
-    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = (
-        _gaussian_criterion_rows(x, model, ic) for x in (np.vstack([x1, x2]), x1, x2))
+    if model == "bayes" and prior is None:
+        prior = default_prior(x1.shape[1])
+    (ll_j, p_j, fb_j, f_j), (ll_1, p_1, fb_1, f_1), (ll_2, p_2, fb_2, f_2) = (
+        _criterion_rows(x, model, ic, on_degenerate, prior) for x in (np.vstack([x1, x2]), x1, x2))
+    alpha = 1.0 if model == "bayes" else 2.0
     score = SimilarityScore(
-        value=2.0 * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
-        method=f"{model}_{ic}",
-        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=2.0),
+        value=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
+        method="bayes_factor" if model == "bayes" else f"{model}_{ic}",
+        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=alpha),
+        fallback=fb_j or fb_1 or fb_2,
     )
     return score, f_j + f_1 + f_2
 
@@ -538,7 +566,7 @@ def pair_scores_per_pair(method: str, pairs, store, options, pad_token: str):
     """Every pair's SimilarityScore and the floored dims summed over all fits,
     scored one pair at a time as the evaluation harness did before dataset
     batches."""
-    from groupsim.comparison import SimilarityScore, bayes_factor_similarity
+    from groupsim.comparison import SimilarityScore
 
     samples_a = [lookup_sentence_per_token(store, a, pad_token) for a, _, _ in pairs]
     samples_b = [lookup_sentence_per_token(store, b, pad_token) for _, b, _ in pairs]
@@ -548,13 +576,11 @@ def pair_scores_per_pair(method: str, pairs, store, options, pad_token: str):
     model, _, ic = method.partition("_")
     scores, floored = [], 0
     for sa, sb in zip(samples_a, samples_b):
-        if model == "bayes":
-            score, dims = bayes_factor_similarity(sa.vectors, sb.vectors, options.prior), 0
-        elif model == "vmf":
-            score, dims = similarity_ic_rows(unit_rows_per_bag(sa), unit_rows_per_bag(sb),
-                                             model, ic)
+        if model == "vmf":
+            rows = unit_rows_per_bag(sa), unit_rows_per_bag(sb)
         else:
-            score, dims = similarity_ic_rows(sa.vectors, sb.vectors, model, ic)
+            rows = sa.vectors, sb.vectors
+        score, dims = pair_score_rows(*rows, model, ic, prior=options.prior)
         scores.append(score)
         floored += dims
     return scores, floored

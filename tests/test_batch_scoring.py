@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.baselines import FrequencyTable
-from groupsim.embeddings import EmbeddingStore, load_embeddings, lookup_sentence, lookup_sentences
+from groupsim.embeddings import (
+    EmbeddingStore,
+    SentenceSample,
+    load_embeddings,
+    lookup_sentence,
+    lookup_sentences,
+)
 from groupsim.evaluation import (
     BASELINE_METHODS,
     MODEL_METHODS,
@@ -118,6 +124,15 @@ def test_score_pair_leaves_samples_for_the_next_method(stores):
         assert_matches_oracle(score_pair(method, sa, sb, store, OPTIONS), want[0])
     np.testing.assert_array_equal(sa.vectors, before[0])
     np.testing.assert_array_equal(sb.vectors, before[1])
+
+
+@pytest.mark.parametrize("method", ["diag_aic", "vmf_tic", "bayes_factor", "mwv"])
+def test_score_pair_width_mismatch_named(stores, method):
+    rng = np.random.default_rng(2)
+    sa, sb = (SentenceSample(vectors=rng.standard_normal((3, d)), token_count_before_padding=2)
+              for d in (4, 5))
+    with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+        score_pair(method, sa, sb, stores[False], OPTIONS)
 
 
 class TestUnitRows:

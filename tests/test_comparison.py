@@ -365,6 +365,14 @@ class TestModelSelection:
         assert all(math.isfinite(r.mean_ic) for r in rows)
 
 
+    @pytest.mark.parametrize("candidate", [(VMF, "aic"), (VMF, "tic"), (DIAG, "aic"),
+                                           (SPHERICAL, "bic")])
+    def test_mixed_widths_rejected_for_every_candidate(self, candidate):
+        rng = np.random.default_rng(19)
+        corpus = [uniform_sphere(rng, 6, 3), uniform_sphere(rng, 6, 4)]
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            corpus_model_selection(corpus, candidates=[candidate])
+
 class TestPenaltyCurve:
     def test_seeded_determinism_byte_for_byte(self):
         a = penalty_curve_csv(penalty_curve(DIAG, 5, [5, 20], trials=4, seed=123))

@@ -3,7 +3,8 @@
 Pooled moments from :func:`merge_moments` must equal the moments of the
 stacked rows, and every fit, floored-dimension count and pair score read off
 moments must equal the row-based fits of ``tests/helpers.py``, at 1e-12
-relative.
+relative.  The batch scorer is also checked, for every model, against the
+per-pair composition of ``tests/helpers.py`` on a stacked joint bag.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsim.comparison import gaussian_pair_scores, similarity_ic
+from groupsim.comparison import pair_scores, similarity_ic
 from groupsim.gaussian import (
     DIAGONAL,
     SPHERICAL,
@@ -21,7 +22,7 @@ from groupsim.gaussian import (
     moments,
 )
 
-from helpers import fit_gaussian_rows, similarity_ic_rows
+from helpers import fit_gaussian_rows, pair_score_rows
 
 RTOL = 1e-12
 
@@ -144,25 +145,30 @@ class TestPairScores:
     @given(pair=bag_pairs())
     @settings(max_examples=40, deadline=None)
     def test_similarity_ic_equals_stacked_oracle(self, model, ic, pair):
-        want, floored = similarity_ic_rows(*pair, model, ic)
+        want, floored = pair_score_rows(*pair, model, ic)
         assert_scores_close(similarity_ic(*pair, model, ic), want)
-        batch = gaussian_pair_scores(moments(pair[0]), moments(pair[1]), model, ic, rows=[pair])
-        assert batch.floored_dims == floored
+        assert pair_scores(model, ic, [pair[0]], [pair[1]]).floored_dims == floored
 
     def test_batch_rows_equal_pairs_scored_alone(self):
         rng = np.random.default_rng(9)
         pairs = [(rng.standard_normal((n, 5)), rng.standard_normal((m, 5)) + 1.0)
                  for n, m in ((2, 7), (4, 4), (11, 3))]
-        for model, ic in (("diag", "tic"), ("spherical", "tic"), ("spherical", "bic")):
-            batch = gaussian_pair_scores(moments(*(a for a, _ in pairs)),
-                                         moments(*(b for _, b in pairs)), model, ic, rows=pairs)
-            for p, pair in enumerate(pairs):
-                assert_scores_close(batch[p], similarity_ic_rows(*pair, model, ic)[0])
-
-    def test_spherical_tic_needs_rows(self):
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        with pytest.raises(ValueError, match="rows"):
-            gaussian_pair_scores(moments(x), moments(x), "spherical", "tic")
+        # a bag of one repeated row: floored Gaussian variances, a degenerate vMF curvature
+        pairs.append((np.tile(rng.standard_normal(5), (3, 1)), rng.standard_normal((4, 5))))
+        unit = [tuple(x / np.linalg.norm(x, axis=1, keepdims=True) for x in pair)
+                for pair in pairs]
+        for model, ic in (("diag", "tic"), ("spherical", "tic"), ("spherical", "bic"),
+                          ("vmf", "tic"), ("vmf", "aic"), ("bayes", None)):
+            bags = unit if model == "vmf" else pairs
+            batch = pair_scores(model, ic, [a for a, _ in bags], [b for _, b in bags],
+                                on_degenerate="aic")
+            floored = 0
+            for p, pair in enumerate(bags):
+                want, dims = pair_score_rows(*pair, model, ic)
+                assert_scores_close(batch[p], want)
+                floored += dims
+            assert batch.floored_dims == floored
+            assert batch.fallback_pairs == (1 if (model, ic) == ("vmf", "tic") else 0)
 
     def test_single_vector_bag_rejected(self):
         with pytest.raises(ValueError, match="at least two"):

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupsim.errors import DegenerateCurvatureError
@@ -129,6 +129,8 @@ class TestTicPenalty:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    # a mean direction with a polar angle within 1e-6 of pi/2, where the chart has a pole
+    @example(d=300, n=5, concentrated=True, seed=327618)
     def test_chart_free_equals_polar(self, d, n, concentrated, seed):
         rng = np.random.default_rng(seed)
         if concentrated:
