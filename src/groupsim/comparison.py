@@ -94,8 +94,9 @@ class PairScores:
     ``values`` and ``fallback`` have shape (P,); row p of ``terms`` holds
     pair p's (L_joint, L_1, L_2, P_joint, P_1, P_2), and is None for the
     baselines.  ``floored_dims`` counts the Gaussian dimensions held at the
-    variance floor over every fit of the batch.  Indexing gives one pair's
-    :class:`SimilarityScore`.
+    variance floor and ``degenerate_fits`` the vMF fits whose resultant
+    length was clamped, over every fit of the batch.  Indexing gives one
+    pair's :class:`SimilarityScore`.
     """
 
     method: str
@@ -104,6 +105,7 @@ class PairScores:
     alpha: float = 1.0
     fallback: np.ndarray | None = None
     floored_dims: int = 0
+    degenerate_fits: int = 0
 
     def __len__(self) -> int:
         return self.values.size
@@ -133,8 +135,8 @@ def aic_param_count(model: str, d: int) -> int:
 
 def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                  prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None):
-    """(max loglik L, penalty P, fallback flag, floored dims) of every bag of a
-    batch, as (B,) arrays.
+    """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
+    of every bag of a batch, as (B,) arrays.
 
     A bag is a tuple of (n_i, d) row blocks fitted as one.  P is the gradient
     trace for ``ic="tic"``, the parameter count k for "aic" and
@@ -142,9 +144,10 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     evidence as L and P = 0.  Gaussian bags are read from their moments
     ``mom`` (taken from the rows of one-block bags when omitted); the
     spherical "tic" radial term reads each block about its bag's mean.  A
-    vMF bag is fitted on its stacked blocks; ``on_degenerate="aic"`` puts the
-    parameter count in place of a "tic" penalty whose curvature is
-    degenerate, and flags the bag.
+    vMF bag is fitted on its stacked blocks and flagged degenerate when its
+    resultant length was clamped; ``on_degenerate="aic"`` puts the parameter
+    count in place of a "tic" penalty whose curvature is degenerate, and
+    flags the bag as a fallback.
     """
     if model != BAYES and (model not in MODELS or ic not in IC_KINDS):
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
@@ -153,7 +156,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
         if x.shape[1] != d:
             raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
     count = len(bags)
-    fallback, floored, penalty = np.zeros(count, bool), np.zeros(count, np.intp), np.zeros(count)
+    fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)
+    floored, penalty = np.zeros(count, np.intp), np.zeros(count)
     if model != BAYES and ic != "tic":
         k = aic_param_count(model, d)
         n = [sum(len(x) for x in bag) for bag in bags]
@@ -167,7 +171,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                 sum(radial_sq_sum(x, mu) for x in bag) / sum(len(x) for x in bag)
                 for bag, mu in zip(bags, mom.mean)])
             penalty = tic_penalties(kind, d, var, kurt, radial)
-        return loglik, penalty, fallback, floored
+        return loglik, penalty, fallback, floored, degenerate
     loglik = np.empty(count)
     if model == BAYES and prior is None:
         prior = default_prior(d)
@@ -177,7 +181,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
             loglik[b] = nw_log_evidence(x, prior)
             continue
         fit = fit_vmf(x)
-        loglik[b] = fit.max_loglik
+        loglik[b], degenerate[b] = fit.max_loglik, fit.degenerate
         if ic != "tic":
             continue
         try:
@@ -187,7 +191,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
             if on_degenerate != "aic":
                 raise
             penalty[b], fallback[b] = aic_param_count(VMF, d), True
-    return loglik, penalty, fallback, floored
+    return loglik, penalty, fallback, floored, degenerate
 
 
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
@@ -213,7 +217,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
         moms = (merge_moments(m1, m2), m1, m2)
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
-    (ll_j, p_j, f_j, d_j), (ll_1, p_1, f_1, d_1), (ll_2, p_2, f_2, d_2) = (
+    (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = (
         bag_criteria(model, ic, b, on_degenerate, prior, m) for b, m in zip(bags, moms))
     alpha = 1.0 if model == BAYES else 2.0
     return PairScores(
@@ -223,6 +227,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         alpha=alpha,
         fallback=f_j | f_1 | f_2,
         floored_dims=int(d_j.sum() + d_1.sum() + d_2.sum()),
+        degenerate_fits=int(g_j.sum() + g_1.sum() + g_2.sum()),
     )
 
 
@@ -449,7 +454,7 @@ def corpus_model_selection(
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        ll, pen, _, _ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
+        ll, pen, *_ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
         rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows

@@ -5,7 +5,8 @@ line.  Every configured method scores every pair; per-dataset Spearman
 correlations against the gold scores are aggregated into an average weighted
 by pair count.  Reports serialise to JSON lines, one row per dataset plus a
 summary row, which also counts the pairs whose gradient penalty fell back to
-the parameter count and the Gaussian dimensions held at the variance floor.
+the parameter count, the Gaussian dimensions held at the variance floor and
+the vMF fits whose resultant length was clamped.
 
 A dataset is scored as one batch.  Its sentences are looked up together into
 one float64 block (:func:`groupsim.embeddings.lookup_sentences`), each bag a
@@ -91,8 +92,10 @@ class EvalReport:
 
     ``degenerate_pair_count`` counts pairs with a sentence that kept no
     token, ``fallback_pairs`` pairs whose gradient penalty fell back to the
-    parameter count, and ``floored_dims`` the Gaussian dimensions held at
-    the variance floor, summed over the joint and per-bag fits of every pair.
+    parameter count, ``floored_dims`` the Gaussian dimensions held at the
+    variance floor and ``degenerate_fits`` the vMF fits whose resultant
+    length was clamped, both summed over the joint and per-bag fits of every
+    pair.
     """
 
     method: str
@@ -101,6 +104,7 @@ class EvalReport:
     degenerate_pair_count: int
     fallback_pairs: int = 0
     floored_dims: int = 0
+    degenerate_fits: int = 0
 
 
 @dataclass
@@ -281,8 +285,8 @@ def evaluate(
 
     ``method`` is a name from :data:`SUPPORTED_METHODS`.  Each dataset is
     looked up once and scored as one batch.  Datasets whose correlation is
-    undefined (constant scores) are flagged and left out of the weighted
-    average, loudly.
+    undefined (constant scores, or a single pair) are flagged and left out
+    of the weighted average, loudly.
     """
     options = options or EvalOptions()
     pad = options.pad_token or find_pad_token(store)
@@ -290,18 +294,19 @@ def evaluate(
         raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
 
     rows = []
-    degenerate_pairs = fallback_pairs = floored_dims = 0
+    degenerate_pairs = fallback_pairs = floored_dims = degenerate_fits = 0
     for dataset in datasets:
         scores, degenerate = _score_dataset(method, dataset, store, pad, options)
         degenerate_pairs += degenerate
         fallback_pairs += scores.fallback_pairs
         floored_dims += scores.floored_dims
+        degenerate_fits += scores.degenerate_fits
         golds = [g for _, _, g in dataset.pairs]
-        rho = spearman(scores.values, golds)
+        rho = spearman(scores.values, golds) if dataset.count > 1 else float("nan")
         if math.isnan(rho):
             logger.warning(
-                "dataset %s: correlation undefined (constant scores); excluded from average",
-                dataset.name,
+                "dataset %s: correlation undefined (%s); excluded from average",
+                dataset.name, "constant scores" if dataset.count > 1 else "a single pair",
             )
         rows.append(DatasetResult(name=dataset.name, count=dataset.count, spearman=rho))
 
@@ -318,6 +323,7 @@ def evaluate(
         degenerate_pair_count=degenerate_pairs,
         fallback_pairs=fallback_pairs,
         floored_dims=floored_dims,
+        degenerate_fits=degenerate_fits,
     )
 
 
@@ -346,6 +352,7 @@ def report_lines(report: EvalReport) -> list[str]:
                 "degenerate_count": report.degenerate_pair_count,
                 "fallback_pairs": report.fallback_pairs,
                 "floored_dims": report.floored_dims,
+                "degenerate_fits": report.degenerate_fits,
             },
             sort_keys=True,
         )
@@ -369,4 +376,5 @@ def format_table(report: EvalReport) -> str:
     lines.append(f"degenerate pairs: {report.degenerate_pair_count}")
     lines.append(f"fallback pairs: {report.fallback_pairs}")
     lines.append(f"floored dims: {report.floored_dims}")
+    lines.append(f"degenerate vMF fits: {report.degenerate_fits}")
     return "\n".join(lines)

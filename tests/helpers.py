@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
-mpmath, the Newton-polished maximum-likelihood vMF concentration, dense
+mpmath, the vMF kernel that telescopes every log-normaliser to order 0, the
+Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
 marginal likelihoods, plus the dense Normal-Wishart evidence, the
@@ -43,6 +44,47 @@ def log_vmf_normalizer_mp(d: int, kappa: float) -> float:
         + mp.log(mp.besseli(v, mp.mpf(kappa)))
         - v * mp.log(mp.mpf(kappa))
     )
+
+
+def vmf_kernels_telescoped(d: int, kappa: float) -> tuple[float, float, float]:
+    """The vMF kernel that telescopes the ratio chain to order 0 or 1/2 at every d.
+
+    ``(A_d, A_d', log C_d)`` as ``special.vmf_kernels`` computed them before
+    the Debye log-normaliser: one backward ratio chain whose product below
+    order d/2 is folded onto ``log I_0`` or ``log I_{1/2}``, or the Hankel
+    sums at orders v, v + 1 and v + 2.  Its ratios are the kernel's, step for
+    step.
+    """
+    from groupsim.special import LOG_2PI, _hankel_sum, _log_i0, _log_i_half, _use_asymptotic
+
+    v = d / 2.0 - 1.0
+    if _use_asymptotic(kappa, v + 3.0):
+        s0, s1, s2 = (_hankel_sum(v + j, kappa) for j in range(3))
+        a, r_next = s1 / s0, s2 / s1
+        log_i = kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(s0)
+    else:
+        frac = 0.0 if d % 2 == 0 else 0.5
+        idx = int(round(v + 1.0 - frac))
+        top = frac + idx + 2
+        start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * kappa)) - frac)) + 12
+        nu = frac + start
+        two_over_x = 2.0 / kappa
+        r = kappa / (nu - 0.5 + math.hypot(nu + 0.5, kappa))
+        for i in range(start - 1, idx + 1, -1):
+            r = 1.0 / ((frac + i) * two_over_x + r)
+        r_next = r = 1.0 / ((frac + idx + 1) * two_over_x + r)
+        a = r = 1.0 / ((frac + idx) * two_over_x + r)
+        log_i = _log_i0(kappa) if frac == 0.0 else _log_i_half(kappa)
+        prod = 1.0
+        for i in range(idx - 1, 0, -1):
+            r = 1.0 / ((frac + i) * two_over_x + r)
+            prod *= r
+            if prod < 1e-150:
+                log_i += math.log(prod)
+                prod = 1.0
+        log_i += math.log(prod)
+    slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / kappa) + a))
+    return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +543,61 @@ def pair_score_rows(x1, x2, model: str, ic: str | None = None, on_degenerate: st
     return score, f_j + f_1 + f_2
 
 
+def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, float]:
+    """Magnitudes of the summands one bag's (L, P) are built from.
+
+    A rounding error in L or P is a fraction of these, not of L or P, which
+    can sum to near 0: a spherical Gaussian L = -(n d / 2)(log 2 pi s^2 + 1)
+    vanishes at s^2 = 1 / (2 pi e).
+    """
+    from groupsim.special import LOG_2PI, log_multivariate_gamma, log_vmf_normalizer
+    from groupsim.vmf import fit_vmf
+
+    n, d = x.shape
+    loglik, penalty, _, _ = _criterion_rows(x, model, ic, "aic", prior)
+    if model == "bayes":
+        nu_n = prior.nu0 + n
+        return (abs(loglik) + 0.5 * n * d * math.log(math.pi) + abs(prior.log_gamma_nu0)
+                + abs(log_multivariate_gamma(d, nu_n / 2.0)), 0.0)
+    if model == "vmf":
+        fit = fit_vmf(x)
+        log_c = log_vmf_normalizer(d, fit.kappa_hat)
+        return n * (fit.kappa_hat * fit.r_bar + abs(log_c)), abs(penalty)
+    fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
+    l_scale = 0.5 * n * (float(np.abs(np.log(fit.var_hat)).sum()) + d * (LOG_2PI + 1.0))
+    if model == "spherical" and ic == "tic":
+        pool = float(fit.var_hat[0])
+        return l_scale, d + (fit.radial_sq_mean + (d * pool) ** 2) / (2.0 * d * pool**2)
+    return l_scale, abs(penalty)
+
+
+def term_scales(x1, x2, model: str, ic: str | None = None, prior=None) -> tuple[float, ...]:
+    """The summand magnitudes behind a pair's breakdown terms, in the order
+    (L_joint, L_1, L_2, P_joint, P_1, P_2); see :func:`_summand_scales`."""
+    from groupsim.comparison import default_prior
+
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    if model == "bayes" and prior is None:
+        prior = default_prior(x1.shape[1])
+    (l_j, p_j), (l_1, p_1), (l_2, p_2) = (
+        _summand_scales(x, model, ic, prior) for x in (np.vstack([x1, x2]), x1, x2))
+    return l_j, l_1, l_2, p_j, p_1, p_2
+
+
+def pair_rows_per_pair(method: str, pairs, store, pad_token: str):
+    """Each pair's two bags as the per-pair path scores them: one lookup per
+    sentence, and rows normalised bag by bag for the vMF methods."""
+    rows = []
+    for a, b, _ in pairs:
+        sa, sb = (lookup_sentence_per_token(store, text, pad_token) for text in (a, b))
+        if method.startswith("vmf"):
+            rows.append((unit_rows_per_bag(sa), unit_rows_per_bag(sb)))
+        else:
+            rows.append((sa.vectors, sb.vectors))
+    return rows
+
+
 def lookup_sentence_per_token(store, text: str, pad_token: str):
     """The sentence lookup before dataset blocks: one bag per call."""
     from groupsim.embeddings import SentenceSample, tokenize
@@ -568,18 +665,14 @@ def pair_scores_per_pair(method: str, pairs, store, options, pad_token: str):
     batches."""
     from groupsim.comparison import SimilarityScore
 
-    samples_a = [lookup_sentence_per_token(store, a, pad_token) for a, _, _ in pairs]
-    samples_b = [lookup_sentence_per_token(store, b, pad_token) for _, b, _ in pairs]
     if method in ("mwv", "sif", "sif_pca"):
+        samples_a = [lookup_sentence_per_token(store, a, pad_token) for a, _, _ in pairs]
+        samples_b = [lookup_sentence_per_token(store, b, pad_token) for _, b, _ in pairs]
         values = embedding_scores_per_sentence(method, samples_a, samples_b, store, options)
         return [SimilarityScore(value=v, method=method) for v in values], 0
     model, _, ic = method.partition("_")
     scores, floored = [], 0
-    for sa, sb in zip(samples_a, samples_b):
-        if model == "vmf":
-            rows = unit_rows_per_bag(sa), unit_rows_per_bag(sb)
-        else:
-            rows = sa.vectors, sb.vectors
+    for rows in pair_rows_per_pair(method, pairs, store, pad_token):
         score, dims = pair_score_rows(*rows, model, ic, prior=options.prior)
         scores.append(score)
         floored += dims

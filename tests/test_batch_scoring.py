@@ -3,16 +3,18 @@
 ``evaluate`` looks a dataset up into one block and scores it as a batch; the
 oracle looks every sentence up alone and scores every pair alone, with
 row-based fits and a stacked joint bag.  Every method must give the same
-per-pair values (each breakdown term at 1e-12 relative), the same fallback
-flags and the same floored-dimension count.
+per-pair values (each breakdown term within 1e-12 of the magnitude of the
+summands it is built from), the same fallback flags and the same
+floored-dimension count.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupsim.baselines import FrequencyTable
+from groupsim.vmf import fit_vmf
 from groupsim.embeddings import (
     EmbeddingStore,
     SentenceSample,
@@ -37,7 +39,9 @@ from groupsim.evaluation import (
 from conftest import EMBEDDING_FIXTURE
 from helpers import (
     lookup_sentence_per_token,
+    pair_rows_per_pair,
     pair_scores_per_pair,
+    term_scales,
     unit_rows_per_bag,
 )
 
@@ -65,7 +69,17 @@ def store_for(stores, method):
     return stores[method.startswith("vmf")]
 
 
-def assert_matches_oracle(got, want):
+def oracle_scales(method, pairs, store):
+    """Per pair, the summand magnitudes of its six breakdown terms (None for
+    the baselines)."""
+    if method in BASELINE_METHODS:
+        return [None] * len(pairs)
+    model, _, ic = method.partition("_")
+    return [term_scales(*rows, model, ic, OPTIONS.prior)
+            for rows in pair_rows_per_pair(method, pairs, store, PAD)]
+
+
+def assert_matches_oracle(got, want, scales):
     assert got.method == want.method
     assert got.fallback == want.fallback
     if want.breakdown is None:
@@ -74,9 +88,11 @@ def assert_matches_oracle(got, want):
         assert got.value == pytest.approx(want.value, rel=RTOL, abs=RTOL)
         return
     terms = ("loglik_joint", "loglik_1", "loglik_2", "penalty_joint", "penalty_1", "penalty_2")
-    for name in terms:
+    # a term can sum to near 0 from summands of order 1 or more, so its
+    # rounding error is bounded by the summands' magnitude, not its own
+    for name, scale in zip(terms, scales):
         assert getattr(got.breakdown, name) == pytest.approx(
-            getattr(want.breakdown, name), rel=RTOL, abs=0.0), name
+            getattr(want.breakdown, name), rel=0.0, abs=RTOL * scale), name
     assert got.breakdown.alpha == want.breakdown.alpha
     scale = want.breakdown.alpha * sum(abs(getattr(want.breakdown, name)) for name in terms)
     assert got.value == pytest.approx(want.value, rel=0.0, abs=RTOL * scale)
@@ -84,14 +100,15 @@ def assert_matches_oracle(got, want):
 
 @pytest.mark.parametrize("method", MODEL_METHODS + BASELINE_METHODS)
 @given(pairs=pair_lists)
+@example(pairs=[("the sat", "cat dog dog", 1.0)])
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_per_pair_oracle(stores, method, pairs):
     store = store_for(stores, method)
     batch = _score_block(method, pair_block(store, pairs, PAD), OPTIONS)
     want, floored = pair_scores_per_pair(method, pairs, store, OPTIONS, PAD)
     assert len(batch) == len(want)
-    for p, expected in enumerate(want):
-        assert_matches_oracle(batch[p], expected)
+    for p, (expected, scales) in enumerate(zip(want, oracle_scales(method, pairs, store))):
+        assert_matches_oracle(batch[p], expected, scales)
     assert batch.floored_dims == floored
     assert batch.fallback_pairs == sum(s.fallback for s in want)
 
@@ -121,7 +138,8 @@ def test_score_pair_leaves_samples_for_the_next_method(stores):
     before = sa.vectors.copy(), sb.vectors.copy()
     for method in ("vmf_tic", "diag_aic", "mwv"):
         want, _ = pair_scores_per_pair(method, pairs, store, OPTIONS, PAD)
-        assert_matches_oracle(score_pair(method, sa, sb, store, OPTIONS), want[0])
+        scales = oracle_scales(method, pairs, store)[0]
+        assert_matches_oracle(score_pair(method, sa, sb, store, OPTIONS), want[0], scales)
     np.testing.assert_array_equal(sa.vectors, before[0])
     np.testing.assert_array_equal(sb.vectors, before[1])
 
@@ -169,6 +187,23 @@ class TestRunCounters:
         assert report.fallback_pairs == sum(s.fallback for s in want) == 2
         assert evaluate("vmf_aic", [dataset], stores[True]).fallback_pairs == 0
         assert report.floored_dims == 0
+
+    def test_degenerate_fits_count_clamped_vmf_fits(self, stores, tmp_path):
+        path = tmp_path / "deg.tsv"
+        path.write_text("qqq zzz\tthe cat\t1.0\nthe dog\tcat sat on\t2.0\n.\tdog mat\t3.0\n")
+        dataset = load_pairs(path)
+        want = 0
+        for a, b, _ in dataset.pairs:
+            x1, x2 = (unit_rows_per_bag(lookup_sentence_per_token(stores[True], text, PAD))
+                      for text in (a, b))
+            want += sum(fit_vmf(x).degenerate for x in (np.vstack([x1, x2]), x1, x2))
+        assert want == 2
+        for method in ("vmf_tic", "vmf_aic"):
+            report = evaluate(method, [dataset], stores[True])
+            assert report.degenerate_fits == want
+            assert f'"degenerate_fits": {want}' in report_lines(report)[-1]
+            assert f"degenerate vMF fits: {want}" in format_table(report)
+        assert evaluate("diag_aic", [dataset], stores[False]).degenerate_fits == 0
 
     @pytest.mark.parametrize("method", ["diag_aic", "diag_tic", "spherical_aic", "mwv"])
     def test_floored_dims_count_double_padded_pair(self, stores, tmp_path, method):

@@ -168,6 +168,24 @@ class TestEval:
 
         assert methods == set(SUPPORTED_METHODS)
 
+    def test_single_pair_dataset_reported_undefined(self, embedding_file, pairs_file, tmp_path,
+                                                    capsys):
+        one = tmp_path / "one.tsv"
+        one.write_text("the cat\tthe dog\t3.0\n")
+        out_path = tmp_path / "report.jsonl"
+        code = main([
+            "eval", "--embeddings", str(embedding_file), "--method", "diag_aic",
+            "--out", str(out_path), str(pairs_file), str(one),
+        ])
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [row.get("dataset") for row in rows] == ["pairs.tsv", "one.tsv", None]
+        assert rows[1]["spearman"] is None and rows[1]["count"] == 1
+        assert rows[2]["weighted_average"] == rows[0]["spearman"]
+        table = capsys.readouterr().out
+        assert any(line.startswith("one.tsv") and line.endswith("undef")
+                   for line in table.splitlines())
+
     def test_workers_flag_is_unknown(self, embedding_file, pairs_file, capsys):
         code = main(["eval", "--embeddings", str(embedding_file), "--workers", "2",
                      str(pairs_file)])

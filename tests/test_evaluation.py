@@ -210,6 +210,20 @@ class TestEvaluate:
         assert report.weighted_average == pytest.approx(report.rows[1].spearman)
         assert any("undefined" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("method", ["diag_aic", "vmf_tic", "mwv"])
+    def test_single_pair_dataset_undefined_not_fatal(self, store, tmp_path, caplog, method):
+        one = tmp_path / "one.tsv"
+        one.write_text("the cat\tthe dog sat\t1.0\n")
+        good = tmp_path / "good.tsv"
+        good.write_text(PAIRS_A)
+        with caplog.at_level("WARNING"):
+            report = evaluate(method, [load_pairs(good), load_pairs(one)], store)
+        assert report.rows[0].defined and not report.rows[1].defined
+        assert report.rows[1].count == 1
+        assert report.weighted_average == pytest.approx(report.rows[0].spearman)
+        assert any("one.tsv: correlation undefined" in rec.message for rec in caplog.records)
+        assert json.loads(report_lines(report)[1])["spearman"] is None
+
     def test_sanity_related_methods_correlate(self, store, tmp_path):
         # gold generated by mean-vector cosine; the model score should track it
         rng = np.random.default_rng(3)
@@ -279,4 +293,4 @@ class TestReportLines:
         assert set(row) == {"method", "dataset", "count", "spearman"}
         summary = json.loads(lines[-1])
         assert set(summary) == {"method", "weighted_average", "degenerate_count",
-                                "fallback_pairs", "floored_dims"}
+                                "fallback_pairs", "floored_dims", "degenerate_fits"}

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.special import (
+    _DEBYE_U,
     LOG_2PI,
+    _use_asymptotic,
     bessel_ratio,
     inv_bessel_ratio,
     log_multivariate_gamma,
@@ -18,6 +23,7 @@ from helpers import (
     bessel_ratio_slope_mp,
     inv_bessel_ratio_newton,
     log_vmf_normalizer_mp,
+    vmf_kernels_telescoped,
 )
 
 # (d, kappa) spanning both branches: short and long recurrences, Hankel sums
@@ -108,7 +114,8 @@ class TestVmfKernels:
     @pytest.mark.parametrize("d", [3, 4, 5, 300, 301])
     @pytest.mark.parametrize("kappa", [1e-300, 1e-17, 1e-12, 1e-10, 3e-7])
     def test_log_c_tiny_kappa_against_mp(self, d, kappa):
-        # odd d telescopes onto log I_{1/2}, whose log sinh must keep 1 - e^{-2 kappa}
+        # odd d < 98 telescopes onto log I_{1/2}, whose log sinh must keep
+        # 1 - e^{-2 kappa}; d = 300 and 301 take the Debye sum
         log_c = vmf_kernels(d, kappa)[2]
         assert log_c == pytest.approx(log_vmf_normalizer_mp(d, kappa), rel=1e-12)
 
@@ -122,6 +129,63 @@ class TestVmfKernels:
         for d, kappa in [(1, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")), (3, 1e17)]:
             with pytest.raises(ValueError):
                 vmf_kernels(d, kappa)
+
+
+def debye_polynomials(count: int) -> list[dict[int, Fraction]]:
+    """u_0 .. u_{count-1} of DLMF 10.41.10 as {power of p: exact coefficient}:
+    u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) u_k(t) dt."""
+    polys = [{0: Fraction(1)}]
+    while len(polys) < count:
+        nxt: dict[int, Fraction] = {}
+        for e, c in polys[-1].items():
+            terms = [(e + 1, c / 8 / (e + 1)), (e + 3, -5 * c / 8 / (e + 3))]
+            if e:
+                terms += [(e + 1, c * e / 2), (e + 3, -c * e / 2)]
+            for power, coeff in terms:
+                nxt[power] = nxt.get(power, Fraction(0)) + coeff
+        polys.append(nxt)
+    return polys
+
+
+class TestDebyeLogNormalizer:
+    """For d >= 98 log C_d comes from the Debye sum; A_d and A_d' do not change."""
+
+    @pytest.mark.parametrize("d", [98, 99, 300, 301, 2048])
+    def test_ratios_bit_identical_to_telescoped_kernel(self, d):
+        kappas = [float(k) for k in np.geomspace(1e-6, 1e7, 90)]
+        kappas = [k for k in kappas if not _use_asymptotic(k, d / 2.0 + 2.0)]
+        assert len(kappas) > 60
+        for kappa in kappas:
+            a, slope, _ = vmf_kernels(d, kappa)
+            want_a, want_slope, _ = vmf_kernels_telescoped(d, kappa)
+            assert (a, slope) == (want_a, want_slope), kappa
+
+    @pytest.mark.parametrize("d", [2, 3, 50, 96, 97])
+    def test_below_order_48_the_kernel_is_unchanged(self, d):
+        for kappa in np.geomspace(1e-300, 1e16, 40):
+            assert vmf_kernels(d, float(kappa)) == vmf_kernels_telescoped(d, float(kappa))
+
+    @pytest.mark.parametrize("d", [98, 99, 150, 300, 301, 1000, 2047, 2048])
+    def test_log_c_against_mp(self, d):
+        # the omitted Debye terms peak where kappa / (d/2 - 1) is near 1, so
+        # the grid is denser there
+        kappas = np.concatenate([np.geomspace(1e-300, 1e16, 80),
+                                 np.geomspace(0.1, 3.0, 40) * (d / 2.0 - 1.0)])
+        with mp.workdps(60):
+            for kappa in kappas:
+                kappa = float(kappa)
+                v = mp.mpf(d) / 2 - 1
+                want = (mp.mpf(d) / 2 * mp.log(2 * mp.pi) + mp.log(mp.besseli(v, kappa))
+                        - v * mp.log(kappa))
+                got = vmf_kernels(d, kappa)[2]
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), kappa
+
+    def test_table_is_the_exact_recursion_rounded(self):
+        exact = debye_polynomials(len(_DEBYE_U))
+        for k, (row, poly) in enumerate(zip(_DEBYE_U, exact)):
+            # u_k holds only the powers p^k, p^(k+2), ..., p^(3k)
+            assert set(poly) == {k + 2 * j for j in range(k + 1)}
+            assert row == tuple(float(poly[k + 2 * j]) for j in range(k + 1))
 
 
 class TestInverseRatio:
