@@ -25,9 +25,11 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .embeddings import as_matrix
 from .errors import DegenerateCurvatureError
@@ -41,7 +43,7 @@ from .gaussian import (
     radial_sq_sum,
     tic_penalties,
 )
-from .special import MAX_DIM, MIN_DIM, inv_bessel_ratio, log_multivariate_gamma, vmf_kernels
+from .special import MAX_DIM, MIN_DIM, inv_bessel_ratio, vmf_kernels
 from .vmf import (
     CURVATURE_FLOOR,
     R_BAR_CEIL,
@@ -204,7 +206,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     bags, with alpha = 2 for the information criteria and 1 for "bayes".  A
     Gaussian joint bag reads the merged moments of its two bags
     (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; vMF
-    and Normal-Wishart fit the stacked pair.
+    and Normal-Wishart fit the stacked pair.  A non-finite term raises.
     """
     first, second = list(first), list(second)
     if not first or len(first) != len(second):
@@ -219,11 +221,14 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
     (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = (
         bag_criteria(model, ic, b, on_degenerate, prior, m) for b, m in zip(bags, moms))
+    terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
+    if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
+        raise ValueError(f"non-finite L or P term in pair {np.isfinite(terms).all(1).argmin()}")
     alpha = 1.0 if model == BAYES else 2.0
     return PairScores(
         method="bayes_factor" if model == BAYES else f"{model}_{ic}",
         values=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
-        terms=np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2]),
+        terms=terms,
         alpha=alpha,
         fallback=f_j | f_1 | f_2,
         floored_dims=int(d_j.sum() + d_1.sum() + d_2.sum()),
@@ -348,24 +353,21 @@ class NormalWishartPrior:
 
     The prior mean is 0 and the scale matrix T_0 is the d x d identity;
     ``kappa0 > 0`` scales the precision of the mean and ``nu0 > d - 1`` is the
-    degrees of freedom.  The per-prior constant of the evidence,
-    log Gamma_d(nu0 / 2), is computed once at construction, which also
-    validates.
+    degrees of freedom.  ``dim`` is any integral (``numbers.Integral``) but a bool.
     """
 
     dim: int
     kappa0: float
     nu0: float
-    log_gamma_nu0: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dim, int) and self.dim >= 1):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))  # a numpy integer becomes an int
         if not (math.isfinite(self.kappa0) and self.kappa0 > 0.0):
             raise ValueError("kappa0 must be positive and finite")
         if not (math.isfinite(self.nu0) and self.nu0 > self.dim - 1):
             raise ValueError(f"nu0 must exceed d - 1 = {self.dim - 1}")
-        object.__setattr__(self, "log_gamma_nu0", log_multivariate_gamma(self.dim, self.nu0 / 2.0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -382,13 +384,14 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
     """Log marginal likelihood of a bag under the Normal-Wishart prior.
 
     Conjugate closed form in log space (Murphy 2007), with mu_0 = 0 and
-    T_0 = I.  The posterior scale T_n = I + U U^T is a rank-(n + 1) update of
-    the identity, where U holds the n centred rows and
-    sqrt(n kappa0 / kappa_n) xbar.  The matrix determinant lemma (Harville
-    1997) gives log|T_n| = log|I + G|, with G the Gram of U on its smaller
-    side (U^T U when n + 1 < d, else U U^T; Sylvester's identity), and
-    log|T_0| = 0.  T_n is never formed: for n < d a call costs
-    O(d n^2 + n^3).
+    T_0 = I.  T_n = I + U^T U, where the (n + 1, d) rows of U are the n
+    centred rows and sqrt(n kappa0 / kappa_n) xbar.  The matrix determinant
+    lemma (Harville 1997) gives log|T_n| = log|I + G|, G the Gram of U on its
+    smaller side (U U^T when n + 1 < d, else U^T U; Sylvester's identity); a
+    G that overflows raises ``ValueError``.  With a = nu0 / 2 and
+    k = min(n, d), log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
+    sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
+    For n < d a call costs O(d n^2 + n^3).
     """
     x = as_matrix(data)
     n, d = x.shape
@@ -398,28 +401,25 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
         raise ValueError("need at least one observation")
     if not np.isfinite(x).all():
         raise ValueError("bag contains non-finite values (NaN or inf)")
-    nu_n = prior.nu0 + n
-    kappa_n = prior.kappa0 + n
+    nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
     xbar = x.mean(axis=0)
-    update = np.empty((d, n + 1))
-    update[:, :n] = (x - xbar).T
-    update[:, n] = math.sqrt(n * prior.kappa0 / kappa_n) * xbar
-    gram = update.T @ update if n + 1 < d else update @ update.T
-    gram[np.diag_indices_from(gram)] += 1.0
+    update = np.empty((n + 1, d))
+    np.subtract(x, xbar, out=update[:n])
+    np.multiply(xbar, math.sqrt(n * prior.kappa0 / kappa_n), out=update[n])
+    gram = update @ update.T if n + 1 < d else update.T @ update
+    gram.reshape(-1)[::len(gram) + 1] += 1.0  # the diagonal, as a strided view
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"posterior scale matrix not positive definite (n={n}, d={d}): {exc}"
-        ) from exc
-    log_det_tn = 2.0 * float(np.log(np.diag(chol)).sum())
-    return (
-        -0.5 * n * d * math.log(math.pi)
-        + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n))
-        - 0.5 * nu_n * log_det_tn
-        + log_multivariate_gamma(d, nu_n / 2.0)
-        - prior.log_gamma_nu0
-    )
+        raise np.linalg.LinAlgError(f"posterior scale matrix not positive definite "
+                                    f"(n={n}, d={d}): {exc}") from exc
+    log_det_tn = 2.0 * float(np.log(chol.diagonal()).sum())
+    if not math.isfinite(log_det_tn):
+        raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn} (n={n}, d={d})")
+    t = 0.5 * np.arange(min(n, d))  # the min(n, d) lgamma terms that do not cancel
+    log_gamma = float((gammaln(0.5 * nu_n - t) - gammaln(0.5 * (prior.nu0 - d + 1) + t)).sum())
+    return (log_gamma - 0.5 * n * d * math.log(math.pi) - 0.5 * nu_n * log_det_tn
+            + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n)))
 
 
 def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> SimilarityScore:

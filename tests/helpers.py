@@ -7,6 +7,7 @@ Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
 marginal likelihoods, plus the dense Normal-Wishart evidence, the
+column-major low-rank evidence with full multivariate gammas, the
 line-by-line embedding loader, and the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
 on a stacked joint bag, for every model.
@@ -351,6 +352,14 @@ def nw_log_evidence_quadrature(x: np.ndarray, mu0: float, kappa0: float,
     return math.log(value)
 
 
+def log_gamma_ratio_mp(d: int, a: float, n: int) -> float:
+    """log Gamma_d(a + n/2) - log Gamma_d(a) as two full d-term sums in
+    50-digit arithmetic, with no cancelled terms left out."""
+    a = mp.mpf(a)
+    return float(mp.fsum(mp.loggamma(a + mp.mpf(n - j) / 2) - mp.loggamma(a - mp.mpf(j) / 2)
+                         for j in range(d)))
+
+
 # ---------------------------------------------------------------------------
 # dense marginal likelihood, any d
 # ---------------------------------------------------------------------------
@@ -382,6 +391,45 @@ def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
         + 0.5 * (prior.nu0 * log_det_t0 - nu_n * log_det_tn)
         + float(multigammaln(nu_n / 2.0, d))
         - float(multigammaln(prior.nu0 / 2.0, d))
+    )
+
+
+def nw_log_evidence_columns(data, prior) -> float:
+    """The low-rank evidence before the row-major Gram: the reference for
+    ``groupsim.comparison.nw_log_evidence``.
+
+    Writes U as a transposed (d, n + 1) copy (centred rows, then
+    sqrt(n kappa0 / kappa_n) xbar), takes the Gram on its smaller side, and
+    takes both multivariate gammas as full d-term sums through
+    ``special.log_multivariate_gamma``.
+    """
+    from groupsim.embeddings import as_matrix
+    from groupsim.special import log_multivariate_gamma
+
+    x = as_matrix(data)
+    n, d = x.shape
+    if d != prior.dim:
+        raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
+    if n < 1:
+        raise ValueError("need at least one observation")
+    if not np.isfinite(x).all():
+        raise ValueError("bag contains non-finite values (NaN or inf)")
+    nu_n = prior.nu0 + n
+    kappa_n = prior.kappa0 + n
+    xbar = x.mean(axis=0)
+    update = np.empty((d, n + 1))
+    update[:, :n] = (x - xbar).T
+    update[:, n] = math.sqrt(n * prior.kappa0 / kappa_n) * xbar
+    gram = update.T @ update if n + 1 < d else update @ update.T
+    gram[np.diag_indices_from(gram)] += 1.0
+    chol = np.linalg.cholesky(gram)
+    log_det_tn = 2.0 * float(np.log(np.diag(chol)).sum())
+    return (
+        -0.5 * n * d * math.log(math.pi)
+        + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n))
+        - 0.5 * nu_n * log_det_tn
+        + log_multivariate_gamma(d, nu_n / 2.0)
+        - log_multivariate_gamma(d, prior.nu0 / 2.0)
     )
 
 
@@ -557,7 +605,8 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
     loglik, penalty, _, _ = _criterion_rows(x, model, ic, "aic", prior)
     if model == "bayes":
         nu_n = prior.nu0 + n
-        return (abs(loglik) + 0.5 * n * d * math.log(math.pi) + abs(prior.log_gamma_nu0)
+        return (abs(loglik) + 0.5 * n * d * math.log(math.pi)
+                + abs(log_multivariate_gamma(d, prior.nu0 / 2.0))
                 + abs(log_multivariate_gamma(d, nu_n / 2.0)), 0.0)
     if model == "vmf":
         fit = fit_vmf(x)

@@ -15,6 +15,7 @@ from groupsim.comparison import (
     corpus_model_selection,
     default_prior,
     nw_log_evidence,
+    pair_scores,
     penalty_curve,
     penalty_curve_csv,
     similarity_closed_gaussian,
@@ -22,9 +23,12 @@ from groupsim.comparison import (
     similarity_ic,
 )
 from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
+from groupsim.special import log_multivariate_gamma
 from groupsim.vmf import fit_vmf
 
 from helpers import (
+    log_gamma_ratio_mp,
+    nw_log_evidence_columns,
     nw_log_evidence_dense,
     nw_log_evidence_quadrature,
     random_rotation,
@@ -101,6 +105,15 @@ class TestGenericComposition:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             similarity_ic(np.zeros((3, 2)), np.zeros((3, 3)), DIAG, "aic")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(("ic", "scale"), [("tic", 1e150), ("aic", 1e155)])
+    def test_overflowing_fit_raises_instead_of_nan(self, ic, scale):
+        x = np.random.default_rng(17).standard_normal((6, 3)) * scale
+        with pytest.raises(ValueError, match="non-finite L or P term in pair 1"):
+            pair_scores(DIAG, ic, [x[:3] / scale, x], [x[3:] / scale, 0.5 * x])
+        with pytest.raises(ValueError, match="non-finite"):
+            similarity_ic(x, 0.5 * x, DIAG, ic)
 
     def test_rejects_unknown_model_or_ic(self):
         x = np.zeros((3, 2))
@@ -259,6 +272,71 @@ class TestBayesFactor:
                 nw_log_evidence_dense(x, prior), rel=1e-10
             )
 
+    @staticmethod
+    def _priors(d):
+        rng = np.random.default_rng(2000 + d)
+        return [default_prior(d),
+                NormalWishartPrior(d, float(rng.uniform(0.05, 5.0)),
+                                   nu0=d - 1 + float(rng.uniform(0.5, 20.0)))]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 300])
+    def test_log_gamma_ratio_telescopes(self, d):
+        """An all-zero bag has T_n = I, so its evidence is the log Gamma_d ratio
+        plus -(n d / 2) log pi + (d / 2) log(kappa0 / kappa_n).  Both references
+        take the full d-term sums; the tolerance is a few ulps of the summands."""
+        eps = np.finfo(float).eps
+        for prior in self._priors(d):
+            a0 = prior.nu0 / 2.0
+            for n in sorted({n for n in (1, 2, d - 1, d, d + 1, 3 * d) if n >= 1}):
+                constant = (-0.5 * n * d * math.log(math.pi)
+                            + 0.5 * d * (math.log(prior.kappa0) - math.log(prior.kappa0 + n)))
+                ratio = nw_log_evidence(np.zeros((n, d)), prior) - constant
+                full = log_multivariate_gamma(d, a0 + n / 2.0), log_multivariate_gamma(d, a0)
+                scale = abs(constant) + abs(full[0]) + abs(full[1])
+                assert ratio == pytest.approx(full[0] - full[1], rel=0, abs=16 * eps * scale)
+                assert ratio == pytest.approx(log_gamma_ratio_mp(d, a0, n),
+                                              rel=0, abs=16 * eps * scale)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 300])
+    @pytest.mark.parametrize("bag", ["offset_1e3", "offset_1e6", "one_row", "identical_rows"])
+    def test_log_evidence_matches_column_oracle(self, d, bag):
+        """Against the column-major evidence at 1e-13 of the summands' scale (the
+        evidence can sum to near 0 from terms of order n d), and against the
+        dense oracle within the rounding of its d x d factorisation: each of its
+        d pivots carries an error of eps |T_n|, and a far mean makes |T_n| large."""
+        rng = np.random.default_rng(3000 + d)
+        eps = np.finfo(float).eps
+        for prior in self._priors(d):
+            sizes = [1] if bag == "one_row" else sorted(
+                {n for n in (2, d - 1, d, d + 1) if n >= 2})
+            for n in sizes:
+                if bag == "identical_rows":
+                    x = np.tile(rng.standard_normal(d), (n, 1))
+                else:
+                    offset = 1e6 if bag == "offset_1e6" else 1e3
+                    x = rng.standard_normal((n, d)) + offset * rng.standard_normal(d)
+                value = nw_log_evidence(x, prior)
+                scale = (abs(value) + 0.5 * n * d * math.log(math.pi)
+                         + abs(log_multivariate_gamma(d, (prior.nu0 + n) / 2.0))
+                         + abs(log_multivariate_gamma(d, prior.nu0 / 2.0)))
+                assert value == pytest.approx(nw_log_evidence_columns(x, prior),
+                                              rel=0, abs=1e-13 * scale)
+                xbar = x.mean(axis=0)
+                size_tn = (1.0 + float(np.sum((x - xbar) ** 2))
+                           + n * prior.kappa0 / (prior.kappa0 + n) * float(xbar @ xbar))
+                dense_tol = 0.5 * (prior.nu0 + n) * d * eps * size_tn
+                assert value == pytest.approx(nw_log_evidence_dense(x, prior),
+                                              rel=1e-10, abs=dense_tol)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_raises(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((5, 3)) * 1e155
+        with pytest.raises(ValueError, match="overflows"):
+            nw_log_evidence(x, default_prior(3))
+        with pytest.raises(ValueError, match="overflows"):
+            bayes_factor_similarity(x, 0.5 * x[::-1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_bag_raises(self, bad):
         rng = np.random.default_rng(14)
@@ -307,9 +385,17 @@ class TestBayesFactor:
 
     def test_prior_validation(self):
         for dim, kappa0, nu0 in [(3, 1.0, 2.0), (3, 0.0, 5.0), (3, math.nan, 5.0),
-                                 (3, 1.0, math.inf), (0, 1.0, 5.0), (3.0, 1.0, 5.0)]:
+                                 (3, 1.0, math.inf), (0, 1.0, 5.0), (3.0, 1.0, 5.0),
+                                 (True, 1.0, 5.0), (np.float64(3), 1.0, 5.0)]:
             with pytest.raises(ValueError):
                 NormalWishartPrior(dim, kappa0=kappa0, nu0=nu0)
+
+    @pytest.mark.parametrize("dim", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_prior_accepts_numpy_integer_dim(self, dim):
+        prior = NormalWishartPrior(dim, 1.0, 5.0)
+        assert prior == NormalWishartPrior(3, 1.0, 5.0) and type(prior.dim) is int
+        x = np.random.default_rng(16).standard_normal((4, 3))
+        assert nw_log_evidence(x, prior) == nw_log_evidence(x, NormalWishartPrior(3, 1.0, 5.0))
 
 
 class TestModelSelection:
