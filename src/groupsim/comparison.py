@@ -9,8 +9,9 @@ alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).  ``similarity_ic`` fits a von
 Mises-Fisher, diagonal or spherical Gaussian model and takes P from one
 information criterion, with alpha = 2: the gradient trace ("tic"), the
 parameter count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
-each bag's moments, and a joint bag's are its two bags' moments merged; vMF
-bags are fitted one by one on their rows.  ``corpus_model_selection`` and
+each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
+joint bag's are its two bags' moments merged; vMF bags are fitted one by one
+on their rows.  ``corpus_model_selection`` and
 ``penalty_curve`` read the same per-bag criterion.
 ``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
 covariance, conjugate closed form under a prior with mean 0, scale I and
@@ -29,6 +30,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .embeddings import as_matrix
@@ -135,6 +137,19 @@ def aic_param_count(model: str, d: int) -> int:
     raise ValueError(f"unknown model {model!r}")
 
 
+def count_penalty(model: str, ic: str, d: int, n) -> np.ndarray:
+    """The parameter-count penalty of bags of ``n`` rows each: k for "aic",
+    ``(k/2) log n`` for "bic", with k from :func:`aic_param_count`."""
+    k = aic_param_count(model, d)
+    return np.full(len(n), float(k)) if ic == "aic" else 0.5 * k * np.log(n)
+
+
+def _moment_order(model: str, ic: str | None) -> int:
+    """The moment order a Gaussian criterion reads: 4 for the diagonal "tic"
+    penalty (its kurtosis), 2 for every other."""
+    return 4 if model == DIAG and ic == "tic" else 2
+
+
 def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                  prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None):
     """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
@@ -144,7 +159,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     trace for ``ic="tic"``, the parameter count k for "aic" and
     ``(k/2) log n`` for "bic"; a "bayes" bag has its Normal-Wishart log
     evidence as L and P = 0.  Gaussian bags are read from their moments
-    ``mom`` (taken from the rows of one-block bags when omitted); the
+    ``mom`` (taken from the rows of one-block bags when omitted, to M4 only
+    for the diagonal "tic" penalty, the one criterion that reads it); the
     spherical "tic" radial term reads each block about its bag's mean.  A
     vMF bag is fitted on its stacked blocks and flagged degenerate when its
     resultant length was clamped; ``on_degenerate="aic"`` puts the parameter
@@ -161,12 +177,11 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)
     floored, penalty = np.zeros(count, np.intp), np.zeros(count)
     if model != BAYES and ic != "tic":
-        k = aic_param_count(model, d)
-        n = [sum(len(x) for x in bag) for bag in bags]
-        penalty += k if ic == "aic" else 0.5 * k * np.log(n)
+        penalty = count_penalty(model, ic, d, [sum(len(x) for x in bag) for bag in bags])
     if model in (DIAG, SPHERICAL):
         kind = DIAGONAL if model == DIAG else SPHERICAL
-        mom = moments(*(x for x, in bags)) if mom is None else mom
+        if mom is None:
+            mom = moments(*(x for x, in bags), order=_moment_order(model, ic))
         loglik, var, kurt, floored = moment_fit(mom, kind)
         if ic == "tic":
             radial = None if model == DIAG else np.array([
@@ -205,7 +220,8 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     :func:`bag_criteria` on the joint bags, the first bags and the second
     bags, with alpha = 2 for the information criteria and 1 for "bayes".  A
     Gaussian joint bag reads the merged moments of its two bags
-    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; vMF
+    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
+    moments stop after M2 unless the criterion is the diagonal "tic".  vMF
     and Normal-Wishart fit the stacked pair.  A non-finite term raises.
     """
     first, second = list(first), list(second)
@@ -215,7 +231,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     half = len(first)
     moms = (None, None, None)
     if model in (DIAG, SPHERICAL):
-        mom = moments(*first, *second)
+        mom = moments(*first, *second, order=_moment_order(model, ic))
         m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
         moms = (merge_moments(m1, m2), m1, m2)
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
@@ -385,11 +401,14 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
 
     Conjugate closed form in log space (Murphy 2007), with mu_0 = 0 and
     T_0 = I.  T_n = I + U^T U, where the (n + 1, d) rows of U are the n
-    centred rows and sqrt(n kappa0 / kappa_n) xbar.  The matrix determinant
-    lemma (Harville 1997) gives log|T_n| = log|I + G|, G the Gram of U on its
-    smaller side (U U^T when n + 1 < d, else U^T U; Sylvester's identity); a
-    G that overflows raises ``ValueError``.  With a = nu0 / 2 and
-    k = min(n, d), log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
+    centred rows and sqrt(c) xbar, c = n kappa0 / kappa_n.  When n + 1 < d,
+    Sylvester's identity gives log|T_n| = log|I + U U^T|.  Otherwise I + S,
+    S the centred scatter, is factored as L L^T and the mean row added by
+    the matrix determinant lemma (Harville 1997),
+    log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2), so a mean far from 0
+    never cancels inside the Cholesky pivots.  A T_n that overflows raises
+    ``ValueError``.  With a = nu0 / 2 and k = min(n, d),
+    log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
     sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
     For n < d a call costs O(d n^2 + n^3).
     """
@@ -403,10 +422,15 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
         raise ValueError("bag contains non-finite values (NaN or inf)")
     nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
     xbar = x.mean(axis=0)
-    update = np.empty((n + 1, d))
-    np.subtract(x, xbar, out=update[:n])
-    np.multiply(xbar, math.sqrt(n * prior.kappa0 / kappa_n), out=update[n])
-    gram = update @ update.T if n + 1 < d else update.T @ update
+    shrink = n * prior.kappa0 / kappa_n
+    if n + 1 < d:
+        update = np.empty((n + 1, d))
+        np.subtract(x, xbar, out=update[:n])
+        np.multiply(xbar, math.sqrt(shrink), out=update[n])
+        gram = update @ update.T
+    else:
+        dev = x - xbar
+        gram = dev.T @ dev
     gram.reshape(-1)[::len(gram) + 1] += 1.0  # the diagonal, as a strided view
     try:
         chol = np.linalg.cholesky(gram)
@@ -414,6 +438,9 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
         raise np.linalg.LinAlgError(f"posterior scale matrix not positive definite "
                                     f"(n={n}, d={d}): {exc}") from exc
     log_det_tn = 2.0 * float(np.log(chol.diagonal()).sum())
+    if n + 1 >= d:
+        w = solve_triangular(chol, xbar, lower=True, check_finite=False)
+        log_det_tn += math.log1p(shrink * float(w @ w))
     if not math.isfinite(log_det_tn):
         raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn} (n={n}, d={d})")
     t = 0.5 * np.arange(min(n, d))  # the min(n, d) lgamma terms that do not cancel
@@ -445,16 +472,41 @@ def corpus_model_selection(
     A candidate is a (model, ic) pair with ic in :data:`IC_KINDS`; a "bic"
     candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
     on a plain corpus of bags, without any labelled similarity data.
+
+    Every candidate is checked before the first fit.  L depends only on the
+    model, so each model is fitted once, by :func:`bag_criteria` under
+    "tic" when one of its candidates reads it; its other candidates take
+    :func:`count_penalty`.  The Gaussian models share one moment sweep,
+    which stops after M2 unless a diagonal "tic" candidate reads M4.  A
+    candidate whose L or P is not finite on some bag raises ``ValueError``
+    naming it and the first such bag.
     """
     bags = [(as_matrix(b),) for b in corpus]
     if not bags:
         raise ValueError("corpus must contain at least one bag")
-    mom = moments(*(x for x, in bags))  # shared by the Gaussian candidates
-    rows = []
+    candidates = [(model, ic) for model, ic in candidates]
+    fit_ic = {}  # model -> the criterion its one fit runs under
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        ll, pen, *_ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
+        if fit_ic.get(model) != "tic":
+            fit_ic[model] = ic
+    mom = None
+    if DIAG in fit_ic or SPHERICAL in fit_ic:
+        order = max(_moment_order(model, ic) for model, ic in fit_ic.items())
+        mom = moments(*(x for x, in bags), order=order)
+    fits = {model: bag_criteria(model, ic, bags, on_degenerate, mom=mom)[:2]
+            for model, ic in fit_ic.items()}
+    d, n = bags[0][0].shape[1], [len(x) for x, in bags]
+    rows = []
+    for model, ic in candidates:
+        ll, pen = fits[model]
+        if ic != fit_ic[model]:
+            pen = count_penalty(model, ic, d, n)
+        finite = np.isfinite(np.column_stack([ll, pen])).all(1)
+        if not finite.all():
+            raise ValueError(f"non-finite L or P for candidate ({model!r}, {ic!r}) "
+                             f"in bag {finite.argmin()}")
         rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows

@@ -8,9 +8,10 @@ finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, and brute-force quadrature for
 marginal likelihoods, plus the dense Normal-Wishart evidence, the
 column-major low-rank evidence with full multivariate gammas, the
-line-by-line embedding loader, and the per-pair evaluation path: sentence
+line-by-line embedding loader, the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
-on a stacked joint bag, for every model.
+on a stacked joint bag, for every model, and corpus model selection with
+one fit per candidate on full moments.
 """
 
 from __future__ import annotations
@@ -394,6 +395,35 @@ def nw_log_evidence_dense(x: np.ndarray, prior) -> float:
     )
 
 
+def nw_log_evidence_mp(x: np.ndarray, prior, dps: int = 60) -> float:
+    """Normal-Wishart log evidence in ``dps``-digit arithmetic: T_n formed
+    densely from the exact rows (mu0 = 0, T0 = I) and its log determinant
+    taken from mpmath's Cholesky factor, with both multivariate gammas as
+    full d-term sums."""
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    with mp.workdps(dps):
+        rows = [[mp.mpf(float(v)) for v in row] for row in x]
+        xbar = [mp.fsum(row[j] for row in rows) / n for j in range(d)]
+        kappa0, nu0 = mp.mpf(prior.kappa0), mp.mpf(prior.nu0)
+        shrink = n * kappa0 / (kappa0 + n)
+        t_n = mp.eye(d)
+        for i in range(d):
+            for j in range(i + 1):
+                v = (mp.fsum((row[i] - xbar[i]) * (row[j] - xbar[j]) for row in rows)
+                     + shrink * xbar[i] * xbar[j])
+                t_n[i, j] += v
+                if i != j:
+                    t_n[j, i] += v
+        chol = mp.cholesky(t_n)
+        log_det_tn = 2 * mp.fsum(mp.log(chol[i, i]) for i in range(d))
+        log_gamma = mp.fsum(mp.loggamma((nu0 + n - j) / 2) - mp.loggamma((nu0 - j) / 2)
+                            for j in range(d))
+        return float(log_gamma - mp.mpf(n * d) / 2 * mp.log(mp.pi)
+                     - (nu0 + n) / 2 * log_det_tn
+                     + mp.mpf(d) / 2 * (mp.log(kappa0) - mp.log(kappa0 + n)))
+
+
 def nw_log_evidence_columns(data, prior) -> float:
     """The low-rank evidence before the row-major Gram: the reference for
     ``groupsim.comparison.nw_log_evidence``.
@@ -431,6 +461,37 @@ def nw_log_evidence_columns(data, prior) -> float:
         + log_multivariate_gamma(d, nu_n / 2.0)
         - log_multivariate_gamma(d, prior.nu0 / 2.0)
     )
+
+
+# ---------------------------------------------------------------------------
+# corpus model selection, one fit per candidate
+# ---------------------------------------------------------------------------
+
+def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str = "error"):
+    """Corpus model selection as it was before each model was fitted once:
+    every candidate runs its own ``bag_criteria`` call on moments taken to
+    M4, and the rows are sorted by mean criterion."""
+    from groupsim.comparison import (
+        IC_KINDS,
+        MODELS,
+        ModelCandidateScore,
+        bag_criteria,
+    )
+    from groupsim.embeddings import as_matrix
+    from groupsim.gaussian import moments
+
+    bags = [(as_matrix(b),) for b in corpus]
+    if not bags:
+        raise ValueError("corpus must contain at least one bag")
+    mom = moments(*(x for x, in bags))
+    rows = []
+    for model, ic in candidates:
+        if model not in MODELS or ic not in IC_KINDS:
+            raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
+        ll, pen, *_ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
+        rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
+    rows.sort(key=lambda r: r.mean_ic)
+    return rows
 
 
 # ---------------------------------------------------------------------------

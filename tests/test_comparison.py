@@ -22,14 +22,17 @@ from groupsim.comparison import (
     similarity_closed_vmf,
     similarity_ic,
 )
+from groupsim.errors import DegenerateCurvatureError
 from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
 from groupsim.special import log_multivariate_gamma
 from groupsim.vmf import fit_vmf
 
 from helpers import (
+    corpus_model_selection_per_candidate,
     log_gamma_ratio_mp,
     nw_log_evidence_columns,
     nw_log_evidence_dense,
+    nw_log_evidence_mp,
     nw_log_evidence_quadrature,
     random_rotation,
     uniform_sphere,
@@ -114,6 +117,14 @@ class TestGenericComposition:
             pair_scores(DIAG, ic, [x[:3] / scale, x], [x[3:] / scale, 0.5 * x])
         with pytest.raises(ValueError, match="non-finite"):
             similarity_ic(x, 0.5 * x, DIAG, ic)
+
+    @pytest.mark.parametrize("model", [DIAG, SPHERICAL])
+    def test_aic_reads_no_fourth_moment(self, model):
+        """Entries near 1e78 overflow M4 but not M2, and "aic" reads only M2:
+        the score is finite and no overflow warning is raised (the suite turns
+        every RuntimeWarning into an error)."""
+        x = np.random.default_rng(21).standard_normal((6, 3)) * 1e78
+        assert math.isfinite(similarity_ic(x, 0.5 * x + 1e77, model, "aic").value)
 
     def test_rejects_unknown_model_or_ic(self):
         x = np.zeros((3, 2))
@@ -303,7 +314,10 @@ class TestBayesFactor:
         """Against the column-major evidence at 1e-13 of the summands' scale (the
         evidence can sum to near 0 from terms of order n d), and against the
         dense oracle within the rounding of its d x d factorisation: each of its
-        d pivots carries an error of eps |T_n|, and a far mean makes |T_n| large."""
+        d pivots carries an error of eps |T_n|, and a far mean makes |T_n| large.
+        When n + 1 >= d the column-major evidence factors the same d x d T_n as
+        the dense oracle, so it is held to the dense oracle's bound there; the
+        mpmath test below pins that side."""
         rng = np.random.default_rng(3000 + d)
         eps = np.finfo(float).eps
         for prior in self._priors(d):
@@ -319,14 +333,31 @@ class TestBayesFactor:
                 scale = (abs(value) + 0.5 * n * d * math.log(math.pi)
                          + abs(log_multivariate_gamma(d, (prior.nu0 + n) / 2.0))
                          + abs(log_multivariate_gamma(d, prior.nu0 / 2.0)))
-                assert value == pytest.approx(nw_log_evidence_columns(x, prior),
-                                              rel=0, abs=1e-13 * scale)
                 xbar = x.mean(axis=0)
                 size_tn = (1.0 + float(np.sum((x - xbar) ** 2))
                            + n * prior.kappa0 / (prior.kappa0 + n) * float(xbar @ xbar))
                 dense_tol = 0.5 * (prior.nu0 + n) * d * eps * size_tn
+                if n + 1 < d:
+                    assert value == pytest.approx(nw_log_evidence_columns(x, prior),
+                                                  rel=0, abs=1e-13 * scale)
+                else:
+                    assert value == pytest.approx(nw_log_evidence_columns(x, prior),
+                                                  rel=1e-10, abs=max(1e-13 * scale, dense_tol))
                 assert value == pytest.approx(nw_log_evidence_dense(x, prior),
                                               rel=1e-10, abs=dense_tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_log_evidence_matches_mpmath_on_the_d_by_d_side(self, d):
+        """n + 1 >= d, with means up to 1e6 from 0: the mean row enters through
+        the determinant lemma, not the Cholesky pivots, so the evidence stays
+        within 1e-13 relative of a 60-digit one."""
+        rng = np.random.default_rng(4000 + d)
+        for prior in self._priors(d):
+            for n in sorted({n for n in (d - 1, d, d + 3) if n >= 1}):
+                for offset in (0.0, 1e3, 1e6):
+                    x = rng.standard_normal((n, d)) + offset * rng.standard_normal(d)
+                    assert nw_log_evidence(x, prior) == pytest.approx(
+                        nw_log_evidence_mp(x, prior), rel=1e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gram_raises(self):
@@ -458,6 +489,54 @@ class TestModelSelection:
         corpus = [uniform_sphere(rng, 6, 3), uniform_sphere(rng, 6, 4)]
         with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
             corpus_model_selection(corpus, candidates=[candidate])
+
+    ALL_CANDIDATES = [(model, ic) for model in (DIAG, SPHERICAL, VMF)
+                      for ic in ("tic", "aic", "bic")]
+
+    @staticmethod
+    def _unit_corpus(rng, d=5):
+        """Unit-row bags of 3 to 30 rows, one of them a repeated row (a
+        degenerate vMF fit and a floored Gaussian one)."""
+        corpus = [uniform_sphere(rng, int(rng.integers(3, 31)), d) for _ in range(12)]
+        corpus[4] = np.tile(corpus[4][0], (4, 1))
+        return corpus
+
+    @pytest.mark.parametrize("candidates", [
+        ALL_CANDIDATES,
+        ALL_CANDIDATES[::-1],
+        [(VMF, "aic"), (VMF, "tic")],
+        [(VMF, "bic"), (DIAG, "aic"), (VMF, "aic"), (DIAG, "bic"), (SPHERICAL, "tic")],
+        [(DIAG, "aic"), (SPHERICAL, "aic"), (VMF, "tic"), (VMF, "aic")],
+        [(DIAG, "tic"), (DIAG, "tic")],
+    ])
+    def test_one_fit_per_model_equals_one_fit_per_candidate(self, candidates):
+        corpus = self._unit_corpus(np.random.default_rng(22))
+        rows = corpus_model_selection(corpus, candidates, on_degenerate="aic")
+        assert rows == corpus_model_selection_per_candidate(corpus, candidates, "aic")
+
+    @pytest.mark.parametrize("candidates", [[(VMF, "aic"), (VMF, "tic")],
+                                            [(VMF, "tic"), (VMF, "aic")]])
+    def test_degenerate_vmf_bag_raises_whichever_candidate_comes_first(self, candidates):
+        corpus = self._unit_corpus(np.random.default_rng(23))
+        with pytest.raises(DegenerateCurvatureError):
+            corpus_model_selection(corpus, candidates, on_degenerate="error")
+
+    def test_every_candidate_checked_before_the_first_fit(self):
+        corpus = self._unit_corpus(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="unsupported candidate"):
+            corpus_model_selection(corpus, [(VMF, "tic"), ("full", "aic")])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("candidate", [(DIAG, "aic"), (SPHERICAL, "aic"), (DIAG, "tic")])
+    def test_non_finite_criterion_raises(self, candidate):
+        rng = np.random.default_rng(25)
+        corpus = [rng.standard_normal((6, 3)) for _ in range(3)]
+        corpus[1] *= 1e155  # bags 1 and 2 overflow their second moments
+        corpus[2] *= 1e155
+        message = rf"non-finite L or P for candidate \('{candidate[0]}', '{candidate[1]}'\) in bag 1"
+        with pytest.raises(ValueError, match=message):
+            corpus_model_selection(corpus, [candidate])
+
 
 class TestPenaltyCurve:
     def test_seeded_determinism_byte_for_byte(self):

@@ -5,6 +5,8 @@ stacked rows, and every fit, floored-dimension count and pair score read off
 moments must equal the row-based fits of ``tests/helpers.py``, at 1e-12
 relative.  The batch scorer is also checked, for every model, against the
 per-pair composition of ``tests/helpers.py`` on a stacked joint bag.
+Moments taken to order 2 must equal the n, mean and M2 of the full ones bit
+for bit.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsim.comparison import pair_scores, similarity_ic
+from groupsim.comparison import DIAG, bag_criteria, pair_scores, similarity_ic
 from groupsim.gaussian import (
     DIAGONAL,
     SPHERICAL,
@@ -20,6 +22,7 @@ from groupsim.gaussian import (
     merge_moments,
     moment_fit,
     moments,
+    tic_penalties,
 )
 
 from helpers import fit_gaussian_rows, pair_score_rows
@@ -93,6 +96,44 @@ class TestMerge:
         for k in (2, 3, 4):
             np.testing.assert_allclose(getattr(merged, f"m{k}")[0], (dev**k).sum(axis=0),
                                        rtol=1e-14, atol=1e-12)
+
+
+class TestMomentOrder:
+    @staticmethod
+    def assert_same_m2(got, want):
+        assert got.m3 is None and got.m4 is None
+        for field in ("n", "mean", "m2"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    @given(bag_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_order_2_equals_full_moments_bit_for_bit(self, pair):
+        low, full = moments(*pair, order=2), moments(*pair)
+        self.assert_same_m2(low, full)
+        first, second = slice(0, 1), slice(1, 2)
+        self.assert_same_m2(low.take(second), full.take(second))
+        self.assert_same_m2(merge_moments(low.take(first), low.take(second)),
+                            merge_moments(full.take(first), full.take(second)))
+        self.assert_same_m2(merge_moments(full.take(first), low.take(second)),
+                            merge_moments(full.take(first), full.take(second)))
+        for kind in (DIAGONAL, SPHERICAL):
+            ll, var, kurt, floored = moment_fit(low, kind)
+            want = moment_fit(full, kind)
+            assert kurt is None
+            for got, expected in zip((ll, var, floored), (want[0], want[1], want[3])):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_only_orders_2_and_4(self):
+        with pytest.raises(ValueError, match="order must be 2 or 4"):
+            moments(np.zeros((3, 2)), order=3)
+
+    def test_diagonal_tic_without_m4_raises(self):
+        x = np.random.default_rng(10).standard_normal((5, 3))
+        _, var, kurt, _ = moment_fit(moments(x, order=2), DIAGONAL)
+        with pytest.raises(ValueError, match="order 4"):
+            tic_penalties(DIAGONAL, 3, var, kurt)
+        with pytest.raises(ValueError, match="order 4"):
+            bag_criteria(DIAG, "tic", [(x,)], mom=moments(x, order=2))
 
 
 class TestFitsFromMoments:
