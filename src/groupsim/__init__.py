@@ -5,7 +5,6 @@ from .baselines import (
     load_frequencies,
     mwv_similarity,
     remove_first_pc,
-    sif_embed,
 )
 from .comparison import (
     ModelCandidateScore,
@@ -89,7 +88,6 @@ __all__ = [
     "penalty_curve_csv",
     "remove_first_pc",
     "score_pair",
-    "sif_embed",
     "similarity_closed_gaussian",
     "similarity_closed_vmf",
     "similarity_ic",

@@ -1,37 +1,43 @@
 """Reference similarity methods: mean-vector cosine, SIF weighting, PC removal.
 
 These are the standard points of comparison for the model-based scores.  The
-frequency-weighted mean downweights common words by ``a / (a + p(w))``; the
-offline variant additionally removes the corpus's first principal direction
-from every sentence vector before taking cosines.
+evaluation harness (:func:`groupsim.evaluation.embedding_scores`) builds the
+sentence vectors of a whole dataset from these parts: the frequency-weighted
+mean downweights common words by ``a / (a + p(w))`` (:func:`sif_weights`,
+:func:`weighted_mean`); the offline variant additionally removes the corpus's
+first principal direction from every sentence vector (:func:`remove_first_pc`)
+before :func:`row_cosines` scores the pairs.  A zero sentence vector scores
+0.0, a neutral value, wherever a cosine is taken.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, as_matrix
+from .embeddings import as_matrix
 from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SIF_A = 1e-3
+# power iteration of first_singular_direction: step-size tolerance and step limit
+POWER_TOL = 1e-9
+POWER_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Token counts with their total, for inverse-frequency weighting."""
+    """Token counts and their total, for inverse-frequency weighting."""
 
     counts: dict[str, int]
-    total: int
+    total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total must equal the sum of counts")
+        object.__setattr__(self, "total", sum(self.counts.values()))
         if self.total <= 0:
             raise ValueError("frequency table must be non-empty")
 
@@ -58,24 +64,25 @@ def load_frequencies(path) -> FrequencyTable:
             counts[parts[0]] = counts.get(parts[0], 0) + count
     if not counts:
         raise EmbeddingFormatError(f"{path}: no frequency rows found")
-    return FrequencyTable(counts=counts, total=sum(counts.values()))
+    return FrequencyTable(counts)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
+def row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair; 0 (a neutral score) where either row is zero."""
+    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    dots = np.einsum("ij,ij->i", u, v)
+    out = np.zeros(dots.size)
+    np.divide(dots, norms, out=out, where=norms != 0.0)
+    return out
 
 
 def mwv_similarity(d1, d2) -> float:
-    """Cosine of the two bags' mean vectors."""
+    """Cosine of the two bags' mean vectors; 0.0 when either mean is zero."""
     x1 = as_matrix(d1)
     x2 = as_matrix(d2)
     if x1.shape[1] != x2.shape[1]:
         raise ValueError(f"dimension mismatch: {x1.shape[1]} vs {x2.shape[1]}")
-    return cosine(x1.mean(axis=0), x2.mean(axis=0))
+    return float(row_cosines(x1.mean(axis=0)[None], x2.mean(axis=0)[None])[0])
 
 
 def sif_weights(tokens, freqs: FrequencyTable | None, a: float = DEFAULT_SIF_A) -> np.ndarray:
@@ -91,62 +98,34 @@ def sif_weights(tokens, freqs: FrequencyTable | None, a: float = DEFAULT_SIF_A) 
     return np.array([a / (a + freqs.probability(t)) for t in tokens])
 
 
-def sif_embed(
-    tokens,
-    store: EmbeddingStore,
-    freqs: FrequencyTable | None,
-    a: float = DEFAULT_SIF_A,
-) -> np.ndarray:
-    """Inverse-frequency weighted mean of the in-vocabulary token vectors.
-
-    The weights are :func:`sif_weights`, so coverage matches the unweighted
-    mean.  Raises when no token is in the vocabulary.
-    """
-    retained = [t for t in tokens if t in store]
-    weights = sif_weights(retained, freqs, a)
-    if not retained:
-        raise ValueError("no in-vocabulary tokens to embed")
-    rows = store.matrix[[store.vocab[t] for t in retained]].astype(np.float64)
-    return weighted_mean(weights, rows)
-
-
 def weighted_mean(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``sum_t weights[t] rows[t] / len(rows)``, accumulated row by row in order."""
     return (weights[:, None] * rows).sum(axis=0) / len(rows)
 
 
-def first_singular_direction(
-    matrix: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    seed: int = 0,
-) -> tuple[np.ndarray, bool]:
-    """Leading right singular direction of an uncentered matrix by power iteration."""
+def first_singular_direction(matrix: np.ndarray, seed: int = 0) -> tuple[np.ndarray, bool]:
+    """Leading right singular direction of an uncentered matrix by power
+    iteration, and whether it converged within :data:`POWER_MAX_ITER` steps."""
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a matrix with at least two rows")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(x.shape[1])
     v /= np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = x.T @ (x @ v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             # zero matrix: any direction annihilates it
             return v, True
         w /= norm
-        if float(np.linalg.norm(w - v)) <= tol:
+        if float(np.linalg.norm(w - v)) <= POWER_TOL:
             return w, True
         v = w
     return v, False
 
 
-def remove_first_pc(
-    sentence_vectors: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    seed: int = 0,
-) -> np.ndarray:
+def remove_first_pc(sentence_vectors: np.ndarray, seed: int = 0) -> np.ndarray:
     """Project out the first principal direction of a stack of sentence vectors.
 
     Operates on the uncentered matrix, matching common practice for this
@@ -154,7 +133,8 @@ def remove_first_pc(
     last iterate is used.
     """
     x = np.asarray(sentence_vectors, dtype=np.float64)
-    u, converged = first_singular_direction(x, tol=tol, max_iter=max_iter, seed=seed)
+    u, converged = first_singular_direction(x, seed=seed)
     if not converged:
-        logger.warning("power iteration did not converge in %d steps; using last iterate", max_iter)
+        logger.warning("power iteration did not converge in %d steps; using last iterate",
+                       POWER_MAX_ITER)
     return x - np.outer(x @ u, u)

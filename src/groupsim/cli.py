@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import baselines, comparison, evaluation
-from .embeddings import find_pad_token, load_embeddings, lookup_sentence
+from .embeddings import find_pad_token, load_embeddings, lookup_sentence, lookup_sentences
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -222,7 +222,8 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
         sentences = [line.strip() for line in handle if line.strip()]
     if not sentences:
         raise UsageError(f"{args.corpus}: empty corpus")
-    corpus = [lookup_sentence(store, text, pad) for text in sentences]
+    block = lookup_sentences(store, sentences, pad)
+    corpus = [block.rows(i) for i in range(len(block))]
     candidates = [(comparison.DIAG, "aic"), ("spherical", "aic")]
     if config.normalize:
         candidates.append((comparison.VMF, "tic"))

@@ -61,6 +61,8 @@ BAYES = "bayes"
 
 MODELS = (VMF, DIAG, SPHERICAL)
 IC_KINDS = ("tic", "aic", "bic")
+# reactions to a degenerate vMF curvature under "tic": raise, or take the parameter count
+ON_DEGENERATE = ("error", "aic")
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,16 @@ def count_penalty(model: str, ic: str, d: int, n) -> np.ndarray:
     return np.full(len(n), float(k)) if ic == "aic" else 0.5 * k * np.log(n)
 
 
+def _check_on_degenerate(on_degenerate: str) -> None:
+    if on_degenerate not in ON_DEGENERATE:
+        raise ValueError(f"on_degenerate must be one of {ON_DEGENERATE}, got {on_degenerate!r}")
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer (any ``numbers.Integral``) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _moment_order(model: str, ic: str | None) -> int:
     """The moment order a Gaussian criterion reads: 4 for the diagonal "tic"
     penalty (its kurtosis), 2 for every other."""
@@ -165,8 +177,10 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     vMF bag is fitted on its stacked blocks and flagged degenerate when its
     resultant length was clamped; ``on_degenerate="aic"`` puts the parameter
     count in place of a "tic" penalty whose curvature is degenerate, and
-    flags the bag as a fallback.
+    flags the bag as a fallback; any value outside :data:`ON_DEGENERATE`
+    raises ``ValueError``.
     """
+    _check_on_degenerate(on_degenerate)
     if model != BAYES and (model not in MODELS or ic not in IC_KINDS):
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
     d = bags[0][0].shape[1]
@@ -275,7 +289,8 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
 
     ``on_degenerate`` chooses the reaction to a degenerate curvature under
     "tic": "error" (default) propagates, "aic" substitutes the parameter
-    count for the affected fit and flags the score.  A batch of one of
+    count for the affected fit and flags the score; any other value raises
+    ``ValueError``.  A batch of one of
     :func:`pair_scores`.
     """
     x1, x2 = _validated_pair(d1, d2, model, ic)
@@ -309,6 +324,7 @@ def similarity_closed_vmf(d1, d2, on_degenerate: str = "error") -> SimilaritySco
 
 def _closed_vmf_terms(parts, on_degenerate: str) -> tuple[float, float, bool]:
     """(max loglik, tangent-space penalty, fallback) of one vMF fit to the stacked parts."""
+    _check_on_degenerate(on_degenerate)
     n = sum(x.shape[0] for x in parts)
     if n < 2:
         raise ValueError("need at least two vectors to fit")
@@ -377,7 +393,7 @@ class NormalWishartPrior:
     nu0: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+        if not _integral(self.dim) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))  # a numpy integer becomes an int
         if not (math.isfinite(self.kappa0) and self.kappa0 > 0.0):
@@ -473,7 +489,8 @@ def corpus_model_selection(
     candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
     on a plain corpus of bags, without any labelled similarity data.
 
-    Every candidate is checked before the first fit.  L depends only on the
+    Every candidate and ``on_degenerate`` (one of :data:`ON_DEGENERATE`)
+    are checked before the first fit.  L depends only on the
     model, so each model is fitted once, by :func:`bag_criteria` under
     "tic" when one of its candidates reads it; its other candidates take
     :func:`count_penalty`.  The Gaussian models share one moment sweep,
@@ -485,6 +502,7 @@ def corpus_model_selection(
     if not bags:
         raise ValueError("corpus must contain at least one bag")
     candidates = [(model, ic) for model, ic in candidates]
+    _check_on_degenerate(on_degenerate)
     fit_ic = {}  # model -> the criterion its one fit runs under
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
@@ -532,19 +550,21 @@ def penalty_curve(
     penalties on uniform draws from the unit sphere; each is the "tic"
     penalty of the per-bag criterion that scores pairs.  Deterministic under a
     fixed seed.  Every argument is checked before any draw: a ``ValueError``
-    from this function always names a bad argument.
+    from this function always names a bad argument.  ``d``, ``trials`` and
+    the sizes are integers (any ``numbers.Integral`` but a bool).
     """
     if model not in (VMF, DIAG):
         raise ValueError(f"model must be '{VMF}' or '{DIAG}', got {model!r}")
+    if not _integral(d) or d < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
     if model == VMF and not MIN_DIM <= d <= MAX_DIM:
         raise ValueError(f"vmf dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d!r}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    sizes = [int(n) for n in sample_sizes]
-    if not sizes or any(n < 2 for n in sizes):
+    if not _integral(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    sizes = list(sample_sizes)
+    if not sizes or not all(_integral(n) and n >= 2 for n in sizes):
         raise ValueError(f"sample sizes must be a non-empty list of integers >= 2, got {sizes}")
+    sizes = [int(n) for n in sizes]
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:

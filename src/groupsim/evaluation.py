@@ -15,7 +15,9 @@ one call of :func:`groupsim.comparison.pair_scores`, the one composition
 that serves every model: the Gaussian methods from the bags' moments merged
 pairwise, the vMF ones fit by fit on the block's rows normalised once, and
 Normal-Wishart evidence by evidence.  The baselines take their sentence
-vectors from the same rows.  Every per-pair value agrees with scoring the
+vectors from the same rows, in :func:`embedding_scores`, the one
+implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
+sentence vector scores 0.0).  Every per-pair value agrees with scoring the
 pair alone the way the harness did before dataset batches (the tests check
 1e-12 relative).
 """
@@ -185,25 +187,17 @@ def unit_rows(sample, out=None) -> np.ndarray:
     return np.divide(x, norms, out=out)
 
 
-def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair; 0 (a neutral score) where either row is zero."""
-    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-    dots = np.einsum("ij,ij->i", u, v)
-    out = np.zeros(dots.size)
-    np.divide(dots, norms, out=out, where=norms != 0.0)
-    return out
-
-
 def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) -> np.ndarray:
     """Cosine scores of the pairs (i, P + i) of a block of 2P bags, for the
-    sentence-embedding baselines.
+    sentence-embedding baselines: their one implementation.
 
     ``mwv`` takes each bag's mean row.  The SIF variants take the weighted
     mean of a sentence's token rows, with weights ``a / (a + p(w))``; a fully
     out-of-vocabulary sentence falls back to its padded mean so every pair
     stays scoreable.  The offline variant deflates the first principal
     direction of all the block's sentence vectors before the cosines are
-    taken.
+    taken.  A pair with a zero sentence vector scores 0.0
+    (:func:`groupsim.baselines.row_cosines`).
     """
     vectors = np.empty((len(block), block.dim))
     for i, tokens in enumerate(block.tokens):
@@ -216,7 +210,7 @@ def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) ->
     if method == "sif_pca":
         vectors = baselines.remove_first_pc(vectors, seed=options.seed)
     half = len(block) // 2
-    return _row_cosines(vectors[:half], vectors[half:])
+    return baselines.row_cosines(vectors[:half], vectors[half:])
 
 
 def pair_block(store: EmbeddingStore, pairs, pad_token: str) -> SentenceBlock:

@@ -748,7 +748,7 @@ def sif_embed_per_token(tokens, store, freqs, a: float) -> np.ndarray:
 
 def embedding_scores_per_sentence(method, samples_a, samples_b, store, options) -> list[float]:
     """Baseline cosines with one sentence vector and one cosine call at a time."""
-    from groupsim.baselines import cosine, remove_first_pc
+    from groupsim.baselines import remove_first_pc
 
     def sentence_vector(sample):
         if method == "mwv" or not sample.tokens:
@@ -760,13 +760,15 @@ def embedding_scores_per_sentence(method, samples_a, samples_b, store, options) 
     if method == "sif_pca":
         deflated = remove_first_pc(np.vstack([va, vb]), seed=options.seed)
         va, vb = deflated[: va.shape[0]], deflated[va.shape[0]:]
-    scores = []
-    for u, v in zip(va, vb):
-        try:
-            scores.append(cosine(u, v))
-        except ValueError:
-            scores.append(0.0)
-    return scores
+    return [scalar_cosine(u, v) for u, v in zip(va, vb)]
+
+
+def scalar_cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of two vectors, 0.0 when either is zero."""
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
 
 
 def pair_scores_per_pair(method: str, pairs, store, options, pad_token: str):

@@ -5,16 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupsim import baselines
 from groupsim.baselines import (
     FrequencyTable,
-    cosine,
     first_singular_direction,
     load_frequencies,
     mwv_similarity,
     remove_first_pc,
-    sif_embed,
+    row_cosines,
+    sif_weights,
 )
+from groupsim.embeddings import SentenceSample
 from groupsim.errors import EmbeddingFormatError
+from groupsim.evaluation import EvalOptions, embedding_scores, pair_block, score_pair
+
+PAD = "."
+
+
+def cos(u, v) -> float:
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def sif_score(store, a: str, b: str, freqs=None, sif_a: float = 1e-3) -> float:
+    """The harness's "sif" score of one pair, from a block of two sentences."""
+    block = pair_block(store, [(a, b, 0.0)], PAD)
+    return float(embedding_scores("sif", block, EvalOptions(sif_a=sif_a, freqs=freqs))[0])
+
+
+def vec(store, token: str) -> np.ndarray:
+    return store.vector(token).astype(np.float64)
 
 
 class TestMwv:
@@ -37,11 +56,24 @@ class TestMwv:
             naive = float(m1 @ m2 / (np.linalg.norm(m1) * np.linalg.norm(m2)))
             assert mwv_similarity(x1, x2) == pytest.approx(naive, abs=1e-12)
 
-    def test_zero_mean_rejected(self):
-        x1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        x2 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="zero"):
-            mwv_similarity(x1, x2)
+    def test_zero_mean_scores_zero(self, store):
+        # the harness's policy: a zero mean vector gives the neutral score 0.0
+        x1 = np.array([[1.0, 0.0, 2.0, 0.0], [-1.0, 0.0, -2.0, 0.0]])
+        x2 = np.array([[1.0, 0.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
+        assert mwv_similarity(x1, x2) == 0.0
+        a, b = (SentenceSample(vectors=x, token_count_before_padding=1) for x in (x1, x2))
+        assert score_pair("mwv", a, b, store).value == 0.0
+
+    def test_equals_harness(self, store):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            x1, x2 = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
+            a, b = (SentenceSample(vectors=x, token_count_before_padding=1) for x in (x1, x2))
+            assert mwv_similarity(x1, x2) == score_pair("mwv", a, b, store).value
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            mwv_similarity(np.ones((2, 3)), np.ones((2, 4)))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
@@ -56,30 +88,33 @@ class TestMwv:
 
 class TestSif:
     def test_weight_half_when_p_equals_a(self, store):
-        freqs = FrequencyTable(counts={"cat": 1, "dog": 999}, total=1000)
+        freqs = FrequencyTable(counts={"cat": 1, "dog": 999})
         a = 1e-3  # p(cat) = 1e-3 = a, weight 1/2
-        vec = sif_embed(["cat"], store, freqs, a=a)
-        np.testing.assert_allclose(vec, 0.5 * store.vector("cat"), atol=1e-12)
+        w_cat, w_dog = sif_weights(["cat", "dog"], freqs, a)
+        assert w_cat == pytest.approx(0.5, abs=1e-12)
+        expected = cos(0.5 * vec(store, "cat") + w_dog * vec(store, "dog"), vec(store, "sat"))
+        assert sif_score(store, "cat dog", "sat", freqs, a) == pytest.approx(expected, abs=1e-12)
 
     def test_absent_tokens_get_weight_one(self, store):
-        freqs = FrequencyTable(counts={"unrelated": 10}, total=10)
-        vec = sif_embed(["cat", "dog"], store, freqs, a=1e-3)
-        mean = 0.5 * (store.vector("cat") + store.vector("dog"))
-        np.testing.assert_allclose(vec, mean, atol=1e-12)
+        freqs = FrequencyTable(counts={"unrelated": 10})
+        np.testing.assert_array_equal(sif_weights(["cat", "dog"], freqs, 1e-3), [1.0, 1.0])
+        expected = cos(vec(store, "cat") + vec(store, "dog"), vec(store, "sat"))
+        assert sif_score(store, "cat dog", "sat", freqs) == pytest.approx(expected, abs=1e-12)
 
     def test_no_freqs_is_plain_mean(self, store):
-        vec = sif_embed(["cat", "dog"], store, None)
-        mean = 0.5 * (store.vector("cat") + store.vector("dog"))
-        np.testing.assert_allclose(vec, mean, atol=1e-12)
+        # the mean of the token rows alone: the pad row is left out
+        expected = cos(vec(store, "cat") + vec(store, "dog"), vec(store, "sat") + vec(store, "mat"))
+        assert sif_score(store, "cat dog", "sat mat") == pytest.approx(expected, abs=1e-12)
 
     def test_hand_computed_weighted_mean(self, store):
-        freqs = FrequencyTable(counts={"cat": 10, "dog": 90}, total=100)
+        freqs = FrequencyTable(counts={"cat": 10, "dog": 90})
         a = 0.05
         w_cat = a / (a + 0.1)
         w_dog = a / (a + 0.9)
-        expected = (w_cat * store.vector("cat") + w_dog * store.vector("dog")) / 2.0
-        np.testing.assert_allclose(sif_embed(["cat", "dog"], store, freqs, a=a), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(sif_weights(["cat", "dog"], freqs, a), [w_cat, w_dog],
+                                   rtol=1e-15)
+        expected = cos(w_cat * vec(store, "cat") + w_dog * vec(store, "dog"), vec(store, "on"))
+        assert sif_score(store, "cat dog", "on", freqs, a) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_decreasing_weight(self):
         a = 1e-3
@@ -87,17 +122,19 @@ class TestSif:
         assert all(w1 > w2 for w1, w2 in zip(weights, weights[1:]))
 
     def test_no_retained_tokens(self, store):
-        with pytest.raises(ValueError, match="no in-vocabulary"):
-            sif_embed(["zzz"], store, None)
+        # a fully out-of-vocabulary sentence falls back to its padded mean,
+        # the pad row twice, so the pair stays scoreable
+        expected = cos(vec(store, PAD), vec(store, "cat"))
+        assert sif_score(store, "zzz", "cat") == pytest.approx(expected, abs=1e-12)
 
-    def test_rejects_nonpositive_a(self, store):
+    def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
-            sif_embed(["cat"], store, None, a=0.0)
+            sif_weights(["cat"], None, a=0.0)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
-    def test_rejects_non_finite_a(self, store, a):
+    def test_rejects_non_finite_a(self, a):
         with pytest.raises(ValueError, match="finite"):
-            sif_embed(["cat"], store, None, a=a)
+            sif_weights(["cat"], None, a=a)
 
 
 class TestFrequencyTable:
@@ -116,8 +153,9 @@ class TestFrequencyTable:
             load_frequencies(path)
 
     def test_total_invariant(self):
-        with pytest.raises(ValueError):
-            FrequencyTable(counts={"a": 5}, total=6)
+        assert FrequencyTable(counts={"a": 5, "b": 3}).total == 8
+        with pytest.raises(ValueError, match="non-empty"):
+            FrequencyTable(counts={})
 
 
 class TestRemoveFirstPc:
@@ -165,22 +203,27 @@ class TestRemoveFirstPc:
         x = rng.standard_normal((10, 5))
         np.testing.assert_array_equal(remove_first_pc(x, seed=1), remove_first_pc(x, seed=1))
 
-    def test_nonconvergence_reported_but_returns(self, caplog):
+    def test_nonconvergence_reported_but_returns(self, caplog, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((30, 8))
+        monkeypatch.setattr(baselines, "POWER_MAX_ITER", 1)
         with caplog.at_level("WARNING"):
-            out = remove_first_pc(x, max_iter=1)
+            out = remove_first_pc(x)
         assert out.shape == x.shape
         assert any("converge" in rec.message for rec in caplog.records)
 
 
 class TestCosine:
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.ones(3))
+    def test_zero_rows_score_zero(self):
+        u = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        v = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(row_cosines(u, v), [0.0, 0.0, 0.0])
 
     def test_bounds(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            u, v = rng.standard_normal(4), rng.standard_normal(4)
-            assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
+        u = rng.standard_normal((200, 4)) * rng.uniform(1e-3, 1e3, (200, 1))
+        v = np.vstack([rng.standard_normal((100, 4)), -3.0 * u[100:]])
+        out = row_cosines(u, v)
+        assert np.all(np.abs(out) <= 1.0 + 1e-12)
+        np.testing.assert_allclose(out[100:], -1.0, rtol=1e-12)
+        np.testing.assert_allclose(out[:100], [cos(a, b) for a, b in zip(u[:100], v)], rtol=1e-12)

@@ -51,7 +51,7 @@ PAD = "."
 WORDS = ("the", "cat", ".", "dog", "sat", "mat", "on", "qqq", "zzz")
 OPTIONS = EvalOptions(
     sif_a=0.05,
-    freqs=FrequencyTable({"the": 50, ".": 40, "cat": 3, "dog": 2, "on": 5}, total=100),
+    freqs=FrequencyTable({"the": 50, ".": 40, "cat": 3, "dog": 2, "on": 5}),
 )
 
 sentences = st.lists(st.sampled_from(WORDS), max_size=7).map(" ".join)

@@ -3,8 +3,15 @@ import json
 import pytest
 
 from groupsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from groupsim.comparison import NormalWishartPrior, bayes_factor_similarity
-from groupsim.embeddings import find_pad_token, lookup_sentence
+from groupsim.comparison import (
+    DIAG,
+    SPHERICAL,
+    VMF,
+    NormalWishartPrior,
+    bayes_factor_similarity,
+    corpus_model_selection,
+)
+from groupsim.embeddings import find_pad_token, load_embeddings, lookup_sentence
 
 PAIRS = "the cat\tthe dog\t3.0\ncat sat\tdog sat\t4.0\nthe mat\tcat dog\t1.0\n"
 
@@ -236,6 +243,27 @@ class TestModelsel:
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert {r["model"] for r in rows} == {"diag", "spherical", "vmf"}
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_equals_per_document_lookups(self, embedding_file, corpus_file, tmp_path,
+                                         normalize, capsys):
+        # the corpus is gathered as one block; its bags must rank exactly as
+        # bags looked up one document at a time (the fixture has an all-OOV line)
+        out_path = tmp_path / "sel.jsonl"
+        code = main(["modelsel", "--embeddings", str(embedding_file), "--out", str(out_path),
+                     *(["--normalize"] if normalize else []), str(corpus_file)])
+        assert code == EXIT_OK
+        store = load_embeddings(embedding_file, normalize=normalize)
+        pad = find_pad_token(store)
+        corpus = [lookup_sentence(store, line, pad)
+                  for line in corpus_file.read_text().splitlines() if line.strip()]
+        assert any(s.token_count_before_padding == 0 for s in corpus)
+        candidates = [(DIAG, "aic"), (SPHERICAL, "aic")]
+        if normalize:
+            candidates += [(VMF, "tic"), (VMF, "aic")]
+        expected = [{"model": r.model, "ic": r.ic, "mean_ic": r.mean_ic}
+                    for r in corpus_model_selection(corpus, candidates, on_degenerate="aic")]
+        assert [json.loads(line) for line in out_path.read_text().splitlines()] == expected
 
     def test_oov_lines_still_ranked(self, embedding_file, tmp_path, capsys):
         corpus = tmp_path / "oov.txt"

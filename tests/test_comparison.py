@@ -563,7 +563,71 @@ class TestPenaltyCurve:
         (VMF, 1, [10], 2),
         (DIAG, 5, [10, 1], 2),
         (DIAG, 5, [], 2),
+        (DIAG, 5, [2.9, 5], 2),
+        (DIAG, 5, [5.0], 2),
+        (DIAG, 5, [True, 5], 2),
+        (DIAG, 5, [10], 2.5),
+        (DIAG, 5, [10], True),
+        (DIAG, 3.5, [10], 2),
+        (VMF, 3.5, [10], 2),
+        (DIAG, True, [10], 2),
     ])
-    def test_rejects_bad_arguments(self, model, d, sizes, trials):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_arguments(self, model, d, sizes, trials, monkeypatch):
+        # every argument is checked, and named, before the first draw
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="dimension|trials|sizes"):
             penalty_curve(model, d, sizes, trials=trials, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        rows = penalty_curve(DIAG, np.int64(3), np.array([5, 10]), trials=np.int32(2), seed=0)
+        assert rows == penalty_curve(DIAG, 3, [5, 10], trials=2, seed=0)
+        assert [type(row.n) for row in rows] == [int, int]
+
+
+class TestOnDegenerate:
+    """``on_degenerate`` takes "error" or "aic" only, checked on every entry
+    point whether or not a bag is degenerate."""
+
+    BAD = ["AIC", "warn", "skip", None]
+
+    @staticmethod
+    def _bags(degenerate):
+        x = np.tile(np.array([0.0, 1.0, 0.0]), (3, 1))  # one repeated direction
+        if not degenerate:
+            x = uniform_sphere(np.random.default_rng(31), 6, 3)
+        return x, x.copy()
+
+    @pytest.mark.parametrize("degenerate", [True, False])
+    @pytest.mark.parametrize("value", BAD)
+    def test_similarity_ic(self, degenerate, value):
+        x1, x2 = self._bags(degenerate)
+        with pytest.raises(ValueError, match=r"on_degenerate must be one of \('error', 'aic'\)"):
+            similarity_ic(x1, x2, VMF, "tic", on_degenerate=value)
+
+    @pytest.mark.parametrize("model,ic", [(VMF, "tic"), (VMF, "aic"), (DIAG, "aic")])
+    @pytest.mark.parametrize("value", BAD)
+    def test_pair_scores(self, model, ic, value):
+        x1, x2 = self._bags(degenerate=True)
+        with pytest.raises(ValueError, match="on_degenerate"):
+            pair_scores(model, ic, [x1], [x2], on_degenerate=value)
+
+    @pytest.mark.parametrize("degenerate", [True, False])
+    @pytest.mark.parametrize("value", BAD)
+    def test_similarity_closed_vmf(self, degenerate, value):
+        x1, x2 = self._bags(degenerate)
+        with pytest.raises(ValueError, match="on_degenerate"):
+            similarity_closed_vmf(x1, x2, on_degenerate=value)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_corpus_model_selection_checks_before_the_first_fit(self, value, monkeypatch):
+        import groupsim.comparison as comparison
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before on_degenerate was checked")
+
+        monkeypatch.setattr(comparison, "moments", no_fit)
+        monkeypatch.setattr(comparison, "fit_vmf", no_fit)
+        corpus = list(self._bags(degenerate=True))
+        for candidates in ([(DIAG, "aic")], [(VMF, "tic")]):
+            with pytest.raises(ValueError, match="on_degenerate"):
+                corpus_model_selection(corpus, candidates, on_degenerate=value)
