@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# Smoke run of the scripts and of each groupsim subcommand on tiny inputs.
+# Usage: PYTHONPATH=src RUNNER_TEMP=<scratch dir> scripts/ci_smoke.sh
+set -euo pipefail
+
+tmp="$RUNNER_TEMP"
+python scripts/model_selection_demo.py --sentences 20 --dim 4
+python scripts/penalty_curves.py --sizes 5,10 --trials 2 --out-dir "$tmp/pc"
+python -m groupsim.cli penalty-curve --model diag --dim 3 --sizes 5,10 --trials 2
+printf '. 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\ndog -0.3 0.4 0.2\n' > "$tmp/lexicon.txt"
+printf 'the cat sat\nzzz qqq\n' > "$tmp/corpus.txt"
+python -m groupsim.cli modelsel --embeddings "$tmp/lexicon.txt" --normalize "$tmp/corpus.txt"
+python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
+
+# a flag the subcommand does not read is a usage error (exit status exactly 2)
+expect_usage_error() {
+    local status=0
+    python -m groupsim.cli "$@" > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "expected exit status 2, got $status: groupsim $*" >&2
+        exit 1
+    fi
+}
+expect_usage_error score --embeddings "$tmp/lexicon.txt" --out "$tmp/x" cat dog
+expect_usage_error penalty-curve --embeddings x --sizes 5 --trials 1

@@ -77,11 +77,17 @@ def row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def mwv_similarity(d1, d2) -> float:
-    """Cosine of the two bags' mean vectors; 0.0 when either mean is zero."""
+    """Cosine of the two bags' mean vectors; 0.0 when either mean is zero.
+
+    A bag with no rows has no mean and raises ``ValueError``.
+    """
     x1 = as_matrix(d1)
     x2 = as_matrix(d2)
     if x1.shape[1] != x2.shape[1]:
         raise ValueError(f"dimension mismatch: {x1.shape[1]} vs {x2.shape[1]}")
+    for side, x in (("first", x1), ("second", x2)):
+        if len(x) == 0:
+            raise ValueError(f"{side} bag has no rows")
     return float(row_cosines(x1.mean(axis=0)[None], x2.mean(axis=0)[None])[0])
 
 

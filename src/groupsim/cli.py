@@ -1,7 +1,12 @@
 """Command-line front end: score, eval, modelsel, penalty-curve.
 
-Configuration comes from flags, optionally seeded by a JSON config file
-(flags win).  Exit codes: 0 success, 1 runtime error, 2 usage error.
+Each subcommand takes only the flags it reads, declared once with their
+defaults in ``_FLAGS``.  ``--config FILE`` reads a JSON object whose keys are
+the ``dest`` names of the subcommand's other flags (``sif_a`` for
+``--sif-a``); its values become that subcommand's defaults, so flags win.  A
+value must fit its flag: true/false for an on/off flag, a number for a float,
+an integer for an int, a string otherwise, and null only where the default
+is None.  Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from . import baselines, comparison, evaluation
 from .embeddings import find_pad_token, load_embeddings, lookup_sentence, lookup_sentences
@@ -20,169 +24,91 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    embeddings: str | None = None
-    normalize: bool = False
-    method: str = "diag_aic"
-    pad_token: str | None = None
-    sif_a: float = baselines.DEFAULT_SIF_A
-    freq_file: str | None = None
-    prior_kappa0: float = 1.0
-    prior_nu0: float | None = None
-    out: str | None = None
-    seed: int = 0
-
-    def validate(self, allow_all: bool = False) -> None:
-        valid = set(evaluation.SUPPORTED_METHODS)
-        if allow_all:
-            valid.add("all")
-        if self.method not in valid:
-            raise UsageError(
-                f"unknown method {self.method!r}; choose from {sorted(valid)}"
-            )
-        if not (math.isfinite(self.sif_a) and self.sif_a > 0):
-            raise UsageError(f"sif-a must be positive and finite, got {self.sif_a!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
 class UsageError(Exception):
     pass
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    parser.add_argument("--embeddings", help="path to text embedding file")
-    parser.add_argument("--normalize", action="store_true", default=None,
-                        help="unit-normalize stored vectors")
-    parser.add_argument("--method", help="similarity method identifier")
-    parser.add_argument("--pad-token", dest="pad_token", help="padding token (default: auto)")
-    parser.add_argument("--sif-a", dest="sif_a", type=float, help="SIF smoothing parameter")
-    parser.add_argument("--freq-file", dest="freq_file", help="token frequency file for SIF")
-    parser.add_argument("--prior-kappa0", dest="prior_kappa0", type=float,
-                        help="Normal-Wishart prior mean-precision scale "
-                             "(read only by --method bayes_factor)")
-    parser.add_argument("--prior-nu0", dest="prior_nu0", type=float,
-                        help="Normal-Wishart prior degrees of freedom "
-                             "(read only by --method bayes_factor)")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--verbose", action="store_true", help="print score breakdowns")
+# every flag a subcommand may take: dest -> (option string, add_argument keywords)
+_FLAGS = {
+    "embeddings": ("--embeddings", {"help": "path to text embedding file"}),
+    "normalize": ("--normalize", {"action": "store_true",
+                                  "help": "unit-normalize stored vectors"}),
+    "pad_token": ("--pad-token", {"help": "padding token (default: auto)"}),
+    "method": ("--method", {"default": "diag_aic", "help": "similarity method identifier"}),
+    "sif_a": ("--sif-a", {"type": float, "default": baselines.DEFAULT_SIF_A,
+                          "help": "SIF smoothing parameter"}),
+    "freq_file": ("--freq-file", {"help": "token frequency file for SIF"}),
+    "prior_kappa0": ("--prior-kappa0", {"type": float, "default": 1.0,
+                                        "help": "Normal-Wishart prior mean-precision scale "
+                                                "(read only by --method bayes_factor)"}),
+    "prior_nu0": ("--prior-nu0", {"type": float,
+                                  "help": "Normal-Wishart prior degrees of freedom "
+                                          "(read only by --method bayes_factor)"}),
+    "seed": ("--seed", {"type": int, "default": 0, "help": "seed for all randomness"}),
+    "out": ("--out", {"help": "output file path"}),
+    "verbose": ("--verbose", {"action": "store_true", "help": "print score breakdowns"}),
+    "curve_model": ("--model", {"choices": ["vmf", "diag"], "default": "diag"}),
+    "dim": ("--dim", {"type": int, "default": 10}),
+    "sizes": ("--sizes", {"default": "5,10,20,50,100,1000",
+                          "help": "comma-separated sample sizes"}),
+    "trials": ("--trials", {"type": int, "default": 20}),
+}
+_STORE = ("embeddings", "normalize", "pad_token")
+_SCORING = (*_STORE, "method", "sif_a", "freq_file", "prior_kappa0", "prior_nu0", "seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="groupsim",
-        description="Similarity of embedding groups by penalised model comparison.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_score = sub.add_parser("score", help="score one sentence pair")
-    _add_common_flags(p_score)
-    p_score.add_argument("sentence_a")
-    p_score.add_argument("sentence_b")
-
-    p_eval = sub.add_parser("eval", help="evaluate on TSV pair datasets")
-    _add_common_flags(p_eval)
-    p_eval.add_argument("datasets", nargs="+", help="TSV files: a<TAB>b<TAB>gold")
-
-    p_sel = sub.add_parser("modelsel", help="rank candidate models by mean criterion")
-    _add_common_flags(p_sel)
-    p_sel.add_argument("corpus", help="text file, one sentence per line")
-
-    p_curve = sub.add_parser("penalty-curve", help="emit penalty-vs-sample-size CSV")
-    _add_common_flags(p_curve)
-    p_curve.add_argument("--model", dest="curve_model", choices=["vmf", "diag"],
-                         default="diag")
-    p_curve.add_argument("--dim", type=int, default=10)
-    p_curve.add_argument("--sizes", default="5,10,20,50,100,1000",
-                         help="comma-separated sample sizes")
-    p_curve.add_argument("--trials", type=int, default=20)
-    return parser
+def _check_scoring(args: argparse.Namespace, allow_all: bool = False) -> None:
+    valid = set(evaluation.SUPPORTED_METHODS)
+    if allow_all:
+        valid.add("all")
+    if args.method not in valid:
+        raise UsageError(f"unknown method {args.method!r}; choose from {sorted(valid)}")
+    if not (math.isfinite(args.sif_a) and args.sif_a > 0):
+        raise UsageError(f"sif-a must be positive and finite, got {args.sif_a!r}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {args.seed!r}")
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
-        if not isinstance(file_values, dict):
-            raise UsageError(
-                f"config file must hold a JSON object, got {json.dumps(file_values)}"
-            )
-        unknown = set(file_values) - set(vars(config))
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for field in fields(RunConfig):
-            if field.name in file_values:
-                _check_config_value(field, file_values[field.name])
-    for key in vars(config):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(config, key, flag)
-        elif key in file_values:
-            setattr(config, key, file_values[key])
-    return config
-
-
-# JSON values each RunConfig field type accepts; JSON true/false fit bool fields only
-_CONFIG_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
-
-
-def _check_config_value(field, value) -> None:
-    """Raise UsageError unless a config-file value fits the field's type (null: default None)."""
-    if value is None and field.default is None:
-        return
-    kind = field.type.split(" | ")[0]
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _CONFIG_TYPES[kind]):
-        raise UsageError(f"config key {field.name!r} must be {kind}, got {json.dumps(value)}")
-
-
-def _load_store(config: RunConfig):
-    if not config.embeddings:
+def _load_store(args: argparse.Namespace):
+    if not args.embeddings:
         raise UsageError("--embeddings is required")
-    store = load_embeddings(config.embeddings, normalize=config.normalize)
-    if config.pad_token and config.pad_token not in store:
-        raise UsageError(f"pad token {config.pad_token!r} not in vocabulary")
+    store = load_embeddings(args.embeddings, normalize=args.normalize)
+    if args.pad_token and args.pad_token not in store:
+        raise UsageError(f"pad token {args.pad_token!r} not in vocabulary")
     return store
 
 
-def _options(config: RunConfig, dim: int) -> evaluation.EvalOptions:
-    freqs = baselines.load_frequencies(config.freq_file) if config.freq_file else None
+def _options(args: argparse.Namespace, dim: int) -> evaluation.EvalOptions:
+    freqs = baselines.load_frequencies(args.freq_file) if args.freq_file else None
     prior = None
-    reads_prior = config.method in ("bayes_factor", "all")
-    if reads_prior and (config.prior_nu0 is not None or config.prior_kappa0 != 1.0):
-        nu0 = config.prior_nu0 if config.prior_nu0 is not None else float(dim + 2)
+    reads_prior = args.method in ("bayes_factor", "all")
+    if reads_prior and (args.prior_nu0 is not None or args.prior_kappa0 != 1.0):
+        nu0 = args.prior_nu0 if args.prior_nu0 is not None else float(dim + 2)
         try:
-            prior = comparison.NormalWishartPrior(dim, kappa0=config.prior_kappa0, nu0=nu0)
+            prior = comparison.NormalWishartPrior(dim, kappa0=args.prior_kappa0, nu0=nu0)
         except ValueError as exc:
             raise UsageError(f"bad prior: {exc}") from exc
     return evaluation.EvalOptions(
-        pad_token=config.pad_token,
-        sif_a=config.sif_a,
+        pad_token=args.pad_token,
+        sif_a=args.sif_a,
         freqs=freqs,
         prior=prior,
-        seed=config.seed,
+        seed=args.seed,
     )
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    config.validate()
-    store = _load_store(config)
-    pad = config.pad_token or find_pad_token(store)
+    _check_scoring(args)
+    store = _load_store(args)
+    pad = args.pad_token or find_pad_token(store)
     sample_a = lookup_sentence(store, args.sentence_a, pad)
     sample_b = lookup_sentence(store, args.sentence_b, pad)
     if sample_a.token_count_before_padding == 0 or sample_b.token_count_before_padding == 0:
         print("warning: a sentence had no in-vocabulary tokens (double padding applied)",
               file=sys.stderr)
-    options = _options(config, dim=store.dim)
-    score = evaluation.score_pair(config.method, sample_a, sample_b, store, options)
-    print(f"{config.method}\t{score.value!r}")
+    options = _options(args, dim=store.dim)
+    score = evaluation.score_pair(args.method, sample_a, sample_b, store, options)
+    print(f"{args.method}\t{score.value!r}")
     if args.verbose and score.breakdown is not None:
         b = score.breakdown
         for key in ("loglik_joint", "loglik_1", "loglik_2",
@@ -193,31 +119,26 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    config.validate(allow_all=True)
-    store = _load_store(config)
+    _check_scoring(args, allow_all=True)
+    store = _load_store(args)
     datasets = [evaluation.load_pairs(path) for path in args.datasets]
-    options = _options(config, dim=store.dim)
-    methods = (
-        list(evaluation.SUPPORTED_METHODS) if config.method == "all" else [config.method]
-    )
+    options = _options(args, dim=store.dim)
+    methods = list(evaluation.SUPPORTED_METHODS) if args.method == "all" else [args.method]
     all_lines: list[str] = []
     for method in methods:
         report = evaluation.evaluate(method, datasets, store, options)
         print(evaluation.format_table(report))
         print()
         all_lines.extend(evaluation.report_lines(report))
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n".join(all_lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_modelsel(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    config.validate()
-    store = _load_store(config)
-    pad = config.pad_token or find_pad_token(store)
+    store = _load_store(args)
+    pad = args.pad_token or find_pad_token(store)
     with open(args.corpus, "r", encoding="utf-8") as handle:
         sentences = [line.strip() for line in handle if line.strip()]
     if not sentences:
@@ -225,15 +146,15 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
     block = lookup_sentences(store, sentences, pad)
     corpus = [block.rows(i) for i in range(len(block))]
     candidates = [(comparison.DIAG, "aic"), ("spherical", "aic")]
-    if config.normalize:
+    if args.normalize:
         candidates.append((comparison.VMF, "tic"))
         candidates.append((comparison.VMF, "aic"))
     rows = comparison.corpus_model_selection(corpus, candidates, on_degenerate="aic")
     print(f"{'model':<12} {'ic':<5} {'mean_ic':>14}")
     for row in rows:
         print(f"{row.model:<12} {row.ic:<5} {row.mean_ic:>14.4f}")
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(
                     {"model": row.model, "ic": row.ic, "mean_ic": row.mean_ic}
@@ -242,8 +163,6 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
 
 
 def _cmd_penalty_curve(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    config.validate()
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError as exc:
@@ -254,13 +173,13 @@ def _cmd_penalty_curve(args: argparse.Namespace) -> int:
             d=args.dim,
             sample_sizes=sizes,
             trials=args.trials,
-            seed=config.seed,
+            seed=args.seed,
         )
     except ValueError as exc:  # penalty_curve checks its arguments before any work
         raise UsageError(str(exc)) from exc
     csv = comparison.penalty_curve_csv(rows)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(csv)
     else:
         sys.stdout.write(csv)
@@ -275,13 +194,77 @@ _COMMANDS = {
 }
 
 
+def build_parser():
+    """The parser, and per command its subparser and the flag actions a config file may set."""
+    parser = argparse.ArgumentParser(
+        prog="groupsim",
+        description="Similarity of embedding groups by penalised model comparison.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name: str, help_text: str, flags) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help_text)
+        subparser.add_argument("--config", help="JSON file of flag defaults (flags win)")
+        commands[name] = (subparser, [
+            subparser.add_argument(_FLAGS[dest][0], dest=dest, **_FLAGS[dest][1])
+            for dest in flags
+        ])
+        return subparser
+
+    p_score = add_command("score", "score one sentence pair", (*_SCORING, "verbose"))
+    p_score.add_argument("sentence_a")
+    p_score.add_argument("sentence_b")
+    p_eval = add_command("eval", "evaluate on TSV pair datasets", (*_SCORING, "out"))
+    p_eval.add_argument("datasets", nargs="+", help="TSV files: a<TAB>b<TAB>gold")
+    p_sel = add_command("modelsel", "rank candidate models by mean criterion", (*_STORE, "out"))
+    p_sel.add_argument("corpus", help="text file, one sentence per line")
+    add_command("penalty-curve", "emit penalty-vs-sample-size CSV",
+                ("seed", "out", "curve_model", "dim", "sizes", "trials"))
+    return parser, commands
+
+
+def _config_defaults(path: str, actions) -> dict:
+    """The JSON object in ``path``, each key the dest of one of ``actions`` and
+    each value of that flag's type."""
+    with open(path, "r", encoding="utf-8") as handle:
+        values = json.load(handle)
+    if not isinstance(values, dict):
+        raise UsageError(f"config file must hold a JSON object, got {json.dumps(values)}")
+    by_dest = {action.dest: action for action in actions}
+    unknown = set(values) - set(by_dest)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        _check_config_value(by_dest[key], value)
+    return values
+
+
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Raise UsageError unless a config value fits its flag (true/false: on/off flags only)."""
+    if value is None and action.default is None:
+        return
+    if action.nargs == 0:  # store_true
+        kind, fits = "bool", isinstance(value, bool)
+    else:
+        kind = action.type.__name__ if action.type else "str"
+        accepted = (int, float) if action.type is float else action.type or str
+        fits = isinstance(value, accepted) and not isinstance(value, bool)
+    if not fits:
+        raise UsageError(f"config key {action.dest!r} must be {kind}, got {json.dumps(value)}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        if args.config:
+            subparser, actions = commands[args.command]
+            subparser.set_defaults(**_config_defaults(args.config, actions))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ breakdown records which convention produced the value.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import numbers
@@ -169,7 +168,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
 
     A bag is a tuple of (n_i, d) row blocks fitted as one.  P is the gradient
     trace for ``ic="tic"``, the parameter count k for "aic" and
-    ``(k/2) log n`` for "bic"; a "bayes" bag has its Normal-Wishart log
+    ``(k/2) log n`` for "bic"; a ("bayes", None) bag has its Normal-Wishart log
     evidence as L and P = 0.  Gaussian bags are read from their moments
     ``mom`` (taken from the rows of one-block bags when omitted, to M4 only
     for the diagonal "tic" penalty, the one criterion that reads it); the
@@ -181,7 +180,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     raises ``ValueError``.
     """
     _check_on_degenerate(on_degenerate)
-    if model != BAYES and (model not in MODELS or ic not in IC_KINDS):
+    if (model, ic) != (BAYES, None) and (model not in MODELS or ic not in IC_KINDS):
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
     d = bags[0][0].shape[1]
     for x in (x for bag in bags for x in bag):
@@ -266,15 +265,11 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     )
 
 
-def _validated_pair(d1, d2, model: str | None = None, ic: str | None = None):
+def _validated_pair(d1, d2):
     x1 = as_matrix(d1)
     x2 = as_matrix(d2)
     if x1.shape[1] != x2.shape[1]:
         raise ValueError(f"dimension mismatch: {x1.shape[1]} vs {x2.shape[1]}")
-    if model is not None and model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    if ic is not None and ic not in IC_KINDS:
-        raise ValueError(f"ic must be one of {IC_KINDS}, got {ic!r}")
     return x1, x2
 
 
@@ -293,7 +288,7 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
     ``ValueError``.  A batch of one of
     :func:`pair_scores`.
     """
-    x1, x2 = _validated_pair(d1, d2, model, ic)
+    x1, x2 = _validated_pair(d1, d2)
     return pair_scores(model, ic, [x1], [x2], on_degenerate)[0]
 
 
@@ -402,13 +397,8 @@ class NormalWishartPrior:
             raise ValueError(f"nu0 must exceed d - 1 = {self.dim - 1}")
 
 
-@functools.lru_cache(maxsize=4)
 def default_prior(d: int) -> NormalWishartPrior:
-    """Weak proper default: kappa0 = 1, nu0 = d + 2 (zero mean, identity scale).
-
-    Cached per d (a run scores at one or a few widths); every caller shares
-    the same frozen instance.
-    """
+    """Weak proper default: kappa0 = 1, nu0 = d + 2 (zero mean, identity scale)."""
     return NormalWishartPrior(d, kappa0=1.0, nu0=float(d + 2))
 
 
@@ -550,8 +540,9 @@ def penalty_curve(
     penalties on uniform draws from the unit sphere; each is the "tic"
     penalty of the per-bag criterion that scores pairs.  Deterministic under a
     fixed seed.  Every argument is checked before any draw: a ``ValueError``
-    from this function always names a bad argument.  ``d``, ``trials`` and
-    the sizes are integers (any ``numbers.Integral`` but a bool).
+    from this function always names a bad argument.  ``d``, ``trials``, the
+    sizes and ``seed`` are integers (any ``numbers.Integral`` but a bool), and
+    ``seed`` is non-negative.
     """
     if model not in (VMF, DIAG):
         raise ValueError(f"model must be '{VMF}' or '{DIAG}', got {model!r}")
@@ -565,6 +556,8 @@ def penalty_curve(
     if not sizes or not all(_integral(n) and n >= 2 for n in sizes):
         raise ValueError(f"sample sizes must be a non-empty list of integers >= 2, got {sizes}")
     sizes = [int(n) for n in sizes]
+    if not _integral(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:

@@ -14,7 +14,7 @@ import itertools
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -265,17 +265,20 @@ class SentenceBlock:
     Bag ``i`` is ``vectors[starts[i]:starts[i] + sizes[i]]``: the rows of
     ``tokens[i]``, its retained tokens in sentence order, then the pad
     vector once (twice when no token was retained).  The bags tile the block
-    in order, without gaps.  ``tokens[i]`` is a list: a dataset's worth of
-    short tuples freed at once fills CPython's per-size tuple free lists,
-    which held about 2 MB more of small-object arenas after a dozen
-    benchmark passes.
+    in order, without gaps, so ``starts`` is derived from ``sizes``.
+    ``tokens[i]`` is a list: a dataset's worth of short tuples freed at once
+    fills CPython's per-size tuple free lists, which held about 2 MB more of
+    small-object arenas after a dozen benchmark passes.
     """
 
     vectors: np.ndarray
-    starts: np.ndarray
     sizes: np.ndarray
     tokens: tuple[list[str], ...]
     oov_counts: tuple[int, ...]
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -305,7 +308,6 @@ class SentenceBlock:
         sizes = np.array([s.n for s in samples], dtype=np.intp)
         return cls(
             vectors=np.vstack([s.vectors for s in samples]),
-            starts=np.cumsum(sizes) - sizes,
             sizes=sizes,
             tokens=tuple(list(s.tokens) for s in samples),
             oov_counts=tuple(s.oov_count for s in samples),
@@ -339,4 +341,4 @@ def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBl
         if not np.isfinite(slab).all():
             raise ValueError("sentence vectors must be finite")
         vectors[first:first + SLAB_ROWS] = slab
-    return SentenceBlock(vectors, np.cumsum(sizes) - sizes, sizes, tuple(tokens), tuple(oov_counts))
+    return SentenceBlock(vectors, sizes, tuple(tokens), tuple(oov_counts))

@@ -120,9 +120,9 @@ class EvalOptions:
     seed: int = 0
 
 
-def load_pairs(path, name: str | None = None) -> ScoredPairSet:
-    """Parse a TSV pair file; lines with a bad score or missing field are
-    skipped and counted."""
+def load_pairs(path) -> ScoredPairSet:
+    """Parse a TSV pair file, named by its basename; lines with a bad score
+    or missing field are skipped and counted."""
     pairs = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as handle:
@@ -148,7 +148,7 @@ def load_pairs(path, name: str | None = None) -> ScoredPairSet:
     if skipped:
         logger.warning("%s: skipped %d malformed lines", path, skipped)
     return ScoredPairSet(
-        name=name if name is not None else os.path.basename(str(path)),
+        name=os.path.basename(str(path)),
         pairs=tuple(pairs),
         skipped_lines=skipped,
     )
@@ -235,6 +235,8 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
     if method not in MODEL_METHODS:
         raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
     model, _, ic = method.partition("_")
+    if model == comparison.BAYES:
+        ic = None
     if model == comparison.VMF:
         rows = block.vectors
         for first in range(0, len(rows), SLAB_ROWS):

