@@ -11,6 +11,22 @@ printf '. 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\ndog -0.3 0.4 0.2\n' > "$tmp/lexicon.txt
 printf 'the cat sat\nzzz qqq\n' > "$tmp/corpus.txt"
 python -m groupsim.cli modelsel --embeddings "$tmp/lexicon.txt" --normalize "$tmp/corpus.txt"
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
+printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
+python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method all \
+    --out "$tmp/eval.jsonl" "$tmp/pairs.tsv" > /dev/null
+# the report holds one summary row per supported method
+python - "$tmp/eval.jsonl" <<'EOF'
+import json
+import sys
+
+from groupsim.evaluation import SUPPORTED_METHODS
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    rows = [json.loads(line) for line in handle]
+summary = [row["method"] for row in rows if "weighted_average" in row]
+if sorted(summary) != sorted(SUPPORTED_METHODS):
+    sys.exit(f"expected one summary row for each of {len(SUPPORTED_METHODS)} methods, got {summary}")
+EOF
 
 # a flag the subcommand does not read is a usage error (exit status exactly 2)
 expect_usage_error() {

@@ -18,8 +18,6 @@ from .comparison import (
     nw_log_evidence,
     penalty_curve,
     penalty_curve_csv,
-    similarity_closed_gaussian,
-    similarity_closed_vmf,
     similarity_ic,
 )
 from .embeddings import (
@@ -45,8 +43,8 @@ from .evaluation import (
     score_pair,
     spearman,
 )
-from .gaussian import GaussianFit, fit_gaussian, gaussian_loglik, gaussian_tic_penalty
-from .vmf import VmfFit, fit_vmf, vmf_loglik, vmf_tic_penalty
+from .gaussian import GaussianFit, fit_gaussian, gaussian_tic_penalty
+from .vmf import VmfFit, fit_vmf, vmf_tic_penalty
 
 __version__ = "0.1.0"
 
@@ -76,7 +74,6 @@ __all__ = [
     "find_pad_token",
     "fit_gaussian",
     "fit_vmf",
-    "gaussian_loglik",
     "gaussian_tic_penalty",
     "load_embeddings",
     "load_frequencies",
@@ -88,10 +85,7 @@ __all__ = [
     "penalty_curve_csv",
     "remove_first_pc",
     "score_pair",
-    "similarity_closed_gaussian",
-    "similarity_closed_vmf",
     "similarity_ic",
     "spearman",
-    "vmf_loglik",
     "vmf_tic_penalty",
 ]

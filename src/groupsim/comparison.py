@@ -15,10 +15,11 @@ on their rows.  ``corpus_model_selection`` and
 ``penalty_curve`` read the same per-bag criterion.
 ``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
 covariance, conjugate closed form under a prior with mean 0, scale I and
-settable kappa0 and nu0), P = 0 and alpha = 1.  The closed forms
-``similarity_closed_*`` write the tic score out independently of the
-composer, with alpha = 1.  Rank-based evaluation is insensitive to alpha; the
-breakdown records which convention produced the value.
+settable kappa0 and nu0), P = 0 and alpha = 1.  Each model has this one
+scoring path; the closed forms of the "tic" score that the tests check it
+against are written out in ``tests/helpers.py``.  Rank-based evaluation is
+insensitive to alpha; the breakdown records which convention produced the
+value.
 """
 
 from __future__ import annotations
@@ -44,15 +45,8 @@ from .gaussian import (
     radial_sq_sum,
     tic_penalties,
 )
-from .special import MAX_DIM, MIN_DIM, inv_bessel_ratio, vmf_kernels
-from .vmf import (
-    CURVATURE_FLOOR,
-    R_BAR_CEIL,
-    R_BAR_FLOOR,
-    as_unit_matrix,
-    fit_vmf,
-    vmf_tic_penalty,
-)
+from .special import MAX_DIM, MIN_DIM
+from .vmf import fit_vmf, vmf_tic_penalty
 
 VMF = "vmf"
 DIAG = "diag"
@@ -276,6 +270,8 @@ def _validated_pair(d1, d2):
 def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> SimilarityScore:
     """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
 
+    ``model`` is one of :data:`MODELS` ("bayes" raises: its score is
+    :func:`bayes_factor_similarity`) and ``ic`` one of :data:`IC_KINDS`.
     ``P`` is the gradient-based trace for ``ic="tic"``, the parameter count k
     for "aic" and ``(k/2) log n`` for "bic"; the bic score is therefore
     ``2 (L_j - L_1 - L_2) - k log((n+m)/(nm))``.  The two independent-fit
@@ -288,90 +284,10 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
     ``ValueError``.  A batch of one of
     :func:`pair_scores`.
     """
+    if model not in MODELS:
+        raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
     x1, x2 = _validated_pair(d1, d2)
     return pair_scores(model, ic, [x1], [x2], on_degenerate)[0]
-
-
-def similarity_closed_vmf(d1, d2, on_degenerate: str = "error") -> SimilarityScore:
-    """Closed-form vMF score with the gradient penalty (no factor 2).
-
-    Written out from the resultants, without the fitting code: for m and l
-    unit rows with resultants S_1, S_2 the joint resultant is S_1 + S_2, and
-    each fit contributes ``n (kappa R_bar - log C_d(kappa))`` with
-    R_bar = |S| / n (clamped as in :func:`groupsim.vmf.fit_vmf`) and
-    A_d(kappa) = R_bar solved by :func:`groupsim.special.inv_bessel_ratio`.
-    Each penalty is the tangent-space trace
-    ``mean((w . mu - A_d)^2) / A_d' + kappa (mean |w|^2 - mean (w . mu)^2) / R_bar``
-    with mu = S / |S|.  The score is ``L_joint - L_1 - L_2 - P_joint + P_1 + P_2``.
-    """
-    x1, x2 = _validated_pair(d1, d2)
-    x1, x2 = as_unit_matrix(x1), as_unit_matrix(x2)
-    terms = [_closed_vmf_terms(rows, on_degenerate) for rows in ((x1, x2), (x1,), (x2,))]
-    (ll_j, p_j, f_j), (ll_1, p_1, f_1), (ll_2, p_2, f_2) = terms
-    value = ll_j - ll_1 - ll_2 - p_j + p_1 + p_2
-    return SimilarityScore(
-        value=value,
-        method="vmf_tic_closed",
-        breakdown=ScoreBreakdown(ll_j, ll_1, ll_2, p_j, p_1, p_2, alpha=1.0),
-        fallback=f_j or f_1 or f_2,
-    )
-
-
-def _closed_vmf_terms(parts, on_degenerate: str) -> tuple[float, float, bool]:
-    """(max loglik, tangent-space penalty, fallback) of one vMF fit to the stacked parts."""
-    _check_on_degenerate(on_degenerate)
-    n = sum(x.shape[0] for x in parts)
-    if n < 2:
-        raise ValueError("need at least two vectors to fit")
-    d = parts[0].shape[1]
-    resultant = sum(x.sum(axis=0) for x in parts)
-    length = float(np.linalg.norm(resultant))
-    raw_r_bar = length / n
-    r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
-    kappa = inv_bessel_ratio(d, r_bar)
-    a, a_prime, log_c = vmf_kernels(d, kappa)
-    loglik = n * (kappa * r_bar - log_c)
-    degenerate = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
-    if degenerate or a_prime < CURVATURE_FLOOR or kappa * r_bar < CURVATURE_FLOOR:
-        if on_degenerate == "aic":
-            return loglik, float(aic_param_count(VMF, d)), True
-        raise DegenerateCurvatureError("vMF curvature degenerate; penalty undefined on this bag")
-    mu = resultant / length
-    dots = np.concatenate([x @ mu for x in parts])
-    mean_sq_norm = sum(float(np.einsum("ij,ij->", x, x)) for x in parts) / n
-    info_kappa = float(np.mean((dots - a) ** 2))
-    info_tangent = kappa * (mean_sq_norm - float(np.mean(dots**2))) / r_bar
-    return loglik, info_kappa / a_prime + info_tangent, False
-
-
-def similarity_closed_gaussian(d1, d2) -> SimilarityScore:
-    """Closed-form diagonal-Gaussian score with kurtosis penalty (no factor 2).
-
-    Per dimension ``-(m+l) log s_joint + m log s_1 + l log s_2`` on standard
-    deviations, plus ``d/2 + (sum of -kurt_joint + kurt_1 + kurt_2) / 2``.
-    """
-    x1, x2 = _validated_pair(d1, d2)
-    m, l = x1.shape[0], x2.shape[0]
-    single = moments(x1, x2)
-    joint = merge_moments(single.take(slice(0, 1)), single.take(slice(1, 2)))
-    d = single.dim
-    ll_j, var_j, kurt_j, _ = moment_fit(joint, DIAGONAL)
-    ll_s, var_s, kurt_s, _ = moment_fit(single, DIAGONAL)
-    ll_part = 0.5 * float(
-        np.sum(-(m + l) * np.log(var_j[0]) + m * np.log(var_s[0]) + l * np.log(var_s[1]))
-    )
-    pen_part = 0.5 * d + 0.5 * float(np.sum(-kurt_j[0] + kurt_s[0] + kurt_s[1]))
-    pen_j = tic_penalties(DIAGONAL, d, var_j, kurt_j)
-    pen_s = tic_penalties(DIAGONAL, d, var_s, kurt_s)
-    return SimilarityScore(
-        value=ll_part + pen_part,
-        method="diag_tic_closed",
-        breakdown=ScoreBreakdown(
-            float(ll_j[0]), float(ll_s[0]), float(ll_s[1]),
-            float(pen_j[0]), float(pen_s[0]), float(pen_s[1]),
-            alpha=1.0,
-        ),
-    )
 
 
 @dataclass(frozen=True)

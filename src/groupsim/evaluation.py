@@ -111,13 +111,18 @@ class EvalReport:
 
 @dataclass
 class EvalOptions:
-    """Knobs shared by the evaluation harness and the command line."""
+    """Knobs shared by the evaluation harness and the command line; ``seed``
+    is a non-negative integer (any ``numbers.Integral`` but a bool)."""
 
     pad_token: str | None = None
     sif_a: float = baselines.DEFAULT_SIF_A
     freqs: baselines.FrequencyTable | None = None
     prior: comparison.NormalWishartPrior | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not comparison._integral(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def load_pairs(path) -> ScoredPairSet:

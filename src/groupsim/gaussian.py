@@ -223,17 +223,6 @@ def fit_gaussian(sample, kind: str = DIAGONAL) -> GaussianFit:
     )
 
 
-def gaussian_loglik(fit: GaussianFit, sample) -> float:
-    """Exact log-density of a bag at the fit's parameters."""
-    x = as_matrix(sample)
-    if x.shape[1] != fit.dim:
-        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
-    dev = x - fit.mu_hat
-    quad = float((dev**2 / fit.var_hat).sum())
-    n = x.shape[0]
-    return -0.5 * (n * float(np.log(fit.var_hat).sum()) + n * fit.dim * LOG_2PI + quad)
-
-
 def tic_penalties(kind: str, d: int, var: np.ndarray, kurt: np.ndarray,
                   radial_sq_mean=None) -> np.ndarray:
     """Penalties tr(I J^-1) of a batch of fits in d dimensions (see

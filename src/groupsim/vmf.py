@@ -1,4 +1,4 @@
-"""Von Mises-Fisher fitting, log-likelihood, and gradient-based penalty.
+"""Von Mises-Fisher fitting and gradient-based penalty.
 
 The model places mass on the unit sphere with density proportional to
 ``exp(kappa mu . w)``.  The maximum-likelihood mean direction is the
@@ -15,8 +15,9 @@ concentration contributes ``mean((w . mu - A)^2) / A'`` and the d - 1
 tangent directions, which share the curvature ``kappa R_bar``, contribute
 ``kappa mean(|w|^2 - (w . mu)^2) / R_bar``.  The whole penalty is O(nd).
 
-Log-likelihoods are taken with respect to the surface measure of the
-sphere, so they carry no chart volume term.
+A fit carries its maximised log-likelihood, taken with respect to the
+surface measure of the sphere, so it has no chart volume term; the
+log-density of other rows at a fit is a test oracle (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .hypersphere import to_spherical
 from .special import (  # noqa: F401 - bessel_ratio stays importable from this module
     bessel_ratio,
     inv_bessel_ratio,
-    log_vmf_normalizer,
     vmf_kernels,
 )
 
@@ -112,15 +112,6 @@ def fit_vmf(sample) -> VmfFit:
         a_prime=a_prime,
         degenerate=degenerate,
     )
-
-
-def vmf_loglik(fit: VmfFit, sample) -> float:
-    """Log-likelihood of a bag of unit vectors at the fit's parameters."""
-    x = as_unit_matrix(sample)
-    if x.shape[1] != fit.dim:
-        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
-    dots = x @ fit.mu_hat
-    return float(fit.kappa_hat * dots.sum() - x.shape[0] * log_vmf_normalizer(fit.dim, fit.kappa_hat))
 
 
 def vmf_tic_penalty(fit: VmfFit, sample, check_unit: bool = True) -> float:

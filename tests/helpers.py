@@ -5,9 +5,11 @@ the library code paths it checks: high-precision Bessel evaluation through
 mpmath, the vMF kernel that telescopes every log-normaliser to order 0, the
 Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
-analytic Gaussian score/curvature matrices, and brute-force quadrature for
-marginal likelihoods, plus the dense Normal-Wishart evidence, the
-column-major low-rank evidence with full multivariate gammas, the
+analytic Gaussian score/curvature matrices, the closed-form vMF and
+diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
+brute-force quadrature for marginal likelihoods, plus the dense
+Normal-Wishart evidence, the column-major low-rank evidence with full
+multivariate gammas, the
 line-by-line embedding loader, the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
 on a stacked joint bag, for every model, and corpus model selection with
@@ -308,6 +310,104 @@ def spherical_dense_tic(x: np.ndarray) -> float:
 
     info = grads.T @ grads / n
     return float(np.trace(info @ np.linalg.inv(curv)))
+
+
+# ---------------------------------------------------------------------------
+# closed-form "tic" pair scores (alpha = 1) and log-densities at a fit
+# ---------------------------------------------------------------------------
+
+def vmf_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Closed-form vMF score of two bags of unit rows with the gradient penalty.
+
+    Written out from the resultants, without the fitting code: for m and l
+    unit rows with resultants S_1, S_2 the joint resultant is S_1 + S_2, and
+    each fit contributes ``n (kappa R_bar - log C_d(kappa))`` with
+    R_bar = |S| / n (clamped as in ``fit_vmf``) and A_d(kappa) = R_bar solved
+    by ``inv_bessel_ratio``.  Each penalty is the tangent-space trace
+    ``mean((w . mu - A_d)^2) / A_d' + kappa (mean |w|^2 - mean (w . mu)^2) / R_bar``
+    with mu = S / |S|.  The score is ``L_joint - L_1 - L_2 - P_joint + P_1 + P_2``.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    (ll_j, p_j), (ll_1, p_1), (ll_2, p_2) = (
+        _vmf_closed_terms(parts) for parts in ((x1, x2), (x1,), (x2,)))
+    return ll_j - ll_1 - ll_2 - p_j + p_1 + p_2
+
+
+def _vmf_closed_terms(parts) -> tuple[float, float]:
+    """(max loglik, tangent-space penalty) of one vMF fit to the stacked parts."""
+    from groupsim.errors import DegenerateCurvatureError
+    from groupsim.special import inv_bessel_ratio, vmf_kernels
+    from groupsim.vmf import CURVATURE_FLOOR, R_BAR_CEIL, R_BAR_FLOOR
+
+    n = sum(x.shape[0] for x in parts)
+    d = parts[0].shape[1]
+    resultant = sum(x.sum(axis=0) for x in parts)
+    length = float(np.linalg.norm(resultant))
+    raw_r_bar = length / n
+    r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
+    kappa = inv_bessel_ratio(d, r_bar)
+    a, a_prime, log_c = vmf_kernels(d, kappa)
+    loglik = n * (kappa * r_bar - log_c)
+    degenerate = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
+    if degenerate or a_prime < CURVATURE_FLOOR or kappa * r_bar < CURVATURE_FLOOR:
+        raise DegenerateCurvatureError("vMF curvature degenerate; penalty undefined on this bag")
+    mu = resultant / length
+    dots = np.concatenate([x @ mu for x in parts])
+    mean_sq_norm = sum(float(np.einsum("ij,ij->", x, x)) for x in parts) / n
+    info_kappa = float(np.mean((dots - a) ** 2))
+    info_tangent = kappa * (mean_sq_norm - float(np.mean(dots**2))) / r_bar
+    return loglik, info_kappa / a_prime + info_tangent
+
+
+def diag_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Closed-form diagonal-Gaussian score of two bags with the kurtosis penalty.
+
+    From the rows, not from mergeable moments: with the biased per-dimension
+    variance s^2 and kurtosis k of each bag (m and l rows) and of the stacked
+    pair, the log-likelihoods give ``sum(-(m+l) log s_j^2 + m log s_1^2 + l log s_2^2) / 2``
+    (their constants cancel) and the penalties ``d/2 + k/2`` summed over the
+    dimensions give ``d/2 + sum(-k_j + k_1 + k_2) / 2``.  No variance floor:
+    for bags whose variances are far above it.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    m, l, d = x1.shape[0], x2.shape[0], x1.shape[1]
+
+    def var_kurt(x):
+        sq = (x - x.mean(axis=0)) ** 2
+        var = sq.mean(axis=0)
+        return var, (sq**2).mean(axis=0) / var**2
+
+    (var_j, kurt_j), (var_1, kurt_1), (var_2, kurt_2) = (
+        var_kurt(x) for x in (np.vstack([x1, x2]), x1, x2))
+    ll_part = 0.5 * float(np.sum(-(m + l) * np.log(var_j) + m * np.log(var_1)
+                                 + l * np.log(var_2)))
+    return ll_part + 0.5 * d + 0.5 * float(np.sum(-kurt_j + kurt_1 + kurt_2))
+
+
+def vmf_loglik(fit, sample) -> float:
+    """Log-likelihood of a bag of unit vectors at a ``VmfFit``'s parameters."""
+    from groupsim.special import log_vmf_normalizer
+    from groupsim.vmf import as_unit_matrix
+
+    x = as_unit_matrix(sample)
+    if x.shape[1] != fit.dim:
+        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
+    dots = x @ fit.mu_hat
+    return float(fit.kappa_hat * dots.sum() - x.shape[0] * log_vmf_normalizer(fit.dim, fit.kappa_hat))
+
+
+def gaussian_loglik(fit, sample) -> float:
+    """Exact log-density of a bag at a ``GaussianFit``'s parameters."""
+    x = np.asarray(sample, dtype=np.float64)
+    if x.shape[1] != fit.dim:
+        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
+    dev = x - fit.mu_hat
+    quad = float((dev**2 / fit.var_hat).sum())
+    n = x.shape[0]
+    return -0.5 * (n * float(np.log(fit.var_hat).sum()) + n * fit.dim * math.log(2.0 * math.pi)
+                   + quad)
 
 
 # ---------------------------------------------------------------------------

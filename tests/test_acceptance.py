@@ -19,8 +19,6 @@ from groupsim.comparison import (
     corpus_model_selection,
     nw_log_evidence,
     penalty_curve,
-    similarity_closed_gaussian,
-    similarity_closed_vmf,
     similarity_ic,
 )
 from groupsim.embeddings import load_embeddings
@@ -29,10 +27,12 @@ from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
 from groupsim.vmf import fit_vmf, vmf_tic_penalty
 
 from helpers import (
+    diag_closed_tic,
     gaussian_dense_tic,
     nw_log_evidence_quadrature,
     random_rotation,
     uniform_sphere,
+    vmf_closed_tic,
     vmf_dense_tic_fd,
 )
 
@@ -80,12 +80,12 @@ def test_criterion_2_closed_equals_generic():
         n, m = int(rng.integers(3, 9)), int(rng.integers(3, 9))
         x1 = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=d)
         x2 = rng.standard_normal((m, d)) * rng.uniform(0.5, 2.0, size=d)
-        closed_g = similarity_closed_gaussian(x1, x2).value
+        closed_g = diag_closed_tic(x1, x2)
         generic_g = similarity_ic(x1, x2, DIAG, "tic").value / 2.0
         worst = max(worst, abs(closed_g - generic_g) / max(1.0, abs(generic_g)))
 
         u1, u2 = uniform_sphere(rng, n, d), uniform_sphere(rng, m, d)
-        closed_v = similarity_closed_vmf(u1, u2).value
+        closed_v = vmf_closed_tic(u1, u2)
         generic_v = similarity_ic(u1, u2, VMF, "tic").value / 2.0
         worst = max(worst, abs(closed_v - generic_v) / max(1.0, abs(generic_v)))
     _report(2, f"closed forms match generic composition (worst rel {worst:.2e} < 1e-9)",
@@ -170,8 +170,8 @@ def test_criterion_6_invariance_suite():
     shift = rng.uniform(-4.0, 4.0, size=4)
     checks.append(
         abs(
-            similarity_closed_gaussian(x1, x2).value
-            - similarity_closed_gaussian(x1 + shift, x2 + shift).value
+            similarity_ic(x1, x2, DIAG, "tic").value
+            - similarity_ic(x1 + shift, x2 + shift, DIAG, "tic").value
         )
         < 1e-9
     )
@@ -181,8 +181,8 @@ def test_criterion_6_invariance_suite():
     rot = random_rotation(rng, 5)
     checks.append(
         abs(
-            similarity_closed_vmf(u1, u2).value
-            - similarity_closed_vmf(u1 @ rot.T, u2 @ rot.T).value
+            similarity_ic(u1, u2, VMF, "tic").value
+            - similarity_ic(u1 @ rot.T, u2 @ rot.T, VMF, "tic").value
         )
         < 1e-6
     )

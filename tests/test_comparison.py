@@ -18,8 +18,6 @@ from groupsim.comparison import (
     pair_scores,
     penalty_curve,
     penalty_curve_csv,
-    similarity_closed_gaussian,
-    similarity_closed_vmf,
     similarity_ic,
 )
 from groupsim.errors import DegenerateCurvatureError
@@ -29,6 +27,7 @@ from groupsim.vmf import fit_vmf
 
 from helpers import (
     corpus_model_selection_per_candidate,
+    diag_closed_tic,
     log_gamma_ratio_mp,
     nw_log_evidence_columns,
     nw_log_evidence_dense,
@@ -36,6 +35,7 @@ from helpers import (
     nw_log_evidence_quadrature,
     random_rotation,
     uniform_sphere,
+    vmf_closed_tic,
 )
 
 
@@ -132,16 +132,20 @@ class TestGenericComposition:
             similarity_ic(x, x, "full", "tic")
         with pytest.raises(ValueError):
             similarity_ic(x, x, DIAG, "bogus")
-        with pytest.raises(ValueError, match="unknown model and criterion"):
-            similarity_ic(x, x, "bayes", "tic")  # the Bayes factor takes no criterion
+        for ic in ("tic", None):  # the Bayes factor is bayes_factor_similarity's
+            with pytest.raises(ValueError, match="unknown model and criterion"):
+                similarity_ic(x, x, "bayes", ic)
 
 
 class TestClosedForms:
+    """The "tic" score against its closed forms (helpers), and the closed
+    forms' special cases on the score itself."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_vmf_closed_equals_half_generic(self, seed):
         rng = np.random.default_rng(seed)
         x1, x2 = random_pair(rng, 4, unit=True)
-        closed = similarity_closed_vmf(x1, x2).value
+        closed = vmf_closed_tic(x1, x2)
         generic = similarity_ic(x1, x2, VMF, "tic").value
         assert closed == pytest.approx(generic / 2.0, rel=1e-9, abs=1e-9)
 
@@ -149,7 +153,7 @@ class TestClosedForms:
     def test_gaussian_closed_equals_half_generic(self, seed):
         rng = np.random.default_rng(100 + seed)
         x1, x2 = random_pair(rng, 4)
-        closed = similarity_closed_gaussian(x1, x2).value
+        closed = diag_closed_tic(x1, x2)
         generic = similarity_ic(x1, x2, DIAG, "tic").value
         assert closed == pytest.approx(generic / 2.0, rel=1e-9, abs=1e-9)
 
@@ -157,14 +161,14 @@ class TestClosedForms:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((7, 5))
         fit = fit_gaussian(x)
-        assert similarity_closed_gaussian(x, x).value == pytest.approx(
+        assert similarity_ic(x, x, DIAG, "tic").value / 2.0 == pytest.approx(
             gaussian_tic_penalty(fit), abs=1e-9
         )
 
     def test_identical_single_direction_no_nan(self):
         v = np.array([0.0, 1.0, 0.0])
         x = np.tile(v, (3, 1))
-        score = similarity_closed_vmf(x, x, on_degenerate="aic")
+        score = similarity_ic(x, x, VMF, "tic", on_degenerate="aic")
         assert math.isfinite(score.value)
         assert score.fallback
 
@@ -172,22 +176,22 @@ class TestClosedForms:
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         bad = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            similarity_closed_vmf(x, bad)
+            similarity_ic(x, bad, VMF, "tic")
 
     def test_vmf_rotation_invariance(self):
         rng = np.random.default_rng(4)
         x1, x2 = random_pair(rng, 5, unit=True)
-        base = similarity_closed_vmf(x1, x2).value
+        base = similarity_ic(x1, x2, VMF, "tic").value
         rot = random_rotation(np.random.default_rng(9), 5)
-        rotated = similarity_closed_vmf(x1 @ rot.T, x2 @ rot.T).value
+        rotated = similarity_ic(x1 @ rot.T, x2 @ rot.T, VMF, "tic").value
         assert rotated == pytest.approx(base, abs=1e-6)
 
     def test_gaussian_translation_invariance(self):
         rng = np.random.default_rng(5)
         x1, x2 = random_pair(rng, 4)
         shift = rng.uniform(-3, 3, size=4)
-        base = similarity_closed_gaussian(x1, x2).value
-        shifted = similarity_closed_gaussian(x1 + shift, x2 + shift).value
+        base = similarity_ic(x1, x2, DIAG, "tic").value
+        shifted = similarity_ic(x1 + shift, x2 + shift, DIAG, "tic").value
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -620,13 +624,6 @@ class TestOnDegenerate:
         x1, x2 = self._bags(degenerate=True)
         with pytest.raises(ValueError, match="on_degenerate"):
             pair_scores(model, ic, [x1], [x2], on_degenerate=value)
-
-    @pytest.mark.parametrize("degenerate", [True, False])
-    @pytest.mark.parametrize("value", BAD)
-    def test_similarity_closed_vmf(self, degenerate, value):
-        x1, x2 = self._bags(degenerate)
-        with pytest.raises(ValueError, match="on_degenerate"):
-            similarity_closed_vmf(x1, x2, on_degenerate=value)
 
     @pytest.mark.parametrize("value", BAD)
     def test_corpus_model_selection_checks_before_the_first_fit(self, value, monkeypatch):

@@ -249,6 +249,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown method"):
             evaluate("nope", [dataset_a], store)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, True, "3"])
+    def test_options_reject_bad_seed(self, seed):
+        # checked when the options are made, before sif_pca draws with it
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            EvalOptions(seed=seed)
+        assert EvalOptions(seed=np.int64(3)).seed == 3
+
 
 # the comparison call each model method stands for, with EvalOptions() defaults
 DIRECT_CALLS = {

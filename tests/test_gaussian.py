@@ -12,12 +12,11 @@ from groupsim.gaussian import (
     VAR_FLOOR,
     GaussianFit,
     fit_gaussian,
-    gaussian_loglik,
     gaussian_tic_penalty,
 )
 from groupsim.special import LOG_2PI
 
-from helpers import gaussian_dense_tic, spherical_dense_tic
+from helpers import gaussian_dense_tic, gaussian_loglik, spherical_dense_tic
 
 
 class TestFit:

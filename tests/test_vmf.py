@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.special import log_vmf_normalizer
-from groupsim.vmf import fit_vmf, vmf_loglik, vmf_tic_penalty
+from groupsim.vmf import fit_vmf, vmf_tic_penalty
 
 from helpers import (
     inv_bessel_ratio_newton,
@@ -16,6 +16,7 @@ from helpers import (
     sample_vmf,
     uniform_sphere,
     vmf_dense_tic_fd,
+    vmf_loglik,
     vmf_tic_penalty_polar,
 )
 
