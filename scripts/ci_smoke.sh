@@ -9,7 +9,24 @@ python scripts/penalty_curves.py --sizes 5,10 --trials 2 --out-dir "$tmp/pc"
 python -m groupsim.cli penalty-curve --model diag --dim 3 --sizes 5,10 --trials 2
 printf '. 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\ndog -0.3 0.4 0.2\n' > "$tmp/lexicon.txt"
 printf 'the cat sat\nzzz qqq\n' > "$tmp/corpus.txt"
-python -m groupsim.cli modelsel --embeddings "$tmp/lexicon.txt" --normalize "$tmp/corpus.txt"
+python -m groupsim.cli modelsel --embeddings "$tmp/lexicon.txt" --normalize \
+    --out "$tmp/modelsel.jsonl" "$tmp/corpus.txt" > /dev/null
+# one finite row per candidate, best (lowest mean criterion) first
+python - "$tmp/modelsel.jsonl" <<'EOF'
+import json
+import math
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    rows = [json.loads(line) for line in handle]
+candidates = sorted((row["model"], row["ic"]) for row in rows)
+expected = [("diag", "aic"), ("spherical", "aic"), ("vmf", "aic"), ("vmf", "tic")]
+if candidates != expected:
+    sys.exit(f"expected one modelsel row for each of {expected}, got {candidates}")
+values = [row["mean_ic"] for row in rows]
+if not all(math.isfinite(v) for v in values) or values != sorted(values):
+    sys.exit(f"modelsel mean_ic must be finite and ascending, got {values}")
+EOF
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
 printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
 python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method all \

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .embeddings import as_matrix
+from .embeddings import as_matrix, bag_rows
 from .errors import DegenerateCurvatureError
 from .gaussian import (
     DIAGONAL,
@@ -200,7 +200,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     if model == BAYES and prior is None:
         prior = default_prior(d)
     for b, bag in enumerate(bags):
-        x = bag[0] if len(bag) == 1 else np.vstack(bag)
+        x = as_matrix(bag[0] if len(bag) == 1 else np.vstack(bag))
         if model == BAYES:
             loglik[b] = nw_log_evidence(x, prior)
             continue
@@ -395,19 +395,22 @@ def corpus_model_selection(
     candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
     on a plain corpus of bags, without any labelled similarity data.
 
-    Every candidate and ``on_degenerate`` (one of :data:`ON_DEGENERATE`)
-    are checked before the first fit.  L depends only on the
-    model, so each model is fitted once, by :func:`bag_criteria` under
+    The candidates (at least one) and ``on_degenerate`` (one of
+    :data:`ON_DEGENERATE`) are checked before the first fit.  L depends only
+    on the model, so each model is fitted once, by :func:`bag_criteria` under
     "tic" when one of its candidates reads it; its other candidates take
     :func:`count_penalty`.  The Gaussian models share one moment sweep,
     which stops after M2 unless a diagonal "tic" candidate reads M4.  A
     candidate whose L or P is not finite on some bag raises ``ValueError``
-    naming it and the first such bag.
+    naming it and the first such bag.  Bags keep their dtype (float32 from a
+    lexicon): each kernel reads one bag at a time as float64.
     """
-    bags = [(as_matrix(b),) for b in corpus]
+    bags = [(bag_rows(b),) for b in corpus]
     if not bags:
         raise ValueError("corpus must contain at least one bag")
     candidates = [(model, ic) for model, ic in candidates]
+    if not candidates:
+        raise ValueError(f"candidates must name at least one (model, ic) pair, got {candidates}")
     _check_on_degenerate(on_degenerate)
     fit_ic = {}  # model -> the criterion its one fit runs under
     for model, ic in candidates:

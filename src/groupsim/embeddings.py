@@ -5,7 +5,9 @@ optional two-integer count/dimension header) into an immutable store, and
 turns raw text into bags of vectors under a uniform padding rule: every
 sentence receives one copy of a designated pad vector, and fully
 out-of-vocabulary sentences receive two, so downstream dispersion estimates
-are always defined (n >= 2).
+are always defined (n >= 2).  Bags keep the store's dtype (float32 from the
+loader); a kernel reads one bag at a time as float64 (:func:`as_matrix`), so
+no step casts a whole corpus or dataset.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ class EmbeddingStore:
 class SentenceSample:
     """Ordered bag of embedding vectors for one sentence.
 
-    ``vectors`` has shape (n, d) with n >= 2 guaranteed by padding.
-    ``tokens`` keeps the retained in-vocabulary tokens (pad excluded) for
-    methods that reweight per token.
+    ``vectors`` has shape (n, d), in the store's dtype when looked up, with
+    n >= 2 guaranteed by padding.  ``tokens`` keeps the retained
+    in-vocabulary tokens (pad excluded) for methods that reweight per token.
     """
 
     vectors: np.ndarray
@@ -85,13 +87,17 @@ class SentenceSample:
         return self.vectors.shape[1]
 
 
-def as_matrix(data) -> np.ndarray:
-    """(n, d) float64 view of a SentenceSample or array-like."""
-    vectors = data.vectors if isinstance(data, SentenceSample) else np.asarray(data)
-    out = np.asarray(vectors, dtype=np.float64)
-    if out.ndim != 2:
+def bag_rows(data) -> np.ndarray:
+    """(n, d) rows of a SentenceSample or array-like, in their own dtype."""
+    rows = np.asarray(data.vectors if isinstance(data, SentenceSample) else data)
+    if rows.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
-    return out
+    return rows
+
+
+def as_matrix(data) -> np.ndarray:
+    """(n, d) float64 rows of a SentenceSample or array-like: a view when they are float64."""
+    return np.asarray(bag_rows(data), dtype=np.float64)
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,7 +129,7 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     The file is read in chunks of at most 1,024 lines.  Each chunk's vectors
     are parsed by numpy's C text parser as float64 and, after any
     normalisation, cast to float32 to halve memory for large lexicons;
-    lookups return float64.  A chunk the fast parse rejects (a ragged,
+    sentence lookups keep float32.  A chunk the fast parse rejects (a ragged,
     token-only, non-finite, unparsable or, under ``normalize``, zero row, or
     a numeral only Python's ``float`` reads, such as ``1_000``) is re-read
     line by line, so every error names its line.
@@ -254,18 +260,15 @@ def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> Sentenc
     return lookup_sentences(store, [text], pad_token).sample(0)
 
 
-# rows per slab when a block is filled or rewritten, so no whole-block temporary sits next to it
-SLAB_ROWS = 512
-
-
 @dataclass(frozen=True)
 class SentenceBlock:
-    """The bags of many sentences as row ranges of one float64 block.
+    """The bags of many sentences as row ranges of one block, in the store's dtype.
 
     Bag ``i`` is ``vectors[starts[i]:starts[i] + sizes[i]]``: the rows of
     ``tokens[i]``, its retained tokens in sentence order, then the pad
     vector once (twice when no token was retained).  The bags tile the block
-    in order, without gaps, so ``starts`` is derived from ``sizes``.
+    in order, without gaps, so ``starts`` is derived from ``sizes``.  No
+    scorer modifies the block; each reads a bag at a time as float64.
     ``tokens[i]`` is a list: a dataset's worth of short tuples freed at once
     fills CPython's per-size tuple free lists, which held about 2 MB more of
     small-object arenas after a dozen benchmark passes.
@@ -318,9 +321,8 @@ def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBl
     """The padded bags of many sentences in one block (see :func:`lookup_sentence`).
 
     Each text is tokenised once; the rows of all bags are gathered from the
-    store and cast to float64 into one block, 512 rows per ``take``.  The
-    store's rows are checked finite as they are gathered.  Bags are laid out
-    in the order of ``texts``.
+    store in one ``take``, in the store's dtype, and checked finite.  Bags
+    are laid out in the order of ``texts``.
     """
     if pad_token not in store:
         raise UnknownTokenError(f"pad token {pad_token!r} not in vocabulary")
@@ -335,10 +337,7 @@ def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBl
         indices.append([vocab[t] for t in retained] + [pad] * (1 if retained else 2))
     sizes = np.array([len(rows) for rows in indices], dtype=np.intp)
     rows = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.intp)
-    vectors = np.empty((rows.size, store.dim))
-    for first in range(0, rows.size, SLAB_ROWS):
-        slab = store.matrix.take(rows[first:first + SLAB_ROWS], axis=0)
-        if not np.isfinite(slab).all():
-            raise ValueError("sentence vectors must be finite")
-        vectors[first:first + SLAB_ROWS] = slab
+    vectors = store.matrix.take(rows, axis=0)
+    if not np.isfinite(vectors).all():
+        raise ValueError("sentence vectors must be finite")
     return SentenceBlock(vectors, sizes, tuple(tokens), tuple(oov_counts))

@@ -9,12 +9,13 @@ the parameter count, the Gaussian dimensions held at the variance floor and
 the vMF fits whose resultant length was clamped.
 
 A dataset is scored as one batch.  Its sentences are looked up together into
-one float64 block (:func:`groupsim.embeddings.lookup_sentences`), each bag a
-row range of it.  Every model method scores all the pairs of the block in
-one call of :func:`groupsim.comparison.pair_scores`, the one composition
-that serves every model: the Gaussian methods from the bags' moments merged
-pairwise, the vMF ones fit by fit on the block's rows normalised once, and
-Normal-Wishart evidence by evidence.  The baselines take their sentence
+one block in the lexicon's float32 (:func:`groupsim.embeddings.lookup_sentences`),
+each bag a row range of it that a kernel reads as float64.  Every model
+method scores all the pairs of the block in one call of
+:func:`groupsim.comparison.pair_scores`, the one composition that serves
+every model: the Gaussian methods from the bags' moments merged pairwise,
+the vMF ones fit by fit on a float64 copy of the block's rows normalised
+once, and Normal-Wishart evidence by evidence.  The baselines take their sentence
 vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
 sentence vector scores 0.0).  Every per-pair value agrees with scoring the
@@ -35,7 +36,6 @@ from scipy.stats import rankdata
 
 from . import baselines, comparison
 from .embeddings import (
-    SLAB_ROWS,
     EmbeddingStore,
     SentenceBlock,
     SentenceSample,
@@ -46,6 +46,9 @@ from .embeddings import (
 from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
+
+# rows per slab when the vMF methods normalise a block, so no whole-block temporary sits next to it
+SLAB_ROWS = 512
 
 MODEL_METHODS = (
     "vmf_tic",
@@ -183,8 +186,11 @@ def spearman(xs, ys) -> float:
 
 
 def unit_rows(sample, out=None) -> np.ndarray:
-    """Row-normalised copy of a sample's (or a block's) vectors, for sphere
-    likelihoods; written to ``out`` when given, which may be the vectors."""
+    """Row-normalised float64 copy of a sample's (or a block's) vectors, for
+    sphere likelihoods; written to ``out`` when given, which must be float64
+    and may be the vectors."""
+    if out is not None and out.dtype != np.float64:
+        raise ValueError(f"out must be float64, got {out.dtype}")
     x = as_matrix(sample)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -211,7 +217,7 @@ def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) ->
             weights = baselines.sif_weights(tokens, options.freqs, options.sif_a)
             vectors[i] = baselines.weighted_mean(weights, rows[:len(tokens)])
         else:
-            np.divide(np.add.reduce(rows, 0), len(rows), out=vectors[i])
+            np.divide(np.add.reduce(rows, 0, dtype=np.float64), len(rows), out=vectors[i])
     if method == "sif_pca":
         vectors = baselines.remove_first_pc(vectors, seed=options.seed)
     half = len(block) // 2
@@ -226,9 +232,9 @@ def pair_block(store: EmbeddingStore, pairs, pad_token: str) -> SentenceBlock:
 def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> comparison.PairScores:
     """Scores of the pairs (i, P + i) of a block of 2P bags, with any supported method.
 
-    The block is consumed: the vMF methods, whose likelihoods live on the
-    unit sphere, normalise its rows in place, so a dataset's rows are held
-    once.  A model method name ``<model>_<criterion>`` selects the model and
+    The block is left as it is: the vMF methods, whose likelihoods live on
+    the unit sphere, normalise a float64 copy of its rows in place, slab by
+    slab.  A model method name ``<model>_<criterion>`` selects the model and
     the criterion of :func:`groupsim.comparison.pair_scores` ("bayes_factor"
     is the Normal-Wishart evidence), which scores every pair at once; a
     degenerate vMF curvature under "tic" falls back to the parameter count
@@ -242,12 +248,13 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
     model, _, ic = method.partition("_")
     if model == comparison.BAYES:
         ic = None
+    rows = block.vectors
     if model == comparison.VMF:
-        rows = block.vectors
+        rows = rows.astype(np.float64)
         for first in range(0, len(rows), SLAB_ROWS):
             slab = rows[first:first + SLAB_ROWS]
             unit_rows(slab, out=slab)
-    bags = [block.rows(i) for i in range(2 * half)]
+    bags = [rows[start:start + size] for start, size in zip(block.starts, block.sizes)]
     return comparison.pair_scores(model, ic, bags[:half], bags[half:], on_degenerate="aic",
                                   prior=options.prior)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import as_matrix
+from .embeddings import as_matrix, bag_rows
 from .special import LOG_2PI
 
 VAR_FLOOR = 1e-8
@@ -74,16 +74,17 @@ def moments(*bags, order: int = 4) -> GaussianMoments:
     then shifted by c, the mean of the deviations, which removes the
     first-order effect of the mean's rounding error; without it M3 loses
     about |mean| / spread ulps (1e-12 relative at a ratio of 1e3).  The
-    shift runs once over the whole batch.
+    shift runs once over the whole batch.  Each bag is read as float64 in
+    its turn, so float32 bags are never copied whole.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
-    rows = [as_matrix(bag) for bag in bags]
-    count, d = len(rows), rows[0].shape[1]
+    count, d = len(bags), bag_rows(bags[0]).shape[1]
     n = np.empty(count)
     mean, dev_sum, m2 = (np.empty((count, d)) for _ in range(3))
     m3, m4 = (np.empty((count, d)) for _ in range(2)) if order == 4 else (None, None)
-    for b, x in enumerate(rows):
+    for b, bag in enumerate(bags):
+        x = as_matrix(bag)
         if x.shape[1] != d:
             raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
         n[b] = len(x)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupsim.baselines import FrequencyTable
+from groupsim.comparison import IC_KINDS, MODELS, corpus_model_selection
 from groupsim.vmf import fit_vmf
 from groupsim.embeddings import (
     EmbeddingStore,
@@ -25,6 +26,7 @@ from groupsim.embeddings import (
 from groupsim.evaluation import (
     BASELINE_METHODS,
     MODEL_METHODS,
+    SUPPORTED_METHODS,
     EvalOptions,
     _score_block,
     evaluate,
@@ -122,7 +124,7 @@ def test_block_bags_equal_per_sentence_lookups(stores, texts):
         want = lookup_sentence_per_token(store, text, PAD)
         got = block.sample(i)
         np.testing.assert_array_equal(got.vectors, want.vectors)
-        assert got.vectors.dtype == np.float64
+        assert got.vectors.dtype == store.matrix.dtype
         assert got.tokens == want.tokens
         assert got.token_count_before_padding == want.token_count_before_padding
         assert got.oov_count == want.oov_count
@@ -153,6 +155,57 @@ def test_score_pair_width_mismatch_named(stores, method):
         score_pair(method, sa, sb, stores[False], OPTIONS)
 
 
+@pytest.fixture(scope="module")
+def store_pair():
+    """The same unit rows, stored once as float32 and once as float64."""
+    rng = np.random.default_rng(41)
+    matrix = rng.standard_normal((40, 30))
+    matrix = (matrix / np.linalg.norm(matrix, axis=1, keepdims=True)).astype(np.float32)
+    vocab = {f"w{i}": i for i in range(40)}
+    return tuple(EmbeddingStore(dim=30, vocab=vocab, matrix=matrix.astype(dtype))
+                 for dtype in (np.float32, np.float64))
+
+
+def random_texts(rng, count):
+    """Sentences of 0 to 11 words from w0 ... w49; the last ten are out of vocabulary."""
+    return [" ".join(f"w{j}" for j in rng.integers(0, 50, size=rng.integers(0, 12)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("method", SUPPORTED_METHODS)
+def test_float32_store_scores_bit_identical_to_float64_store(store_pair, method):
+    """Kernels read float32 bags as float64 and accumulate nothing in float32."""
+    texts = random_texts(np.random.default_rng(42), 40)
+    pairs = [(a, b, 1.0) for a, b in zip(texts[:20], texts[20:])]
+    options = EvalOptions(freqs=FrequencyTable({f"w{i}": i + 1 for i in range(40)}), seed=3)
+    got, want = (_score_block(method, pair_block(store, pairs, "w0"), options)
+                 for store in store_pair)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.terms is None) == (want.terms is None)
+    if got.terms is not None:
+        assert got.terms.tobytes() == want.terms.tobytes()
+
+
+def test_float32_corpus_selection_bit_identical_to_float64_store(store_pair):
+    texts = random_texts(np.random.default_rng(43), 30)
+    candidates = [(model, ic) for model in MODELS for ic in IC_KINDS]
+    got, want = (corpus_model_selection([lookup_sentence(store, t, "w0") for t in texts],
+                                        candidates, on_degenerate="aic")
+                 for store in store_pair)
+    assert len(got) == len(candidates)
+    assert got == want
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_vmf_scores_leave_the_block_as_it_was(store_pair, side):
+    texts = random_texts(np.random.default_rng(44), 20)
+    pairs = [(a, b, 1.0) for a, b in zip(texts[:10], texts[10:])]
+    block = pair_block(store_pair[side], pairs, "w0")
+    before = block.vectors.copy()
+    _score_block("vmf_tic", block, OPTIONS)
+    assert block.vectors.tobytes() == before.tobytes()
+
+
 class TestUnitRows:
     def test_block_rows_bit_identical_to_per_bag(self):
         rng = np.random.default_rng(11)
@@ -168,6 +221,19 @@ class TestUnitRows:
             rows = unit[block.starts[i]:block.starts[i] + block.sizes[i]]
             want = unit_rows_per_bag(lookup_sentence_per_token(store, text, "w0"))
             assert rows.tobytes() == want.tobytes()
+
+    def test_float32_rows_into_float64_out(self):
+        x = np.random.default_rng(12).standard_normal((5, 7)).astype(np.float32)
+        out = np.empty(x.shape)
+        assert unit_rows(x, out=out) is out
+        assert out.tobytes() == unit_rows(x.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_out_must_be_float64(self, dtype):
+        x = np.random.default_rng(13).standard_normal((5, 7)).astype(dtype)
+        for out in (x, np.empty(x.shape, dtype=np.float32)):
+            with pytest.raises(ValueError, match="^out must be float64, got float"):
+                unit_rows(x, out=out)
 
     def test_zero_vector_rejected_on_the_block(self):
         store = EmbeddingStore(dim=2, vocab={".": 0, "nil": 1},

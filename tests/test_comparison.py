@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,6 +479,33 @@ class TestModelSelection:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             corpus_model_selection([])
+
+    def test_empty_candidate_list_rejected_before_the_first_fit(self, monkeypatch):
+        import groupsim.comparison as comparison
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the candidates were checked")
+
+        monkeypatch.setattr(comparison, "moments", no_fit)
+        monkeypatch.setattr(comparison, "bag_criteria", no_fit)
+        corpus = self._unit_corpus(np.random.default_rng(27))
+        with pytest.raises(ValueError, match=r"^candidates must name at least one .* got \[\]$"):
+            corpus_model_selection(corpus, candidates=[])
+
+    def test_float32_corpus_is_read_one_bag_at_a_time(self):
+        """No float64 copy of the whole corpus: numpy reports its buffers to
+        tracemalloc, and the traced peak stays under a quarter of that copy."""
+        rng = np.random.default_rng(26)
+        corpus = [uniform_sphere(rng, 100, 50).astype(np.float32) for _ in range(100)]
+        float64_bytes = 8 * sum(x.size for x in corpus)
+        tracemalloc.start()
+        try:
+            rows = corpus_model_selection(corpus, [(DIAG, "aic"), (VMF, "tic")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2
+        assert peak <= 0.25 * float64_bytes, f"traced peak {peak} bytes"
 
     def test_vmf_candidate_supported(self):
         rng = np.random.default_rng(17)

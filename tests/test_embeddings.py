@@ -9,6 +9,7 @@ from groupsim.embeddings import (
     find_pad_token,
     load_embeddings,
     lookup_sentence,
+    lookup_sentences,
     tokenize,
 )
 from groupsim.errors import EmbeddingFormatError
@@ -131,6 +132,13 @@ class TestLookup:
     def test_case_insensitive_retention(self, s):
         # dropping out-of-vocabulary tokens commutes with lowercasing
         assert tokenize(s) == tokenize(s.lower())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lookups_keep_the_store_dtype(self, store, dtype):
+        store = EmbeddingStore(dim=store.dim, vocab=store.vocab, matrix=store.matrix.astype(dtype))
+        block = lookup_sentences(store, ["the cat", "zzz", "dog sat on the mat"], ".")
+        assert block.vectors.dtype == store.matrix.dtype
+        assert lookup_sentence(store, "the cat", ".").vectors.dtype == store.matrix.dtype
 
     def test_mixed_case_fixture(self, store):
         a = lookup_sentence(store, "THE CAT SAT", ".")
