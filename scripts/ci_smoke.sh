@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # Smoke run of the scripts and of each groupsim subcommand on tiny inputs.
-# Usage: PYTHONPATH=src RUNNER_TEMP=<scratch dir> scripts/ci_smoke.sh
+# Usage: PYTHONPATH=src [RUNNER_TEMP=<scratch dir>] scripts/ci_smoke.sh
+# Without RUNNER_TEMP the files go to a new mktemp directory, removed on exit.
 set -euo pipefail
 
-tmp="$RUNNER_TEMP"
+if [ -n "${RUNNER_TEMP:-}" ]; then
+    tmp="$RUNNER_TEMP"
+else
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+fi
 python scripts/model_selection_demo.py --sentences 20 --dim 4
 python scripts/penalty_curves.py --sizes 5,10 --trials 2 --out-dir "$tmp/pc"
 python -m groupsim.cli penalty-curve --model diag --dim 3 --sizes 5,10 --trials 2

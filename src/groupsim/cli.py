@@ -226,9 +226,13 @@ def build_parser():
 
 def _config_defaults(path: str, actions) -> dict:
     """The JSON object in ``path``, each key the dest of one of ``actions`` and
-    each value of that flag's type."""
+    each value of that flag's type.  A file that does not parse is a usage
+    error; one that cannot be opened is a runtime error."""
     with open(path, "r", encoding="utf-8") as handle:
-        values = json.load(handle)
+        try:
+            values = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError(f"config file must hold a JSON object, got {json.dumps(values)}")
     by_dest = {action.dest: action for action in actions}

@@ -32,7 +32,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import baselines, comparison
 from .embeddings import (
@@ -162,6 +161,17 @@ def load_pairs(path) -> ScoredPairSet:
     )
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, each group of equal values taking the
+    mean of its ranks (``scipy.stats.rankdata(method="average")``)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Rank correlation with average ranks for ties.
 
@@ -178,8 +188,8 @@ def spearman(xs, ys) -> float:
         raise ValueError("inputs must not contain NaN")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return float("nan")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = average_ranks(x)
+    ry = average_ranks(y)
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))

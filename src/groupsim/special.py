@@ -29,14 +29,14 @@ The log-normalizer log C_d needs ``log I_v(x)`` itself:
 ``bessel_ratio`` and ``log_vmf_normalizer`` are views of the kernel's first
 and last outputs; its middle output, the slope A_d', is read from the kernel
 directly.
+
+``log_multivariate_gamma`` sums its d terms from ``math.lgamma``.  The module
+needs only the standard library, so importing it loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-from scipy.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -278,5 +278,5 @@ def log_multivariate_gamma(d: int, a: float) -> float:
         raise ValueError(f"dimension must be >= 1, got {d!r}")
     if not a > (d - 1) / 2.0:
         raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
-    terms = gammaln(a - 0.5 * np.arange(d))
-    return 0.25 * d * (d - 1) * math.log(math.pi) + float(terms.sum())
+    log_gammas = sum([math.lgamma(a - 0.5 * j) for j in range(d)])
+    return 0.25 * d * (d - 1) * math.log(math.pi) + log_gammas

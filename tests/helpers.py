@@ -10,7 +10,8 @@ diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
 brute-force quadrature for marginal likelihoods, plus the dense
 Normal-Wishart evidence, the column-major low-rank evidence with full
 multivariate gammas, the
-line-by-line embedding loader, the per-pair evaluation path: sentence
+line-by-line embedding loader, Spearman rho from scipy's average ranks,
+the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
 on a stacked joint bag, for every model, and corpus model selection with
 one fit per candidate on full moments.
@@ -802,6 +803,18 @@ def term_scales(x1, x2, model: str, ic: str | None = None, prior=None) -> tuple[
     (l_j, p_j), (l_1, p_1), (l_2, p_2) = (
         _summand_scales(x, model, ic, prior) for x in (np.vstack([x1, x2]), x1, x2))
     return l_j, l_1, l_2, p_j, p_1, p_2
+
+
+def spearman_rankdata(xs, ys) -> float:
+    """Spearman rho from ``scipy.stats.rankdata`` average ranks, for inputs
+    that ``evaluation.spearman`` accepts and that are not constant."""
+    from scipy.stats import rankdata
+
+    rx = rankdata(np.asarray(xs, dtype=float))
+    ry = rankdata(np.asarray(ys, dtype=float))
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
 def pair_rows_per_pair(method: str, pairs, store, pad_token: str):

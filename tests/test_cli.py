@@ -441,6 +441,20 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "config file must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"{mystery: 1}", b'{"seed": 1', b"", b'{"a": "\xff"}'])
+    def test_config_not_parsable_names_the_file(self, content, pairs_file, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(content)
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_USAGE
+        assert f"usage error: config file {config} is not valid JSON: " in capsys.readouterr().err
+
+    def test_missing_config_file_is_a_runtime_error(self, pairs_file, tmp_path, capsys):
+        config = tmp_path / "absent.json"
+        code = main(["eval", "--config", str(config), str(pairs_file)])
+        assert code == EXIT_RUNTIME
+        assert str(config) in capsys.readouterr().err
+
     def test_config_sif_a_nan(self, embedding_file, pairs_file, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(f'{{"embeddings": {json.dumps(str(embedding_file))}, '

@@ -13,6 +13,7 @@ from groupsim.evaluation import (
     SUPPORTED_METHODS,
     EvalOptions,
     ScoredPairSet,
+    average_ranks,
     evaluate,
     load_pairs,
     report_lines,
@@ -21,6 +22,7 @@ from groupsim.evaluation import (
     unit_rows,
 )
 from groupsim.embeddings import lookup_sentence
+from helpers import spearman_rankdata
 
 PAIRS_A = """\
 the cat sat\tthe cat sat on the mat\t4.5
@@ -99,6 +101,33 @@ class TestSpearman:
             if np.all(x == x[0]) or np.all(y == y[0]):
                 continue
             assert spearman(x, y) == pytest.approx(float(spearmanr(x, y).statistic), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranks_equal_scipy_average_ranks(self, seed):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        pool = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, 7.0, np.inf])
+        heavy_ties = rng.choice(pool[: int(rng.integers(1, pool.size + 1))], size=n)
+        mixed = np.where(rng.random(n) < 0.5, heavy_ties, rng.standard_normal(n))
+        for values in (heavy_ties, mixed, np.sort(mixed), np.sort(mixed)[::-1]):
+            assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
+
+    def test_negative_zero_ties_with_zero(self):
+        assert np.array_equal(average_ranks(np.array([0.0, -0.0, np.inf, -0.0, -np.inf])),
+                              [3.0, 3.0, 5.0, 3.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_rankdata_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(3, 300))
+        pool = np.array([-np.inf, -0.0, 0.0, 1.0, 3.5, np.inf])
+        x = rng.choice(pool, size=n)
+        y = np.round(rng.standard_normal(n), 1)
+        x[:2], y[:2] = [-0.0, 1.0], [0.0, 2.0]  # neither side constant
+        assert spearman(x, y) == spearman_rankdata(x, y)
+        assert spearman(y, x) == spearman_rankdata(y, x)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
