@@ -34,6 +34,17 @@ if not all(math.isfinite(v) for v in values) or values != sorted(values):
     sys.exit(f"modelsel mean_ic must be finite and ascending, got {values}")
 EOF
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
+# a UTF-8 byte-order mark and a count/dimension header in front of the lexicon change nothing
+{ printf '\xef\xbb\xbf3 3\n'; cat "$tmp/lexicon.txt"; } > "$tmp/lexicon-bom.txt"
+score_with() {
+    python -m groupsim.cli score --embeddings "$1" --pad-token . --method mwv "the cat" "zzz qqq"
+}
+plain="$(score_with "$tmp/lexicon.txt")"
+marked="$(score_with "$tmp/lexicon-bom.txt")"
+if [ "$plain" != "$marked" ]; then
+    echo "lexicon with a byte-order mark scored '$marked', the plain one '$plain'" >&2
+    exit 1
+fi
 printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
 python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method all \
     --out "$tmp/eval.jsonl" "$tmp/pairs.tsv" > /dev/null

@@ -3,7 +3,6 @@
 from .baselines import (
     FrequencyTable,
     load_frequencies,
-    mwv_similarity,
     remove_first_pc,
 )
 from .comparison import (
@@ -43,7 +42,6 @@ from .evaluation import (
     score_pair,
     spearman,
 )
-from .gaussian import GaussianFit, fit_gaussian, gaussian_tic_penalty
 from .vmf import VmfFit, fit_vmf, vmf_tic_penalty
 
 __version__ = "0.1.0"
@@ -55,7 +53,6 @@ __all__ = [
     "EvalOptions",
     "EvalReport",
     "FrequencyTable",
-    "GaussianFit",
     "GroupsimError",
     "ModelCandidateScore",
     "NormalWishartPrior",
@@ -72,14 +69,11 @@ __all__ = [
     "default_prior",
     "evaluate",
     "find_pad_token",
-    "fit_gaussian",
     "fit_vmf",
-    "gaussian_tic_penalty",
     "load_embeddings",
     "load_frequencies",
     "load_pairs",
     "lookup_sentence",
-    "mwv_similarity",
     "nw_log_evidence",
     "penalty_curve",
     "penalty_curve_csv",

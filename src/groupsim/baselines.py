@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import as_matrix
 from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
@@ -46,9 +45,9 @@ class FrequencyTable:
 
 
 def load_frequencies(path) -> FrequencyTable:
-    """Parse a ``token count`` per line frequency file."""
+    """Parse a ``token count`` per line frequency file, dropping a leading UTF-8 BOM."""
     counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -74,21 +73,6 @@ def row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.zeros(dots.size)
     np.divide(dots, norms, out=out, where=norms != 0.0)
     return out
-
-
-def mwv_similarity(d1, d2) -> float:
-    """Cosine of the two bags' mean vectors; 0.0 when either mean is zero.
-
-    A bag with no rows has no mean and raises ``ValueError``.
-    """
-    x1 = as_matrix(d1)
-    x2 = as_matrix(d2)
-    if x1.shape[1] != x2.shape[1]:
-        raise ValueError(f"dimension mismatch: {x1.shape[1]} vs {x2.shape[1]}")
-    for side, x in (("first", x1), ("second", x2)):
-        if len(x) == 0:
-            raise ValueError(f"{side} bag has no rows")
-    return float(row_cosines(x1.mean(axis=0)[None], x2.mean(axis=0)[None])[0])
 
 
 def sif_weights(tokens, freqs: FrequencyTable | None, a: float = DEFAULT_SIF_A) -> np.ndarray:

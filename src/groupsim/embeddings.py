@@ -122,8 +122,9 @@ _CHUNK_LINES = 1024
 def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     """Parse a text embedding file into an :class:`EmbeddingStore`.
 
-    A first line of exactly two integers is treated as a count/dimension
-    header.  With ``normalize`` every row is scaled to unit Euclidean norm.
+    A leading UTF-8 byte-order mark is dropped, and a first line of exactly
+    two integers is a count/dimension header.  With ``normalize`` every row
+    is scaled to unit Euclidean norm.
     On duplicate tokens the first occurrence wins and the count is reported.
 
     The file is read in chunks of at most 1,024 lines.  Each chunk's vectors
@@ -138,7 +139,7 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     blocks: list[np.ndarray] = []
     dim = None
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         first_line = 1
         while lines := list(itertools.islice(handle, _CHUNK_LINES)):
             if first_line == 1 and _looks_like_header(lines[0].split()):

@@ -113,8 +113,9 @@ class EvalReport:
 
 @dataclass
 class EvalOptions:
-    """Knobs shared by the evaluation harness and the command line; ``seed``
-    is a non-negative integer (any ``numbers.Integral`` but a bool)."""
+    """Knobs shared by the evaluation harness and the command line; ``sif_a``
+    is positive and finite, and ``seed`` a non-negative integer (any
+    ``numbers.Integral`` but a bool)."""
 
     pad_token: str | None = None
     sif_a: float = baselines.DEFAULT_SIF_A
@@ -123,6 +124,8 @@ class EvalOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.sif_a) and self.sif_a > 0.0):
+            raise ValueError(f"sif_a must be positive and finite, got {self.sif_a!r}")
         if not comparison._integral(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -176,60 +176,19 @@ def radial_sq_sum(x: np.ndarray, mu: np.ndarray) -> float:
     return float(q @ q)
 
 
-@dataclass(frozen=True)
-class GaussianFit:
-    """Maximum-likelihood Gaussian fit with the moments the penalty needs.
-
-    A spherical fit stores its pooled variance and kurtosis replicated across
-    dimensions, plus ``radial_sq_mean``, the mean over observations of
-    ``(|x - mu|^2)^2``, which its gradient-based penalty needs.
-    """
-
-    kind: str
-    mu_hat: np.ndarray
-    var_hat: np.ndarray
-    kurt_hat: np.ndarray
-    n: int
-    max_loglik: float
-    floored_dims: int = 0
-    radial_sq_mean: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.mu_hat.size
-
-
-def fit_gaussian(sample, kind: str = DIAGONAL) -> GaussianFit:
-    """Fit one bag by maximum likelihood, from its moments (a batch of one).
-
-    ``kind`` selects a per-dimension variance ("diagonal") or a single pooled
-    one ("spherical", whose kurtosis pools fourth moments the same way).
-    """
-    x = as_matrix(sample)
-    n, d = x.shape
-    if n < 2:
-        raise ValueError("need at least two vectors to fit")
-    mom = moments(x)
-    max_loglik, var, kurt, floored = moment_fit(mom, kind)
-    mu = mom.mean[0]
-    return GaussianFit(
-        kind=kind,
-        mu_hat=mu,
-        var_hat=np.broadcast_to(var[0], (d,)).copy(),
-        kurt_hat=np.broadcast_to(kurt[0], (d,)).copy(),
-        n=n,
-        max_loglik=float(max_loglik[0]),
-        floored_dims=int(floored[0]),
-        radial_sq_mean=radial_sq_sum(x, mu) / n if kind == SPHERICAL else None,
-    )
-
-
 def tic_penalties(kind: str, d: int, var: np.ndarray, kurt: np.ndarray,
                   radial_sq_mean=None) -> np.ndarray:
-    """Penalties tr(I J^-1) of a batch of fits in d dimensions (see
-    :func:`gaussian_tic_penalty`); ``var`` and ``kurt`` are as :func:`moment_fit`
-    returns them, and a spherical batch also needs each bag's ``radial_sq_mean``.
-    A diagonal batch reads the kurtosis, so its moments must reach order 4."""
+    """Gradient/curvature penalties tr(I J^-1) of a batch of fits in d dimensions.
+
+    ``var`` and ``kurt`` are as :func:`moment_fit` returns them.  Diagonal:
+    ``d/2 + sum_i kurt_i / 2`` (the observed information in mean/precision
+    coordinates is diagonal at the maximum, and the score outer products
+    reduce to per-dimension kurtosis), so its moments must reach order 4.
+    Spherical, marked experimental (no literature-settled closed form): the
+    pooled form ``d + Var(q) / (2 d var^2)`` with ``q_i = |x_i - mu|^2``,
+    from each bag's ``radial_sq_mean``, the mean of ``q_i^2``; it approaches
+    the parameter count d+1 for spherical data.
+    """
     if kind == DIAGONAL:
         if kurt is None:
             raise ValueError("the diagonal tic penalty reads the kurtosis: "
@@ -240,19 +199,3 @@ def tic_penalties(kind: str, d: int, var: np.ndarray, kurt: np.ndarray,
     pool = var[:, 0]
     mean_q = d * pool
     return d + (radial_sq_mean - mean_q * mean_q) / (2.0 * d * pool * pool)
-
-
-def gaussian_tic_penalty(fit: GaussianFit) -> float:
-    """Gradient/curvature penalty tr(I J^-1).
-
-    Diagonal: ``d/2 + sum_i kurt_i / 2`` (the observed information in
-    mean/precision coordinates is diagonal at the maximum, and the score
-    outer products reduce to per-dimension kurtosis).
-
-    Spherical: the analogous pooled form ``d + Var(q) / (2 d var^2)`` with
-    ``q_i = |x_i - mu|^2``; it approaches the parameter count d+1 for
-    spherical data.  This variant has no literature-settled closed form and
-    is marked experimental.
-    """
-    radial = None if fit.kind == DIAGONAL else np.array([fit.radial_sq_mean])
-    return float(tic_penalties(fit.kind, fit.dim, fit.var_hat[None], fit.kurt_hat[None], radial)[0])

@@ -26,9 +26,8 @@ The log-normalizer log C_d needs ``log I_v(x)`` itself:
   ``log I_v(x)`` telescopes from a base order in {0, 1/2} with closed-form
   logs, or in the Hankel regime it is the log of the order-v sum.
 
-``bessel_ratio`` and ``log_vmf_normalizer`` are views of the kernel's first
-and last outputs; its middle output, the slope A_d', is read from the kernel
-directly.
+``bessel_ratio`` is a view of the kernel's first output; its other outputs,
+the slope A_d' and log C_d, are read from the kernel directly.
 
 ``log_multivariate_gamma`` sums its d terms from ``math.lgamma``.  The module
 needs only the standard library, so importing it loads neither numpy nor scipy.
@@ -265,11 +264,6 @@ def inv_bessel_ratio(d: int, r_bar: float) -> float:
     if not (0.0 < r_bar < 1.0):
         raise ValueError(f"resultant length must be in (0, 1), got {r_bar!r}")
     return r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-
-
-def log_vmf_normalizer(d: int, kappa: float) -> float:
-    """log Z(kappa) = (d/2) log 2pi + log I_{d/2-1}(kappa) - (d/2-1) log kappa."""
-    return vmf_kernels(d, kappa)[2]
 
 
 def log_multivariate_gamma(d: int, a: float) -> float:

@@ -20,6 +20,7 @@ one fit per candidate on full moments.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -389,26 +390,27 @@ def diag_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
 
 def vmf_loglik(fit, sample) -> float:
     """Log-likelihood of a bag of unit vectors at a ``VmfFit``'s parameters."""
-    from groupsim.special import log_vmf_normalizer
+    from groupsim.special import vmf_kernels
     from groupsim.vmf import as_unit_matrix
 
     x = as_unit_matrix(sample)
     if x.shape[1] != fit.dim:
         raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
     dots = x @ fit.mu_hat
-    return float(fit.kappa_hat * dots.sum() - x.shape[0] * log_vmf_normalizer(fit.dim, fit.kappa_hat))
+    return float(fit.kappa_hat * dots.sum() - x.shape[0] * vmf_kernels(fit.dim, fit.kappa_hat)[2])
 
 
-def gaussian_loglik(fit, sample) -> float:
-    """Exact log-density of a bag at a ``GaussianFit``'s parameters."""
+def gaussian_loglik(mu: np.ndarray, var: np.ndarray, sample) -> float:
+    """Exact log-density of a bag under independent normals N(mu_k, var_k)."""
     x = np.asarray(sample, dtype=np.float64)
-    if x.shape[1] != fit.dim:
-        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
-    dev = x - fit.mu_hat
-    quad = float((dev**2 / fit.var_hat).sum())
+    d = mu.size
+    if x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: fit has {d}, sample has {x.shape[1]}")
+    var = np.broadcast_to(var, (d,))
+    dev = x - mu
+    quad = float((dev**2 / var).sum())
     n = x.shape[0]
-    return -0.5 * (n * float(np.log(fit.var_hat).sum()) + n * fit.dim * math.log(2.0 * math.pi)
-                   + quad)
+    return -0.5 * (n * float(np.log(var).sum()) + n * d * math.log(2.0 * math.pi) + quad)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +614,7 @@ def load_embeddings_per_line(path, normalize: bool = False):
     rows: list[np.ndarray] = []
     dim = None
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             parts = line.split()
             if not parts:
@@ -657,7 +659,23 @@ def load_embeddings_per_line(path, normalize: bool = False):
 # per sentence and per method
 # ---------------------------------------------------------------------------
 
-def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal"):
+@dataclass(frozen=True)
+class RowFit:
+    """A Gaussian fit from the rows.  A spherical fit replicates its pooled
+    variance and kurtosis across dimensions and keeps ``radial_sq_mean``,
+    the mean over rows of ``(|x - mu|^2)^2``."""
+
+    kind: str
+    mu_hat: np.ndarray
+    var_hat: np.ndarray
+    kurt_hat: np.ndarray
+    n: int
+    max_loglik: float
+    floored_dims: int = 0
+    radial_sq_mean: float | None = None
+
+
+def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal") -> RowFit:
     """The Gaussian fit computed from the rows, before per-bag moments.
 
     Each row's deviation is taken about the computed mean and then less c,
@@ -666,7 +684,7 @@ def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal"):
     kurtosis loses about |mean| / spread ulps, 1e-12 relative once two
     rows of a column differ by 1e-4 of its mean.
     """
-    from groupsim.gaussian import VAR_FLOOR, GaussianFit
+    from groupsim.gaussian import VAR_FLOOR
     from groupsim.special import LOG_2PI
 
     x = np.asarray(x, dtype=np.float64)
@@ -691,12 +709,11 @@ def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal"):
         radial = sq.sum(axis=1)
         radial_sq_mean = float(np.mean(radial**2))
     max_loglik = -0.5 * n * float(np.log(var).sum()) - 0.5 * n * d * (LOG_2PI + 1.0)
-    return GaussianFit(kind=kind, mu_hat=mu, var_hat=var, kurt_hat=kurt, n=n,
-                       max_loglik=max_loglik, floored_dims=floored,
-                       radial_sq_mean=radial_sq_mean)
+    return RowFit(kind=kind, mu_hat=mu, var_hat=var, kurt_hat=kurt, n=n,
+                  max_loglik=max_loglik, floored_dims=floored, radial_sq_mean=radial_sq_mean)
 
 
-def _criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior):
+def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior):
     """(L, P, fallback, floored dims) of one bag from its rows.
 
     Gaussian bags through :func:`fit_gaussian_rows`, vMF bags through one
@@ -740,7 +757,7 @@ def pair_score_rows(x1, x2, model: str, ic: str | None = None, on_degenerate: st
     """The per-pair composition: (SimilarityScore, floored dims of its three fits).
 
     ``np.vstack`` of the pair and three per-bag criteria
-    (:func:`_criterion_rows`) on the stacked pair and on each bag, composed
+    (:func:`criterion_rows`) on the stacked pair and on each bag, composed
     as ``alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2)`` with alpha = 2, or 1
     and the default prior for ``model="bayes"``.
     """
@@ -751,7 +768,7 @@ def pair_score_rows(x1, x2, model: str, ic: str | None = None, on_degenerate: st
     if model == "bayes" and prior is None:
         prior = default_prior(x1.shape[1])
     (ll_j, p_j, fb_j, f_j), (ll_1, p_1, fb_1, f_1), (ll_2, p_2, fb_2, f_2) = (
-        _criterion_rows(x, model, ic, on_degenerate, prior) for x in (np.vstack([x1, x2]), x1, x2))
+        criterion_rows(x, model, ic, on_degenerate, prior) for x in (np.vstack([x1, x2]), x1, x2))
     alpha = 1.0 if model == "bayes" else 2.0
     score = SimilarityScore(
         value=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
@@ -769,11 +786,11 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
     can sum to near 0: a spherical Gaussian L = -(n d / 2)(log 2 pi s^2 + 1)
     vanishes at s^2 = 1 / (2 pi e).
     """
-    from groupsim.special import LOG_2PI, log_multivariate_gamma, log_vmf_normalizer
+    from groupsim.special import LOG_2PI, log_multivariate_gamma, vmf_kernels
     from groupsim.vmf import fit_vmf
 
     n, d = x.shape
-    loglik, penalty, _, _ = _criterion_rows(x, model, ic, "aic", prior)
+    loglik, penalty, _, _ = criterion_rows(x, model, ic, "aic", prior)
     if model == "bayes":
         nu_n = prior.nu0 + n
         return (abs(loglik) + 0.5 * n * d * math.log(math.pi)
@@ -781,7 +798,7 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
                 + abs(log_multivariate_gamma(d, nu_n / 2.0)), 0.0)
     if model == "vmf":
         fit = fit_vmf(x)
-        log_c = log_vmf_normalizer(d, fit.kappa_hat)
+        log_c = vmf_kernels(d, fit.kappa_hat)[2]
         return n * (fit.kappa_hat * fit.r_bar + abs(log_c)), abs(penalty)
     fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
     l_scale = 0.5 * n * (float(np.abs(np.log(fit.var_hat)).sum()) + d * (LOG_2PI + 1.0))

@@ -16,6 +16,7 @@ from groupsim.comparison import (
     SPHERICAL,
     VMF,
     NormalWishartPrior,
+    bag_criteria,
     corpus_model_selection,
     nw_log_evidence,
     penalty_curve,
@@ -23,7 +24,6 @@ from groupsim.comparison import (
 )
 from groupsim.embeddings import load_embeddings
 from groupsim.evaluation import EvalOptions, evaluate, load_pairs, spearman
-from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
 from groupsim.vmf import fit_vmf, vmf_tic_penalty
 
 from helpers import (
@@ -57,10 +57,10 @@ def test_criterion_1_penalty_oracle_equivalence():
         worst_vmf = max(worst_vmf, abs(closed - dense) / abs(dense))
 
         y = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=d)
+        penalty = bag_criteria(DIAG, "tic", [(y,)])[1][0]
         worst_gauss = max(
             worst_gauss,
-            abs(gaussian_tic_penalty(fit_gaussian(y)) - gaussian_dense_tic(y))
-            / abs(gaussian_dense_tic(y)),
+            abs(penalty - gaussian_dense_tic(y)) / abs(gaussian_dense_tic(y)),
         )
     elapsed = time.perf_counter() - start
     ok = worst_vmf < 1e-3 and worst_gauss < 1e-6 and elapsed < 60.0
@@ -97,7 +97,7 @@ def test_criterion_3_large_sample_aic_limit():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         x = rng.standard_normal((10_000, 10))
-        means.append(gaussian_tic_penalty(fit_gaussian(x)))
+        means.append(bag_criteria(DIAG, "tic", [(x,)])[1][0])
     mean = float(np.mean(means))
     ok = abs(mean - 20.0) / 20.0 < 0.05
     _report(3, f"large-sample penalty {mean:.3f} within 5% of parameter count 20", ok)

@@ -1,3 +1,4 @@
+import codecs
 import math
 
 import numpy as np
@@ -10,12 +11,11 @@ from groupsim.baselines import (
     FrequencyTable,
     first_singular_direction,
     load_frequencies,
-    mwv_similarity,
     remove_first_pc,
     row_cosines,
     sif_weights,
 )
-from groupsim.embeddings import SentenceSample
+from groupsim.embeddings import SentenceBlock, SentenceSample
 from groupsim.errors import EmbeddingFormatError
 from groupsim.evaluation import EvalOptions, embedding_scores, pair_block, score_pair
 
@@ -32,6 +32,15 @@ def sif_score(store, a: str, b: str, freqs=None, sif_a: float = 1e-3) -> float:
     return float(embedding_scores("sif", block, EvalOptions(sif_a=sif_a, freqs=freqs))[0])
 
 
+def samples(*bags) -> list[SentenceSample]:
+    return [SentenceSample(vectors=x, token_count_before_padding=1) for x in bags]
+
+
+def mwv(x1, x2) -> float:
+    """The harness's "mwv" score of two bags of rows, from a block of two."""
+    return float(embedding_scores("mwv", SentenceBlock.stack(samples(x1, x2)), EvalOptions())[0])
+
+
 def vec(store, token: str) -> np.ndarray:
     return store.vector(token).astype(np.float64)
 
@@ -40,12 +49,12 @@ class TestMwv:
     def test_identical_bags(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3))
-        assert mwv_similarity(x, x.copy()) == pytest.approx(1.0, abs=1e-12)
+        assert mwv(x, x.copy()) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_means(self):
         x1 = np.array([[1.0, 0.0], [1.0, 0.0]])
         x2 = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert mwv_similarity(x1, x2) == pytest.approx(0.0, abs=1e-15)
+        assert mwv(x1, x2) == pytest.approx(0.0, abs=1e-15)
 
     def test_against_naive(self):
         rng = np.random.default_rng(1)
@@ -54,34 +63,27 @@ class TestMwv:
             x2 = rng.standard_normal((7, 4))
             m1, m2 = x1.mean(0), x2.mean(0)
             naive = float(m1 @ m2 / (np.linalg.norm(m1) * np.linalg.norm(m2)))
-            assert mwv_similarity(x1, x2) == pytest.approx(naive, abs=1e-12)
-
-    @pytest.mark.parametrize("side", ["first", "second"])
-    def test_empty_bag_rejected(self, side):
-        # raised before the mean of no rows is taken (a RuntimeWarning and NaN)
-        empty, full = np.empty((0, 3)), np.ones((2, 3))
-        pair = (empty, full) if side == "first" else (full, empty)
-        with pytest.raises(ValueError, match=f"{side} bag has no rows"):
-            mwv_similarity(*pair)
+            assert mwv(x1, x2) == pytest.approx(naive, abs=1e-12)
 
     def test_zero_mean_scores_zero(self, store):
         # the harness's policy: a zero mean vector gives the neutral score 0.0
         x1 = np.array([[1.0, 0.0, 2.0, 0.0], [-1.0, 0.0, -2.0, 0.0]])
         x2 = np.array([[1.0, 0.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
-        assert mwv_similarity(x1, x2) == 0.0
-        a, b = (SentenceSample(vectors=x, token_count_before_padding=1) for x in (x1, x2))
-        assert score_pair("mwv", a, b, store).value == 0.0
+        assert mwv(x1, x2) == 0.0
+        assert score_pair("mwv", *samples(x1, x2), store).value == 0.0
 
     def test_equals_harness(self, store):
+        # a pair scored alone equals its row of a whole dataset's batch, bit for bit
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            x1, x2 = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
-            a, b = (SentenceSample(vectors=x, token_count_before_padding=1) for x in (x1, x2))
-            assert mwv_similarity(x1, x2) == score_pair("mwv", a, b, store).value
+        pairs = [(rng.standard_normal((5, 4)), rng.standard_normal((3, 4))) for _ in range(20)]
+        block = SentenceBlock.stack(samples(*(x1 for x1, _ in pairs), *(x2 for _, x2 in pairs)))
+        batch = embedding_scores("mwv", block, EvalOptions())
+        alone = [score_pair("mwv", *samples(x1, x2), store).value for x1, x2 in pairs]
+        assert alone == batch.tolist()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            mwv_similarity(np.ones((2, 3)), np.ones((2, 4)))
+            mwv(np.ones((2, 3)), np.ones((2, 4)))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
@@ -89,9 +91,7 @@ class TestMwv:
         rng = np.random.default_rng(2)
         x1 = rng.standard_normal((4, 3))
         x2 = rng.standard_normal((4, 3))
-        assert mwv_similarity(c * x1, c * x2) == pytest.approx(
-            mwv_similarity(x1, x2), abs=1e-9
-        )
+        assert mwv(c * x1, c * x2) == pytest.approx(mwv(x1, x2), abs=1e-9)
 
 
 class TestSif:
@@ -153,6 +153,13 @@ class TestFrequencyTable:
         assert table.total == 110
         assert table.probability("cat") == pytest.approx(10 / 110)
         assert table.probability("unseen") == 0.0
+
+    def test_loader_drops_byte_order_mark(self, tmp_path):
+        path = tmp_path / "freq.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"the 100\ncat 10\n")
+        table = load_frequencies(path)
+        assert table.counts == {"the": 100, "cat": 10}
+        assert table.probability("the") == pytest.approx(100 / 110)
 
     def test_loader_rejects_malformed(self, tmp_path):
         path = tmp_path / "freq.txt"

@@ -22,13 +22,14 @@ from groupsim.comparison import (
     similarity_ic,
 )
 from groupsim.errors import DegenerateCurvatureError
-from groupsim.gaussian import fit_gaussian, gaussian_tic_penalty
 from groupsim.special import log_multivariate_gamma
 from groupsim.vmf import fit_vmf
 
 from helpers import (
     corpus_model_selection_per_candidate,
+    criterion_rows,
     diag_closed_tic,
+    fit_gaussian_rows,
     log_gamma_ratio_mp,
     nw_log_evidence_columns,
     nw_log_evidence_dense,
@@ -52,9 +53,9 @@ class TestGenericComposition:
     def test_identical_bags_diag_tic(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 4))
-        fit = fit_gaussian(x)
+        _, penalty, _, _ = criterion_rows(x, DIAG, "tic", "error", None)
         score = similarity_ic(x, x, DIAG, "tic")
-        assert score.value == pytest.approx(2.0 * gaussian_tic_penalty(fit), abs=1e-9)
+        assert score.value == pytest.approx(2.0 * penalty, abs=1e-9)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(1)
@@ -79,8 +80,8 @@ class TestGenericComposition:
             joint = np.vstack([x1, x2])
 
             def ic_of(x):
-                fit = fit_gaussian(x)
-                return -2.0 * (fit.max_loglik - gaussian_tic_penalty(fit))
+                loglik, penalty, _, _ = criterion_rows(x, DIAG, "tic", "error", None)
+                return -2.0 * (loglik - penalty)
 
             expected = -ic_of(joint) + ic_of(x1) + ic_of(x2)
             got = similarity_ic(x1, x2, DIAG, "tic").value
@@ -161,10 +162,8 @@ class TestClosedForms:
     def test_identical_bags_reduce_to_penalty(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((7, 5))
-        fit = fit_gaussian(x)
-        assert similarity_ic(x, x, DIAG, "tic").value / 2.0 == pytest.approx(
-            gaussian_tic_penalty(fit), abs=1e-9
-        )
+        _, penalty, _, _ = criterion_rows(x, DIAG, "tic", "error", None)
+        assert similarity_ic(x, x, DIAG, "tic").value / 2.0 == pytest.approx(penalty, abs=1e-9)
 
     def test_identical_single_direction_no_nan(self):
         v = np.array([0.0, 1.0, 0.0])
@@ -220,7 +219,7 @@ class TestBic:
             kind = "diagonal" if model == DIAG else "spherical"
 
             def bic_of(x):
-                fit = fit_gaussian(x, kind=kind)
+                fit = fit_gaussian_rows(x, kind)
                 return -2.0 * fit.max_loglik + k * math.log(x.shape[0])
 
             expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
@@ -458,7 +457,7 @@ class TestModelSelection:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((9, 3))
         rows = corpus_model_selection([x], candidates=[(DIAG, "aic")])
-        fit = fit_gaussian(x)
+        fit = fit_gaussian_rows(x)
         assert rows[0].mean_ic == pytest.approx(
             -2.0 * (fit.max_loglik - 2 * x.shape[1]), rel=1e-12
         )
@@ -470,7 +469,7 @@ class TestModelSelection:
         corpus = [rng.standard_normal((int(rng.integers(3, 15)), 4)) for _ in range(7)]
         rows = corpus_model_selection(corpus, candidates=[(model, "bic")])
         expected = np.mean([
-            -2.0 * fit_gaussian(x, kind=kind).max_loglik + k_of_d(4) * math.log(x.shape[0])
+            -2.0 * fit_gaussian_rows(x, kind).max_loglik + k_of_d(4) * math.log(x.shape[0])
             for x in corpus
         ])
         assert rows[0].ic == "bic"

@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,22 @@ class TestLoader:
         path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
         store = load_embeddings(path)
         assert len(store) == 2 and store.dim == 3
+
+    def test_byte_order_mark_before_first_row_is_dropped(self, tmp_path):
+        text = ". 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        store, want = load_embeddings(marked), load_embeddings(plain)
+        assert "." in store and store.vocab == want.vocab
+        np.testing.assert_array_equal(store.matrix, want.matrix)
+        assert find_pad_token(store) == "."
+
+    def test_byte_order_mark_before_header_is_dropped(self, tmp_path):
+        path = tmp_path / "hdr.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"2 3\na 1 2 3\nb 4 5 6\n")
+        store = load_embeddings(path)
+        assert list(store.vocab) == ["a", "b"] and store.dim == 3
 
     def test_first_line_without_header_is_data(self, tmp_path):
         path = tmp_path / "nohdr.txt"

@@ -286,6 +286,13 @@ class TestEvaluate:
         assert EvalOptions(seed=np.int64(3)).seed == 3
 
 
+    @pytest.mark.parametrize("sif_a", [0.0, -1e-3, math.nan, math.inf])
+    def test_options_reject_bad_sif_a(self, sif_a):
+        # checked when the options are made, not when a sif run first weighs a token
+        with pytest.raises(ValueError, match="sif_a must be positive and finite"):
+            EvalOptions(sif_a=sif_a)
+
+
 # the comparison call each model method stands for, with EvalOptions() defaults
 DIRECT_CALLS = {
     "vmf_tic": lambda a, b: comparison.similarity_ic(
