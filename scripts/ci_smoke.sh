@@ -45,6 +45,35 @@ if [ "$plain" != "$marked" ]; then
     echo "lexicon with a byte-order mark scored '$marked', the plain one '$plain'" >&2
     exit 1
 fi
+# nor does one in front of a --config file, a pairs file or a corpus; the pairs file and
+# the corpus start with a blank line, which a kept mark would make a bad pair or a sentence
+mkdir -p "$tmp/plain" "$tmp/marked"
+printf '{"embeddings": "%s", "method": "mwv"}\n' "$tmp/lexicon.txt" > "$tmp/plain/config.json"
+printf '\nthe cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/plain/pairs.tsv"
+printf '\nthe cat sat\nzzz qqq\n' > "$tmp/plain/corpus.txt"
+for name in config.json pairs.tsv corpus.txt; do
+    { printf '\xef\xbb\xbf'; cat "$tmp/plain/$name"; } > "$tmp/marked/$name"
+done
+with_config() {
+    python -m groupsim.cli eval --config "$tmp/$1/config.json" "$tmp/plain/pairs.tsv"
+}
+with_pairs() {
+    python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method mwv \
+        --out "$tmp/$1/eval.jsonl" "$tmp/$1/pairs.tsv" && cat "$tmp/$1/eval.jsonl"
+}
+with_corpus() {
+    python -m groupsim.cli modelsel --embeddings "$tmp/lexicon.txt" --normalize \
+        --out "$tmp/$1/modelsel.jsonl" "$tmp/$1/corpus.txt" && cat "$tmp/$1/modelsel.jsonl"
+}
+for run in with_config with_pairs with_corpus; do
+    # both output streams and the exit status, of the plain input and of its marked twin
+    plain="$("$run" plain 2>&1; echo "exit $?")"
+    marked="$("$run" marked 2>&1; echo "exit $?")"
+    if [ "${plain##*$'\n'}" != "exit 0" ] || [ "$plain" != "$marked" ]; then
+        echo "$run: the marked input gave '$marked', the plain one '$plain'" >&2
+        exit 1
+    fi
+done
 printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
 python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method all \
     --out "$tmp/eval.jsonl" "$tmp/pairs.tsv" > /dev/null

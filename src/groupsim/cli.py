@@ -139,7 +139,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_modelsel(args: argparse.Namespace) -> int:
     store = _load_store(args)
     pad = args.pad_token or find_pad_token(store)
-    with open(args.corpus, "r", encoding="utf-8") as handle:
+    with open(args.corpus, "r", encoding="utf-8-sig") as handle:  # drops a byte-order mark
         sentences = [line.strip() for line in handle if line.strip()]
     if not sentences:
         raise UsageError(f"{args.corpus}: empty corpus")
@@ -226,9 +226,10 @@ def build_parser():
 
 def _config_defaults(path: str, actions) -> dict:
     """The JSON object in ``path``, each key the dest of one of ``actions`` and
-    each value of that flag's type.  A file that does not parse is a usage
-    error; one that cannot be opened is a runtime error."""
-    with open(path, "r", encoding="utf-8") as handle:
+    each value of that flag's type, with a leading UTF-8 byte-order mark
+    dropped.  A file that does not parse is a usage error; one that cannot be
+    opened is a runtime error."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             values = json.load(handle)
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes not UTF-8

@@ -10,9 +10,11 @@ Mises-Fisher, diagonal or spherical Gaussian model and takes P from one
 information criterion, with alpha = 2: the gradient trace ("tic"), the
 parameter count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
 each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
-joint bag's are its two bags' moments merged; vMF bags are fitted one by one
-on their rows.  ``corpus_model_selection`` and
-``penalty_curve`` read the same per-bag criterion.
+joint bag's are its two bags' moments merged.  Each vMF bag is fitted once
+from its rows, and a joint bag from its two bags' summed resultants and row
+counts; its "tic" penalty reads the two bags' rows in place.
+``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
+criterion.
 ``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
 covariance, conjugate closed form under a prior with mean 0, scale I and
 settable kappa0 and nu0), P = 0 and alpha = 1.  Each model has this one
@@ -44,7 +46,7 @@ from .gaussian import (
     tic_penalties,
 )
 from .special import MAX_DIM, MIN_DIM
-from .vmf import fit_vmf, vmf_tic_penalty
+from .vmf import VmfFit, _fit_resultant, _tic_penalty, fit_vmf
 
 VMF = "vmf"
 DIAG = "diag"
@@ -153,8 +155,18 @@ def _moment_order(model: str, ic: str | None) -> int:
     return 4 if model == DIAG and ic == "tic" else 2
 
 
+def _check_width(blocks) -> int:
+    """The row width d shared by (n_i, d) blocks; the first other width raises."""
+    d = blocks[0].shape[1]
+    for x in blocks:
+        if x.shape[1] != d:
+            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+    return d
+
+
 def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
-                 prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None):
+                 prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None,
+                 fits: list[VmfFit] | None = None):
     """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
     of every bag of a batch, as (B,) arrays.
 
@@ -164,20 +176,19 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     evidence as L and P = 0.  Gaussian bags are read from their moments
     ``mom`` (taken from the rows of one-block bags when omitted, to M4 only
     for the diagonal "tic" penalty, the one criterion that reads it); the
-    spherical "tic" radial term reads each block about its bag's mean.  A
-    vMF bag is fitted on its stacked blocks and flagged degenerate when its
-    resultant length was clamped; ``on_degenerate="aic"`` puts the parameter
-    count in place of a "tic" penalty whose curvature is degenerate, and
-    flags the bag as a fallback; any value outside :data:`ON_DEGENERATE`
-    raises ``ValueError``.
+    spherical "tic" radial term reads each block about its bag's mean.  vMF
+    bags are read from their fits ``fits`` (a joint bag's made from merged
+    resultants; :func:`fit_vmf` on the rows of one-block bags when omitted),
+    the "tic" penalty from each bag's blocks in place, and a bag is flagged
+    degenerate when its resultant length was clamped.
+    ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
+    penalty whose curvature is degenerate, and flags the bag as a fallback;
+    any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
     """
     _check_on_degenerate(on_degenerate)
     if (model, ic) != (BAYES, None) and (model not in MODELS or ic not in IC_KINDS):
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
-    d = bags[0][0].shape[1]
-    for x in (x for bag in bags for x in bag):
-        if x.shape[1] != d:
-            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+    d = _check_width([x for bag in bags for x in bag])
     count = len(bags)
     fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)
     floored, penalty = np.zeros(count, np.intp), np.zeros(count)
@@ -198,17 +209,20 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     if model == BAYES and prior is None:
         prior = default_prior(d)
     for b, bag in enumerate(bags):
-        x = as_matrix(bag[0] if len(bag) == 1 else np.vstack(bag))
         if model == BAYES:
-            loglik[b] = nw_log_evidence(x, prior)
+            loglik[b] = nw_log_evidence(bag[0] if len(bag) == 1 else np.vstack(bag), prior)
             continue
-        fit = fit_vmf(x)
+        if fits is None:
+            x, = bag  # fitted here one at a time, so a corpus holds one fit, not all
+            fit = fit_vmf(x)
+        else:
+            fit = fits[b]
         loglik[b], degenerate[b] = fit.max_loglik, fit.degenerate
         if ic != "tic":
             continue
         try:
-            # fit_vmf has just checked that these rows are unit vectors
-            penalty[b] = vmf_tic_penalty(fit, x, check_unit=False)
+            # the fits have checked that these rows are unit vectors
+            penalty[b] = _tic_penalty(fit, tuple(as_matrix(x) for x in bag))
         except DegenerateCurvatureError:
             if on_degenerate != "aic":
                 raise
@@ -226,22 +240,34 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     bags, with alpha = 2 for the information criteria and 1 for "bayes".  A
     Gaussian joint bag reads the merged moments of its two bags
     (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
-    moments stop after M2 unless the criterion is the diagonal "tic".  vMF
-    and Normal-Wishart fit the stacked pair.  A non-finite term raises.
+    moments stop after M2 unless the criterion is the diagonal "tic".  Each
+    vMF bag is fitted once (:func:`fit_vmf`), and a joint bag is fitted from
+    its two bags' summed resultants and counts, with the first row of its
+    first bag as the direction of an exactly cancelling pair; its "tic"
+    penalty reads the two bags' rows in place.  Normal-Wishart fits the
+    stacked pair.  A non-finite term raises.
     """
+    _check_on_degenerate(on_degenerate)  # before the vMF fits below
     first, second = list(first), list(second)
     if not first or len(first) != len(second):
         raise ValueError(f"need as many first bags as second bags, at least one: "
                          f"got {len(first)} and {len(second)}")
     half = len(first)
-    moms = (None, None, None)
+    moms = fits = (None, None, None)
     if model in (DIAG, SPHERICAL):
         mom = moments(*first, *second, order=_moment_order(model, ic))
         m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
         moms = (merge_moments(m1, m2), m1, m2)
+    elif model == VMF:
+        _check_width(first + second)
+        f1, f2 = [fit_vmf(x) for x in first], [fit_vmf(x) for x in second]
+        joint = [_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
+                 for a, b, x in zip(f1, f2, first)]
+        fits = (joint, f1, f2)
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
     (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = (
-        bag_criteria(model, ic, b, on_degenerate, prior, m) for b, m in zip(bags, moms))
+        bag_criteria(model, ic, b, on_degenerate, prior, m, f)
+        for b, m, f in zip(bags, moms, fits))
     terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
     if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
         raise ValueError(f"non-finite L or P term in pair {np.isfinite(terms).all(1).argmin()}")

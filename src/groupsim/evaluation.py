@@ -14,8 +14,9 @@ each bag a row range of it that a kernel reads as float64.  Every model
 method scores all the pairs of the block in one call of
 :func:`groupsim.comparison.pair_scores`, the one composition that serves
 every model: the Gaussian methods from the bags' moments merged pairwise,
-the vMF ones fit by fit on a float64 copy of the block's rows normalised
-once, and Normal-Wishart evidence by evidence.  The baselines take their sentence
+the vMF ones from each bag's fit and each pair's summed resultants, on a
+float64 copy of the block's rows normalised once, and Normal-Wishart
+evidence by evidence.  The baselines take their sentence
 vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
 sentence vector scores 0.0).  Every per-pair value agrees with scoring the
@@ -131,11 +132,12 @@ class EvalOptions:
 
 
 def load_pairs(path) -> ScoredPairSet:
-    """Parse a TSV pair file, named by its basename; lines with a bad score
-    or missing field are skipped and counted."""
+    """Parse a TSV pair file, named by its basename; a leading UTF-8
+    byte-order mark is dropped, and lines with a bad score or missing field
+    are skipped and counted."""
     pairs = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line in handle:
             line = line.rstrip("\n")
             if not line.strip():

@@ -10,6 +10,8 @@ the informational ``VmfFit.theta_hat``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -22,13 +24,13 @@ def to_spherical(w: np.ndarray) -> np.ndarray:
     v = np.asarray(w, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("input must be a 1-D vector of dimension >= 2")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(float(v @ v))  # np.linalg.norm's own sum, without its dispatch
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"input must be unit-norm within 1e-6, got norm {norm!r}")
     v = v / norm
     d = v.size
     # tail[i] = sqrt(sum_{j >= i} v_j^2), computed back to front
-    tail = np.sqrt(np.cumsum(v[::-1] ** 2)[::-1])
+    tail = np.sqrt((v * v)[::-1].cumsum()[::-1])
     phi = np.empty(d - 1)
     if d > 2:
         phi[: d - 2] = np.arctan2(tail[1 : d - 1], v[: d - 2])

@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -265,6 +266,21 @@ class TestModelsel:
                     for r in corpus_model_selection(corpus, candidates, on_degenerate="aic")]
         assert [json.loads(line) for line in out_path.read_text().splitlines()] == expected
 
+    def test_byte_order_mark_before_corpus_is_dropped(self, embedding_file, corpus_file,
+                                                      tmp_path, capsys):
+        # a blank first line is skipped; with a mark kept, "\ufeff" would be a sentence
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"\n" + corpus_file.read_bytes())
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        outputs = []
+        for corpus in (plain, marked):
+            out_path = tmp_path / f"{corpus.stem}.jsonl"
+            code = main(["modelsel", "--embeddings", str(embedding_file), "--normalize",
+                         "--out", str(out_path), str(corpus)])
+            assert code == EXIT_OK
+            outputs.append((capsys.readouterr().out, out_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_oov_lines_still_ranked(self, embedding_file, tmp_path, capsys):
         corpus = tmp_path / "oov.txt"
         corpus.write_text("zzz qqq\nxxxx\n")
@@ -448,6 +464,19 @@ class TestConfigFile:
         code = main(["eval", "--config", str(config), str(pairs_file)])
         assert code == EXIT_USAGE
         assert f"usage error: config file {config} is not valid JSON: " in capsys.readouterr().err
+
+    def test_byte_order_mark_before_config_is_dropped(self, embedding_file, pairs_file,
+                                                      tmp_path, capsys):
+        text = json.dumps({"embeddings": str(embedding_file), "method": "mwv"})
+        outputs = []
+        for name, prefix in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            config = tmp_path / f"{name}.json"
+            config.write_bytes(prefix + text.encode())
+            code = main(["eval", "--config", str(config), str(pairs_file)])
+            assert code == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert "method: mwv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_missing_config_file_is_a_runtime_error(self, pairs_file, tmp_path, capsys):
         config = tmp_path / "absent.json"

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupsim import comparison, vmf
 from groupsim.comparison import (
     DIAG,
+    IC_KINDS,
     SPHERICAL,
     VMF,
     NormalWishartPrior,
+    aic_param_count,
     bayes_factor_similarity,
     corpus_model_selection,
     default_prior,
@@ -23,7 +26,7 @@ from groupsim.comparison import (
 )
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.special import log_multivariate_gamma
-from groupsim.vmf import fit_vmf
+from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR, fit_vmf
 
 from helpers import (
     corpus_model_selection_per_candidate,
@@ -35,7 +38,9 @@ from helpers import (
     nw_log_evidence_dense,
     nw_log_evidence_mp,
     nw_log_evidence_quadrature,
+    pair_score_rows,
     random_rotation,
+    term_scales,
     uniform_sphere,
     vmf_closed_tic,
 )
@@ -193,6 +198,92 @@ class TestClosedForms:
         base = similarity_ic(x1, x2, DIAG, "tic").value
         shifted = similarity_ic(x1 + shift, x2 + shift, DIAG, "tic").value
         assert shifted == pytest.approx(base, abs=1e-9)
+
+
+class TestMergedVmfJointFit:
+    """A vMF joint bag is fitted from its two bags' summed resultants; the
+    oracle fits the stacked rows (``tests/helpers.pair_score_rows``)."""
+
+    @staticmethod
+    def assert_matches_stacked_oracle(x1, x2, ic):
+        got = pair_scores(VMF, ic, [x1], [x2], on_degenerate="aic")
+        want, _ = pair_score_rows(x1, x2, VMF, ic)
+        names = ("loglik_joint", "loglik_1", "loglik_2", "penalty_joint", "penalty_1", "penalty_2")
+        for name, term, scale in zip(names, got.terms[0], term_scales(x1, x2, VMF, ic)):
+            assert term == pytest.approx(getattr(want.breakdown, name), rel=0.0,
+                                         abs=1e-12 * scale), name
+        assert got[0].fallback == want.fallback
+        stacked = np.vstack([x1, x2])
+        assert got.degenerate_fits == sum(fit_vmf(x).degenerate for x in (stacked, x1, x2))
+        return got
+
+    @staticmethod
+    def joint_fits(monkeypatch):
+        """The joint fits ``pair_scores`` builds, recorded as they are made."""
+        made = []
+
+        def record(*args, **kwargs):
+            made.append(merged(*args, **kwargs))
+            return made[-1]
+
+        merged = comparison._fit_resultant
+        monkeypatch.setattr(comparison, "_fit_resultant", record)
+        return made
+
+    @pytest.mark.parametrize("ic", IC_KINDS)
+    def test_cancelling_pair_falls_back_to_the_first_row(self, ic, monkeypatch):
+        x1 = uniform_sphere(np.random.default_rng(61), 4, 5)
+        joint = self.joint_fits(monkeypatch)
+        got = self.assert_matches_stacked_oracle(x1, -x1, ic)
+        assert not joint[0].resultant.any()
+        assert joint[0].mu_hat.tobytes() == x1[0].tobytes()
+        assert joint[0].degenerate and joint[0].r_bar == R_BAR_FLOOR
+        assert got.degenerate_fits == 1
+        assert got[0].fallback == (ic == "tic")
+        if ic == "tic":
+            assert got.terms[0][3] == aic_param_count(VMF, 5)
+
+    @pytest.mark.parametrize("ic", IC_KINDS)
+    def test_identical_rows_clamp_at_the_ceiling(self, ic, monkeypatch):
+        v = np.array([0.48, 0.6, 0.64])
+        joint = self.joint_fits(monkeypatch)
+        got = self.assert_matches_stacked_oracle(np.tile(v, (3, 1)), np.tile(v, (4, 1)), ic)
+        assert joint[0].r_bar == R_BAR_CEIL and joint[0].n == 7
+        assert got.degenerate_fits == 3
+        assert got[0].fallback == (ic == "tic")
+
+    @pytest.mark.parametrize("ic", IC_KINDS)
+    def test_degenerate_bag_in_a_joint_bag_that_is_not(self, ic, monkeypatch):
+        x1 = np.tile(np.array([0.0, 0.6, 0.8, 0.0]), (2, 1))
+        x2 = uniform_sphere(np.random.default_rng(62), 5, 4)
+        joint = self.joint_fits(monkeypatch)
+        got = self.assert_matches_stacked_oracle(x1, x2, ic)
+        assert not joint[0].degenerate and joint[0].theta_hat is None
+        assert got.degenerate_fits == 1
+        assert got[0].fallback == (ic == "tic")
+        assert np.isfinite(got.terms).all()
+
+    @pytest.mark.parametrize("ic", IC_KINDS)
+    def test_two_fits_per_pair_and_no_stacking(self, ic, monkeypatch):
+        rng = np.random.default_rng(63)
+        pairs = [random_pair(rng, 6, unit=True) for _ in range(5)]
+        calls = []
+
+        def counted(sample):
+            calls.append(len(sample))
+            return fit(sample)
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a vMF pair was stacked")
+
+        fit = vmf.fit_vmf
+        monkeypatch.setattr(vmf, "fit_vmf", counted)
+        monkeypatch.setattr(comparison, "fit_vmf", counted)
+        monkeypatch.setattr(np, "vstack", no_stack)
+        scores = pair_scores(VMF, ic, [a for a, _ in pairs], [b for _, b in pairs],
+                             on_degenerate="aic")
+        assert len(scores) == 5
+        assert sorted(calls) == sorted(len(x) for pair in pairs for x in pair)
 
 
 class TestBic:

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 
@@ -74,6 +75,16 @@ class TestLoadPairs:
         path.write_text("")
         with pytest.raises(EmbeddingFormatError):
             load_pairs(path)
+
+    def test_byte_order_mark_before_first_pair_is_dropped(self, tmp_path):
+        text = "the cat\tthe dog\t3.0\ncat sat\tdog sat\t4.0\n"
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir(), marked.mkdir()
+        (plain / "p.tsv").write_text(text, encoding="utf-8")
+        (marked / "p.tsv").write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        got, want = load_pairs(marked / "p.tsv"), load_pairs(plain / "p.tsv")
+        assert got == want
+        assert got.pairs[0][0] == "the cat"
 
 
 class TestSpearman:
