@@ -91,6 +91,33 @@ if sorted(summary) != sorted(SUPPORTED_METHODS):
     sys.exit(f"expected one summary row for each of {len(SUPPORTED_METHODS)} methods, got {summary}")
 EOF
 
+# the Bayes factor at d = 8, where every bag has n + 1 < d rows (a bag is its tokens plus the
+# pad row): the pairs repeat sentence lengths, so each stack of equal-size bags holds two or more
+cat > "$tmp/lexicon8.txt" <<'EOF'
+. 0.1 0.2 0.3 -0.1 0.05 0.4 -0.2 0.15
+the 0.5 -0.2 0.1 0.3 -0.4 0.2 0.1 0.05
+cat -0.3 0.4 0.2 0.1 0.6 -0.1 0.3 -0.2
+dog 0.2 0.1 -0.5 0.4 0.1 0.3 -0.3 0.6
+sat -0.1 -0.3 0.4 0.2 0.2 -0.5 0.4 0.1
+EOF
+printf '%s\t%s\t%s\n' 'the cat' 'cat dog' 4.0 'cat sat' 'dog the' 3.0 the dog 1.0 sat cat 2.0 \
+    dog 'the cat' 2.5 'cat dog' sat 3.5 > "$tmp/pairs8.tsv"
+python -m groupsim.cli eval --embeddings "$tmp/lexicon8.txt" --method bayes_factor \
+    --out "$tmp/eval8.jsonl" "$tmp/pairs8.tsv" > /dev/null
+python - "$tmp/eval8.jsonl" <<'EOF'
+import json
+import math
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    rows = [json.loads(line) for line in handle]
+summary = [row for row in rows if "weighted_average" in row]
+if len(summary) != 1 or summary[0]["method"] != "bayes_factor":
+    sys.exit(f"expected one bayes_factor summary row, got {summary}")
+if not math.isfinite(summary[0]["weighted_average"]):
+    sys.exit(f"bayes_factor weighted_average must be finite, got {summary[0]}")
+EOF
+
 # a flag the subcommand does not read is a usage error (exit status exactly 2)
 expect_usage_error() {
     local status=0

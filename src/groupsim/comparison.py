@@ -17,11 +17,12 @@ counts; its "tic" penalty reads the two bags' rows in place.
 criterion.
 ``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
 covariance, conjugate closed form under a prior with mean 0, scale I and
-settable kappa0 and nu0), P = 0 and alpha = 1.  Each model has this one
-scoring path; the closed forms of the "tic" score that the tests check it
-against are written out in ``tests/helpers.py``.  Rank-based evaluation is
-insensitive to alpha; the breakdown records which convention produced the
-value.
+settable kappa0 and nu0), P = 0 and alpha = 1; the evidence is taken over
+stacks of bags with equal row counts, a joint bag's two blocks written end
+to end into its stack.  Each model has this one scoring path; the closed
+forms of the "tic" score that the tests check it against are written out in
+``tests/helpers.py``.  Rank-based evaluation is insensitive to alpha; the
+breakdown records which convention produced the value.
 """
 
 from __future__ import annotations
@@ -173,14 +174,17 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     A bag is a tuple of (n_i, d) row blocks fitted as one.  P is the gradient
     trace for ``ic="tic"``, the parameter count k for "aic" and
     ``(k/2) log n`` for "bic"; a ("bayes", None) bag has its Normal-Wishart log
-    evidence as L and P = 0.  Gaussian bags are read from their moments
-    ``mom`` (taken from the rows of one-block bags when omitted, to M4 only
-    for the diagonal "tic" penalty, the one criterion that reads it); the
-    spherical "tic" radial term reads each block about its bag's mean.  vMF
-    bags are read from their fits ``fits`` (a joint bag's made from merged
-    resultants; :func:`fit_vmf` on the rows of one-block bags when omitted),
-    the "tic" penalty from each bag's blocks in place, and a bag is flagged
-    degenerate when its resultant length was clamped.
+    evidence as L and P = 0, the bags grouped by total row count and each
+    group's rows (a joint bag's blocks end to end) copied into one float64
+    (k, n, d) stack for one :func:`nw_log_evidence` call.  Gaussian bags are
+    read from their moments ``mom`` (taken from the rows of one-block bags
+    when omitted, to M4 only for the diagonal "tic" penalty, the one
+    criterion that reads it); the spherical "tic" radial term reads each
+    block about its bag's mean.  vMF bags are read from their fits ``fits``
+    (a joint bag's made from merged resultants; :func:`fit_vmf` on the rows
+    of one-block bags when omitted), the "tic" penalty from each bag's
+    blocks in place, and a bag is flagged degenerate when its resultant
+    length was clamped.
     ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
     penalty whose curvature is degenerate, and flags the bag as a fallback;
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
@@ -206,12 +210,18 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
             penalty = tic_penalties(kind, d, var, kurt, radial)
         return loglik, penalty, fallback, floored, degenerate
     loglik = np.empty(count)
-    if model == BAYES and prior is None:
-        prior = default_prior(d)
+    if model == BAYES:
+        prior = default_prior(d) if prior is None else prior
+        groups = {}  # total row count -> the bags that have it
+        for b, bag in enumerate(bags):
+            groups.setdefault(sum(len(x) for x in bag), []).append(b)
+        for n, members in groups.items():
+            stack = np.empty((len(members), n, d))
+            for rows, b in zip(stack, members):
+                np.concatenate(bags[b], out=rows)  # a joint bag's blocks end to end
+            loglik[members] = nw_log_evidence(stack, prior)
+        return loglik, penalty, fallback, floored, degenerate
     for b, bag in enumerate(bags):
-        if model == BAYES:
-            loglik[b] = nw_log_evidence(bag[0] if len(bag) == 1 else np.vstack(bag), prior)
-            continue
         if fits is None:
             x, = bag  # fitted here one at a time, so a corpus holds one fit, not all
             fit = fit_vmf(x)
@@ -235,39 +245,40 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     """Scores of the pairs (first[p], second[p]), two equal-length lists of (n, d) rows.
 
     Every model's score is one composition over the batch:
-    ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from
-    :func:`bag_criteria` on the joint bags, the first bags and the second
-    bags, with alpha = 2 for the information criteria and 1 for "bayes".  A
-    Gaussian joint bag reads the merged moments of its two bags
-    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
-    moments stop after M2 unless the criterion is the diagonal "tic".  Each
-    vMF bag is fitted once (:func:`fit_vmf`), and a joint bag is fitted from
-    its two bags' summed resultants and counts, with the first row of its
-    first bag as the direction of an exactly cancelling pair; its "tic"
-    penalty reads the two bags' rows in place.  Normal-Wishart fits the
-    stacked pair.  A non-finite term raises.
+    ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from two
+    :func:`bag_criteria` calls, one on the P joint bags and one on the 2P
+    single bags (the first bags, then the second), with alpha = 2 for the
+    information criteria and 1 for "bayes".  A Gaussian joint bag reads the
+    merged moments of its two bags (:func:`merge_moments`), so no Gaussian
+    bag is stacked or refitted; the moments stop after M2 unless the
+    criterion is the diagonal "tic".  Each vMF bag is fitted once
+    (:func:`fit_vmf`), and a joint bag is fitted from its two bags' summed
+    resultants and counts, with the first row of its first bag as the
+    direction of an exactly cancelling pair; its "tic" penalty reads the two
+    bags' rows in place.  The Normal-Wishart evidence is taken over stacks
+    of bags with equal row counts, one :func:`nw_log_evidence` call per
+    distinct count in each of the two calls.  A non-finite term raises.
     """
     _check_on_degenerate(on_degenerate)  # before the vMF fits below
     first, second = list(first), list(second)
     if not first or len(first) != len(second):
         raise ValueError(f"need as many first bags as second bags, at least one: "
                          f"got {len(first)} and {len(second)}")
-    half = len(first)
-    moms = fits = (None, None, None)
+    half, singles = len(first), first + second
+    mom = fits = joint_mom = joint_fits = None
     if model in (DIAG, SPHERICAL):
-        mom = moments(*first, *second, order=_moment_order(model, ic))
-        m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
-        moms = (merge_moments(m1, m2), m1, m2)
+        mom = moments(*singles, order=_moment_order(model, ic))
+        joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
     elif model == VMF:
-        _check_width(first + second)
-        f1, f2 = [fit_vmf(x) for x in first], [fit_vmf(x) for x in second]
-        joint = [_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
-                 for a, b, x in zip(f1, f2, first)]
-        fits = (joint, f1, f2)
-    bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
-    (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = (
-        bag_criteria(model, ic, b, on_degenerate, prior, m, f)
-        for b, m, f in zip(bags, moms, fits))
+        _check_width(singles)
+        fits = [fit_vmf(x) for x in singles]
+        joint_fits = [_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
+                      for a, b, x in zip(fits[:half], fits[half:], first)]
+    ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first, second)), on_degenerate,
+                                            prior, joint_mom, joint_fits)
+    ll_s, p_s, f_s, d_s, g_s = bag_criteria(model, ic, [(x,) for x in singles], on_degenerate,
+                                            prior, mom, fits)
+    (ll_1, ll_2), (p_1, p_2) = np.split(ll_s, 2), np.split(p_s, 2)
     terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
     if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
         raise ValueError(f"non-finite L or P term in pair {np.isfinite(terms).all(1).argmin()}")
@@ -277,9 +288,9 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         values=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
         terms=terms,
         alpha=alpha,
-        fallback=f_j | f_1 | f_2,
-        floored_dims=int(d_j.sum() + d_1.sum() + d_2.sum()),
-        degenerate_fits=int(g_j.sum() + g_1.sum() + g_2.sum()),
+        fallback=f_j | f_s[:half] | f_s[half:],
+        floored_dims=int(d_j.sum() + d_s.sum()),
+        degenerate_fits=int(g_j.sum() + g_s.sum()),
     )
 
 
@@ -342,24 +353,44 @@ def default_prior(d: int) -> NormalWishartPrior:
     return NormalWishartPrior(d, kappa0=1.0, nu0=float(d + 2))
 
 
-def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
+def _factor_identity_plus(gram: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of I + ``gram``, for one (m, m) Gram or a
+    (k, m, m) stack of them; the identity is added in place."""
+    m = gram.shape[-1]
+    gram.reshape(-1, m * m)[:, ::m + 1] += 1.0  # the diagonals, as a strided view
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"posterior scale matrix not positive definite "
+                                    f"({m} x {m}): {exc}") from exc
+
+
+def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     """Log marginal likelihood of a bag under the Normal-Wishart prior.
 
-    Conjugate closed form in log space (Murphy 2007), with mu_0 = 0 and
-    T_0 = I.  T_n = I + U^T U, where the (n + 1, d) rows of U are the n
-    centred rows and sqrt(c) xbar, c = n kappa0 / kappa_n.  When n + 1 < d,
-    Sylvester's identity gives log|T_n| = log|I + U U^T|.  Otherwise I + S,
-    S the centred scatter, is factored as L L^T and the mean row added by
-    the matrix determinant lemma (Harville 1997),
-    log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2), so a mean far from 0
-    never cancels inside the Cholesky pivots.  A T_n that overflows raises
-    ``ValueError``.  With a = nu0 / 2 and k = min(n, d),
+    ``data`` is one (n, d) bag, which gives a float, or a (k, n, d) stack of
+    k bags of n rows each, which gives a (k,) array holding each bag's value
+    bit for bit as a call on that bag alone.  Conjugate closed form in log
+    space (Murphy 2007), with mu_0 = 0 and T_0 = I.  T_n = I + U^T U, where
+    the (n + 1, d) rows of U are the n centred rows and sqrt(c) xbar,
+    c = n kappa0 / kappa_n.  When n + 1 < d, Sylvester's identity gives
+    log|T_n| = log|I + U U^T|.  Otherwise I + S, S the centred scatter, is
+    factored as L L^T and the mean row added by the matrix determinant lemma
+    (Harville 1997), log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2), so a
+    mean far from 0 never cancels inside the Cholesky pivots.  A T_n that
+    overflows raises ``ValueError``.  With a = nu0 / 2 and k = min(n, d),
     log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
     sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
-    For n < d a call costs O(d n^2 + n^3).
+
+    Cost per stack: the log-Gamma sum once, since it reads only n, d and the
+    prior.  For n + 1 < d, one stacked (n + 1) x (n + 1) Gram and one stacked
+    Cholesky factorisation, O(k (d n^2 + n^3)) in two numpy calls.  For
+    n + 1 >= d, the bags are factored one at a time, O(k (n d^2 + d^3)),
+    so no more than one d x d Gram is held.
     """
-    x = as_matrix(data)
-    n, d = x.shape
+    single = np.ndim(data) != 3
+    x = as_matrix(data)[np.newaxis] if single else np.asarray(data, dtype=np.float64)
+    _, n, d = x.shape
     if d != prior.dim:
         raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
     if n < 1:
@@ -367,36 +398,35 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float:
     if not np.isfinite(x).all():
         raise ValueError("bag contains non-finite values (NaN or inf)")
     nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
-    xbar = x.mean(axis=0)
+    xbar = x.mean(axis=1)
     shrink = n * prior.kappa0 / kappa_n
     if n + 1 < d:
-        update = np.empty((n + 1, d))
-        np.subtract(x, xbar, out=update[:n])
-        np.multiply(xbar, math.sqrt(shrink), out=update[n])
-        gram = update @ update.T
+        update = np.empty((len(x), n + 1, d))
+        np.subtract(x, xbar[:, np.newaxis], out=update[:, :n])
+        np.multiply(xbar, math.sqrt(shrink), out=update[:, n])
+        chol = _factor_identity_plus(update @ update.transpose(0, 2, 1))
+        log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     else:
-        dev = x - xbar
-        gram = dev.T @ dev
-    gram.reshape(-1)[::len(gram) + 1] += 1.0  # the diagonal, as a strided view
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"posterior scale matrix not positive definite "
-                                    f"(n={n}, d={d}): {exc}") from exc
-    log_det_tn = 2.0 * float(np.log(chol.diagonal()).sum())
-    if n + 1 >= d:
         from scipy.linalg import solve_triangular  # here only: ~27 MB and 0.4 s to import
 
-        w = solve_triangular(chol, xbar, lower=True, check_finite=False)
-        log_det_tn += math.log1p(shrink * float(w @ w))
-    if not math.isfinite(log_det_tn):
-        raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn} (n={n}, d={d})")
+        log_det_tn = np.empty(len(x))
+        for b, (rows, mean) in enumerate(zip(x, xbar)):
+            dev = rows - mean
+            chol = _factor_identity_plus(dev.T @ dev)
+            w = solve_triangular(chol, mean, lower=True, check_finite=False)
+            log_det_tn[b] = (2.0 * float(np.log(chol.diagonal()).sum())
+                             + math.log1p(shrink * float(w @ w)))
+    finite = np.isfinite(log_det_tn)
+    if not finite.all():
+        raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn[finite.argmin()]} "
+                         f"(n={n}, d={d})")
     top, bottom = 0.5 * nu_n, 0.5 * (prior.nu0 - d + 1)
     # the min(n, d) lgamma terms that do not cancel
     log_gamma = sum([math.lgamma(top - 0.5 * i) - math.lgamma(bottom + 0.5 * i)
                      for i in range(min(n, d))])
-    return (log_gamma - 0.5 * n * d * math.log(math.pi) - 0.5 * nu_n * log_det_tn
-            + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n)))
+    evidence = (log_gamma - 0.5 * n * d * math.log(math.pi) - 0.5 * nu_n * log_det_tn
+                + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n)))
+    return float(evidence[0]) if single else evidence
 
 
 def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> SimilarityScore:

@@ -15,9 +15,9 @@ method scores all the pairs of the block in one call of
 :func:`groupsim.comparison.pair_scores`, the one composition that serves
 every model: the Gaussian methods from the bags' moments merged pairwise,
 the vMF ones from each bag's fit and each pair's summed resultants, on a
-float64 copy of the block's rows normalised once, and Normal-Wishart
-evidence by evidence.  The baselines take their sentence
-vectors from the same rows, in :func:`embedding_scores`, the one
+float64 copy of the block's rows normalised once, and the Normal-Wishart
+evidence over stacks of bags with equal row counts.  The baselines take
+their sentence vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
 sentence vector scores 0.0).  Every per-pair value agrees with scoring the
 pair alone the way the harness did before dataset batches (the tests check

@@ -13,8 +13,9 @@ multivariate gammas, the
 line-by-line embedding loader, Spearman rho from scipy's average ranks,
 the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
-on a stacked joint bag, for every model, and corpus model selection with
-one fit per candidate on full moments.
+on a stacked joint bag, for every model, the batch composition from three
+per-bag criterion calls, and corpus model selection with one fit per
+candidate on full moments.
 """
 
 from __future__ import annotations
@@ -777,6 +778,49 @@ def pair_score_rows(x1, x2, model: str, ic: str | None = None, on_degenerate: st
         fallback=fb_j or fb_1 or fb_2,
     )
     return score, f_j + f_1 + f_2
+
+
+def pair_terms_three_calls(model: str, ic: str | None, first, second,
+                           on_degenerate: str = "aic", prior=None):
+    """(terms, fallback, floored dims, degenerate fits) of a batch of pairs
+    from three per-bag criterion calls, on the joint, first and second bags.
+
+    The batch composition before its single bags were swept in one call:
+    Gaussian bags read their moments (the joint bags' merged), vMF bags
+    their fits (the joint bags' from summed resultants), and "bayes" bags
+    take one ``nw_log_evidence`` each, the joint bag on the stacked pair.
+    """
+    from groupsim import comparison
+    from groupsim.gaussian import merge_moments, moments
+    from groupsim.vmf import _fit_resultant, fit_vmf
+
+    half = len(first)
+    bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
+    if model == "bayes":
+        prior = comparison.default_prior(first[0].shape[1]) if prior is None else prior
+        out = []
+        for group in bags:
+            loglik = np.array([comparison.nw_log_evidence(np.vstack(bag), prior)
+                               for bag in group])
+            zeros = np.zeros(half)
+            out.append((loglik, zeros, zeros.astype(bool), zeros.astype(int), zeros.astype(bool)))
+    else:
+        moms = fits = (None, None, None)
+        if model in ("diag", "spherical"):
+            order = 4 if (model, ic) == ("diag", "tic") else 2
+            mom = moments(*first, *second, order=order)
+            m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
+            moms = (merge_moments(m1, m2), m1, m2)
+        else:
+            f1, f2 = [fit_vmf(x) for x in first], [fit_vmf(x) for x in second]
+            fits = ([_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
+                     for a, b, x in zip(f1, f2, first)], f1, f2)
+        out = [comparison.bag_criteria(model, ic, b, on_degenerate, mom=m, fits=f)
+               for b, m, f in zip(bags, moms, fits)]
+    (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = out
+    terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
+    return (terms, f_j | f_1 | f_2, int(d_j.sum() + d_1.sum() + d_2.sum()),
+            int(g_j.sum() + g_1.sum() + g_2.sum()))
 
 
 def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, float]:

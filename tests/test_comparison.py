@@ -11,6 +11,7 @@ from groupsim import comparison, vmf
 from groupsim.comparison import (
     DIAG,
     IC_KINDS,
+    MODELS,
     SPHERICAL,
     VMF,
     NormalWishartPrior,
@@ -25,6 +26,7 @@ from groupsim.comparison import (
     similarity_ic,
 )
 from groupsim.errors import DegenerateCurvatureError
+from groupsim.evaluation import spearman
 from groupsim.special import log_multivariate_gamma
 from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR, fit_vmf
 
@@ -39,6 +41,7 @@ from helpers import (
     nw_log_evidence_mp,
     nw_log_evidence_quadrature,
     pair_score_rows,
+    pair_terms_three_calls,
     random_rotation,
     term_scales,
     uniform_sphere,
@@ -416,7 +419,6 @@ class TestBayesFactor:
         the dense oracle, so it is held to the dense oracle's bound there; the
         mpmath test below pins that side."""
         rng = np.random.default_rng(3000 + d)
-        eps = np.finfo(float).eps
         for prior in self._priors(d):
             sizes = [1] if bag == "one_row" else sorted(
                 {n for n in (2, d - 1, d, d + 1) if n >= 2})
@@ -426,22 +428,28 @@ class TestBayesFactor:
                 else:
                     offset = 1e6 if bag == "offset_1e6" else 1e3
                     x = rng.standard_normal((n, d)) + offset * rng.standard_normal(d)
-                value = nw_log_evidence(x, prior)
-                scale = (abs(value) + 0.5 * n * d * math.log(math.pi)
-                         + abs(log_multivariate_gamma(d, (prior.nu0 + n) / 2.0))
-                         + abs(log_multivariate_gamma(d, prior.nu0 / 2.0)))
-                xbar = x.mean(axis=0)
-                size_tn = (1.0 + float(np.sum((x - xbar) ** 2))
-                           + n * prior.kappa0 / (prior.kappa0 + n) * float(xbar @ xbar))
-                dense_tol = 0.5 * (prior.nu0 + n) * d * eps * size_tn
-                if n + 1 < d:
-                    assert value == pytest.approx(nw_log_evidence_columns(x, prior),
-                                                  rel=0, abs=1e-13 * scale)
-                else:
-                    assert value == pytest.approx(nw_log_evidence_columns(x, prior),
-                                                  rel=1e-10, abs=max(1e-13 * scale, dense_tol))
-                assert value == pytest.approx(nw_log_evidence_dense(x, prior),
-                                              rel=1e-10, abs=dense_tol)
+                self.assert_matches_oracles(nw_log_evidence(x, prior), x, prior)
+
+    @staticmethod
+    def assert_matches_oracles(value, x, prior):
+        """``value``, the evidence of the bag ``x``, against the column-major
+        and the dense evidence at the bounds of the test above."""
+        n, d = x.shape
+        eps = np.finfo(float).eps
+        scale = (abs(value) + 0.5 * n * d * math.log(math.pi)
+                 + abs(log_multivariate_gamma(d, (prior.nu0 + n) / 2.0))
+                 + abs(log_multivariate_gamma(d, prior.nu0 / 2.0)))
+        xbar = x.mean(axis=0)
+        size_tn = (1.0 + float(np.sum((x - xbar) ** 2))
+                   + n * prior.kappa0 / (prior.kappa0 + n) * float(xbar @ xbar))
+        dense_tol = 0.5 * (prior.nu0 + n) * d * eps * size_tn
+        if n + 1 < d:
+            assert value == pytest.approx(nw_log_evidence_columns(x, prior),
+                                          rel=0, abs=1e-13 * scale)
+        else:
+            assert value == pytest.approx(nw_log_evidence_columns(x, prior),
+                                          rel=1e-10, abs=max(1e-13 * scale, dense_tol))
+        assert value == pytest.approx(nw_log_evidence_dense(x, prior), rel=1e-10, abs=dense_tol)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_log_evidence_matches_mpmath_on_the_d_by_d_side(self, d):
@@ -523,6 +531,105 @@ class TestBayesFactor:
         assert prior == NormalWishartPrior(3, 1.0, 5.0) and type(prior.dim) is int
         x = np.random.default_rng(16).standard_normal((4, 3))
         assert nw_log_evidence(x, prior) == nw_log_evidence(x, NormalWishartPrior(3, 1.0, 5.0))
+
+
+class TestStackedEvidence:
+    """``nw_log_evidence`` over a (k, n, d) stack of equal-size bags, and the
+    Normal-Wishart pair scores that group their bags into such stacks."""
+
+    @pytest.mark.parametrize("d", [8, 50])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_stack_equals_per_bag_calls(self, d, k, dtype, offset):
+        """Bit for bit on both sides of n + 1 = d, and each bag within the
+        bounds of the column-major and the dense oracles."""
+        rng = np.random.default_rng(5000 + d + k)
+        for prior in TestBayesFactor._priors(d):
+            for n in sorted({1, 2, d - 2, d - 1, d, d + 5}):
+                means = offset * rng.standard_normal((k, 1, d))
+                x = (rng.standard_normal((k, n, d)) + means).astype(dtype)
+                got = nw_log_evidence(x, prior)
+                assert isinstance(got, np.ndarray) and got.shape == (k,)
+                assert got.tolist() == [nw_log_evidence(bag, prior) for bag in x]
+                for value, bag in zip(got, x):
+                    TestBayesFactor.assert_matches_oracles(value, bag.astype(np.float64), prior)
+
+    @pytest.mark.parametrize("n", [2, 9])  # n + 1 < d and n + 1 >= d at d = 8
+    def test_bad_stacks_raise(self, n):
+        prior = default_prior(8)
+        x = np.random.default_rng(72).standard_normal((4, n, 8))
+        x[2, 1, 5] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            nw_log_evidence(x, prior)
+        for bad in (np.zeros((4, n, 7)), np.zeros((4, 0, 8)), np.zeros(8),
+                    np.zeros((2, 4, n, 8))):
+            with pytest.raises(ValueError):
+                nw_log_evidence(bad, prior)
+
+    def test_pair_scores_one_call_per_row_count(self, monkeypatch):
+        """Mixed sizes, some repeated: one stack per distinct row count in
+        each of the joint and the single sweeps, no ``np.vstack``, and the
+        terms of the per-pair oracle on the stacked pair."""
+        rng = np.random.default_rng(73)
+        d = 8
+        sizes = [(2, 3), (3, 2), (2, 2), (5, 9), (9, 5), (3, 3), (2, 3), (1, 4)]
+        first = [rng.standard_normal((n, d)) + 40.0 for n, _ in sizes]
+        second = [rng.standard_normal((m, d)) - 3.0 for _, m in sizes]
+        want = [pair_score_rows(a, b, "bayes")[0].breakdown for a, b in zip(first, second)]
+        shapes = []
+
+        def counted(data, prior):
+            shapes.append(np.shape(data))
+            return evidence(data, prior)
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a Normal-Wishart pair was stacked with np.vstack")
+
+        evidence = comparison.nw_log_evidence
+        monkeypatch.setattr(comparison, "nw_log_evidence", counted)
+        monkeypatch.setattr(np, "vstack", no_stack)
+        got = pair_scores("bayes", None, first, second)
+        monkeypatch.undo()
+        joint = [n + m for n, m in sizes]
+        single = [n for n, _ in sizes] + [m for _, m in sizes]
+        assert sorted(shapes) == sorted(
+            [(joint.count(n), n, d) for n in set(joint)]
+            + [(single.count(n), n, d) for n in set(single)])
+        names = ("loglik_joint", "loglik_1", "loglik_2", "penalty_joint", "penalty_1", "penalty_2")
+        for row, breakdown, a, b in zip(got.terms, want, first, second):
+            for name, term, scale in zip(names, row, term_scales(a, b, "bayes")):
+                assert term == pytest.approx(getattr(breakdown, name), rel=0.0,
+                                             abs=1e-12 * scale), name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(("model", "ic"),
+                         [(model, ic) for model in MODELS for ic in IC_KINDS] + [("bayes", None)])
+def test_single_bags_in_one_sweep_match_three_calls(seed, model, ic):
+    """Sweeping the first and second bags in one per-bag criterion call gives
+    every term, flag and count bit for bit as one call each, and so the same
+    Spearman rho; the batch mixes repeated sizes, float32 rows (unit float64
+    rows for vMF) and a degenerate vMF pair."""
+    rng = np.random.default_rng(seed)
+    d, count = 8, 24
+    sizes = rng.integers(2, 13, size=(count, 2))
+    if model == VMF:
+        bags = [uniform_sphere(rng, n, d) for n in sizes.ravel()]
+        bags[0] = np.tile(bags[0][0], (len(bags[0]), 1))
+    else:
+        bags = [(rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d)).astype(np.float32)
+                for n in sizes.ravel()]
+    first, second = bags[0::2], bags[1::2]
+    got = pair_scores(model, ic, first, second, on_degenerate="aic")
+    terms, fallback, floored, degenerate = pair_terms_three_calls(model, ic, first, second)
+    assert got.terms.tobytes() == terms.tobytes()
+    assert got.fallback.tolist() == fallback.tolist()
+    assert (got.floored_dims, got.degenerate_fits) == (floored, degenerate)
+    ll_j, ll_1, ll_2, p_j, p_1, p_2 = terms.T
+    values = got.alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2)
+    gold = rng.uniform(0.0, 5.0, count)
+    assert spearman(got.values, gold) == spearman(values, gold)
 
 
 class TestModelSelection:
