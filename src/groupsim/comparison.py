@@ -374,19 +374,24 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     space (Murphy 2007), with mu_0 = 0 and T_0 = I.  T_n = I + U^T U, where
     the (n + 1, d) rows of U are the n centred rows and sqrt(c) xbar,
     c = n kappa0 / kappa_n.  When n + 1 < d, Sylvester's identity gives
-    log|T_n| = log|I + U U^T|.  Otherwise I + S, S the centred scatter, is
-    factored as L L^T and the mean row added by the matrix determinant lemma
-    (Harville 1997), log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2), so a
-    mean far from 0 never cancels inside the Cholesky pivots.  A T_n that
+    log|T_n| = log|I + U U^T|.  Otherwise the mean row is added by the matrix
+    determinant lemma (Harville 1997),
+    log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2) with I + S = L L^T and S
+    the centred scatter, so a mean far from 0 never cancels inside the
+    Cholesky pivots.  Both factors come from one (d + 1) x (d + 1) factor:
+    I + S bordered by xbar / s, with corner 1 + |xbar / s|^2, where
+    s = max(1, max_i |xbar_i|) keeps the corner from overflowing.  Its first
+    d pivots are L's, and its last row holds L^-1 xbar / s.  A T_n that
     overflows raises ``ValueError``.  With a = nu0 / 2 and k = min(n, d),
     log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
     sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
 
     Cost per stack: the log-Gamma sum once, since it reads only n, d and the
-    prior.  For n + 1 < d, one stacked (n + 1) x (n + 1) Gram and one stacked
-    Cholesky factorisation, O(k (d n^2 + n^3)) in two numpy calls.  For
-    n + 1 >= d, the bags are factored one at a time, O(k (n d^2 + d^3)),
-    so no more than one d x d Gram is held.
+    prior, and one stacked Gram and one stacked Cholesky factorisation, two
+    numpy calls on either side.  For n + 1 < d the Grams are
+    (n + 1) x (n + 1), O(k (d n^2 + n^3)); for n + 1 >= d they are the
+    bordered (d + 1) x (d + 1), O(k (n d^2 + d^3)), a (k, d + 1, d + 1)
+    stack about the size of the (k, n, d) rows it is read from.
     """
     single = np.ndim(data) != 3
     x = as_matrix(data)[np.newaxis] if single else np.asarray(data, dtype=np.float64)
@@ -407,15 +412,18 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
         chol = _factor_identity_plus(update @ update.transpose(0, 2, 1))
         log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     else:
-        from scipy.linalg import solve_triangular  # here only: ~27 MB and 0.4 s to import
-
-        log_det_tn = np.empty(len(x))
-        for b, (rows, mean) in enumerate(zip(x, xbar)):
-            dev = rows - mean
-            chol = _factor_identity_plus(dev.T @ dev)
-            w = solve_triangular(chol, mean, lower=True, check_finite=False)
-            log_det_tn[b] = (2.0 * float(np.log(chol.diagonal()).sum())
-                             + math.log1p(shrink * float(w @ w)))
+        scale = np.maximum(1.0, np.abs(xbar).max(axis=1))  # keeps the corner finite
+        border = xbar / scale[:, np.newaxis]
+        dev = x - xbar[:, np.newaxis]
+        gram = np.empty((len(x), d + 1, d + 1))  # S bordered by xbar / s, corner |xbar / s|^2
+        np.matmul(dev.transpose(0, 2, 1), dev, out=gram[:, :d, :d])
+        gram[:, d, :d] = gram[:, :d, d] = border
+        gram[:, d, d] = np.einsum("ij,ij->i", border, border)
+        chol = _factor_identity_plus(gram)
+        # the last row is L^-1 xbar / s; s |row| is formed first, as s^2 can overflow
+        solved = scale * np.linalg.norm(chol[:, d, :d], axis=1)
+        log_det_tn = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :d]).sum(axis=1)
+                      + np.log1p(shrink * solved * solved))
     finite = np.isfinite(log_det_tn)
     if not finite.all():
         raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn[finite.argmin()]} "

@@ -1,4 +1,4 @@
-"""Modified-Bessel ratios, log-normalizers, and the multivariate log-gamma.
+"""Modified-Bessel ratios and log-normalizers.
 
 Everything runs in ratio/log space.  Ratios ``I_nu(x) / I_{nu-1}(x)`` lie in
 ``[0, 1)`` for ``nu >= 1/2``, so chains of them combine safely under logs even
@@ -29,8 +29,8 @@ The log-normalizer log C_d needs ``log I_v(x)`` itself:
 ``bessel_ratio`` is a view of the kernel's first output; its other outputs,
 the slope A_d' and log C_d, are read from the kernel directly.
 
-``log_multivariate_gamma`` sums its d terms from ``math.lgamma``.  The module
-needs only the standard library, so importing it loads neither numpy nor scipy.
+The module needs only the standard library, so importing it loads neither
+numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -265,12 +265,3 @@ def inv_bessel_ratio(d: int, r_bar: float) -> float:
         raise ValueError(f"resultant length must be in (0, 1), got {r_bar!r}")
     return r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
 
-
-def log_multivariate_gamma(d: int, a: float) -> float:
-    """log of the d-dimensional gamma function at a, for a > (d - 1) / 2."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d!r}")
-    if not a > (d - 1) / 2.0:
-        raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
-    log_gammas = sum([math.lgamma(a - 0.5 * j) for j in range(d)])
-    return 0.25 * d * (d - 1) * math.log(math.pi) + log_gammas

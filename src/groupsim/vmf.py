@@ -155,22 +155,21 @@ def _tic_penalty(fit: VmfFit, blocks) -> float:
             + fit.kappa_hat * (square_norms - square_dots) / fit.r_bar) / n
 
 
-def vmf_tic_penalty(fit: VmfFit, sample, check_unit: bool = True) -> float:
+def vmf_tic_penalty(fit: VmfFit, sample) -> float:
     """Gradient/curvature penalty tr(I J^-1) in the tangent space at the fit.
 
     ``mean((w . mu - A)^2) / A' + kappa mean(|w|^2 - (w . mu)^2) / R_bar``,
     from three dot products over the rows, with no (n, d) temporary when the
     rows are C-contiguous.  A fit that is not degenerate has
     1 - R_bar >= 1e-7, which bounds the cancellation in
-    ``sum(|w|^2) - sum((w . mu)^2)`` to about 1e-9 relative.  ``check_unit=False``
-    skips the unit-norm check for rows the caller has already validated
-    (for example through :func:`fit_vmf` on the same rows).
+    ``sum(|w|^2) - sum((w . mu)^2)`` to about 1e-9 relative.  The rows must
+    be finite unit vectors (within 1e-6), or ``ValueError`` is raised.
 
     Raises :class:`DegenerateCurvatureError` when the fit is flagged
     degenerate, or when A' or kappa R_bar falls below 1e-12 (e.g. every
     vector equal to the mean direction).
     """
-    x = as_unit_matrix(sample) if check_unit else sample
+    x = as_unit_matrix(sample)
     if x.shape[1] != fit.dim:
         raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
     return _tic_penalty(fit, (x,))

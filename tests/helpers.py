@@ -8,8 +8,8 @@ finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, the closed-form vMF and
 diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
 brute-force quadrature for marginal likelihoods, plus the dense
-Normal-Wishart evidence, the column-major low-rank evidence with full
-multivariate gammas, the
+Normal-Wishart evidence, the multivariate log-gamma as a full sum of its
+terms, the column-major low-rank evidence with full multivariate gammas, the
 line-by-line embedding loader, Spearman rho from scipy's average ranks,
 the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
@@ -465,6 +465,17 @@ def log_gamma_ratio_mp(d: int, a: float, n: int) -> float:
                          for j in range(d)))
 
 
+def log_multivariate_gamma(d: int, a: float) -> float:
+    """log of the d-dimensional gamma function at a, for a > (d - 1) / 2, as
+    the full sum of its d ``math.lgamma`` terms."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d!r}")
+    if not a > (d - 1) / 2.0:
+        raise ValueError(f"argument must exceed (d-1)/2 = {(d - 1) / 2}, got {a!r}")
+    log_gammas = sum([math.lgamma(a - 0.5 * j) for j in range(d)])
+    return 0.25 * d * (d - 1) * math.log(math.pi) + log_gammas
+
+
 # ---------------------------------------------------------------------------
 # dense marginal likelihood, any d
 # ---------------------------------------------------------------------------
@@ -535,10 +546,9 @@ def nw_log_evidence_columns(data, prior) -> float:
     Writes U as a transposed (d, n + 1) copy (centred rows, then
     sqrt(n kappa0 / kappa_n) xbar), takes the Gram on its smaller side, and
     takes both multivariate gammas as full d-term sums through
-    ``special.log_multivariate_gamma``.
+    :func:`log_multivariate_gamma`.
     """
     from groupsim.embeddings import as_matrix
-    from groupsim.special import log_multivariate_gamma
 
     x = as_matrix(data)
     n, d = x.shape
@@ -830,7 +840,7 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
     can sum to near 0: a spherical Gaussian L = -(n d / 2)(log 2 pi s^2 + 1)
     vanishes at s^2 = 1 / (2 pi e).
     """
-    from groupsim.special import LOG_2PI, log_multivariate_gamma, vmf_kernels
+    from groupsim.special import LOG_2PI, vmf_kernels
     from groupsim.vmf import fit_vmf
 
     n, d = x.shape

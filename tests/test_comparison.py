@@ -27,7 +27,6 @@ from groupsim.comparison import (
 )
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.evaluation import spearman
-from groupsim.special import log_multivariate_gamma
 from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR, fit_vmf
 
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     diag_closed_tic,
     fit_gaussian_rows,
     log_gamma_ratio_mp,
+    log_multivariate_gamma,
     nw_log_evidence_columns,
     nw_log_evidence_dense,
     nw_log_evidence_mp,
@@ -463,6 +463,22 @@ class TestBayesFactor:
                     x = rng.standard_normal((n, d)) + offset * rng.standard_normal(d)
                     assert nw_log_evidence(x, prior) == pytest.approx(
                         nw_log_evidence_mp(x, prior), rel=1e-13)
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (12, 8)])
+    def test_log_evidence_of_a_mean_whose_square_overflows(self, n, d):
+        """Means around 1e160 and spread 1e150, n + 1 >= d: |xbar|^2 and s^2
+        overflow, but the mean row enters the factor as xbar / s and the
+        lemma's term as c (s |L^-1 xbar / s|)^2, so the evidence is finite and
+        within 1e-13 of a 60-digit one.  A spread of 1e155 overflows S."""
+        rng = np.random.default_rng(4200 + d)
+        centre = 1e160 * (1.0 + 0.1 * rng.standard_normal(d))
+        x = centre + 1e150 * rng.standard_normal((n, d))
+        value = nw_log_evidence(x, default_prior(d))
+        assert math.isfinite(value)
+        assert value == pytest.approx(nw_log_evidence_mp(x, default_prior(d)), rel=1e-13)
+        wide = centre + 1e155 * rng.standard_normal((n, d))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            nw_log_evidence(wide, default_prior(d))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gram_raises(self):

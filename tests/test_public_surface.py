@@ -48,7 +48,7 @@ PUBLIC = [
 REMOVED = {
     "gaussian": ("GaussianFit", "fit_gaussian", "gaussian_tic_penalty"),
     "baselines": ("mwv_similarity",),
-    "special": ("log_vmf_normalizer",),
+    "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
 }
 
 

@@ -13,7 +13,6 @@ from groupsim.special import (
     _use_asymptotic,
     bessel_ratio,
     inv_bessel_ratio,
-    log_multivariate_gamma,
     vmf_kernels,
 )
 
@@ -21,6 +20,7 @@ from helpers import (
     bessel_ratio_mp,
     bessel_ratio_slope_mp,
     inv_bessel_ratio_newton,
+    log_multivariate_gamma,
     log_vmf_normalizer_mp,
     vmf_kernels_telescoped,
 )
