@@ -34,6 +34,23 @@ if not all(math.isfinite(v) for v in values) or values != sorted(values):
     sys.exit(f"modelsel mean_ic must be finite and ascending, got {values}")
 EOF
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
+# the vMF "tic" penalty end to end: a finite score, three finite penalties and no fallback
+python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --normalize --method vmf_tic \
+    --verbose "the cat" "cat dog" > "$tmp/vmf_tic.txt"
+python - "$tmp/vmf_tic.txt" <<'EOF'
+import math
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    lines = handle.read().splitlines()
+method, value = lines[0].split("\t")
+fields = dict(line.strip().split(" = ") for line in lines[1:])
+penalties = [float(fields[f"penalty_{part}"]) for part in ("joint", "1", "2")]
+if method != "vmf_tic" or not math.isfinite(float(value)):
+    sys.exit(f"expected a finite vmf_tic score, got {lines[0]!r}")
+if not all(math.isfinite(p) for p in penalties) or fields["fallback"] != "False":
+    sys.exit(f"expected finite vmf penalties and no fallback, got {fields}")
+EOF
 # a UTF-8 byte-order mark and a count/dimension header in front of the lexicon change nothing
 { printf '\xef\xbb\xbf3 3\n'; cat "$tmp/lexicon.txt"; } > "$tmp/lexicon-bom.txt"
 score_with() {

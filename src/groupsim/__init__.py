@@ -42,7 +42,6 @@ from .evaluation import (
     score_pair,
     spearman,
 )
-from .vmf import VmfFit, fit_vmf, vmf_tic_penalty
 
 __version__ = "0.1.0"
 
@@ -63,13 +62,11 @@ __all__ = [
     "SimilarityScore",
     "SUPPORTED_METHODS",
     "UnknownTokenError",
-    "VmfFit",
     "bayes_factor_similarity",
     "corpus_model_selection",
     "default_prior",
     "evaluate",
     "find_pad_token",
-    "fit_vmf",
     "load_embeddings",
     "load_frequencies",
     "load_pairs",
@@ -81,5 +78,4 @@ __all__ = [
     "score_pair",
     "similarity_ic",
     "spearman",
-    "vmf_tic_penalty",
 ]

@@ -180,11 +180,11 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     read from their moments ``mom`` (taken from the rows of one-block bags
     when omitted, to M4 only for the diagonal "tic" penalty, the one
     criterion that reads it); the spherical "tic" radial term reads each
-    block about its bag's mean.  vMF bags are read from their fits ``fits``
-    (a joint bag's made from merged resultants; :func:`fit_vmf` on the rows
-    of one-block bags when omitted), the "tic" penalty from each bag's
-    blocks in place, and a bag is flagged degenerate when its resultant
-    length was clamped.
+    block about its bag's mean, rounding error included.  vMF bags are read
+    from their fits ``fits`` (a joint bag's made from merged resultants;
+    :func:`fit_vmf` on the rows of one-block bags when omitted), the "tic"
+    penalty from each bag's blocks in place, and a bag is flagged
+    degenerate when its resultant length was clamped.
     ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
     penalty whose curvature is degenerate, and flags the bag as a fallback;
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
@@ -205,8 +205,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
         loglik, var, kurt, floored = moment_fit(mom, kind)
         if ic == "tic":
             radial = None if model == DIAG else np.array([
-                sum(radial_sq_sum(x, mu) for x in bag) / sum(len(x) for x in bag)
-                for bag, mu in zip(bags, mom.mean)])
+                sum(radial_sq_sum(x, mu, err) for x in bag) / sum(len(x) for x in bag)
+                for bag, mu, err in zip(bags, mom.mean, mom.mean_err)])
             penalty = tic_penalties(kind, d, var, kurt, radial)
         return loglik, penalty, fallback, floored, degenerate
     loglik = np.empty(count)
@@ -294,14 +294,6 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     )
 
 
-def _validated_pair(d1, d2):
-    x1 = as_matrix(d1)
-    x2 = as_matrix(d2)
-    if x1.shape[1] != x2.shape[1]:
-        raise ValueError(f"dimension mismatch: {x1.shape[1]} vs {x2.shape[1]}")
-    return x1, x2
-
-
 def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> SimilarityScore:
     """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
 
@@ -321,8 +313,7 @@ def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> 
     """
     if model not in MODELS:
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
-    x1, x2 = _validated_pair(d1, d2)
-    return pair_scores(model, ic, [x1], [x2], on_degenerate)[0]
+    return pair_scores(model, ic, [as_matrix(d1)], [as_matrix(d2)], on_degenerate)[0]
 
 
 @dataclass(frozen=True)
@@ -355,14 +346,19 @@ def default_prior(d: int) -> NormalWishartPrior:
 
 def _factor_identity_plus(gram: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of I + ``gram``, for one (m, m) Gram or a
-    (k, m, m) stack of them; the identity is added in place."""
+    (k, m, m) stack of them; the identity is added in place.  A Gram that
+    overflowed raises ``ValueError`` before the factor, and so does a factor
+    that fails: I + ``gram`` is positive definite in exact arithmetic, so a
+    failure is rounding, from rows too far from 0 for their spread."""
     m = gram.shape[-1]
+    if not np.isfinite(gram).all():
+        raise ValueError(f"posterior scale overflows: its {m} x {m} Gram is not finite")
     gram.reshape(-1, m * m)[:, ::m + 1] += 1.0  # the diagonals, as a strided view
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"posterior scale matrix not positive definite "
-                                    f"({m} x {m}): {exc}") from exc
+        raise ValueError(f"posterior scale matrix ({m} x {m}) not positive definite after "
+                         f"rounding: the rows are too far from 0 to resolve their spread") from exc
 
 
 def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
@@ -382,7 +378,8 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     I + S bordered by xbar / s, with corner 1 + |xbar / s|^2, where
     s = max(1, max_i |xbar_i|) keeps the corner from overflowing.  Its first
     d pivots are L's, and its last row holds L^-1 xbar / s.  A T_n that
-    overflows raises ``ValueError``.  With a = nu0 / 2 and k = min(n, d),
+    overflows, and a factor that rounding makes fail, raise ``ValueError``
+    with no ``RuntimeWarning`` before it.  With a = nu0 / 2 and k = min(n, d),
     log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
     sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
 
@@ -403,27 +400,28 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("bag contains non-finite values (NaN or inf)")
     nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
-    xbar = x.mean(axis=1)
     shrink = n * prior.kappa0 / kappa_n
-    if n + 1 < d:
-        update = np.empty((len(x), n + 1, d))
-        np.subtract(x, xbar[:, np.newaxis], out=update[:, :n])
-        np.multiply(xbar, math.sqrt(shrink), out=update[:, n])
-        chol = _factor_identity_plus(update @ update.transpose(0, 2, 1))
-        log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    else:
-        scale = np.maximum(1.0, np.abs(xbar).max(axis=1))  # keeps the corner finite
-        border = xbar / scale[:, np.newaxis]
-        dev = x - xbar[:, np.newaxis]
-        gram = np.empty((len(x), d + 1, d + 1))  # S bordered by xbar / s, corner |xbar / s|^2
-        np.matmul(dev.transpose(0, 2, 1), dev, out=gram[:, :d, :d])
-        gram[:, d, :d] = gram[:, :d, d] = border
-        gram[:, d, d] = np.einsum("ij,ij->i", border, border)
-        chol = _factor_identity_plus(gram)
-        # the last row is L^-1 xbar / s; s |row| is formed first, as s^2 can overflow
-        solved = scale * np.linalg.norm(chol[:, d, :d], axis=1)
-        log_det_tn = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :d]).sum(axis=1)
-                      + np.log1p(shrink * solved * solved))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        xbar = x.mean(axis=1)
+        if n + 1 < d:
+            update = np.empty((len(x), n + 1, d))
+            np.subtract(x, xbar[:, np.newaxis], out=update[:, :n])
+            np.multiply(xbar, math.sqrt(shrink), out=update[:, n])
+            chol = _factor_identity_plus(update @ update.transpose(0, 2, 1))
+            log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        else:
+            scale = np.maximum(1.0, np.abs(xbar).max(axis=1))  # keeps the corner finite
+            border = xbar / scale[:, np.newaxis]
+            dev = x - xbar[:, np.newaxis]
+            gram = np.empty((len(x), d + 1, d + 1))  # S bordered by xbar / s, corner |xbar / s|^2
+            np.matmul(dev.transpose(0, 2, 1), dev, out=gram[:, :d, :d])
+            gram[:, d, :d] = gram[:, :d, d] = border
+            gram[:, d, d] = np.einsum("ij,ij->i", border, border)
+            chol = _factor_identity_plus(gram)
+            # the last row is L^-1 xbar / s; s |row| is formed first, as s^2 can overflow
+            solved = scale * np.linalg.norm(chol[:, d, :d], axis=1)
+            log_det_tn = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :d]).sum(axis=1)
+                          + np.log1p(shrink * solved * solved))
     finite = np.isfinite(log_det_tn)
     if not finite.all():
         raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn[finite.argmin()]} "
@@ -439,8 +437,7 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
 
 def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> SimilarityScore:
     """Log ratio of the joint-bag evidence to the product of per-bag evidences."""
-    x1, x2 = _validated_pair(d1, d2)
-    return pair_scores(BAYES, None, [x1], [x2], prior=prior)[0]
+    return pair_scores(BAYES, None, [as_matrix(d1)], [as_matrix(d2)], prior=prior)[0]
 
 
 @dataclass(frozen=True)

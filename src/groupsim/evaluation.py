@@ -282,7 +282,8 @@ def score_pair(
     options: EvalOptions | None = None,
 ) -> comparison.SimilarityScore:
     """Score one pair with any supported method (baselines included): a
-    batch of one, on a copy of the two samples' rows."""
+    batch of one, on a copy of the two samples' rows.  ``store`` is not
+    read; it stays in the signature for existing callers."""
     block = SentenceBlock.stack([sample_a, sample_b])
     return _score_block(method, block, options or EvalOptions())[0]
 

@@ -38,13 +38,16 @@ SPHERICAL = "spherical"
 class GaussianMoments:
     """Counts and centred power sums of a batch of B bags in d dimensions.
 
-    ``n`` has shape (B,); ``mean``, ``m2``, ``m3`` and ``m4`` have shape
-    (B, d), where ``mk[b]`` is ``sum_i (x_i - mean[b])^k`` over bag b's rows.
-    ``m3`` and ``m4`` are None in moments taken to order 2.
+    ``n`` has shape (B,); ``mean``, ``mean_err``, ``m2``, ``m3`` and ``m4``
+    have shape (B, d), where ``mk[b]`` is ``sum_i (x_i - mean[b])^k`` over
+    bag b's rows.  ``mean_err`` is the rounding error of ``mean``: the bag's
+    mean is ``mean + mean_err`` to about 1e-16 of its spread, not of its
+    mean.  ``m3`` and ``m4`` are None in moments taken to order 2.
     """
 
     n: np.ndarray
     mean: np.ndarray
+    mean_err: np.ndarray
     m2: np.ndarray
     m3: np.ndarray | None = None
     m4: np.ndarray | None = None
@@ -58,10 +61,16 @@ class GaussianMoments:
 
     def take(self, index) -> GaussianMoments:
         """The bags selected by ``index`` (a slice or an index array)."""
+        head = (self.n[index], self.mean[index], self.mean_err[index], self.m2[index])
         if self.m4 is None:
-            return GaussianMoments(self.n[index], self.mean[index], self.m2[index])
-        return GaussianMoments(self.n[index], self.mean[index], self.m2[index],
-                               self.m3[index], self.m4[index])
+            return GaussianMoments(*head)
+        return GaussianMoments(*head, self.m3[index], self.m4[index])
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    return s, (a - (s - (s - a))) + (b - (s - a))
 
 
 def moments(*bags, order: int = 4) -> GaussianMoments:
@@ -74,8 +83,10 @@ def moments(*bags, order: int = 4) -> GaussianMoments:
     then shifted by c, the mean of the deviations, which removes the
     first-order effect of the mean's rounding error; without it M3 loses
     about |mean| / spread ulps (1e-12 relative at a ratio of 1e3).  The
-    shift runs once over the whole batch.  Each bag is read as float64 in
-    its turn, so float32 bags are never copied whole.
+    rounding error of the shifted mean is kept (``mean_err``, by TwoSum) for
+    the merge and the radial term.  The shift runs once over the whole
+    batch.  Each bag is read as float64 in its turn, so float32 bags are
+    never copied whole.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
@@ -102,9 +113,10 @@ def moments(*bags, order: int = 4) -> GaussianMoments:
     nc = n[:, None]
     c = dev_sum / nc
     c2 = c * c
+    head = (n, *_two_sum(mean, c), m2 - nc * c2)
     if m4 is None:
-        return GaussianMoments(n, mean + c, m2 - nc * c2)
-    return GaussianMoments(n, mean + c, m2 - nc * c2, m3 - 3.0 * c * m2 + 2.0 * nc * c2 * c,
+        return GaussianMoments(*head)
+    return GaussianMoments(*head, m3 - 3.0 * c * m2 + 2.0 * nc * c2 * c,
                            m4 - 4.0 * c * m3 + 6.0 * c2 * m2 - 3.0 * nc * c2 * c2)
 
 
@@ -112,21 +124,25 @@ def merge_moments(a: GaussianMoments, b: GaussianMoments) -> GaussianMoments:
     """Moments of bag a[i] and bag b[i] pooled, for every i.
 
     Chan, Golub & LeVeque (1979) for M2 and Pébay (2008) for M3 and M4, with
-    delta = mean_b - mean_a; powers of delta are written as products.  The
-    pooled moments stop after M2 when either side's do.
+    delta = mean_b - mean_a, the means' rounding errors included, so M2 loses
+    no |mean| / spread ulps; powers of delta are written as products.  The
+    pooled mean keeps its error, and the moments stop after M2 when either
+    side's do.
     """
     na, nb = a.n[:, None], b.n[:, None]
     n = na + nb
-    delta = b.mean - a.mean
+    delta = (b.mean - a.mean) + (b.mean_err - a.mean_err)
     dn = delta / n
     t = delta * dn * (na * nb)  # delta^2 na nb / n
-    count, mean, m2 = a.n + b.n, a.mean + dn * nb, a.m2 + b.m2 + t
+    count, m2 = a.n + b.n, a.m2 + b.m2 + t
+    mean, mean_err = _two_sum(a.mean, a.mean_err + dn * nb)
     if a.m4 is None or b.m4 is None:
-        return GaussianMoments(count, mean, m2)
+        return GaussianMoments(count, mean, mean_err, m2)
     dn2 = dn * dn
     return GaussianMoments(
         n=count,
         mean=mean,
+        mean_err=mean_err,
         m2=m2,
         m3=a.m3 + b.m3 + t * dn * (na - nb) + 3.0 * dn * (na * b.m2 - nb * a.m2),
         m4=(a.m4 + b.m4 + t * dn2 * (na * na - na * nb + nb * nb)
@@ -169,9 +185,12 @@ def moment_fit(mom: GaussianMoments, kind: str):
     return max_loglik, var, kurt, floored
 
 
-def radial_sq_sum(x: np.ndarray, mu: np.ndarray) -> float:
-    """``sum_i (|x_i - mu|^2)^2``, the spherical penalty's radial term, over rows."""
-    dev = x - mu
+def radial_sq_sum(x: np.ndarray, mean: np.ndarray, mean_err: np.ndarray) -> float:
+    """``sum_i (|x_i - mu|^2)^2``, the spherical penalty's radial term, over
+    rows, with mu = ``mean + mean_err`` read as the deviations
+    ``(x_i - mean) - mean_err``."""
+    dev = x - mean
+    dev -= mean_err
     q = np.einsum("ij,ij->i", dev, dev)
     return float(q @ q)
 

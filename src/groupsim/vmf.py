@@ -19,6 +19,8 @@ A bag's statistics are its resultant S (the sum of its rows) and its row
 count n.  :func:`fit_vmf` checks a bag's rows and sums them once; the fit of
 two bags together is read from S_1 + S_2 and n_1 + n_2 by the same core, and
 its penalty reads the two bags' rows in place, so no joint bag is stacked.
+The module is internal: the scoring path
+(:func:`groupsim.comparison.bag_criteria`) reads it.
 
 A fit carries its maximised log-likelihood, taken with respect to the
 surface measure of the sphere, so it has no chart volume term; the
@@ -69,10 +71,6 @@ class VmfFit:
     a_prime: float
     resultant: np.ndarray
     degenerate: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.mu_hat.size
 
 
 def as_unit_matrix(data) -> np.ndarray:
@@ -135,9 +133,16 @@ def fit_vmf(sample) -> VmfFit:
 
 
 def _tic_penalty(fit: VmfFit, blocks) -> float:
-    """The penalty of :func:`vmf_tic_penalty` on the rows of a tuple of
-    float64 unit-row blocks, read in place: sum((w . mu - A)^2), sum(|w|^2)
-    and sum((w . mu)^2) are dot products added up over the blocks."""
+    """Gradient/curvature penalty tr(I J^-1) in the tangent space at the fit,
+    ``mean((w . mu - A)^2) / A' + kappa mean(|w|^2 - (w . mu)^2) / R_bar``,
+    from three dot products over the rows of a tuple of float64 unit-row
+    blocks, read in place and not checked.  A fit that is not degenerate has
+    1 - R_bar >= 1e-7, which bounds the cancellation in
+    ``sum(|w|^2) - sum((w . mu)^2)`` to about 1e-9 relative.  Raises
+    :class:`DegenerateCurvatureError` when the fit is flagged degenerate, or
+    when A' or kappa R_bar falls below 1e-12 (e.g. every vector equal to the
+    mean direction).
+    """
     tangent_curvature = fit.kappa_hat * fit.r_bar
     if fit.degenerate or min(fit.a_prime, tangent_curvature) < CURVATURE_FLOOR:
         raise DegenerateCurvatureError(
@@ -153,23 +158,3 @@ def _tic_penalty(fit: VmfFit, blocks) -> float:
         square_dots += float(np.dot(dots, dots))
     return (info_kappa / fit.a_prime
             + fit.kappa_hat * (square_norms - square_dots) / fit.r_bar) / n
-
-
-def vmf_tic_penalty(fit: VmfFit, sample) -> float:
-    """Gradient/curvature penalty tr(I J^-1) in the tangent space at the fit.
-
-    ``mean((w . mu - A)^2) / A' + kappa mean(|w|^2 - (w . mu)^2) / R_bar``,
-    from three dot products over the rows, with no (n, d) temporary when the
-    rows are C-contiguous.  A fit that is not degenerate has
-    1 - R_bar >= 1e-7, which bounds the cancellation in
-    ``sum(|w|^2) - sum((w . mu)^2)`` to about 1e-9 relative.  The rows must
-    be finite unit vectors (within 1e-6), or ``ValueError`` is raised.
-
-    Raises :class:`DegenerateCurvatureError` when the fit is flagged
-    degenerate, or when A' or kappa R_bar falls below 1e-12 (e.g. every
-    vector equal to the mean direction).
-    """
-    x = as_unit_matrix(sample)
-    if x.shape[1] != fit.dim:
-        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
-    return _tic_penalty(fit, (x,))

@@ -395,10 +395,11 @@ def vmf_loglik(fit, sample) -> float:
     from groupsim.vmf import as_unit_matrix
 
     x = as_unit_matrix(sample)
-    if x.shape[1] != fit.dim:
-        raise ValueError(f"dimension mismatch: fit has {fit.dim}, sample has {x.shape[1]}")
+    d = fit.mu_hat.size
+    if x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: fit has {d}, sample has {x.shape[1]}")
     dots = x @ fit.mu_hat
-    return float(fit.kappa_hat * dots.sum() - x.shape[0] * vmf_kernels(fit.dim, fit.kappa_hat)[2])
+    return float(fit.kappa_hat * dots.sum() - x.shape[0] * vmf_kernels(d, fit.kappa_hat)[2])
 
 
 def gaussian_loglik(mu: np.ndarray, var: np.ndarray, sample) -> float:
@@ -728,13 +729,13 @@ def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior
     """(L, P, fallback, floored dims) of one bag from its rows.
 
     Gaussian bags through :func:`fit_gaussian_rows`, vMF bags through one
-    ``fit_vmf`` and one ``vmf_tic_penalty`` (the parameter count in place of
+    ``fit_vmf`` and one ``_tic_penalty`` (the parameter count in place of
     a degenerate "tic" penalty when ``on_degenerate="aic"``), "bayes" bags
     through one ``nw_log_evidence``.
     """
     from groupsim.comparison import nw_log_evidence
     from groupsim.errors import DegenerateCurvatureError
-    from groupsim.vmf import fit_vmf, vmf_tic_penalty
+    from groupsim.vmf import _tic_penalty, fit_vmf
 
     n, d = x.shape
     if model == "bayes":
@@ -746,7 +747,7 @@ def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior
         if ic != "tic":
             return fit.max_loglik, count_penalty, False, 0
         try:
-            return fit.max_loglik, vmf_tic_penalty(fit, x), False, 0
+            return fit.max_loglik, _tic_penalty(fit, (x,)), False, 0
         except DegenerateCurvatureError:
             if on_degenerate != "aic":
                 raise

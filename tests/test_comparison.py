@@ -477,10 +477,31 @@ class TestBayesFactor:
         assert math.isfinite(value)
         assert value == pytest.approx(nw_log_evidence_mp(x, default_prior(d)), rel=1e-13)
         wide = centre + 1e155 * rng.standard_normal((n, d))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match="overflows"):
             nw_log_evidence(wide, default_prior(d))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gram_that_overflows_when_n_plus_1_is_below_d(self):
+        """(n, d) = (5, 8): the (n + 1) x (n + 1) Gram holds |xbar|^2 near
+        1e321, so it overflows; that raises one ValueError, with no
+        RuntimeWarning first (the suite turns every RuntimeWarning into an
+        error)."""
+        rng = np.random.default_rng(4208)
+        centre = 1e160 * (1.0 + 0.1 * rng.standard_normal(8))
+        x = centre + 1e150 * rng.standard_normal((5, 8))
+        with pytest.raises(ValueError, match="overflows"):
+            nw_log_evidence(x, default_prior(8))
+        with pytest.raises(ValueError, match="overflows"):
+            bayes_factor_similarity(x[:3], x[3:])  # the joint bag is x again
+
+    def test_spread_below_the_rounding_of_the_mean_names_the_cause(self):
+        """Rows at 1e160 with unit noise: the centred rows are quantised at
+        ulp(1e160), so I + S, positive definite in exact arithmetic, is not
+        in float; the error says why."""
+        rng = np.random.default_rng(4208)
+        x = 1e160 * (1.0 + 0.1 * rng.standard_normal(8)) + rng.standard_normal((12, 8))
+        with pytest.raises(ValueError, match="rounding: the rows are too far from 0"):
+            nw_log_evidence(x, default_prior(8))
+
     def test_overflowing_gram_raises(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((5, 3)) * 1e155

@@ -102,7 +102,7 @@ class TestMomentOrder:
     @staticmethod
     def assert_same_m2(got, want):
         assert got.m3 is None and got.m4 is None
-        for field in ("n", "mean", "m2"):
+        for field in ("n", "mean", "mean_err", "m2"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
     @given(bag_pairs())
@@ -165,7 +165,7 @@ class TestFitsFromMoments:
                 np.testing.assert_allclose(np.broadcast_to(var[0], oracle.var_hat.shape),
                                            oracle.var_hat, rtol=RTOL)
                 if kind == SPHERICAL:
-                    radial_sq_mean = radial_sq_sum(x, mom.mean[0]) / len(x)
+                    radial_sq_mean = radial_sq_sum(x, mom.mean[0], mom.mean_err[0]) / len(x)
                     assert radial_sq_mean == pytest.approx(oracle.radial_sq_mean, rel=RTOL)
 
 
@@ -193,6 +193,25 @@ class TestPairScores:
         want, floored = pair_score_rows(*pair, model, ic)
         assert_scores_close(similarity_ic(*pair, model, ic), want)
         assert pair_scores(model, ic, [pair[0]], [pair[1]]).floored_dims == floored
+
+    @pytest.mark.parametrize("model", ["diag", "spherical"])
+    def test_far_from_origin_sweep_equals_stacked_oracle(self, model):
+        """Bags of 2-4 equal rows around a point up to 1e3 from 0, one row of
+        one bag (of both on odd draws) moved by 5e-4 to 0.1 along one axis:
+        spreads down to 1e-6 of |mean|.  A merge that takes delta from the
+        rounded means alone loses |mean| / spread ulps in the pooled M2, and
+        a radial term read about the rounded mean as many; every term must
+        still match the stacked rows at RTOL."""
+        rng = np.random.default_rng(1)
+        for draw in range(200):
+            base = rng.uniform(-1000.0, 1000.0, 3)
+            bags = [np.tile(base, (int(rng.integers(2, 5)), 1)) for _ in range(2)]
+            for x in bags[:1 + draw % 2]:
+                x[-1, rng.integers(3)] += 10.0 ** rng.uniform(-3.3, -1.0)
+            want, floored = pair_score_rows(*bags, model, "tic")
+            got = pair_scores(model, "tic", [bags[0]], [bags[1]])
+            assert_scores_close(got[0], want)
+            assert got.floored_dims == floored
 
     def test_batch_rows_equal_pairs_scored_alone(self):
         rng = np.random.default_rng(9)

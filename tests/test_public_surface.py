@@ -23,13 +23,11 @@ PUBLIC = [
     "SentenceSample",
     "SimilarityScore",
     "UnknownTokenError",
-    "VmfFit",
     "bayes_factor_similarity",
     "corpus_model_selection",
     "default_prior",
     "evaluate",
     "find_pad_token",
-    "fit_vmf",
     "load_embeddings",
     "load_frequencies",
     "load_pairs",
@@ -41,18 +39,25 @@ PUBLIC = [
     "score_pair",
     "similarity_ic",
     "spearman",
-    "vmf_tic_penalty",
 ]
 
 # module -> names deleted from it: each was a batch of one, a second path or a view
 REMOVED = {
     "gaussian": ("GaussianFit", "fit_gaussian", "gaussian_tic_penalty"),
     "baselines": ("mwv_similarity",),
+    "comparison": ("_validated_pair",),
     "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
+    "vmf": ("vmf_tic_penalty",),
+}
+
+# module -> names that stay in it for the scoring path but are not exported
+INTERNAL = {
+    "vmf": ("VmfFit", "fit_vmf"),
 }
 
 
 def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC) == 32
     assert sorted(groupsim.__all__) == sorted(PUBLIC)
     assert len(set(groupsim.__all__)) == len(groupsim.__all__)
 
@@ -67,4 +72,12 @@ def test_removed_names_are_gone():
         home = importlib.import_module(f"groupsim.{module}")
         for name in names:
             assert not hasattr(home, name), f"groupsim.{module}.{name}"
+            assert not hasattr(groupsim, name), name
+
+
+def test_internal_names_stay_in_their_module_only():
+    for module, names in INTERNAL.items():
+        home = importlib.import_module(f"groupsim.{module}")
+        for name in names:
+            assert hasattr(home, name), f"groupsim.{module}.{name}"
             assert not hasattr(groupsim, name), name

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groupsim.comparison import VMF, bag_criteria
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.special import vmf_kernels
-from groupsim.vmf import fit_vmf, vmf_tic_penalty
+from groupsim.vmf import _tic_penalty, fit_vmf
 
 from helpers import (
     inv_bessel_ratio_newton,
@@ -113,13 +114,26 @@ class TestLoglik:
             vmf_loglik(fit, uniform_sphere(rng, 5, 4))
 
 
+def tic_penalty(x):
+    """The vMF "tic" penalty of one bag, read through the scoring path."""
+    return bag_criteria(VMF, "tic", [(x,)])[1][0]
+
+
 class TestTicPenalty:
+    def test_scoring_path_reads_the_fit_of_fit_vmf(self):
+        x = uniform_sphere(np.random.default_rng(12), 9, 4)
+        fit = fit_vmf(x)
+        loglik, penalty, fallback, _, degenerate = bag_criteria(VMF, "tic", [(x,)])
+        assert loglik[0] == fit.max_loglik
+        assert penalty[0] == _tic_penalty(fit, (x,))
+        assert not fallback[0] and not degenerate[0]
+
     @pytest.mark.parametrize("d,n,seed", [(3, 5, 0), (3, 20, 1), (5, 12, 2), (4, 8, 3)])
     def test_matches_dense_finite_difference(self, d, n, seed):
         rng = np.random.default_rng(seed)
         x = uniform_sphere(rng, n, d)
         fit = fit_vmf(x)
-        closed = vmf_tic_penalty(fit, x)
+        closed = tic_penalty(x)
         dense = vmf_dense_tic_fd(x, fit.mu_hat, fit.kappa_hat)
         assert closed == pytest.approx(dense, rel=1e-3)
 
@@ -140,7 +154,7 @@ class TestTicPenalty:
             x = uniform_sphere(rng, n, d)
         fit = fit_vmf(x)
         polar = vmf_tic_penalty_polar(x, fit.mu_hat, fit.kappa_hat)
-        assert vmf_tic_penalty(fit, x) == pytest.approx(polar, rel=1e-9)
+        assert tic_penalty(x) == pytest.approx(polar, rel=1e-9)
 
     def test_axis_aligned_mean_needs_no_clamp(self):
         # the polar chart has a pole at this mean direction, the tangent form
@@ -150,26 +164,23 @@ class TestTicPenalty:
         np.testing.assert_allclose(fit.mu_hat, [1.0, 0.0, 0.0], atol=1e-15)
         xr = x @ random_rotation(np.random.default_rng(11), 3).T
         fr = fit_vmf(xr)
-        assert vmf_tic_penalty(fit, x) == pytest.approx(vmf_tic_penalty(fr, xr), rel=1e-12)
+        assert tic_penalty(x) == pytest.approx(tic_penalty(xr), rel=1e-12)
         dense = vmf_dense_tic_fd(xr, fr.mu_hat, fr.kappa_hat)
-        assert vmf_tic_penalty(fit, x) == pytest.approx(dense, rel=1e-3)
+        assert tic_penalty(x) == pytest.approx(dense, rel=1e-3)
 
     def test_degenerate_raises_never_nan(self):
         x = np.tile(np.array([1.0, 0.0, 0.0]), (6, 1))
-        fit = fit_vmf(x)
         with pytest.raises(DegenerateCurvatureError):
-            vmf_tic_penalty(fit, x)
+            tic_penalty(x)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(7)
         x = uniform_sphere(rng, 15, 6)
-        fit = fit_vmf(x)
-        base = vmf_tic_penalty(fit, x)
+        base = tic_penalty(x)
         for seed in range(3):
             rot = random_rotation(np.random.default_rng(seed), 6)
             xr = x @ rot.T
-            fr = fit_vmf(xr)
-            assert vmf_tic_penalty(fr, xr) == pytest.approx(base, abs=1e-6, rel=1e-6)
+            assert tic_penalty(xr) == pytest.approx(base, abs=1e-6, rel=1e-6)
 
     def test_nonnegative_on_random_bags(self):
         rng = np.random.default_rng(8)
@@ -177,8 +188,7 @@ class TestTicPenalty:
             d = int(rng.integers(2, 9))
             n = int(rng.integers(3, 25))
             x = uniform_sphere(rng, n, d)
-            fit = fit_vmf(x)
-            assert vmf_tic_penalty(fit, x) >= 0.0
+            assert tic_penalty(x) >= 0.0
 
     def test_mixed_derivatives_vanish_at_fit(self):
         # full-bag mixed second derivatives are multiples of the zero gradient
@@ -235,7 +245,7 @@ class TestTicPenalty:
             # of this thread only, since a threaded BLAS's helpers spin-wait
             start = time.thread_time()
             for _ in range(calls):
-                vmf_tic_penalty(fit, data)
+                _tic_penalty(fit, (data,))
             return time.thread_time() - start
 
         # warm both sizes, so every reading follows a call on the other size: a
