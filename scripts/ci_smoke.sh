@@ -149,3 +149,31 @@ expect_usage_error() {
 }
 expect_usage_error score --embeddings "$tmp/lexicon.txt" --out "$tmp/x" cat dog
 expect_usage_error penalty-curve --embeddings x --sizes 5 --trials 1
+
+# a lexicon of 2,100 rows spans three 1,024-line chunks; its row 2,050, in the third, is read
+# by Python's float when written 1_000, and a ragged row 2,050 fails naming its line (exit 1)
+python - "$tmp" <<'EOF'
+import sys
+
+for name, row in (("plain", "1000 0.5 -0.25"), ("underscore", "1_000 0.5 -0.25"),
+                  ("ragged", "0.5 -0.25")):
+    with open(f"{sys.argv[1]}/chunks-{name}.txt", "w", encoding="utf-8") as handle:
+        for i in range(1, 2101):
+            values = row if i == 2050 else f"{i % 7 - 3} {i % 5 + 0.5} {i % 3 - 0.75}"
+            handle.write(f"w{i} {values}\n")
+EOF
+score_chunks() {
+    python -m groupsim.cli score --embeddings "$tmp/chunks-$1.txt" --method mwv "w2050 w7" "w12 w2050"
+}
+plain="$(score_chunks plain)"
+underscore="$(score_chunks underscore)"
+if [ "$plain" != "$underscore" ]; then
+    echo "row 2,050 written 1_000 scored '$underscore', written 1000 '$plain'" >&2
+    exit 1
+fi
+status=0
+score_chunks ragged > /dev/null 2> "$tmp/ragged.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q ":2050: expected 3 components, found 2" "$tmp/ragged.err"; then
+    echo "a ragged row 2,050 gave exit status $status and: $(cat "$tmp/ragged.err")" >&2
+    exit 1
+fi

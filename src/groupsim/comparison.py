@@ -37,7 +37,7 @@ import numpy as np
 from .embeddings import as_matrix, bag_rows
 from .errors import DegenerateCurvatureError
 from .gaussian import (
-    DIAGONAL,
+    DIAG,
     SPHERICAL,
     GaussianMoments,
     merge_moments,
@@ -50,7 +50,6 @@ from .special import MAX_DIM, MIN_DIM
 from .vmf import VmfFit, _fit_resultant, _tic_penalty, fit_vmf
 
 VMF = "vmf"
-DIAG = "diag"
 BAYES = "bayes"
 
 MODELS = (VMF, DIAG, SPHERICAL)
@@ -199,15 +198,15 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     if model != BAYES and ic != "tic":
         penalty = count_penalty(model, ic, d, [sum(len(x) for x in bag) for bag in bags])
     if model in (DIAG, SPHERICAL):
-        kind = DIAGONAL if model == DIAG else SPHERICAL
-        if mom is None:
-            mom = moments(*(x for x, in bags), order=_moment_order(model, ic))
-        loglik, var, kurt, floored = moment_fit(mom, kind)
-        if ic == "tic":
-            radial = None if model == DIAG else np.array([
-                sum(radial_sq_sum(x, mu, err) for x in bag) / sum(len(x) for x in bag)
-                for bag, mu, err in zip(bags, mom.mean, mom.mean_err)])
-            penalty = tic_penalties(kind, d, var, kurt, radial)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
+            if mom is None:
+                mom = moments(*(x for x, in bags), order=_moment_order(model, ic))
+            loglik, var, kurt, floored = moment_fit(mom, model)
+            if ic == "tic":
+                radial = None if model == DIAG else np.array([
+                    sum(radial_sq_sum(x, mu, err) for x in bag) / sum(len(x) for x in bag)
+                    for bag, mu, err in zip(bags, mom.mean, mom.mean_err)])
+                penalty = tic_penalties(model, d, var, kurt, radial)
         return loglik, penalty, fallback, floored, degenerate
     loglik = np.empty(count)
     if model == BAYES:
@@ -267,8 +266,9 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     half, singles = len(first), first + second
     mom = fits = joint_mom = joint_fits = None
     if model in (DIAG, SPHERICAL):
-        mom = moments(*singles, order=_moment_order(model, ic))
-        joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
+            mom = moments(*singles, order=_moment_order(model, ic))
+            joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
     elif model == VMF:
         _check_width(singles)
         fits = [fit_vmf(x) for x in singles]
@@ -484,7 +484,8 @@ def corpus_model_selection(
     mom = None
     if DIAG in fit_ic or SPHERICAL in fit_ic:
         order = max(_moment_order(model, ic) for model, ic in fit_ic.items())
-        mom = moments(*(x for x, in bags), order=order)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L raises below
+            mom = moments(*(x for x, in bags), order=order)
     fits = {model: bag_criteria(model, ic, bags, on_degenerate, mom=mom)[:2]
             for model, ic in fit_ic.items()}
     d, n = bags[0][0].shape[1], [len(x) for x, in bags]

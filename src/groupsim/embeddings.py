@@ -17,6 +17,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -127,13 +128,13 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     is scaled to unit Euclidean norm.
     On duplicate tokens the first occurrence wins and the count is reported.
 
-    The file is read in chunks of at most 1,024 lines.  Each chunk's vectors
-    are parsed by numpy's C text parser as float64 and, after any
-    normalisation, cast to float32 to halve memory for large lexicons;
-    sentence lookups keep float32.  A chunk the fast parse rejects (a ragged,
-    token-only, non-finite, unparsable or, under ``normalize``, zero row, or
-    a numeral only Python's ``float`` reads, such as ``1_000``) is re-read
-    line by line, so every error names its line.
+    The file is read in chunks of at most 1,024 lines, and only
+    :func:`_parse_chunk` turns one into rows: a single parse of its numbers as
+    float64 (numpy's C parser, or Python's ``float``, which also reads
+    ``1_000``), then, after any normalisation, a cast to float32 to halve
+    memory for large lexicons; sentence lookups keep float32.  A ragged,
+    token-only, non-finite or unparsable line, or under ``normalize`` a kept
+    zero row, raises an :class:`EmbeddingFormatError` that names its line.
     """
     vocab: dict[str, int] = {}
     blocks: list[np.ndarray] = []
@@ -144,10 +145,7 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
         while lines := list(itertools.islice(handle, _CHUNK_LINES)):
             if first_line == 1 and _looks_like_header(lines[0].split()):
                 lines[0] = ""  # blank lines are skipped; the numbering stays
-            parsed = _parse_chunk(lines, dim, vocab, normalize)
-            if parsed is None:
-                parsed = _parse_lines(path, lines, first_line, dim, vocab, normalize)
-            block, dropped = parsed
+            block, dropped = _parse_chunk(path, lines, first_line, dim, vocab, normalize)
             if block.size:
                 dim = block.shape[1]
                 blocks.append(block)
@@ -165,81 +163,79 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     )
 
 
-def _parse_chunk(lines: list[str], dim: int | None, vocab: dict[str, int],
-                 normalize: bool) -> tuple[np.ndarray, int] | None:
-    """Fast path: the chunk's vectors in one ``np.loadtxt`` call.
+def _parse_chunk(path, lines: list[str], first_line: int, dim: int | None,
+                 vocab: dict[str, int], normalize: bool) -> tuple[np.ndarray, int]:
+    """The rows of a chunk that starts at line ``first_line``, and its duplicate count.
 
-    Returns the kept rows as float32 and the number of duplicates dropped,
-    or None, with ``vocab`` untouched, when a line needs the per-line checks.
+    The numbers are parsed in one ``np.loadtxt`` call or, if numpy rejects
+    them, as one ``np.array`` of the split lines, which reads each with
+    Python's ``float``.  The rows of tokens new to ``vocab`` (first occurrence
+    wins) are kept, normalised under ``normalize``, cast to float32 and added
+    to ``vocab``.  A chunk that fails a check leaves ``vocab`` untouched and
+    raises its first bad line's error (:func:`_raise_bad_line`).
     """
     tokens, values = [], []
-    for line in lines:
-        parts = line.split(None, 1)
-        if len(parts) == 2:
-            tokens.append(parts[0])
-            values.append(parts[1])
-        elif parts:
-            return None
-    if not values:
-        return np.empty((0, 0), dtype=np.float32), 0
     try:
-        block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        for line in lines:
+            if parts := line.split(None, 1):
+                token, rest = parts  # a token-only line raises
+                tokens.append(token)
+                values.append(rest)
+        if not values:
+            return np.empty((0, 0), dtype=np.float32), 0
+        try:
+            block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            block = np.array([v.split() for v in values], dtype=np.float64)
+        if (dim is not None and block.shape[1] != dim) or not np.isfinite(block).all():
+            raise ValueError("a row of another width or a non-finite number")
+        kept = {}  # each new token -> its first row in the chunk
+        for i, token in enumerate(tokens):
+            if token not in vocab:
+                kept.setdefault(token, i)
+        block = block[list(kept.values())]
+        if normalize:
+            # np.linalg.norm's own 1-D x.dot(x), so rows match the per-line oracle bit for bit
+            norms = np.array([math.sqrt(row.dot(row)) for row in block])
+            if not norms.all():
+                raise ValueError("a zero row")
+            block /= norms[:, None]
     except ValueError:
-        return None
-    if (dim is not None and block.shape[1] != dim) or not np.isfinite(block).all():
-        return None
-    if normalize:
-        # np.linalg.norm's own 1-D x.dot(x), so rows match the per-line path bit for bit
-        norms = np.array([math.sqrt(row.dot(row)) for row in block])
-        if not norms.all():
-            return None
-    keep = []
-    for i, token in enumerate(tokens):
-        if token not in vocab:
-            vocab[token] = len(vocab)
-            keep.append(i)
-    block = block[keep] / norms[keep, None] if normalize else block[keep]
-    return block.astype(np.float32), len(tokens) - len(keep)
+        _raise_bad_line(path, lines, first_line, dim, vocab, normalize)
+    for token in kept:
+        vocab[token] = len(vocab)
+    return block.astype(np.float32), len(tokens) - len(kept)
 
 
-def _parse_lines(path, lines: list[str], first_line: int, dim: int | None,
-                 vocab: dict[str, int], normalize: bool) -> tuple[np.ndarray, int]:
-    """Per-line parse of a chunk that starts at line ``first_line``; errors name the line."""
-    rows: list[np.ndarray] = []
-    duplicates = 0
+def _raise_bad_line(path, lines: list[str], first_line: int, dim: int | None,
+                    vocab: dict[str, int], normalize: bool) -> NoReturn:
+    """Raise the error of the first bad line of a chunk that :func:`_parse_chunk` rejected.
+
+    Checks each line in turn as that parse checks the chunk: its numbers, its
+    width and, under ``normalize``, a zero ``row.dot(row)`` when its token is
+    in neither ``vocab`` nor an earlier line.  Builds no rows.
+    """
+    seen = set()
     for lineno, line in enumerate(lines, start=first_line):
         parts = line.split()
         if not parts:
             continue
-        token = parts[0]
         try:
             vec = np.array(parts[1:], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{path}:{lineno}: unparsable number ({exc})") from None
         if vec.size == 0:
             raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise EmbeddingFormatError(
-                f"{path}:{lineno}: expected {dim} components, found {vec.size}"
-            )
-        if token in vocab:
-            duplicates += 1
-            continue
-        if normalize:
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: zero vector cannot be normalized"
-                )
-            vec = vec / norm
-        vocab[token] = len(vocab)
-        rows.append(vec.astype(np.float32))
-    block = np.vstack(rows) if rows else np.empty((0, 0), dtype=np.float32)
-    return block, duplicates
+        dim = vec.size if dim is None else dim
+        if vec.size != dim:
+            raise EmbeddingFormatError(f"{path}:{lineno}: expected {dim} components, "
+                                       f"found {vec.size}")
+        if normalize and parts[0] not in vocab and parts[0] not in seen and vec.dot(vec) == 0.0:
+            raise EmbeddingFormatError(f"{path}:{lineno}: zero vector cannot be normalized")
+        seen.add(parts[0])
+    raise AssertionError(f"{path}:{first_line}: the chunk was rejected but has no bad line")
 
 
 def find_pad_token(store: EmbeddingStore) -> str:

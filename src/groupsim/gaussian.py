@@ -30,7 +30,7 @@ from .special import LOG_2PI
 
 VAR_FLOOR = 1e-8
 
-DIAGONAL = "diagonal"
+DIAG = "diag"
 SPHERICAL = "spherical"
 
 
@@ -159,13 +159,13 @@ def moment_fit(mom: GaussianMoments, kind: str):
     fit pools both over dimensions into shape (B, 1).  Moments taken to
     order 2 give ``kurt = None``.
     """
-    if kind not in (DIAGONAL, SPHERICAL):
-        raise ValueError(f"kind must be '{DIAGONAL}' or '{SPHERICAL}', got {kind!r}")
+    if kind not in (DIAG, SPHERICAL):
+        raise ValueError(f"kind must be '{DIAG}' or '{SPHERICAL}', got {kind!r}")
     n = mom.n
     if np.any(n < 2):
         raise ValueError("need at least two vectors to fit")
     d = mom.dim
-    if kind == DIAGONAL:
+    if kind == DIAG:
         scale = n[:, None]
         raw_var = mom.m2 / scale
         var = np.maximum(raw_var, VAR_FLOOR)
@@ -179,7 +179,7 @@ def moment_fit(mom: GaussianMoments, kind: str):
         log_det = d * np.log(var[:, 0])
     kurt = None
     if mom.m4 is not None:
-        fourth = mom.m4 if kind == DIAGONAL else mom.m4.sum(axis=1, keepdims=True)
+        fourth = mom.m4 if kind == DIAG else mom.m4.sum(axis=1, keepdims=True)
         kurt = fourth / scale / (var * var)
     max_loglik = -0.5 * n * log_det - 0.5 * n * d * (LOG_2PI + 1.0)
     return max_loglik, var, kurt, floored
@@ -208,7 +208,7 @@ def tic_penalties(kind: str, d: int, var: np.ndarray, kurt: np.ndarray,
     from each bag's ``radial_sq_mean``, the mean of ``q_i^2``; it approaches
     the parameter count d+1 for spherical data.
     """
-    if kind == DIAGONAL:
+    if kind == DIAG:
         if kurt is None:
             raise ValueError("the diagonal tic penalty reads the kurtosis: "
                              "take the moments to order 4")

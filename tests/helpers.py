@@ -687,7 +687,7 @@ class RowFit:
     radial_sq_mean: float | None = None
 
 
-def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal") -> RowFit:
+def fit_gaussian_rows(x: np.ndarray, kind: str = "diag") -> RowFit:
     """The Gaussian fit computed from the rows, before per-bag moments.
 
     Each row's deviation is taken about the computed mean and then less c,
@@ -707,7 +707,7 @@ def fit_gaussian_rows(x: np.ndarray, kind: str = "diagonal") -> RowFit:
     dev = (x - rough) - c
     sq = dev**2
     radial_sq_mean = None
-    if kind == "diagonal":
+    if kind == "diag":
         raw_var = sq.mean(axis=0)
         var = np.maximum(raw_var, VAR_FLOOR)
         floored = int(np.sum(raw_var < VAR_FLOOR))
@@ -752,7 +752,7 @@ def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior
             if on_degenerate != "aic":
                 raise
             return fit.max_loglik, float(k), True, 0
-    fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
+    fit = fit_gaussian_rows(x, model)
     if ic != "tic":
         penalty = count_penalty
     elif model == "diag":
@@ -855,7 +855,7 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
         fit = fit_vmf(x)
         log_c = vmf_kernels(d, fit.kappa_hat)[2]
         return n * (fit.kappa_hat * fit.r_bar + abs(log_c)), abs(penalty)
-    fit = fit_gaussian_rows(x, "diagonal" if model == "diag" else "spherical")
+    fit = fit_gaussian_rows(x, model)
     l_scale = 0.5 * n * (float(np.abs(np.log(fit.var_hat)).sum()) + d * (LOG_2PI + 1.0))
     if model == "spherical" and ic == "tic":
         pool = float(fit.var_hat[0])

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsim.comparison import DIAG, aic_param_count, bag_criteria
-from groupsim.gaussian import DIAGONAL, SPHERICAL, VAR_FLOOR, moment_fit, moments
+from groupsim.gaussian import SPHERICAL, VAR_FLOOR, moment_fit, moments
 from groupsim.special import LOG_2PI
 
 from helpers import gaussian_dense_tic, gaussian_loglik, spherical_dense_tic
 
 
-def fit_one(x, kind=DIAGONAL):
+def fit_one(x, kind=DIAG):
     """(max loglik, variances, kurtoses, floored dims) of one bag: a batch of
     one of :func:`moment_fit`; a spherical fit's variance and kurtosis have
     shape (1,)."""
@@ -20,9 +20,9 @@ def fit_one(x, kind=DIAGONAL):
     return float(loglik[0]), var[0], kurt[0], int(floored[0])
 
 
-def tic(x, kind=DIAGONAL) -> float:
+def tic(x, kind=DIAG) -> float:
     """One bag's "tic" penalty, as the scoring path takes it."""
-    return float(bag_criteria(DIAG if kind == DIAGONAL else SPHERICAL, "tic", [(x,)])[1][0])
+    return float(bag_criteria(kind, "tic", [(x,)])[1][0])
 
 
 class TestFit:
@@ -51,7 +51,7 @@ class TestFit:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((13, 4)) * rng.uniform(0.5, 2.0, size=4)
         n = x.shape[0]
-        for kind in (DIAGONAL, SPHERICAL):
+        for kind in (DIAG, SPHERICAL):
             loglik, var, _, _ = fit_one(x, kind)
             log_det = float(np.log(np.broadcast_to(var, (4,))).sum())
             expected = -0.5 * n * log_det - 0.5 * n * 4 * (LOG_2PI + 1.0)
@@ -86,7 +86,7 @@ class TestLoglik:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((11, 6))
         mu = moments(x).mean[0]
-        for kind in (DIAGONAL, SPHERICAL):
+        for kind in (DIAG, SPHERICAL):
             loglik, var, _, _ = fit_one(x, kind)
             assert gaussian_loglik(mu, var, x) == pytest.approx(loglik, abs=1e-9)
 

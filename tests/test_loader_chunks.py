@@ -16,7 +16,7 @@ from groupsim.embeddings import _CHUNK_LINES as CHUNK
 from groupsim.embeddings import load_embeddings
 from groupsim.errors import EmbeddingFormatError
 
-SPECIALS = ("blank", "dup", "zero_dup", "tab", "underscore", "arabic")
+SPECIALS = ("blank", "dup", "zero_dup", "zero_dup_near", "tab", "underscore", "arabic")
 # data-row indices at the first two chunk boundaries
 BOUNDARIES = (CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK)
 FORMATS = (repr, "{:.4g}".format, "{:.6e}".format)
@@ -79,6 +79,8 @@ class TestAgainstPerLineOracle:
                 fields[0] = f"w{rng.integers(0, pos)}"
             elif kind == "zero_dup":  # a zero row is an error only when it is kept
                 fields[:] = [f"w{rng.integers(0, pos)}"] + ["0"] * spec["dim"]
+            elif kind == "zero_dup_near":  # the previous row's token, mostly in the same chunk
+                fields[:] = [rows[pos - 1][0]] + ["0"] * spec["dim"]
             elif kind == "tab":
                 separators[pos] = "\t"
             elif kind == "underscore":
@@ -92,21 +94,25 @@ class TestAgainstPerLineOracle:
 
     def test_clean_chunks_take_the_fast_path(self, tmp_path, monkeypatch):
         calls = []
-        per_line = embeddings._parse_lines
-        monkeypatch.setattr(embeddings, "_parse_lines",
-                            lambda *args: calls.append(args[2]) or per_line(*args))
+        scan = embeddings._raise_bad_line
+        monkeypatch.setattr(embeddings, "_raise_bad_line",
+                            lambda *args: calls.append(args[2]) or scan(*args))
         rows = _rows(np.random.default_rng(3), 3 * CHUNK, 5)
         path = tmp_path / "lexicon.txt"
         _write(path, rows, header=True)
         load_embeddings(path, normalize=True)
-        assert calls == []
-        rows[CHUNK + 7][2] = "1_000"
+        rows[CHUNK + 7][2] = "1_000"  # read by the chunk's parse, with Python's float
         _write(path, rows, header=True)
         store = load_embeddings(path, normalize=True)
-        assert calls == [CHUNK + 1]  # only the chunk holding the numeral, named by its first line
+        assert calls == []
         assert _outcome(load_embeddings, path, True) == _outcome(
             load_embeddings_per_line, path, True)
         assert len(store) == 3 * CHUNK
+        del rows[2 * CHUNK + 3][-1]
+        _write(path, rows, header=True)
+        with pytest.raises(EmbeddingFormatError, match=f":{2 * CHUNK + 5}: expected 5 components"):
+            load_embeddings(path, normalize=True)
+        assert calls == [2 * CHUNK + 1]  # only the chunk with the bad line, named by its first line
 
 
 def _corrupt(kind, rows, pos, dim):
@@ -130,19 +136,25 @@ def _corrupt(kind, rows, pos, dim):
         fields[2] = "1.2.3"
     elif kind == "zero_row":
         fields[1:] = ["0.0"] * dim
+    elif kind == "tiny_row":  # row.dot(row) underflows to 0, so the row is zero
+        fields[1:] = ["1e-200"] * dim
+    elif kind == "zero_dup_short":  # a dropped zero row, then a short row
+        rows[pos - 1][:] = [rows[pos - 5][0]] + ["0"] * dim
+        del fields[-1]
 
 
 class TestErrorsMatchOracle:
     @pytest.mark.parametrize("pos", [CHUNK + 3, 2 * CHUNK - 1, 2 * CHUNK + 10])
     @pytest.mark.parametrize("kind", ["short_row", "long_row", "narrow_tail", "token_only",
-                                      "nan", "inf", "overflow", "unparsable", "zero_row"])
+                                      "nan", "inf", "overflow", "unparsable", "zero_row",
+                                      "tiny_row", "zero_dup_short"])
     def test_same_message_and_line(self, tmp_path, kind, pos):
         dim = 3
         rows = _rows(np.random.default_rng(11), 3 * CHUNK, dim)
         _corrupt(kind, rows, pos, dim)
         path = tmp_path / "lexicon.txt"
         _write(path, rows, header=True)
-        normalize = kind == "zero_row"
+        normalize = kind in ("zero_row", "tiny_row", "zero_dup_short")
         with pytest.raises(EmbeddingFormatError) as oracle:
             load_embeddings_per_line(path, normalize=normalize)
         with pytest.raises(EmbeddingFormatError) as chunked:

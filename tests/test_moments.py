@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from groupsim.comparison import DIAG, bag_criteria, pair_scores, similarity_ic
 from groupsim.gaussian import (
-    DIAGONAL,
     SPHERICAL,
     merge_moments,
     moment_fit,
@@ -116,7 +115,7 @@ class TestMomentOrder:
                             merge_moments(full.take(first), full.take(second)))
         self.assert_same_m2(merge_moments(full.take(first), low.take(second)),
                             merge_moments(full.take(first), full.take(second)))
-        for kind in (DIAGONAL, SPHERICAL):
+        for kind in (DIAG, SPHERICAL):
             ll, var, kurt, floored = moment_fit(low, kind)
             want = moment_fit(full, kind)
             assert kurt is None
@@ -129,9 +128,9 @@ class TestMomentOrder:
 
     def test_diagonal_tic_without_m4_raises(self):
         x = np.random.default_rng(10).standard_normal((5, 3))
-        _, var, kurt, _ = moment_fit(moments(x, order=2), DIAGONAL)
+        _, var, kurt, _ = moment_fit(moments(x, order=2), DIAG)
         with pytest.raises(ValueError, match="order 4"):
-            tic_penalties(DIAGONAL, 3, var, kurt)
+            tic_penalties(DIAG, 3, var, kurt)
         with pytest.raises(ValueError, match="order 4"):
             bag_criteria(DIAG, "tic", [(x,)], mom=moments(x, order=2))
 
@@ -142,7 +141,7 @@ class TestFitsFromMoments:
     def test_joint_fit_and_floored_dims_equal_stacked_oracle(self, pair):
         stacked = np.vstack(pair)
         merged = merge_moments(moments(pair[0]), moments(pair[1]))
-        for kind in (DIAGONAL, SPHERICAL):
+        for kind in (DIAG, SPHERICAL):
             loglik, var, kurt, floored = moment_fit(merged, kind)
             oracle = fit_gaussian_rows(stacked, kind)
             assert floored[0] == oracle.floored_dims
@@ -157,7 +156,7 @@ class TestFitsFromMoments:
     def test_one_bag_fit_equals_row_fit(self, pair):
         for x in pair:
             mom = moments(x)
-            for kind in (DIAGONAL, SPHERICAL):
+            for kind in (DIAG, SPHERICAL):
                 loglik, var, _, floored = moment_fit(mom, kind)
                 oracle = fit_gaussian_rows(x, kind)
                 assert floored[0] == oracle.floored_dims
