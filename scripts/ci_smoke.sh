@@ -177,3 +177,19 @@ if [ "$status" -ne 1 ] || ! grep -q ":2050: expected 3 components, found 2" "$tm
     echo "a ragged row 2,050 gave exit status $status and: $(cat "$tmp/ragged.err")" >&2
     exit 1
 fi
+
+# the README's library quick start (its first python block) runs as written, in a directory
+# whose vectors.txt is the smoke lexicon
+cp "$tmp/lexicon.txt" "$tmp/vectors.txt"
+python - README.md "$tmp/quickstart.py" <<'EOF'
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    text = handle.read()
+section = text[text.index("## Library quick start"):]
+start = section.index("```python\n") + len("```python\n")
+with open(sys.argv[2], "w", encoding="utf-8") as handle:
+    handle.write(section[start:section.index("```", start)])
+EOF
+src="$(cd src && pwd)"
+(cd "$tmp" && PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" python quickstart.py)

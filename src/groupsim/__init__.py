@@ -11,13 +11,11 @@ from .comparison import (
     PenaltyCurveRow,
     ScoreBreakdown,
     SimilarityScore,
-    bayes_factor_similarity,
     corpus_model_selection,
     default_prior,
     nw_log_evidence,
     penalty_curve,
     penalty_curve_csv,
-    similarity_ic,
 )
 from .embeddings import (
     EmbeddingStore,
@@ -62,7 +60,6 @@ __all__ = [
     "SimilarityScore",
     "SUPPORTED_METHODS",
     "UnknownTokenError",
-    "bayes_factor_similarity",
     "corpus_model_selection",
     "default_prior",
     "evaluate",
@@ -76,6 +73,5 @@ __all__ = [
     "penalty_curve_csv",
     "remove_first_pc",
     "score_pair",
-    "similarity_ic",
     "spearman",
 ]

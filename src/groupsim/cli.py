@@ -81,8 +81,7 @@ def _load_store(args: argparse.Namespace):
 def _options(args: argparse.Namespace, dim: int) -> evaluation.EvalOptions:
     freqs = baselines.load_frequencies(args.freq_file) if args.freq_file else None
     prior = None
-    reads_prior = args.method in ("bayes_factor", "all")
-    if reads_prior and (args.prior_nu0 is not None or args.prior_kappa0 != 1.0):
+    if args.method in ("bayes_factor", "all"):
         nu0 = args.prior_nu0 if args.prior_nu0 is not None else float(dim + 2)
         try:
             prior = comparison.NormalWishartPrior(dim, kappa0=args.prior_kappa0, nu0=nu0)

@@ -2,27 +2,29 @@
 
 A pair of vector bags is scored by contrasting a shared-parameter fit of
 their concatenation against independent per-bag fits.  Every model score is
-one composition over a batch of pairs (``pair_scores``; one pair is a batch
+one composition over a batch of pairs, ``pair_scores`` (one pair is a batch
 of one): a per-bag criterion (``bag_criteria``) gives (L, P) for each joint
 bag and for each bag alone, and the score is
-alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).  ``similarity_ic`` fits a von
-Mises-Fisher, diagonal or spherical Gaussian model and takes P from one
-information criterion, with alpha = 2: the gradient trace ("tic"), the
-parameter count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
+alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).  A von Mises-Fisher, diagonal or
+spherical Gaussian model (``MODELS``) takes P from one information criterion
+(``IC_KINDS``), with alpha = 2: the gradient trace ("tic"), the parameter
+count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
 each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
 joint bag's are its two bags' moments merged.  Each vMF bag is fitted once
 from its rows, and a joint bag from its two bags' summed resultants and row
 counts; its "tic" penalty reads the two bags' rows in place.
 ``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
 criterion.
-``bayes_factor_similarity`` takes L as the Normal-Wishart log evidence (full
-covariance, conjugate closed form under a prior with mean 0, scale I and
-settable kappa0 and nu0), P = 0 and alpha = 1; the evidence is taken over
-stacks of bags with equal row counts, a joint bag's two blocks written end
-to end into its stack.  Each model has this one scoring path; the closed
-forms of the "tic" score that the tests check it against are written out in
-``tests/helpers.py``.  Rank-based evaluation is insensitive to alpha; the
-breakdown records which convention produced the value.
+The Bayes factor, model "bayes" with no criterion, takes L as the
+Normal-Wishart log evidence (full covariance, conjugate closed form under a
+prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
+alpha = 1; the evidence is taken over stacks of bags with equal row counts,
+a joint bag's two blocks written end to end into its stack.  Each model has
+this one scoring path; the closed forms of the "tic" score that the tests
+check it against are written out in ``tests/helpers.py``, and
+``groupsim.evaluation.score_pair`` scores one pair through it by method
+name.  Rank-based evaluation is insensitive to alpha; the breakdown records
+which convention produced the value.
 """
 
 from __future__ import annotations
@@ -144,6 +146,13 @@ def _check_on_degenerate(on_degenerate: str) -> None:
         raise ValueError(f"on_degenerate must be one of {ON_DEGENERATE}, got {on_degenerate!r}")
 
 
+def _check_criterion(model: str, ic: str | None, on_degenerate: str) -> None:
+    """``on_degenerate``, then (model, ic): one of MODELS x IC_KINDS, or ("bayes", None)."""
+    _check_on_degenerate(on_degenerate)
+    if (model, ic) != (BAYES, None) and (model not in MODELS or ic not in IC_KINDS):
+        raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
+
+
 def _integral(value) -> bool:
     """Whether ``value`` is an integer (any ``numbers.Integral``) and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -188,9 +197,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     penalty whose curvature is degenerate, and flags the bag as a fallback;
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
     """
-    _check_on_degenerate(on_degenerate)
-    if (model, ic) != (BAYES, None) and (model not in MODELS or ic not in IC_KINDS):
-        raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
+    _check_criterion(model, ic, on_degenerate)
     d = _check_width([x for bag in bags for x in bag])
     count = len(bags)
     fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)
@@ -241,16 +248,25 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
 
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
                 prior: NormalWishartPrior | None = None) -> PairScores:
-    """Scores of the pairs (first[p], second[p]), two equal-length lists of (n, d) rows.
+    """Scores of the pairs (first[p], second[p]), two equal-length lists of
+    bags, each a ``SentenceSample`` or (n, d) rows read in their own dtype.
+
+    ``(model, ic)`` is one of :data:`MODELS` by one of :data:`IC_KINDS`
+    (``vmf_bic``, ``spherical_tic`` and ``spherical_bic`` have no method
+    name), or ("bayes", None) under ``prior``, :func:`default_prior` when
+    omitted.  vMF rows must be unit vectors, and a degenerate vMF curvature
+    under "tic" raises unless ``on_degenerate="aic"``.
 
     Every model's score is one composition over the batch:
     ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from two
     :func:`bag_criteria` calls, one on the P joint bags and one on the 2P
     single bags (the first bags, then the second), with alpha = 2 for the
-    information criteria and 1 for "bayes".  A Gaussian joint bag reads the
-    merged moments of its two bags (:func:`merge_moments`), so no Gaussian
-    bag is stacked or refitted; the moments stop after M2 unless the
-    criterion is the diagonal "tic".  Each vMF bag is fitted once
+    information criteria and 1 for "bayes"; P_1 and P_2 add because two
+    independent fits have a block-diagonal joint curvature.  A Gaussian
+    joint bag reads the merged moments of its two bags
+    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
+    moments stop after M2 unless the criterion is the diagonal "tic".  Each
+    vMF bag is fitted once
     (:func:`fit_vmf`), and a joint bag is fitted from its two bags' summed
     resultants and counts, with the first row of its first bag as the
     direction of an exactly cancelling pair; its "tic" penalty reads the two
@@ -258,8 +274,8 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     of bags with equal row counts, one :func:`nw_log_evidence` call per
     distinct count in each of the two calls.  A non-finite term raises.
     """
-    _check_on_degenerate(on_degenerate)  # before the vMF fits below
-    first, second = list(first), list(second)
+    _check_criterion(model, ic, on_degenerate)  # before the fits below
+    first, second = [bag_rows(x) for x in first], [bag_rows(x) for x in second]
     if not first or len(first) != len(second):
         raise ValueError(f"need as many first bags as second bags, at least one: "
                          f"got {len(first)} and {len(second)}")
@@ -292,28 +308,6 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         floored_dims=int(d_j.sum() + d_s.sum()),
         degenerate_fits=int(g_j.sum() + g_s.sum()),
     )
-
-
-def similarity_ic(d1, d2, model: str, ic: str, on_degenerate: str = "error") -> SimilarityScore:
-    """Generic composition: 2 (L_joint - L_1 - L_2 - P_joint + P_1 + P_2).
-
-    ``model`` is one of :data:`MODELS` ("bayes" raises: its score is
-    :func:`bayes_factor_similarity`) and ``ic`` one of :data:`IC_KINDS`.
-    ``P`` is the gradient-based trace for ``ic="tic"``, the parameter count k
-    for "aic" and ``(k/2) log n`` for "bic"; the bic score is therefore
-    ``2 (L_j - L_1 - L_2) - k log((n+m)/(nm))``.  The two independent-fit
-    penalties add because the joint curvature of two disjoint parameter
-    blocks is block diagonal.
-
-    ``on_degenerate`` chooses the reaction to a degenerate curvature under
-    "tic": "error" (default) propagates, "aic" substitutes the parameter
-    count for the affected fit and flags the score; any other value raises
-    ``ValueError``.  A batch of one of
-    :func:`pair_scores`.
-    """
-    if model not in MODELS:
-        raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
-    return pair_scores(model, ic, [as_matrix(d1)], [as_matrix(d2)], on_degenerate)[0]
 
 
 @dataclass(frozen=True)
@@ -433,11 +427,6 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     evidence = (log_gamma - 0.5 * n * d * math.log(math.pi) - 0.5 * nu_n * log_det_tn
                 + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n)))
     return float(evidence[0]) if single else evidence
-
-
-def bayes_factor_similarity(d1, d2, prior: NormalWishartPrior | None = None) -> SimilarityScore:
-    """Log ratio of the joint-bag evidence to the product of per-bag evidences."""
-    return pair_scores(BAYES, None, [as_matrix(d1)], [as_matrix(d2)], prior=prior)[0]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from groupsim.comparison import (
     bag_criteria,
     corpus_model_selection,
     nw_log_evidence,
+    pair_scores,
     penalty_curve,
-    similarity_ic,
 )
 from groupsim.embeddings import load_embeddings
 from groupsim.evaluation import EvalOptions, evaluate, load_pairs, spearman
@@ -81,12 +81,12 @@ def test_criterion_2_closed_equals_generic():
         x1 = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=d)
         x2 = rng.standard_normal((m, d)) * rng.uniform(0.5, 2.0, size=d)
         closed_g = diag_closed_tic(x1, x2)
-        generic_g = similarity_ic(x1, x2, DIAG, "tic").value / 2.0
+        generic_g = pair_scores(DIAG, "tic", [x1], [x2])[0].value / 2.0
         worst = max(worst, abs(closed_g - generic_g) / max(1.0, abs(generic_g)))
 
         u1, u2 = uniform_sphere(rng, n, d), uniform_sphere(rng, m, d)
         closed_v = vmf_closed_tic(u1, u2)
-        generic_v = similarity_ic(u1, u2, VMF, "tic").value / 2.0
+        generic_v = pair_scores(VMF, "tic", [u1], [u2])[0].value / 2.0
         worst = max(worst, abs(closed_v - generic_v) / max(1.0, abs(generic_v)))
     _report(2, f"closed forms match generic composition (worst rel {worst:.2e} < 1e-9)",
             worst < 1e-9)
@@ -152,7 +152,8 @@ def test_criterion_6_invariance_suite():
     x1 = rng.standard_normal((5, 4))
     x2 = rng.standard_normal((8, 4))
     checks.append(
-        abs(similarity_ic(x1, x2, DIAG, "tic").value - similarity_ic(x2, x1, DIAG, "tic").value)
+        abs(pair_scores(DIAG, "tic", [x1], [x2])[0].value
+            - pair_scores(DIAG, "tic", [x2], [x1])[0].value)
         < 1e-9
     )
 
@@ -160,8 +161,8 @@ def test_criterion_6_invariance_suite():
     p1, p2 = rng.permutation(5), rng.permutation(8)
     checks.append(
         abs(
-            similarity_ic(x1, x2, DIAG, "tic").value
-            - similarity_ic(x1[p1], x2[p2], DIAG, "tic").value
+            pair_scores(DIAG, "tic", [x1], [x2])[0].value
+            - pair_scores(DIAG, "tic", [x1[p1]], [x2[p2]])[0].value
         )
         < 1e-9
     )
@@ -170,8 +171,8 @@ def test_criterion_6_invariance_suite():
     shift = rng.uniform(-4.0, 4.0, size=4)
     checks.append(
         abs(
-            similarity_ic(x1, x2, DIAG, "tic").value
-            - similarity_ic(x1 + shift, x2 + shift, DIAG, "tic").value
+            pair_scores(DIAG, "tic", [x1], [x2])[0].value
+            - pair_scores(DIAG, "tic", [x1 + shift], [x2 + shift])[0].value
         )
         < 1e-9
     )
@@ -181,8 +182,8 @@ def test_criterion_6_invariance_suite():
     rot = random_rotation(rng, 5)
     checks.append(
         abs(
-            similarity_ic(u1, u2, VMF, "tic").value
-            - similarity_ic(u1 @ rot.T, u2 @ rot.T, VMF, "tic").value
+            pair_scores(VMF, "tic", [u1], [u2])[0].value
+            - pair_scores(VMF, "tic", [u1 @ rot.T], [u2 @ rot.T])[0].value
         )
         < 1e-6
     )
@@ -210,7 +211,7 @@ def test_criterion_7_linear_runtime_scaling():
     def clock(pairs):
         start = time.perf_counter()
         for a, b in pairs:
-            similarity_ic(a, b, DIAG, "aic")
+            pair_scores(DIAG, "aic", [a], [b])[0]
         return time.perf_counter() - start
 
     clock(pairs_small[:50])  # warm up

@@ -9,8 +9,8 @@ from groupsim.comparison import (
     SPHERICAL,
     VMF,
     NormalWishartPrior,
-    bayes_factor_similarity,
     corpus_model_selection,
+    pair_scores,
 )
 from groupsim.embeddings import find_pad_token, load_embeddings, lookup_sentence
 
@@ -128,9 +128,10 @@ class TestScore:
         assert code == EXIT_OK
         pad = find_pad_token(store)
         a, b = (lookup_sentence(store, text, pad).vectors for text in ("the cat", "dog sat"))
-        expected = bayes_factor_similarity(a, b, NormalWishartPrior(d, 0.5, d + 4)).value
+        prior = NormalWishartPrior(d, 0.5, d + 4)
+        expected = pair_scores("bayes", None, [a], [b], prior=prior)[0].value
         assert capsys.readouterr().out == f"bayes_factor\t{expected!r}\n"
-        assert expected != bayes_factor_similarity(a, b).value
+        assert expected != pair_scores("bayes", None, [a], [b])[0].value
 
     def test_refine_kappa_flag_is_unknown(self, embedding_file, capsys):
         code = main([

@@ -16,15 +16,14 @@ from groupsim.comparison import (
     VMF,
     NormalWishartPrior,
     aic_param_count,
-    bayes_factor_similarity,
     corpus_model_selection,
     default_prior,
     nw_log_evidence,
     pair_scores,
     penalty_curve,
     penalty_curve_csv,
-    similarity_ic,
 )
+from groupsim.embeddings import lookup_sentence
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.evaluation import spearman
 from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR, fit_vmf
@@ -62,7 +61,7 @@ class TestGenericComposition:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 4))
         _, penalty, _, _ = criterion_rows(x, DIAG, "tic", "error", None)
-        score = similarity_ic(x, x, DIAG, "tic")
+        score = pair_scores(DIAG, "tic", [x], [x])[0]
         assert score.value == pytest.approx(2.0 * penalty, abs=1e-9)
 
     def test_breakdown_identity(self):
@@ -72,7 +71,7 @@ class TestGenericComposition:
                                 (SPHERICAL, "aic", False), (VMF, "tic", True),
                                 (VMF, "aic", True)):
             a, b = random_pair(rng, 3, unit=unit) if unit else (x1, x2)
-            score = similarity_ic(a, b, model, ic)
+            score = pair_scores(model, ic, [a], [b])[0]
             br = score.breakdown
             recomposed = (
                 2.0 * (br.loglik_joint - br.loglik_1 - br.loglik_2)
@@ -92,7 +91,7 @@ class TestGenericComposition:
                 return -2.0 * (loglik - penalty)
 
             expected = -ic_of(joint) + ic_of(x1) + ic_of(x2)
-            got = similarity_ic(x1, x2, DIAG, "tic").value
+            got = pair_scores(DIAG, "tic", [x1], [x2])[0].value
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -100,8 +99,8 @@ class TestGenericComposition:
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         x1, x2 = random_pair(rng, 3)
-        a = similarity_ic(x1, x2, DIAG, "tic").value
-        b = similarity_ic(x2, x1, DIAG, "tic").value
+        a = pair_scores(DIAG, "tic", [x1], [x2])[0].value
+        b = pair_scores(DIAG, "tic", [x2], [x1])[0].value
         assert a == pytest.approx(b, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -111,13 +110,13 @@ class TestGenericComposition:
         x1, x2 = random_pair(rng, 3)
         perm1 = rng.permutation(x1.shape[0])
         perm2 = rng.permutation(x2.shape[0])
-        a = similarity_ic(x1, x2, DIAG, "tic").value
-        b = similarity_ic(x1[perm1], x2[perm2], DIAG, "tic").value
+        a = pair_scores(DIAG, "tic", [x1], [x2])[0].value
+        b = pair_scores(DIAG, "tic", [x1[perm1]], [x2[perm2]])[0].value
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            similarity_ic(np.zeros((3, 2)), np.zeros((3, 3)), DIAG, "aic")
+            pair_scores(DIAG, "aic", [np.zeros((3, 2))], [np.zeros((3, 3))])
 
     @pytest.mark.parametrize(("ic", "scale"), [("tic", 1e150), ("aic", 1e155)])
     def test_overflowing_fit_raises_instead_of_nan(self, ic, scale):
@@ -125,7 +124,7 @@ class TestGenericComposition:
         with pytest.raises(ValueError, match="non-finite L or P term in pair 1"):
             pair_scores(DIAG, ic, [x[:3] / scale, x], [x[3:] / scale, 0.5 * x])
         with pytest.raises(ValueError, match="non-finite"):
-            similarity_ic(x, 0.5 * x, DIAG, ic)
+            pair_scores(DIAG, ic, [x], [0.5 * x])
 
     @pytest.mark.parametrize("model", [DIAG, SPHERICAL])
     def test_aic_reads_no_fourth_moment(self, model, monkeypatch):
@@ -138,18 +137,34 @@ class TestGenericComposition:
         monkeypatch.setattr(comparison, "moment_fit",
                             lambda mom, kind: orders.append(mom.m4 is None) or fit(mom, kind))
         x = np.random.default_rng(21).standard_normal((6, 3)) * 1e78
-        assert math.isfinite(similarity_ic(x, 0.5 * x + 1e77, model, "aic").value)
+        assert math.isfinite(pair_scores(model, "aic", [x], [0.5 * x + 1e77])[0].value)
         assert orders == [True, True]  # the joint bags, then the single bags
+
+    @pytest.mark.parametrize("model,ic", [(model, ic) for model in MODELS for ic in IC_KINDS]
+                             + [("bayes", None)])
+    def test_sentence_samples_score_as_their_rows(self, model, ic, store, unit_store):
+        """A bag may be a looked-up ``SentenceSample``: the batch is bit for
+        bit the batch of its rows."""
+        lexicon = unit_store if model == VMF else store
+        a, b = (lookup_sentence(lexicon, text, ".") for text in ("the cat sat on the mat", "dog"))
+        got = pair_scores(model, ic, [a, b], [b, a], on_degenerate="aic")
+        want = pair_scores(model, ic, [a.vectors, b.vectors], [b.vectors, a.vectors],
+                           on_degenerate="aic")
+        for field in dataclasses.fields(want):
+            assert (np.asarray(getattr(got, field.name)).tobytes()
+                    == np.asarray(getattr(want, field.name)).tobytes()), field.name
 
     def test_rejects_unknown_model_or_ic(self):
         x = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            similarity_ic(x, x, "full", "tic")
+            pair_scores("full", "tic", [x], [x])
         with pytest.raises(ValueError):
-            similarity_ic(x, x, DIAG, "bogus")
-        for ic in ("tic", None):  # the Bayes factor is bayes_factor_similarity's
-            with pytest.raises(ValueError, match="unknown model and criterion"):
-                similarity_ic(x, x, "bayes", ic)
+            pair_scores(DIAG, "bogus", [x], [x])
+        with pytest.raises(ValueError, match="unknown model and criterion"):
+            pair_scores("bayes", "tic", [x], [x])
+        # named before any fit: these rows are not unit vectors
+        with pytest.raises(ValueError, match="unknown model and criterion"):
+            pair_scores(VMF, "bogus", [x], [x])
 
 
 class TestClosedForms:
@@ -161,7 +176,7 @@ class TestClosedForms:
         rng = np.random.default_rng(seed)
         x1, x2 = random_pair(rng, 4, unit=True)
         closed = vmf_closed_tic(x1, x2)
-        generic = similarity_ic(x1, x2, VMF, "tic").value
+        generic = pair_scores(VMF, "tic", [x1], [x2])[0].value
         assert closed == pytest.approx(generic / 2.0, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -169,19 +184,19 @@ class TestClosedForms:
         rng = np.random.default_rng(100 + seed)
         x1, x2 = random_pair(rng, 4)
         closed = diag_closed_tic(x1, x2)
-        generic = similarity_ic(x1, x2, DIAG, "tic").value
+        generic = pair_scores(DIAG, "tic", [x1], [x2])[0].value
         assert closed == pytest.approx(generic / 2.0, rel=1e-9, abs=1e-9)
 
     def test_identical_bags_reduce_to_penalty(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((7, 5))
         _, penalty, _, _ = criterion_rows(x, DIAG, "tic", "error", None)
-        assert similarity_ic(x, x, DIAG, "tic").value / 2.0 == pytest.approx(penalty, abs=1e-9)
+        assert pair_scores(DIAG, "tic", [x], [x])[0].value / 2.0 == pytest.approx(penalty, abs=1e-9)
 
     def test_identical_single_direction_no_nan(self):
         v = np.array([0.0, 1.0, 0.0])
         x = np.tile(v, (3, 1))
-        score = similarity_ic(x, x, VMF, "tic", on_degenerate="aic")
+        score = pair_scores(VMF, "tic", [x], [x], on_degenerate="aic")[0]
         assert math.isfinite(score.value)
         assert score.fallback
 
@@ -189,22 +204,22 @@ class TestClosedForms:
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         bad = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            similarity_ic(x, bad, VMF, "tic")
+            pair_scores(VMF, "tic", [x], [bad])
 
     def test_vmf_rotation_invariance(self):
         rng = np.random.default_rng(4)
         x1, x2 = random_pair(rng, 5, unit=True)
-        base = similarity_ic(x1, x2, VMF, "tic").value
+        base = pair_scores(VMF, "tic", [x1], [x2])[0].value
         rot = random_rotation(np.random.default_rng(9), 5)
-        rotated = similarity_ic(x1 @ rot.T, x2 @ rot.T, VMF, "tic").value
+        rotated = pair_scores(VMF, "tic", [x1 @ rot.T], [x2 @ rot.T])[0].value
         assert rotated == pytest.approx(base, abs=1e-6)
 
     def test_gaussian_translation_invariance(self):
         rng = np.random.default_rng(5)
         x1, x2 = random_pair(rng, 4)
         shift = rng.uniform(-3, 3, size=4)
-        base = similarity_ic(x1, x2, DIAG, "tic").value
-        shifted = similarity_ic(x1 + shift, x2 + shift, DIAG, "tic").value
+        base = pair_scores(DIAG, "tic", [x1], [x2])[0].value
+        shifted = pair_scores(DIAG, "tic", [x1 + shift], [x2 + shift])[0].value
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -300,7 +315,7 @@ class TestBic:
         n, d = 5, 3
         x1 = rng.standard_normal((n, d))
         x2 = rng.standard_normal((n, d))
-        score = similarity_ic(x1, x2, DIAG, ic="bic")
+        score = pair_scores(DIAG, "bic", [x1], [x2])[0]
         br = score.breakdown
         loglik_part = 2.0 * (br.loglik_joint - br.loglik_1 - br.loglik_2)
         assert score.value - loglik_part == pytest.approx(
@@ -321,7 +336,7 @@ class TestBic:
                 return -2.0 * fit.max_loglik + k * math.log(x.shape[0])
 
             expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
-            assert similarity_ic(x1, x2, model, ic="bic").value == pytest.approx(
+            assert pair_scores(model, "bic", [x1], [x2])[0].value == pytest.approx(
                 expected, rel=1e-9, abs=1e-9
             )
 
@@ -329,13 +344,13 @@ class TestBic:
         d1 = np.array([[0.0], [0.1]])
         far = np.array([[5.0], [5.1]])
         near = np.array([[0.05], [0.15]])
-        assert (similarity_ic(d1, far, DIAG, ic="bic").value
-                < similarity_ic(d1, near, DIAG, ic="bic").value)
+        assert (pair_scores(DIAG, "bic", [d1], [far])[0].value
+                < pair_scores(DIAG, "bic", [d1], [near])[0].value)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(8)
         x1, x2 = random_pair(rng, 3)
-        score = similarity_ic(x1, x2, DIAG, ic="bic")
+        score = pair_scores(DIAG, "bic", [x1], [x2])[0]
         br = score.breakdown
         recomposed = (
             2.0 * (br.loglik_joint - br.loglik_1 - br.loglik_2)
@@ -354,7 +369,7 @@ class TestBic:
             return -2.0 * fit.max_loglik + 4 * math.log(x.shape[0])
 
         expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
-        assert similarity_ic(x1, x2, VMF, ic="bic").value == pytest.approx(
+        assert pair_scores(VMF, "bic", [x1], [x2])[0].value == pytest.approx(
             expected, rel=1e-9, abs=1e-9
         )
 
@@ -495,7 +510,7 @@ class TestBayesFactor:
         with pytest.raises(ValueError, match="overflows"):
             nw_log_evidence(x, default_prior(8))
         with pytest.raises(ValueError, match="overflows"):
-            bayes_factor_similarity(x[:3], x[3:])  # the joint bag is x again
+            pair_scores("bayes", None, [x[:3]], [x[3:]])  # the joint bag is x again
 
     def test_spread_below_the_rounding_of_the_mean_names_the_cause(self):
         """Rows at 1e160 with unit noise: the centred rows are quantised at
@@ -512,7 +527,7 @@ class TestBayesFactor:
         with pytest.raises(ValueError, match="overflows"):
             nw_log_evidence(x, default_prior(3))
         with pytest.raises(ValueError, match="overflows"):
-            bayes_factor_similarity(x, 0.5 * x[::-1])
+            pair_scores("bayes", None, [x], [0.5 * x[::-1]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_bag_raises(self, bad):
@@ -522,7 +537,7 @@ class TestBayesFactor:
         with pytest.raises(ValueError, match="non-finite"):
             nw_log_evidence(x1, default_prior(3))
         with pytest.raises(ValueError, match="non-finite"):
-            bayes_factor_similarity(x1, x2)
+            pair_scores("bayes", None, [x1], [x2])
 
     def test_default_prior_cached_and_read_only(self):
         prior = default_prior(5)
@@ -533,30 +548,30 @@ class TestBayesFactor:
         rng = np.random.default_rng(10)
         x1, x2 = random_pair(rng, 3)
         prior = default_prior(3)
-        a = bayes_factor_similarity(x1, x2, prior).value
-        b = bayes_factor_similarity(x2, x1, prior).value
+        a = pair_scores("bayes", None, [x1], [x2], prior=prior)[0].value
+        b = pair_scores("bayes", None, [x2], [x1], prior=prior)[0].value
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_distant_copy_scores_lower(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((5, 2))
         prior = default_prior(2)
-        same = bayes_factor_similarity(x, x.copy(), prior).value
-        far = bayes_factor_similarity(x, x + 50.0, prior).value
+        same = pair_scores("bayes", None, [x], [x.copy()], prior=prior)[0].value
+        far = pair_scores("bayes", None, [x], [x + 50.0], prior=prior)[0].value
         assert far < same
 
     def test_default_prior_used_when_omitted(self):
         rng = np.random.default_rng(12)
         x1, x2 = random_pair(rng, 3)
-        a = bayes_factor_similarity(x1, x2).value
-        b = bayes_factor_similarity(x1, x2, default_prior(3)).value
+        a = pair_scores("bayes", None, [x1], [x2])[0].value
+        b = pair_scores("bayes", None, [x1], [x2], prior=default_prior(3))[0].value
         assert a == b
 
     def test_handles_fewer_points_than_dimensions(self):
         rng = np.random.default_rng(13)
         x1 = rng.standard_normal((3, 8))
         x2 = rng.standard_normal((2, 8))
-        value = bayes_factor_similarity(x1, x2).value
+        value = pair_scores("bayes", None, [x1], [x2])[0].value
         assert math.isfinite(value)
 
     def test_prior_validation(self):
@@ -879,15 +894,17 @@ class TestOnDegenerate:
     @pytest.mark.parametrize("degenerate", [True, False])
     @pytest.mark.parametrize("value", BAD)
     def test_similarity_ic(self, degenerate, value):
+        """One vMF/TIC pair, degenerate or not, scored by ``pair_scores``
+        (the single-pair ``similarity_ic`` it once went through is gone)."""
         x1, x2 = self._bags(degenerate)
         with pytest.raises(ValueError, match=r"on_degenerate must be one of \('error', 'aic'\)"):
-            similarity_ic(x1, x2, VMF, "tic", on_degenerate=value)
+            pair_scores(VMF, "tic", [x1], [x2], on_degenerate=value)
 
     @pytest.mark.parametrize("model,ic", [(VMF, "tic"), (VMF, "aic"), (DIAG, "aic")])
     @pytest.mark.parametrize("value", BAD)
     def test_pair_scores(self, model, ic, value):
         x1, x2 = self._bags(degenerate=True)
-        with pytest.raises(ValueError, match="on_degenerate"):
+        with pytest.raises(ValueError, match=r"on_degenerate must be one of \('error', 'aic'\)"):
             pair_scores(model, ic, [x1], [x2], on_degenerate=value)
 
     @pytest.mark.parametrize("value", BAD)

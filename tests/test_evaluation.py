@@ -306,19 +306,20 @@ class TestEvaluate:
 
 # the comparison call each model method stands for, with EvalOptions() defaults
 DIRECT_CALLS = {
-    "vmf_tic": lambda a, b: comparison.similarity_ic(
-        unit_rows(a), unit_rows(b), "vmf", "tic", on_degenerate="aic"),
-    "vmf_aic": lambda a, b: comparison.similarity_ic(
-        unit_rows(a), unit_rows(b), "vmf", "aic", on_degenerate="aic"),
-    "diag_tic": lambda a, b: comparison.similarity_ic(
-        a.vectors, b.vectors, "diag", "tic", on_degenerate="aic"),
-    "diag_aic": lambda a, b: comparison.similarity_ic(
-        a.vectors, b.vectors, "diag", "aic", on_degenerate="aic"),
-    "diag_bic": lambda a, b: comparison.similarity_ic(
-        a.vectors, b.vectors, "diag", "bic", on_degenerate="aic"),
-    "spherical_aic": lambda a, b: comparison.similarity_ic(
-        a.vectors, b.vectors, "spherical", "aic", on_degenerate="aic"),
-    "bayes_factor": lambda a, b: comparison.bayes_factor_similarity(a.vectors, b.vectors),
+    "vmf_tic": lambda a, b: comparison.pair_scores(
+        "vmf", "tic", [unit_rows(a)], [unit_rows(b)], on_degenerate="aic")[0],
+    "vmf_aic": lambda a, b: comparison.pair_scores(
+        "vmf", "aic", [unit_rows(a)], [unit_rows(b)], on_degenerate="aic")[0],
+    "diag_tic": lambda a, b: comparison.pair_scores(
+        "diag", "tic", [a.vectors], [b.vectors], on_degenerate="aic")[0],
+    "diag_aic": lambda a, b: comparison.pair_scores(
+        "diag", "aic", [a.vectors], [b.vectors], on_degenerate="aic")[0],
+    "diag_bic": lambda a, b: comparison.pair_scores(
+        "diag", "bic", [a.vectors], [b.vectors], on_degenerate="aic")[0],
+    "spherical_aic": lambda a, b: comparison.pair_scores(
+        "spherical", "aic", [a.vectors], [b.vectors], on_degenerate="aic")[0],
+    "bayes_factor": lambda a, b: comparison.pair_scores(
+        "bayes", None, [a.vectors], [b.vectors])[0],
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsim.comparison import DIAG, bag_criteria, pair_scores, similarity_ic
+from groupsim.comparison import DIAG, bag_criteria, pair_scores
 from groupsim.gaussian import (
     SPHERICAL,
     merge_moments,
@@ -189,9 +189,11 @@ class TestPairScores:
     @given(pair=bag_pairs())
     @settings(max_examples=40, deadline=None)
     def test_similarity_ic_equals_stacked_oracle(self, model, ic, pair):
+        """A batch of one (what the removed ``similarity_ic`` returned)."""
         want, floored = pair_score_rows(*pair, model, ic)
-        assert_scores_close(similarity_ic(*pair, model, ic), want)
-        assert pair_scores(model, ic, [pair[0]], [pair[1]]).floored_dims == floored
+        scores = pair_scores(model, ic, [pair[0]], [pair[1]])
+        assert_scores_close(scores[0], want)
+        assert scores.floored_dims == floored
 
     @pytest.mark.parametrize("model", ["diag", "spherical"])
     def test_far_from_origin_sweep_equals_stacked_oracle(self, model):
@@ -235,4 +237,4 @@ class TestPairScores:
 
     def test_single_vector_bag_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
-            similarity_ic(np.ones((1, 3)), np.zeros((4, 3)), "diag", "aic")
+            pair_scores("diag", "aic", [np.ones((1, 3))], [np.zeros((4, 3))])
