@@ -138,6 +138,45 @@ if not math.isfinite(summary[0]["weighted_average"]):
     sys.exit(f"bayes_factor weighted_average must be finite, got {summary[0]}")
 EOF
 
+# vmf_tic at d = 129, odd and above 98, so log C_d comes from the Debye sum: a seeded unit
+# lexicon and pairs, one with a fully out-of-vocabulary sentence, whose double-padded bag is
+# clamped and whose "tic" penalty falls back to the parameter count
+python - "$tmp" <<'EOF'
+import sys
+
+import numpy as np
+
+rng = np.random.default_rng(129)
+words = [f"w{i}" for i in range(40)]
+rows = rng.standard_normal((len(words) + 1, 129))
+rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+with open(f"{sys.argv[1]}/lexicon129.txt", "w", encoding="utf-8") as handle:
+    for token, row in zip(["."] + words, rows):
+        handle.write(" ".join([token] + [repr(float(v)) for v in row]) + "\n")
+with open(f"{sys.argv[1]}/pairs129.tsv", "w", encoding="utf-8") as handle:
+    for p in range(12):
+        a, b = (" ".join(rng.choice(words, size=int(rng.integers(2, 6)))) for _ in range(2))
+        handle.write(f"{'zzz qqq' if p == 5 else a}\t{b}\t{rng.uniform(0.0, 5.0)!r}\n")
+EOF
+python -m groupsim.cli eval --embeddings "$tmp/lexicon129.txt" --method vmf_tic \
+    --out "$tmp/eval129.jsonl" "$tmp/pairs129.tsv" > /dev/null
+python - "$tmp/eval129.jsonl" <<'EOF'
+import json
+import math
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    rows = [json.loads(line) for line in handle]
+summary = [row for row in rows if "weighted_average" in row]
+if len(summary) != 1 or summary[0]["method"] != "vmf_tic":
+    sys.exit(f"expected one vmf_tic summary row, got {summary}")
+row = summary[0]
+if row["weighted_average"] is None or not math.isfinite(row["weighted_average"]):
+    sys.exit(f"vmf_tic at d = 129 must give a finite rho, got {row}")
+if row["fallback_pairs"] < 1 or row["degenerate_fits"] < 1:
+    sys.exit(f"the double-padded pair must be a fallback with a clamped fit, got {row}")
+EOF
+
 # a flag the subcommand does not read is a usage error (exit status exactly 2)
 expect_usage_error() {
     local status=0

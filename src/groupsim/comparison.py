@@ -10,9 +10,10 @@ spherical Gaussian model (``MODELS``) takes P from one information criterion
 (``IC_KINDS``), with alpha = 2: the gradient trace ("tic"), the parameter
 count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
 each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
-joint bag's are its two bags' moments merged.  Each vMF bag is fitted once
-from its rows, and a joint bag from its two bags' summed resultants and row
-counts; its "tic" penalty reads the two bags' rows in place.
+joint bag's are its two bags' moments merged.  The vMF single bags of a
+batch are fitted together from their rows, and its joint bags together from
+their two bags' summed resultants and row counts, each set with one array
+Bessel pass; a joint bag's "tic" penalty reads its two bags' rows in place.
 ``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
 criterion.
 The Bayes factor, model "bayes" with no criterion, takes L as the
@@ -49,7 +50,7 @@ from .gaussian import (
     tic_penalties,
 )
 from .special import MAX_DIM, MIN_DIM
-from .vmf import VmfFit, _fit_resultant, _tic_penalty, fit_vmf
+from .vmf import CURVATURE_FLOOR, VmfFit, _fit_resultants, _tic_penalty, fit_vmf
 
 VMF = "vmf"
 BAYES = "bayes"
@@ -175,7 +176,7 @@ def _check_width(blocks) -> int:
 
 def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                  prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None,
-                 fits: list[VmfFit] | None = None):
+                 fits: VmfFit | None = None):
     """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
     of every bag of a batch, as (B,) arrays.
 
@@ -189,9 +190,9 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     when omitted, to M4 only for the diagonal "tic" penalty, the one
     criterion that reads it); the spherical "tic" radial term reads each
     block about its bag's mean, rounding error included.  vMF bags are read
-    from their fits ``fits`` (a joint bag's made from merged resultants;
-    :func:`fit_vmf` on the rows of one-block bags when omitted), the "tic"
-    penalty from each bag's blocks in place, and a bag is flagged
+    from their batch fit ``fits`` (joint bags' made from merged resultants;
+    one :func:`fit_vmf` on the rows of one-block bags when omitted), the
+    "tic" penalty from each bag's blocks in place, and a bag is flagged
     degenerate when its resultant length was clamped.
     ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
     penalty whose curvature is degenerate, and flags the bag as a fallback;
@@ -215,8 +216,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                     for bag, mu, err in zip(bags, mom.mean, mom.mean_err)])
                 penalty = tic_penalties(model, d, var, kurt, radial)
         return loglik, penalty, fallback, floored, degenerate
-    loglik = np.empty(count)
     if model == BAYES:
+        loglik = np.empty(count)
         prior = default_prior(d) if prior is None else prior
         groups = {}  # total row count -> the bags that have it
         for b, bag in enumerate(bags):
@@ -227,23 +228,17 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                 np.concatenate(bags[b], out=rows)  # a joint bag's blocks end to end
             loglik[members] = nw_log_evidence(stack, prior)
         return loglik, penalty, fallback, floored, degenerate
-    for b, bag in enumerate(bags):
-        if fits is None:
-            x, = bag  # fitted here one at a time, so a corpus holds one fit, not all
-            fit = fit_vmf(x)
-        else:
-            fit = fits[b]
-        loglik[b], degenerate[b] = fit.max_loglik, fit.degenerate
-        if ic != "tic":
-            continue
-        try:
-            # the fits have checked that these rows are unit vectors
-            penalty[b] = _tic_penalty(fit, tuple(as_matrix(x) for x in bag))
-        except DegenerateCurvatureError:
+    fits = fit_vmf(*(x for x, in bags)) if fits is None else fits
+    if ic == "tic":
+        penalty, defined = _tic_penalty(fits, bags)
+        if not defined.all():
             if on_degenerate != "aic":
-                raise
-            penalty[b], fallback[b] = aic_param_count(VMF, d), True
-    return loglik, penalty, fallback, floored, degenerate
+                raise DegenerateCurvatureError(
+                    f"curvature below {CURVATURE_FLOOR:g} or clamped fit; penalty undefined "
+                    f"on bag {defined.argmin()}")
+            fallback = ~defined
+            penalty[fallback] = aic_param_count(VMF, d)
+    return fits.max_loglik, penalty, fallback, floored, fits.clamped
 
 
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
@@ -265,12 +260,12 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     independent fits have a block-diagonal joint curvature.  A Gaussian
     joint bag reads the merged moments of its two bags
     (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
-    moments stop after M2 unless the criterion is the diagonal "tic".  Each
-    vMF bag is fitted once
-    (:func:`fit_vmf`), and a joint bag is fitted from its two bags' summed
-    resultants and counts, with the first row of its first bag as the
-    direction of an exactly cancelling pair; its "tic" penalty reads the two
-    bags' rows in place.  The Normal-Wishart evidence is taken over stacks
+    moments stop after M2 unless the criterion is the diagonal "tic".  The
+    2P vMF single bags are fitted in one :func:`fit_vmf` batch, and the P
+    joint bags in one batch from their two bags' summed resultants and
+    counts, with the first row of its first bag as the direction of an
+    exactly cancelling pair; a joint bag's "tic" penalty reads the two bags'
+    rows in place.  The Normal-Wishart evidence is taken over stacks
     of bags with equal row counts, one :func:`nw_log_evidence` call per
     distinct count in each of the two calls.  A non-finite term raises.
     """
@@ -286,10 +281,9 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
             mom = moments(*singles, order=_moment_order(model, ic))
             joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
     elif model == VMF:
-        _check_width(singles)
-        fits = [fit_vmf(x) for x in singles]
-        joint_fits = [_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
-                      for a, b, x in zip(fits[:half], fits[half:], first)]
+        fits = fit_vmf(*singles)
+        joint_fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
+                                     fits.n[:half] + fits.n[half:], first)
     ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first, second)), on_degenerate,
                                             prior, joint_mom, joint_fits)
     ll_s, p_s, f_s, d_s, g_s = bag_criteria(model, ic, [(x,) for x in singles], on_degenerate,

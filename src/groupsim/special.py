@@ -8,34 +8,35 @@ float64 range by hundreds of orders of magnitude.
 Supported domain: d integer in [2, 2048] and kappa in [0, 1e16]; out-of-range
 inputs raise rather than silently degrade.  One kernel, :func:`vmf_kernels`,
 returns everything the von Mises-Fisher model needs at (d, kappa) from a
-single evaluation.  With v = d/2 - 1, the ratios A_d and A_d' come from one
-of two complementary strategies:
+single evaluation, of one kappa or of an array in one pass.  With
+v = d/2 - 1, the ratios A_d and A_d' come from one of two strategies:
 
 * a backward ratio recurrence ``r_nu = 1 / (2 nu / x + r_{nu+1})`` started from
   an Amos-type approximation well above the largest order of interest (the
-  downward pass contracts the start error below machine precision), and
+  downward pass contracts the start error below machine precision), one
+  pass from the largest start order that each kappa joins at its own, and
 * the large-argument Hankel expansion at orders v, v+1 and v+2, used once
   ``x >= max(1e4, 100 (v+3)^2)``, where the recurrence would need
-  O(sqrt(x)) steps.
+  O(sqrt(x)) steps; it runs kappa by kappa.
 
 The log-normalizer log C_d needs ``log I_v(x)`` itself:
 
 * for v >= 48 (d >= 98), at every kappa, from the uniform (Debye) expansion
   of DLMF 10.41.3 with seven terms, so the recurrence stops at order v + 1;
-* below that, the recurrence runs on through every lower order and
-  ``log I_v(x)`` telescopes from a base order in {0, 1/2} with closed-form
-  logs, or in the Hankel regime it is the log of the order-v sum.
+* below that, kappa by kappa, the recurrence runs on through every lower
+  order and ``log I_v(x)`` telescopes from a base order in {0, 1/2} with
+  closed-form logs, or in the Hankel regime it is the log of the order-v sum.
 
 ``bessel_ratio`` is a view of the kernel's first output; its other outputs,
-the slope A_d' and log C_d, are read from the kernel directly.
-
-The module needs only the standard library, so importing it loads neither
-numpy nor scipy.
+the slope A_d' and log C_d, are read from the kernel directly.  The module
+needs numpy for the array pass and nothing else.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -80,20 +81,25 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be an integer in [{MIN_DIM}, {MAX_DIM}], got {d!r}")
 
 
-def _check_kappa(kappa: float, positive: bool = False) -> None:
-    if not math.isfinite(kappa):
-        raise ValueError(f"concentration must be finite, got {kappa!r}")
-    if kappa > MAX_KAPPA:
-        raise ValueError(f"concentration {kappa!r} above supported maximum {MAX_KAPPA:g}")
-    if positive:
-        if kappa <= 0.0:
-            raise ValueError(f"concentration must be > 0, got {kappa!r}")
-    elif kappa < 0.0:
-        raise ValueError(f"concentration must be >= 0, got {kappa!r}")
+def _first_bad(values: np.ndarray, ok: np.ndarray) -> tuple[float, str]:
+    """The first value ``ok`` rejects, and `` at element i`` if ``values`` is an array."""
+    i = int(np.argmin(ok.reshape(-1)))
+    return float(values.reshape(-1)[i]), "" if values.ndim == 0 else f" at element {i}"
 
 
-def _use_asymptotic(x: float, top_order: float) -> bool:
-    return x >= _ASYM_MIN_X and x >= 100.0 * top_order * top_order
+def _check_kappa(kappa, positive: bool = False) -> None:
+    """Raise on a concentration, or the first element of an array, outside the domain."""
+    k = np.asarray(kappa, dtype=np.float64)
+    ok = (k > 0.0 if positive else k >= 0.0) & (k <= MAX_KAPPA)  # NaN fails both
+    if not ok.all():
+        value, where = _first_bad(k, ok)
+        raise ValueError(f"concentration must be finite and in {'(0' if positive else '[0'}, "
+                         f"{MAX_KAPPA:g}], got {value!r}{where}")
+
+
+def _use_asymptotic(x, top_order: float):
+    """Whether the Hankel sums take argument ``x`` (a float or an array) at ``top_order``."""
+    return (x >= _ASYM_MIN_X) & (x >= 100.0 * top_order * top_order)
 
 
 def _hankel_sum(nu: float, x: float) -> float:
@@ -134,22 +140,38 @@ def _log_i_half(x: float) -> float:
     return 0.5 * (math.log(2.0) - math.log(math.pi) - math.log(x)) + log_sinh
 
 
-def _ratio_chain(x: float, frac: float, idx: int) -> tuple[float, float]:
-    """One backward pass for the ratios r_i = I_{frac+i}(x) / I_{frac+i-1}(x).
+def _ratio_chain(x: np.ndarray, frac: float, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """One backward pass for the ratios r_i = I_{frac+i}(x) / I_{frac+i-1}(x)
+    at every element of an array ``x``.
 
-    Returns ``(r_idx, r_{idx+1})``.  The start order sits far enough above
+    Returns ``(r_idx, r_{idx+1})``.  Each x starts far enough above
     ``idx + 2`` that the Amos-type seed error contracts below 1e-30 before
-    the first returned ratio.
+    the first returned ratio.  Sorted by start order, the elements still
+    running are a prefix, so each joins the pass at its own start and goes
+    through the operations of a pass of its own.
     """
     top = frac + idx + 2
-    start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * x)) - frac)) + 12
+    start = np.ceil(np.maximum(top, np.sqrt(top * top + 40.0 * x)) - frac).astype(np.intp) + 12
+    order = np.argsort(-start, kind="stable")
+    x, start = x[order], start[order]
     nu = frac + start
+    r = x / (nu - 0.5 + np.hypot(nu + 0.5, x))
     two_over_x = 2.0 / x
-    r = x / (nu - 0.5 + math.hypot(nu + 0.5, x))
-    for i in range(start - 1, idx + 1, -1):
-        r = 1.0 / ((frac + i) * two_over_x + r)
-    r_next = r = 1.0 / ((frac + idx + 1) * two_over_x + r)
-    return 1.0 / ((frac + idx) * two_over_x + r), r_next
+    scratch = np.empty_like(x)
+    starts, running = start.tolist(), 0
+    for i in range(max(starts, default=0) - 1, idx + 1, -1):
+        if running < len(starts) and starts[running] > i:  # elements join the pass here
+            while running < len(starts) and starts[running] > i:
+                running += 1
+            head, tox, tmp = r[:running], two_over_x[:running], scratch[:running]
+        np.multiply(tox, frac + i, out=tmp)
+        tmp += head
+        np.divide(1.0, tmp, out=head)
+    r_next = 1.0 / ((frac + idx + 1) * two_over_x + r)
+    r_idx = 1.0 / ((frac + idx) * two_over_x + r_next)
+    ratios = np.empty((2, x.size))
+    ratios[0, order], ratios[1, order] = r_idx, r_next
+    return ratios[0], ratios[1]
 
 
 def _telescoped_log_i(x: float, frac: float, idx: int, r_idx: float) -> float:
@@ -169,8 +191,9 @@ def _telescoped_log_i(x: float, frac: float, idx: int, r_idx: float) -> float:
     return log_i + math.log(prod)
 
 
-def _debye_log_c(d: int, kappa: float) -> float:
-    """log C_d(kappa) from the uniform expansion of I_v(v z), v = d/2 - 1, z = kappa / v.
+def _debye_log_c(d: int, kappa: np.ndarray) -> np.ndarray:
+    """log C_d(kappa) from the uniform expansion of I_v(v z), v = d/2 - 1, z = kappa / v,
+    at every element of ``kappa``.
 
     DLMF 10.41.3 gives ``I_v(v z) ~ e^{v eta} / sqrt(2 pi v s) sum_k u_k(1/s) / v^k``
     with ``s = sqrt(1 + z^2)`` and ``eta = s + log(z / (1 + s))``; the
@@ -180,7 +203,7 @@ def _debye_log_c(d: int, kappa: float) -> float:
     d = 300).
     """
     v = 0.5 * d - 1.0
-    s = math.hypot(1.0, kappa / v)
+    s = np.hypot(1.0, kappa / v)
     q = 1.0 / (s * s)
     t = 1.0 / (s * v)
     tail = 0.0
@@ -189,14 +212,16 @@ def _debye_log_c(d: int, kappa: float) -> float:
         for c in reversed(coeffs):
             u = u * q + c
         tail = t * (u + tail)
-    return (0.5 * d * LOG_2PI + v * (s - math.log(v) - math.log1p(s))
-            - 0.5 * math.log(2.0 * math.pi * v * s) + math.log1p(tail))
+    return (0.5 * d * LOG_2PI + v * (s - math.log(v) - np.log1p(s))
+            - 0.5 * np.log(2.0 * math.pi * v * s) + np.log1p(tail))
 
 
-def vmf_kernels(d: int, kappa: float) -> tuple[float, float, float]:
+def vmf_kernels(d: int, kappa):
     """``(A_d(kappa), A_d'(kappa), log C_d(kappa))`` from one Bessel evaluation.
 
-    With v = d/2 - 1:
+    ``kappa`` is a float, which gives three floats, or a 1-D array, which
+    gives three arrays from one pass, each element as the float call on it
+    would give it.  With v = d/2 - 1:
 
     * ``A_d = I_{v+1} / I_v`` is the mean resultant length, in (0, 1);
     * ``A_d' = 1 - A_d^2 - (d-1) A_d / kappa`` is its slope, assembled from
@@ -208,36 +233,43 @@ def vmf_kernels(d: int, kappa: float) -> tuple[float, float, float]:
       the normalizer Z(kappa) of the density ``exp(kappa mu . w) / Z``.
 
     A_d and A_d' come from one backward ratio chain that stops at order
-    v + 1, or from the Hankel sums at orders v, v+1 and v+2 for large kappa.
-    log C_d comes from the Debye sum for d >= 98, at any kappa, so its cost
-    does not grow with d; below d = 98 the chain runs on down to order 0 or
-    1/2 and the log telescopes from there (the Hankel regime takes the log
-    of the order-v sum).
+    v + 1, or from the Hankel sums at orders v, v+1 and v+2 for large kappa.  log C_d comes from the Debye sum
+    for d >= 98, at any kappa, so its cost does not grow with d; below
+    d = 98 the chain runs on down to order 0 or 1/2 and the log telescopes
+    from there (the Hankel regime takes the log of the order-v sum).
     """
     _check_dim(d)
     _check_kappa(kappa, positive=True)
+    x = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
     v = d / 2.0 - 1.0
     debye = v >= _DEBYE_MIN_ORDER
-    if _use_asymptotic(kappa, v + 3.0):
-        s0, s1, s2 = (_hankel_sum(v + j, kappa) for j in range(3))
-        a, r_next = s1 / s0, s2 / s1
-        if not debye:
-            log_i = kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(s0)
-    else:
-        frac = 0.0 if d % 2 == 0 else 0.5
-        idx = int(round(v + 1.0 - frac))
-        a, r_next = _ratio_chain(kappa, frac, idx)
-        if not debye:
-            log_i = _telescoped_log_i(kappa, frac, idx, a)
+    frac = 0.0 if d % 2 == 0 else 0.5
+    idx = int(round(v + 1.0 - frac))
+    hankel = _use_asymptotic(x, v + 3.0)
+    chain = ~hankel
+    a, r_next, log_i = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    a[chain], r_next[chain] = _ratio_chain(x[chain], frac, idx)
+    for i in np.flatnonzero(hankel).tolist():
+        k = float(x[i])
+        s0, s1, s2 = (_hankel_sum(v + j, k) for j in range(3))
+        a[i], r_next[i] = s1 / s0, s2 / s1
+        log_i[i] = k - 0.5 * math.log(2.0 * math.pi * k) + math.log(s0)
     # Three-term recurrence at order v: I_{v-1} / I_v = a + 2v / kappa.
-    slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / kappa) + a))
-    if not math.isfinite(slope):
-        raise ValueError(
-            f"curvature term not finite at d={d}, kappa={kappa!r}; inputs out of supported range"
-        )
+    slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / x) + a))
+    finite = np.isfinite(slope)
+    if not finite.all():
+        raise ValueError(f"curvature term not finite at d={d}, kappa={_first_bad(x, finite)[0]!r}; "
+                         f"inputs out of supported range")
     if debye:
-        return a, slope, _debye_log_c(d, kappa)
-    return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
+        log_c = _debye_log_c(d, x)
+    else:  # kappa by kappa: the Hankel log, or the chain telescoped to order 0 or 1/2
+        log_c = np.array([
+            0.5 * d * LOG_2PI + (log_h if h else _telescoped_log_i(k, frac, idx, a_k))
+            - v * math.log(k)
+            for k, a_k, log_h, h in zip(x.tolist(), a.tolist(), log_i.tolist(), hankel.tolist())])
+    if np.ndim(kappa) == 0:
+        return float(a[0]), float(slope[0]), float(log_c[0])
+    return a, slope, log_c
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -252,16 +284,19 @@ def bessel_ratio(d: int, kappa: float) -> float:
     return vmf_kernels(d, kappa)[0]
 
 
-def inv_bessel_ratio(d: int, r_bar: float) -> float:
+def inv_bessel_ratio(d: int, r_bar):
     """Concentration estimate for A_d(kappa) = r_bar (Banerjee et al., JMLR 2005).
 
     The closed rational approximation ``r_bar (d - r_bar^2) / (1 - r_bar^2)``,
     not the exact root: for r_bar in [0.1, 0.99] it is within 6e-4 relative
-    of the root at d = 300 and within 4e-2 at d = 4.  ``r_bar`` must lie
-    strictly inside (0, 1); callers clamp before calling.
+    of the root at d = 300 and within 4e-2 at d = 4.  ``r_bar``, a float or
+    an array, must lie strictly inside (0, 1); callers clamp before calling.
     """
     _check_dim(d)
-    if not (0.0 < r_bar < 1.0):
-        raise ValueError(f"resultant length must be in (0, 1), got {r_bar!r}")
-    return r_bar * (d - r_bar * r_bar) / (1.0 - r_bar * r_bar)
-
+    r = np.asarray(r_bar, dtype=np.float64)
+    ok = (0.0 < r) & (r < 1.0)
+    if not ok.all():
+        value, where = _first_bad(r, ok)
+        raise ValueError(f"resultant length must be in (0, 1), got {value!r}{where}")
+    kappa = r * (d - r * r) / (1.0 - r * r)
+    return float(kappa) if r.ndim == 0 else kappa

@@ -3,6 +3,7 @@
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
 mpmath, the vMF kernel that telescopes every log-normaliser to order 0, the
+scalar vMF kernel of one kappa, per-bag vMF fits and penalties, the
 Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, the closed-form vMF and
@@ -53,6 +54,19 @@ def log_vmf_normalizer_mp(d: int, kappa: float) -> float:
     )
 
 
+def _ratio_chain_scalar(x: float, frac: float, idx: int) -> tuple[float, float]:
+    """The backward ratio pass of one kappa: ``(r_idx, r_{idx+1})``."""
+    top = frac + idx + 2
+    start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * x)) - frac)) + 12
+    nu = frac + start
+    two_over_x = 2.0 / x
+    r = x / (nu - 0.5 + math.hypot(nu + 0.5, x))
+    for i in range(start - 1, idx + 1, -1):
+        r = 1.0 / ((frac + i) * two_over_x + r)
+    r_next = r = 1.0 / ((frac + idx + 1) * two_over_x + r)
+    return 1.0 / ((frac + idx) * two_over_x + r), r_next
+
+
 def vmf_kernels_telescoped(d: int, kappa: float) -> tuple[float, float, float]:
     """The vMF kernel that telescopes the ratio chain to order 0 or 1/2 at every d.
 
@@ -72,15 +86,9 @@ def vmf_kernels_telescoped(d: int, kappa: float) -> tuple[float, float, float]:
     else:
         frac = 0.0 if d % 2 == 0 else 0.5
         idx = int(round(v + 1.0 - frac))
-        top = frac + idx + 2
-        start = int(math.ceil(max(top, math.sqrt(top * top + 40.0 * kappa)) - frac)) + 12
-        nu = frac + start
+        a, r_next = _ratio_chain_scalar(kappa, frac, idx)
         two_over_x = 2.0 / kappa
-        r = kappa / (nu - 0.5 + math.hypot(nu + 0.5, kappa))
-        for i in range(start - 1, idx + 1, -1):
-            r = 1.0 / ((frac + i) * two_over_x + r)
-        r_next = r = 1.0 / ((frac + idx + 1) * two_over_x + r)
-        a = r = 1.0 / ((frac + idx) * two_over_x + r)
+        r = a
         log_i = _log_i0(kappa) if frac == 0.0 else _log_i_half(kappa)
         prod = 1.0
         for i in range(idx - 1, 0, -1):
@@ -92,6 +100,165 @@ def vmf_kernels_telescoped(d: int, kappa: float) -> tuple[float, float, float]:
         log_i += math.log(prod)
     slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / kappa) + a))
     return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
+
+
+def _debye_log_c_scalar(d: int, kappa: float) -> float:
+    """log C_d(kappa) of one kappa from the seven-term Debye sum (d >= 98)."""
+    from groupsim.special import _DEBYE_U, LOG_2PI
+
+    v = 0.5 * d - 1.0
+    s = math.hypot(1.0, kappa / v)
+    q = 1.0 / (s * s)
+    t = 1.0 / (s * v)
+    tail = 0.0
+    for coeffs in reversed(_DEBYE_U[1:]):
+        u = 0.0
+        for c in reversed(coeffs):
+            u = u * q + c
+        tail = t * (u + tail)
+    return (0.5 * d * LOG_2PI + v * (s - math.log(v) - math.log1p(s))
+            - 0.5 * math.log(2.0 * math.pi * v * s) + math.log1p(tail))
+
+
+def vmf_kernels_scalar(d: int, kappa: float) -> tuple[float, float, float]:
+    """``(A_d, A_d', log C_d)`` of one kappa, in Python floats.
+
+    ``special.vmf_kernels`` as it was before its array pass: each kappa has
+    its own backward ratio chain (or Hankel sums), and for d >= 98 its own
+    Debye sum in ``math`` functions; below d = 98 the chain telescopes
+    through ``special._telescoped_log_i``.  The array kernel must give A_d
+    and A_d' bit for bit, and log C_d bit for bit below d = 98.
+    """
+    from groupsim.special import (
+        LOG_2PI,
+        _check_dim,
+        _check_kappa,
+        _hankel_sum,
+        _telescoped_log_i,
+        _use_asymptotic,
+    )
+
+    _check_dim(d)
+    _check_kappa(kappa, positive=True)
+    v = d / 2.0 - 1.0
+    debye = v >= 48.0
+    if _use_asymptotic(kappa, v + 3.0):
+        s0, s1, s2 = (_hankel_sum(v + j, kappa) for j in range(3))
+        a, r_next = s1 / s0, s2 / s1
+        log_i = kappa - 0.5 * math.log(2.0 * math.pi * kappa) + math.log(s0)
+    else:
+        frac = 0.0 if d % 2 == 0 else 0.5
+        idx = int(round(v + 1.0 - frac))
+        a, r_next = _ratio_chain_scalar(kappa, frac, idx)
+        if not debye:
+            log_i = _telescoped_log_i(kappa, frac, idx, a)
+    slope = 0.5 * ((1.0 + a * r_next) - a * ((a + 2.0 * v / kappa) + a))
+    if not math.isfinite(slope):
+        raise ValueError(f"curvature term not finite at d={d}, kappa={kappa!r}")
+    if debye:
+        return a, slope, _debye_log_c_scalar(d, kappa)
+    return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
+
+
+# ---------------------------------------------------------------------------
+# per-bag vMF fits and penalties
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VmfBagFit:
+    """One bag's vMF fit, with the fields of a row of ``vmf.VmfFit`` as scalars."""
+
+    mu_hat: np.ndarray
+    theta_hat: np.ndarray | None
+    kappa_hat: float
+    r_bar: float
+    n: int
+    max_loglik: float
+    a_hat: float
+    a_prime: float
+    resultant: np.ndarray
+    clamped: bool
+
+
+def fit_resultant_per_bag(resultant: np.ndarray, n: int, first_row, angles: bool = False
+                          ) -> VmfBagFit:
+    """The fit of one bag from its resultant S, its row count n and its first
+    row (the direction when S is exactly 0), with one scalar kernel call."""
+    from groupsim.hypersphere import to_spherical
+    from groupsim.special import inv_bessel_ratio
+    from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR
+
+    d = resultant.size
+    resultant_norm = math.sqrt(float(resultant @ resultant))
+    raw_r_bar = resultant_norm / n
+    clamped = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
+    r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
+    if resultant_norm > 0.0:
+        mu_hat = resultant / resultant_norm
+    else:
+        mu_hat = np.array(first_row, dtype=np.float64)
+    kappa_hat = inv_bessel_ratio(d, r_bar)
+    a_hat, a_prime, log_c = vmf_kernels_scalar(d, kappa_hat)
+    return VmfBagFit(mu_hat=mu_hat, theta_hat=to_spherical(mu_hat) if angles else None,
+                     kappa_hat=kappa_hat, r_bar=r_bar, n=n,
+                     max_loglik=n * (kappa_hat * r_bar - log_c), a_hat=a_hat,
+                     a_prime=a_prime, resultant=resultant, clamped=clamped)
+
+
+def fit_vmf_per_bag(sample) -> VmfBagFit:
+    """The fit of one bag of unit rows, checked and summed on its own."""
+    from groupsim.vmf import as_unit_matrix
+
+    x = as_unit_matrix(sample)
+    if len(x) < 2:
+        raise ValueError("need at least two vectors to fit")
+    return fit_resultant_per_bag(np.add.reduce(x, 0), len(x), x[0], angles=True)
+
+
+def tic_penalty_per_bag(fit: VmfBagFit, blocks) -> float:
+    """The tangent-space "tic" penalty of one fit over its float64 unit-row
+    blocks; raises ``DegenerateCurvatureError`` on a clamped fit or a
+    curvature below ``vmf.CURVATURE_FLOOR``."""
+    from groupsim.errors import DegenerateCurvatureError
+    from groupsim.vmf import CURVATURE_FLOOR
+
+    if fit.clamped or min(fit.a_prime, fit.kappa_hat * fit.r_bar) < CURVATURE_FLOOR:
+        raise DegenerateCurvatureError("vMF curvature degenerate; penalty undefined on this bag")
+    n, info_kappa, square_norms, square_dots = 0, 0.0, 0.0, 0.0
+    for x in blocks:
+        dots = x @ fit.mu_hat
+        offsets = dots - fit.a_hat
+        n += len(x)
+        info_kappa += float(np.dot(offsets, offsets))
+        square_norms += float(np.vdot(x, x))
+        square_dots += float(np.dot(dots, dots))
+    return (info_kappa / fit.a_prime
+            + fit.kappa_hat * (square_norms - square_dots) / fit.r_bar) / n
+
+
+def vmf_criteria_per_bag(ic: str, bags, fits, on_degenerate: str = "aic"):
+    """(L, P, fallback, floored dims, clamped) of vMF bags as (B,) arrays,
+    one per-bag fit and penalty at a time: ``comparison.bag_criteria`` for
+    model "vmf", fit by fit."""
+    from groupsim.comparison import count_penalty
+    from groupsim.errors import DegenerateCurvatureError
+
+    count, d = len(fits), fits[0].mu_hat.size
+    fallback = np.zeros(count, bool)
+    if ic != "tic":
+        penalty = count_penalty("vmf", ic, d, [fit.n for fit in fits])
+    else:
+        penalty = np.empty(count)
+        for b, (fit, bag) in enumerate(zip(fits, bags)):
+            try:
+                penalty[b] = tic_penalty_per_bag(
+                    fit, tuple(np.asarray(x, dtype=np.float64) for x in bag))
+            except DegenerateCurvatureError:
+                if on_degenerate != "aic":
+                    raise
+                penalty[b], fallback[b] = d, True
+    return (np.array([fit.max_loglik for fit in fits]), penalty, fallback,
+            np.zeros(count, np.intp), np.array([fit.clamped for fit in fits]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +556,18 @@ def diag_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
     return ll_part + 0.5 * d + 0.5 * float(np.sum(-kurt_j + kurt_1 + kurt_2))
 
 
-def vmf_loglik(fit, sample) -> float:
-    """Log-likelihood of a bag of unit vectors at a ``VmfFit``'s parameters."""
-    from groupsim.special import vmf_kernels
+def vmf_loglik(fit, sample, b: int = 0) -> float:
+    """Log-likelihood of a bag of unit vectors at the parameters of fit ``b``
+    of a batch ``VmfFit``."""
     from groupsim.vmf import as_unit_matrix
 
     x = as_unit_matrix(sample)
-    d = fit.mu_hat.size
+    mu_hat, kappa_hat = fit.mu_hat[b], float(fit.kappa_hat[b])
+    d = mu_hat.size
     if x.shape[1] != d:
         raise ValueError(f"dimension mismatch: fit has {d}, sample has {x.shape[1]}")
-    dots = x @ fit.mu_hat
-    return float(fit.kappa_hat * dots.sum() - x.shape[0] * vmf_kernels(d, fit.kappa_hat)[2])
+    dots = x @ mu_hat
+    return float(kappa_hat * dots.sum() - x.shape[0] * vmf_kernels_scalar(d, kappa_hat)[2])
 
 
 def gaussian_loglik(mu: np.ndarray, var: np.ndarray, sample) -> float:
@@ -729,13 +897,12 @@ def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior
     """(L, P, fallback, floored dims) of one bag from its rows.
 
     Gaussian bags through :func:`fit_gaussian_rows`, vMF bags through one
-    ``fit_vmf`` and one ``_tic_penalty`` (the parameter count in place of
+    :func:`fit_vmf_per_bag` and one :func:`tic_penalty_per_bag` (the parameter count in place of
     a degenerate "tic" penalty when ``on_degenerate="aic"``), "bayes" bags
     through one ``nw_log_evidence``.
     """
     from groupsim.comparison import nw_log_evidence
     from groupsim.errors import DegenerateCurvatureError
-    from groupsim.vmf import _tic_penalty, fit_vmf
 
     n, d = x.shape
     if model == "bayes":
@@ -743,11 +910,11 @@ def criterion_rows(x: np.ndarray, model: str, ic: str, on_degenerate: str, prior
     k = {"vmf": d, "diag": 2 * d, "spherical": d + 1}[model]
     count_penalty = float(k) if ic == "aic" else 0.5 * k * math.log(n)
     if model == "vmf":
-        fit = fit_vmf(x)
+        fit = fit_vmf_per_bag(x)
         if ic != "tic":
             return fit.max_loglik, count_penalty, False, 0
         try:
-            return fit.max_loglik, _tic_penalty(fit, (x,)), False, 0
+            return fit.max_loglik, tic_penalty_per_bag(fit, (x,)), False, 0
         except DegenerateCurvatureError:
             if on_degenerate != "aic":
                 raise
@@ -798,12 +965,12 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
 
     The batch composition before its single bags were swept in one call:
     Gaussian bags read their moments (the joint bags' merged), vMF bags
-    their fits (the joint bags' from summed resultants), and "bayes" bags
-    take one ``nw_log_evidence`` each, the joint bag on the stacked pair.
+    their per-bag fits and penalties (:func:`vmf_criteria_per_bag`; the joint
+    bags' fits from summed resultants), and "bayes" bags take one
+    ``nw_log_evidence`` each, the joint bag on the stacked pair.
     """
     from groupsim import comparison
     from groupsim.gaussian import merge_moments, moments
-    from groupsim.vmf import _fit_resultant, fit_vmf
 
     half = len(first)
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
@@ -815,19 +982,18 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
                                for bag in group])
             zeros = np.zeros(half)
             out.append((loglik, zeros, zeros.astype(bool), zeros.astype(int), zeros.astype(bool)))
+    elif model == "vmf":
+        f1, f2 = [fit_vmf_per_bag(x) for x in first], [fit_vmf_per_bag(x) for x in second]
+        joint = [fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n, x[0])
+                 for a, b, x in zip(f1, f2, first)]
+        out = [vmf_criteria_per_bag(ic, b, f, on_degenerate)
+               for b, f in zip(bags, (joint, f1, f2))]
     else:
-        moms = fits = (None, None, None)
-        if model in ("diag", "spherical"):
-            order = 4 if (model, ic) == ("diag", "tic") else 2
-            mom = moments(*first, *second, order=order)
-            m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
-            moms = (merge_moments(m1, m2), m1, m2)
-        else:
-            f1, f2 = [fit_vmf(x) for x in first], [fit_vmf(x) for x in second]
-            fits = ([_fit_resultant(a.resultant + b.resultant, a.n + b.n, x[0])
-                     for a, b, x in zip(f1, f2, first)], f1, f2)
-        out = [comparison.bag_criteria(model, ic, b, on_degenerate, mom=m, fits=f)
-               for b, m, f in zip(bags, moms, fits)]
+        order = 4 if (model, ic) == ("diag", "tic") else 2
+        mom = moments(*first, *second, order=order)
+        m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
+        out = [comparison.bag_criteria(model, ic, b, on_degenerate, mom=m)
+               for b, m in zip(bags, (merge_moments(m1, m2), m1, m2))]
     (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = out
     terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
     return (terms, f_j | f_1 | f_2, int(d_j.sum() + d_1.sum() + d_2.sum()),
@@ -841,8 +1007,7 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
     can sum to near 0: a spherical Gaussian L = -(n d / 2)(log 2 pi s^2 + 1)
     vanishes at s^2 = 1 / (2 pi e).
     """
-    from groupsim.special import LOG_2PI, vmf_kernels
-    from groupsim.vmf import fit_vmf
+    from groupsim.special import LOG_2PI
 
     n, d = x.shape
     loglik, penalty, _, _ = criterion_rows(x, model, ic, "aic", prior)
@@ -852,8 +1017,8 @@ def _summand_scales(x: np.ndarray, model: str, ic: str, prior) -> tuple[float, f
                 + abs(log_multivariate_gamma(d, prior.nu0 / 2.0))
                 + abs(log_multivariate_gamma(d, nu_n / 2.0)), 0.0)
     if model == "vmf":
-        fit = fit_vmf(x)
-        log_c = vmf_kernels(d, fit.kappa_hat)[2]
+        fit = fit_vmf_per_bag(x)
+        log_c = vmf_kernels_scalar(d, fit.kappa_hat)[2]
         return n * (fit.kappa_hat * fit.r_bar + abs(log_c)), abs(penalty)
     fit = fit_gaussian_rows(x, model)
     l_scale = 0.5 * n * (float(np.abs(np.log(fit.var_hat)).sum()) + d * (LOG_2PI + 1.0))

@@ -53,7 +53,7 @@ def test_criterion_1_penalty_oracle_equivalence():
         x = uniform_sphere(rng, n, d)
         fit = fit_vmf(x)  # the fit the scoring path makes of x, bit for bit
         closed = bag_criteria(VMF, "tic", [(x,)])[1][0]
-        dense = vmf_dense_tic_fd(x, fit.mu_hat, fit.kappa_hat)
+        dense = vmf_dense_tic_fd(x, fit.mu_hat[0], fit.kappa_hat[0])
         worst_vmf = max(worst_vmf, abs(closed - dense) / abs(dense))
 
         y = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, size=d)

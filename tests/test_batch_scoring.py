@@ -262,7 +262,7 @@ class TestRunCounters:
         for a, b, _ in dataset.pairs:
             x1, x2 = (unit_rows_per_bag(lookup_sentence_per_token(stores[True], text, PAD))
                       for text in (a, b))
-            want += sum(fit_vmf(x).degenerate for x in (np.vstack([x1, x2]), x1, x2))
+            want += int(fit_vmf(np.vstack([x1, x2]), x1, x2).clamped.sum())
         assert want == 2
         for method in ("vmf_tic", "vmf_aic"):
             report = evaluate(method, [dataset], stores[True])

@@ -237,20 +237,20 @@ class TestMergedVmfJointFit:
                                          abs=1e-12 * scale), name
         assert got[0].fallback == want.fallback
         stacked = np.vstack([x1, x2])
-        assert got.degenerate_fits == sum(fit_vmf(x).degenerate for x in (stacked, x1, x2))
+        assert got.degenerate_fits == fit_vmf(stacked, x1, x2).clamped.sum()
         return got
 
     @staticmethod
     def joint_fits(monkeypatch):
-        """The joint fits ``pair_scores`` builds, recorded as they are made."""
+        """The batches of joint fits ``pair_scores`` builds, recorded as they are made."""
         made = []
 
         def record(*args, **kwargs):
             made.append(merged(*args, **kwargs))
             return made[-1]
 
-        merged = comparison._fit_resultant
-        monkeypatch.setattr(comparison, "_fit_resultant", record)
+        merged = comparison._fit_resultants
+        monkeypatch.setattr(comparison, "_fit_resultants", record)
         return made
 
     @pytest.mark.parametrize("ic", IC_KINDS)
@@ -258,9 +258,9 @@ class TestMergedVmfJointFit:
         x1 = uniform_sphere(np.random.default_rng(61), 4, 5)
         joint = self.joint_fits(monkeypatch)
         got = self.assert_matches_stacked_oracle(x1, -x1, ic)
-        assert not joint[0].resultant.any()
-        assert joint[0].mu_hat.tobytes() == x1[0].tobytes()
-        assert joint[0].degenerate and joint[0].r_bar == R_BAR_FLOOR
+        assert not joint[0].resultant[0].any()
+        assert joint[0].mu_hat[0].tobytes() == x1[0].tobytes()
+        assert joint[0].clamped[0] and joint[0].r_bar[0] == R_BAR_FLOOR
         assert got.degenerate_fits == 1
         assert got[0].fallback == (ic == "tic")
         if ic == "tic":
@@ -271,7 +271,7 @@ class TestMergedVmfJointFit:
         v = np.array([0.48, 0.6, 0.64])
         joint = self.joint_fits(monkeypatch)
         got = self.assert_matches_stacked_oracle(np.tile(v, (3, 1)), np.tile(v, (4, 1)), ic)
-        assert joint[0].r_bar == R_BAR_CEIL and joint[0].n == 7
+        assert joint[0].r_bar[0] == R_BAR_CEIL and joint[0].n[0] == 7
         assert got.degenerate_fits == 3
         assert got[0].fallback == (ic == "tic")
 
@@ -281,7 +281,7 @@ class TestMergedVmfJointFit:
         x2 = uniform_sphere(np.random.default_rng(62), 5, 4)
         joint = self.joint_fits(monkeypatch)
         got = self.assert_matches_stacked_oracle(x1, x2, ic)
-        assert not joint[0].degenerate and joint[0].theta_hat is None
+        assert not joint[0].clamped[0] and joint[0].theta_hat is None
         assert got.degenerate_fits == 1
         assert got[0].fallback == (ic == "tic")
         assert np.isfinite(got.terms).all()
@@ -292,9 +292,9 @@ class TestMergedVmfJointFit:
         pairs = [random_pair(rng, 6, unit=True) for _ in range(5)]
         calls = []
 
-        def counted(sample):
-            calls.append(len(sample))
-            return fit(sample)
+        def counted(*bags):
+            calls.append([len(x) for x in bags])
+            return fit(*bags)
 
         def no_stack(*args, **kwargs):
             raise AssertionError("a vMF pair was stacked")
@@ -306,7 +306,8 @@ class TestMergedVmfJointFit:
         scores = pair_scores(VMF, ic, [a for a, _ in pairs], [b for _, b in pairs],
                              on_degenerate="aic")
         assert len(scores) == 5
-        assert sorted(calls) == sorted(len(x) for pair in pairs for x in pair)
+        # one batch holds every single bag, first bags then second bags
+        assert calls == [[len(a) for a, _ in pairs] + [len(b) for _, b in pairs]]
 
 
 class TestBic:
@@ -366,7 +367,7 @@ class TestBic:
 
         def bic_of(x):
             fit = fit_vmf(x)
-            return -2.0 * fit.max_loglik + 4 * math.log(x.shape[0])
+            return -2.0 * fit.max_loglik[0] + 4 * math.log(x.shape[0])
 
         expected = -bic_of(np.vstack([x1, x2])) + bic_of(x1) + bic_of(x2)
         assert pair_scores(VMF, "bic", [x1], [x2])[0].value == pytest.approx(

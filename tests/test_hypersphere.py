@@ -65,3 +65,19 @@ class TestToSpherical:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             to_spherical(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 300])
+    def test_rows_equal_per_row_calls(self, d):
+        rows = uniform_sphere(np.random.default_rng(d + 5), 12, d)
+        rows[3] = 0.0
+        rows[3, 0] = -1.0  # a pole: every later angle is 0
+        angles = to_spherical(rows)
+        assert angles.shape == (12, d - 1)
+        for w, phi in zip(rows, angles):
+            np.testing.assert_array_equal(phi, to_spherical(w))
+
+    def test_rows_reject_a_non_unit_row(self):
+        rows = uniform_sphere(np.random.default_rng(1), 4, 3)
+        rows[2] *= 1.01
+        with pytest.raises(ValueError, match="unit-norm"):
+            to_spherical(rows)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from helpers import (
     inv_bessel_ratio_newton,
     log_multivariate_gamma,
     log_vmf_normalizer_mp,
+    vmf_kernels_scalar,
     vmf_kernels_telescoped,
 )
 
@@ -128,6 +130,67 @@ class TestVmfKernels:
                 vmf_kernels(d, kappa)
 
 
+def debye_grid(d: int) -> np.ndarray:
+    """The kappas of the TestVmfKernels and TestDebyeLogNormalizer grids at d."""
+    return np.concatenate([
+        [kappa for _, kappa in REGIMES],
+        [1e-5, 1.0, 1e3, 1e6],
+        np.geomspace(1e-300, 1e16, 80),
+        np.geomspace(1e-6, 1e7, 90),
+        np.geomspace(0.1, 3.0, 40) * max(1.0, d / 2.0 - 1.0),
+    ])
+
+
+def assert_matches_scalar_kernel(d: int, kappas: np.ndarray) -> None:
+    """One array pass against the scalar kernel, element by element: A_d and
+    A_d' bit for bit, log C_d bit for bit below d = 98 and within
+    2e-15 max(1, |log C_d|) of the scalar Debye sum from d = 98 up."""
+    a, slope, log_c = vmf_kernels(d, kappas)
+    assert a.shape == slope.shape == log_c.shape == kappas.shape
+    for i, kappa in enumerate(kappas.tolist()):
+        want_a, want_slope, want_log_c = vmf_kernels_scalar(d, kappa)
+        assert (a[i], slope[i]) == (want_a, want_slope), kappa
+        if d < 98:
+            assert log_c[i] == want_log_c, kappa
+        else:
+            assert abs(log_c[i] - want_log_c) <= 2e-15 * max(1.0, abs(want_log_c)), kappa
+
+
+class TestArrayKernel:
+    """``vmf_kernels`` on an array of kappa: one pass, each element as the
+    scalar kernel gives it (``tests/helpers.vmf_kernels_scalar``)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 17, 50, 96, 97, 98, 99, 150, 300, 301, 1000,
+                                   2047, 2048])
+    def test_grids_match_the_scalar_kernel(self, d):
+        kappas = debye_grid(d)
+        np.random.default_rng(d).shuffle(kappas)
+        assert _use_asymptotic(kappas, d / 2.0 + 2.0).any()
+        assert not _use_asymptotic(kappas, d / 2.0 + 2.0).all()
+        assert_matches_scalar_kernel(d, kappas)
+
+    @pytest.mark.parametrize("d", [3, 96, 97, 98, 99, 300])
+    def test_one_mixed_batch_from_1e_300_to_1e16(self, d):
+        # Hankel and recurrence elements side by side, and start orders from
+        # d/2 + 14 up to several thousand, each element joining the shared pass
+        rng = np.random.default_rng(d + 1)
+        kappas = 10.0 ** rng.uniform(-300.0, 16.0, 200)
+        kappas[:3] = (1e-300, 1e16, 1e7)
+        assert_matches_scalar_kernel(d, kappas)
+
+    def test_a_float_gives_floats(self):
+        for d, kappa in REGIMES:
+            got = vmf_kernels(d, kappa)
+            assert all(type(value) is float for value in got)
+            assert got == tuple(float(column[0]) for column in vmf_kernels(d, np.array([kappa])))
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, 1e17])
+    def test_a_bad_element_is_named(self, bad):
+        kappas = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(ValueError, match=rf"in \(0, 1e\+16\], got {re.escape(repr(bad))} at element 2$"):
+            vmf_kernels(5, kappas)
+
+
 def debye_polynomials(count: int) -> list[dict[int, Fraction]]:
     """u_0 .. u_{count-1} of DLMF 10.41.10 as {power of p: exact coefficient}:
     u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + (1/8) int_0^p (1 - 5 t^2) u_k(t) dt."""
@@ -212,6 +275,17 @@ class TestInverseRatio:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 inv_bessel_ratio(3, bad)
+
+    def test_array_equals_float_calls(self):
+        r_bar = np.array([1e-7, 0.1, 0.5, 0.9, 1.0 - 1e-7])
+        got = inv_bessel_ratio(300, r_bar)
+        assert got.tolist() == [inv_bessel_ratio(300, r) for r in r_bar.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])
+    def test_array_names_its_bad_element(self, bad):
+        r_bar = np.array([0.2, 0.4, bad, 0.6])
+        with pytest.raises(ValueError, match=r"in \(0, 1\), got .* at element 2$"):
+            inv_bessel_ratio(300, r_bar)
 
 
 class TestLogNormalizer:

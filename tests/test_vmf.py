@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 from groupsim.comparison import VMF, bag_criteria
 from groupsim.errors import DegenerateCurvatureError
 from groupsim.special import vmf_kernels
-from groupsim.vmf import _tic_penalty, fit_vmf
+from groupsim.vmf import _fit_resultants, _tic_penalty, fit_vmf
 
 from helpers import (
+    fit_resultant_per_bag,
+    fit_vmf_per_bag,
     inv_bessel_ratio_newton,
     random_rotation,
     sample_vmf,
     uniform_sphere,
     vmf_dense_tic_fd,
+    tic_penalty_per_bag,
     vmf_loglik,
     vmf_tic_penalty_polar,
 )
+
+FIELDS = ("mu_hat", "theta_hat", "kappa_hat", "r_bar", "n", "max_loglik", "a_hat", "a_prime",
+          "resultant", "clamped")
 
 
 class TestFit:
@@ -27,10 +33,10 @@ class TestFit:
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         fit = fit_vmf(x)
         root_half = math.sqrt(0.5)
-        np.testing.assert_allclose(fit.mu_hat, [root_half, root_half], atol=1e-12)
-        assert fit.r_bar == pytest.approx(root_half, rel=1e-12)
-        assert fit.kappa_hat == pytest.approx(root_half * (2 - 0.5) / 0.5, rel=1e-12)
-        assert not fit.degenerate
+        np.testing.assert_allclose(fit.mu_hat[0], [root_half, root_half], atol=1e-12)
+        assert fit.r_bar[0] == pytest.approx(root_half, rel=1e-12)
+        assert fit.kappa_hat[0] == pytest.approx(root_half * (2 - 0.5) / 0.5, rel=1e-12)
+        assert not fit.clamped[0]
 
     def test_mu_is_normalised_resultant(self):
         rng = np.random.default_rng(0)
@@ -38,10 +44,10 @@ class TestFit:
         fit = fit_vmf(x)
         resultant = x.sum(axis=0)
         np.testing.assert_allclose(
-            fit.mu_hat, resultant / np.linalg.norm(resultant), atol=1e-9
+            fit.mu_hat[0], resultant / np.linalg.norm(resultant), atol=1e-9
         )
-        assert fit.max_loglik == pytest.approx(
-            fit.n * (fit.kappa_hat * fit.r_bar - vmf_kernels(6, fit.kappa_hat)[2]),
+        assert fit.max_loglik[0] == pytest.approx(
+            fit.n[0] * (fit.kappa_hat[0] * fit.r_bar[0] - vmf_kernels(6, fit.kappa_hat[0])[2]),
             rel=1e-12,
         )
 
@@ -49,17 +55,17 @@ class TestFit:
         v = np.array([0.6, 0.8])
         x = np.tile(v, (5, 1))
         fit = fit_vmf(x)
-        assert fit.degenerate
-        assert fit.r_bar == 1.0 - 1e-7
-        assert math.isfinite(fit.kappa_hat)
-        assert math.isfinite(fit.max_loglik)
+        assert fit.clamped[0]
+        assert fit.r_bar[0] == 1.0 - 1e-7
+        assert math.isfinite(fit.kappa_hat[0])
+        assert math.isfinite(fit.max_loglik[0])
 
     def test_cancelling_vectors_clamp(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         fit = fit_vmf(x)
-        assert fit.degenerate
-        assert fit.r_bar == 1e-7
-        assert math.isfinite(fit.kappa_hat)
+        assert fit.clamped[0]
+        assert fit.r_bar[0] == 1e-7
+        assert math.isfinite(fit.kappa_hat[0])
 
     def test_synthetic_recovery(self):
         rng = np.random.default_rng(42)
@@ -67,8 +73,8 @@ class TestFit:
         mu[0] = 1.0
         x = sample_vmf(rng, mu, kappa=10.0, n=50)
         fit = fit_vmf(x)
-        assert abs(fit.kappa_hat - 10.0) / 10.0 < 0.25
-        assert float(fit.mu_hat @ mu) > 0.95
+        assert abs(fit.kappa_hat[0] - 10.0) / 10.0 < 0.25
+        assert float(fit.mu_hat[0] @ mu) > 0.95
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit-norm"):
@@ -80,31 +86,114 @@ class TestFit:
             fit_vmf(np.array([[1.0, 0.0, 0.0], [bad, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
+class TestBatchFit:
+    """``fit_vmf(*bags)`` against the per-bag oracle ``fit_vmf_per_bag``, field by field."""
+
+    @staticmethod
+    def bags(d):
+        rng = np.random.default_rng(d)
+        bags = [uniform_sphere(rng, int(n), d) for n in rng.integers(2, 12, size=9)]
+        bags[2] = np.tile(bags[2][0], (5, 1))  # identical rows: clamped at the ceiling
+        bags[4] = np.vstack([bags[4][0], -bags[4][0]])  # cancelling exactly: at the floor
+        bags[6] = bags[6].astype(np.float32)
+        return bags
+
+    @staticmethod
+    def assert_row_matches(batch, b, want, d):
+        for name in FIELDS:
+            got = getattr(batch, name)[b]
+            if name == "max_loglik" and d >= 98:
+                # log C_d from the array Debye sum, within 2e-15 max(1, |log C_d|)
+                # of the scalar one, and times n
+                log_c = want.kappa_hat * want.r_bar - want.max_loglik / want.n
+                bound = 2e-15 * want.n * max(1.0, abs(log_c)) + 4e-16 * abs(want.max_loglik)
+                assert abs(got - want.max_loglik) <= bound
+            else:
+                np.testing.assert_array_equal(got, getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 300, 301])
+    def test_fields_match_the_per_bag_oracle(self, d):
+        bags = self.bags(d)
+        batch = fit_vmf(*bags)
+        assert batch.mu_hat.shape == batch.resultant.shape == (9, d)
+        assert batch.theta_hat.shape == (9, d - 1)
+        assert batch.clamped.tolist() == [b in (2, 4) for b in range(9)]
+        assert batch.r_bar[2] == 1.0 - 1e-7 and batch.r_bar[4] == 1e-7
+        assert batch.mu_hat[4].tobytes() == bags[4][0].tobytes()
+        for b, bag in enumerate(bags):
+            self.assert_row_matches(batch, b, fit_vmf_per_bag(bag), d)
+
+    @pytest.mark.parametrize("d", [5, 300])
+    def test_a_batch_of_one(self, d):
+        for bag in self.bags(d):
+            self.assert_row_matches(fit_vmf(bag), 0, fit_vmf_per_bag(bag), d)
+
+    def test_joint_fits_from_summed_resultants(self):
+        # the scoring path's joint fits: one array core call on S_1 + S_2, n_1 + n_2
+        bags = self.bags(6)
+        first, second = bags[:4], bags[4:8]
+        singles = fit_vmf(*first, *second)
+        joint = _fit_resultants(singles.resultant[:4] + singles.resultant[4:],
+                                singles.n[:4] + singles.n[4:], first)
+        assert joint.theta_hat is None
+        for p, (x1, x2) in enumerate(zip(first, second)):
+            a, b = fit_vmf_per_bag(x1), fit_vmf_per_bag(x2)
+            want = fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n, x1[0])
+            for name in FIELDS[2:]:
+                np.testing.assert_array_equal(getattr(joint, name)[p], getattr(want, name),
+                                              err_msg=name)
+            np.testing.assert_array_equal(joint.mu_hat[p], want.mu_hat)
+
+    def test_penalties_match_the_per_bag_oracle(self):
+        bags = self.bags(7)
+        fit = fit_vmf(*bags)
+        penalty, defined = _tic_penalty(fit, [(x,) for x in bags])
+        for b, bag in enumerate(bags):
+            want = fit_vmf_per_bag(bag)
+            if b in (2, 4):
+                assert not defined[b] and math.isnan(penalty[b])
+                with pytest.raises(DegenerateCurvatureError):
+                    tic_penalty_per_bag(want, (np.asarray(bag, dtype=np.float64),))
+            else:
+                assert defined[b]
+                assert penalty[b] == tic_penalty_per_bag(want, (np.asarray(bag, dtype=np.float64),))
+
+    def test_width_mismatch_names_both_widths(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+            fit_vmf(uniform_sphere(rng, 3, 4), uniform_sphere(rng, 3, 5))
+
+    def test_needs_a_bag_of_two_rows(self):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="two vectors"):
+            fit_vmf(uniform_sphere(rng, 3, 4), uniform_sphere(rng, 1, 4))
+
+
 class TestLoglik:
     def test_self_evaluation_matches_max(self):
         rng = np.random.default_rng(1)
         for d in (2, 3, 8):
             x = uniform_sphere(rng, 12, d)
             fit = fit_vmf(x)
-            assert vmf_loglik(fit, x) == pytest.approx(fit.max_loglik, abs=1e-10)
+            assert vmf_loglik(fit, x) == pytest.approx(fit.max_loglik[0], abs=1e-10)
 
     def test_orthogonal_vector_adds_normalizer_only(self):
         rng = np.random.default_rng(2)
         x = uniform_sphere(rng, 10, 5)
         fit = fit_vmf(x)
         v = rng.standard_normal(5)
-        v -= v.dot(fit.mu_hat) * fit.mu_hat
+        v -= v.dot(fit.mu_hat[0]) * fit.mu_hat[0]
         v /= np.linalg.norm(v)
         extended = np.vstack([x, v])
         delta = vmf_loglik(fit, extended) - vmf_loglik(fit, x)
-        assert delta == pytest.approx(-vmf_kernels(5, fit.kappa_hat)[2], abs=1e-10)
+        assert delta == pytest.approx(-vmf_kernels(5, fit.kappa_hat[0])[2], abs=1e-10)
 
     def test_against_naive_summation(self):
         rng = np.random.default_rng(3)
         x = uniform_sphere(rng, 15, 4)
         fit = fit_vmf(x)
-        log_z = vmf_kernels(4, fit.kappa_hat)[2]
-        naive = sum(fit.kappa_hat * float(w @ fit.mu_hat) - log_z for w in x)
+        log_z = vmf_kernels(4, fit.kappa_hat[0])[2]
+        naive = sum(fit.kappa_hat[0] * float(w @ fit.mu_hat[0]) - log_z for w in x)
         assert vmf_loglik(fit, x) == pytest.approx(naive, abs=1e-10)
 
     def test_dimension_mismatch(self):
@@ -124,8 +213,8 @@ class TestTicPenalty:
         x = uniform_sphere(np.random.default_rng(12), 9, 4)
         fit = fit_vmf(x)
         loglik, penalty, fallback, _, degenerate = bag_criteria(VMF, "tic", [(x,)])
-        assert loglik[0] == fit.max_loglik
-        assert penalty[0] == _tic_penalty(fit, (x,))
+        assert loglik[0] == fit.max_loglik[0]
+        assert penalty[0] == _tic_penalty(fit, [(x,)])[0][0]
         assert not fallback[0] and not degenerate[0]
 
     @pytest.mark.parametrize("d,n,seed", [(3, 5, 0), (3, 20, 1), (5, 12, 2), (4, 8, 3)])
@@ -134,7 +223,7 @@ class TestTicPenalty:
         x = uniform_sphere(rng, n, d)
         fit = fit_vmf(x)
         closed = tic_penalty(x)
-        dense = vmf_dense_tic_fd(x, fit.mu_hat, fit.kappa_hat)
+        dense = vmf_dense_tic_fd(x, fit.mu_hat[0], fit.kappa_hat[0])
         assert closed == pytest.approx(dense, rel=1e-3)
 
     @given(
@@ -153,7 +242,7 @@ class TestTicPenalty:
         else:
             x = uniform_sphere(rng, n, d)
         fit = fit_vmf(x)
-        polar = vmf_tic_penalty_polar(x, fit.mu_hat, fit.kappa_hat)
+        polar = vmf_tic_penalty_polar(x, fit.mu_hat[0], fit.kappa_hat[0])
         assert tic_penalty(x) == pytest.approx(polar, rel=1e-9)
 
     def test_axis_aligned_mean_needs_no_clamp(self):
@@ -161,11 +250,11 @@ class TestTicPenalty:
         # does not: the penalty equals that of a rotated copy of the bag
         x = np.array([[0.8, 0.6, 0.0], [0.8, -0.6, 0.0], [0.8, 0.0, 0.6], [0.8, 0.0, -0.6]])
         fit = fit_vmf(x)
-        np.testing.assert_allclose(fit.mu_hat, [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(fit.mu_hat[0], [1.0, 0.0, 0.0], atol=1e-15)
         xr = x @ random_rotation(np.random.default_rng(11), 3).T
         fr = fit_vmf(xr)
         assert tic_penalty(x) == pytest.approx(tic_penalty(xr), rel=1e-12)
-        dense = vmf_dense_tic_fd(xr, fr.mu_hat, fr.kappa_hat)
+        dense = vmf_dense_tic_fd(xr, fr.mu_hat[0], fr.kappa_hat[0])
         assert tic_penalty(x) == pytest.approx(dense, rel=1e-3)
 
     def test_degenerate_raises_never_nan(self):
@@ -195,10 +284,10 @@ class TestTicPenalty:
         rng = np.random.default_rng(9)
         x = uniform_sphere(rng, 10, 4)
         fit = fit_vmf(x)
-        kappa_mle = inv_bessel_ratio_newton(4, fit.r_bar)  # the mixed terms vanish at the MLE
+        kappa_mle = inv_bessel_ratio_newton(4, fit.r_bar[0])  # the mixed terms vanish at the MLE
         from helpers import sph_to_vec, vec_to_sph
 
-        theta = vec_to_sph(fit.mu_hat)
+        theta = vec_to_sph(fit.mu_hat[0])
         h = 1e-5
 
         def total(theta_vec, kappa):
@@ -245,7 +334,7 @@ class TestTicPenalty:
             # of this thread only, since a threaded BLAS's helpers spin-wait
             start = time.thread_time()
             for _ in range(calls):
-                _tic_penalty(fit, (data,))
+                _tic_penalty(fit, [(data,)])
             return time.thread_time() - start
 
         # warm both sizes, so every reading follows a call on the other size: a
