@@ -3,6 +3,8 @@
 # Usage: PYTHONPATH=src [RUNNER_TEMP=<scratch dir>] scripts/ci_smoke.sh
 # Without RUNNER_TEMP the files go to a new mktemp directory, removed on exit.
 set -euo pipefail
+# overflow and invalid-value warnings are errors here too, as in the tier-1 tests
+export PYTHONWARNINGS=error::RuntimeWarning
 
 if [ -n "${RUNNER_TEMP:-}" ]; then
     tmp="$RUNNER_TEMP"

@@ -19,7 +19,7 @@ from .comparison import (
 )
 from .embeddings import (
     EmbeddingStore,
-    SentenceSample,
+    SentenceBlock,
     find_pad_token,
     load_embeddings,
     lookup_sentence,
@@ -56,7 +56,7 @@ __all__ = [
     "PenaltyCurveRow",
     "ScoreBreakdown",
     "ScoredPairSet",
-    "SentenceSample",
+    "SentenceBlock",
     "SimilarityScore",
     "SUPPORTED_METHODS",
     "UnknownTokenError",

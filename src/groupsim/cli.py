@@ -100,19 +100,19 @@ def _cmd_score(args: argparse.Namespace) -> int:
     _check_scoring(args)
     store = _load_store(args)
     pad = args.pad_token or find_pad_token(store)
-    sample_a = lookup_sentence(store, args.sentence_a, pad)
-    sample_b = lookup_sentence(store, args.sentence_b, pad)
-    if sample_a.token_count_before_padding == 0 or sample_b.token_count_before_padding == 0:
+    a = lookup_sentence(store, args.sentence_a, pad)
+    b = lookup_sentence(store, args.sentence_b, pad)
+    if not (a.tokens[0] and b.tokens[0]):
         print("warning: a sentence had no in-vocabulary tokens (double padding applied)",
               file=sys.stderr)
     options = _options(args, dim=store.dim)
-    score = evaluation.score_pair(args.method, sample_a, sample_b, store, options)
+    score = evaluation.score_pair(args.method, a, b, store, options)
     print(f"{args.method}\t{score.value!r}")
     if args.verbose and score.breakdown is not None:
-        b = score.breakdown
+        breakdown = score.breakdown
         for key in ("loglik_joint", "loglik_1", "loglik_2",
                     "penalty_joint", "penalty_1", "penalty_2", "alpha"):
-            print(f"  {key} = {getattr(b, key)!r}")
+            print(f"  {key} = {getattr(breakdown, key)!r}")
         print(f"  fallback = {score.fallback}")
     return EXIT_OK
 

@@ -244,7 +244,7 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
                 prior: NormalWishartPrior | None = None) -> PairScores:
     """Scores of the pairs (first[p], second[p]), two equal-length lists of
-    bags, each a ``SentenceSample`` or (n, d) rows read in their own dtype.
+    bags, each (n, d) rows or a one-bag block, read in their own dtype.
 
     ``(model, ic)`` is one of :data:`MODELS` by one of :data:`IC_KINDS`
     (``vmf_bic``, ``spherical_tic`` and ``spherical_bic`` have no method

@@ -2,12 +2,14 @@
 
 Loads whitespace-separated text embeddings (``token v1 ... vd`` per line,
 optional two-integer count/dimension header) into an immutable store, and
-turns raw text into bags of vectors under a uniform padding rule: every
-sentence receives one copy of a designated pad vector, and fully
+turns raw text into a block of bags of vectors under a uniform padding rule:
+every sentence receives one copy of a designated pad vector, and fully
 out-of-vocabulary sentences receive two, so downstream dispersion estimates
-are always defined (n >= 2).  Bags keep the store's dtype (float32 from the
-loader); a kernel reads one bag at a time as float64 (:func:`as_matrix`), so
-no step casts a whole corpus or dataset.
+are always defined (n >= 2).  A bag is an (n, d) array or a row range of a
+:class:`SentenceBlock`; a looked-up sentence is a block of one.  Bags keep
+the store's dtype (float32 from the loader); a kernel reads one bag at a
+time as float64 (:func:`as_matrix`), so no step casts a whole corpus or
+dataset.
 """
 
 from __future__ import annotations
@@ -60,44 +62,64 @@ class EmbeddingStore:
 
 
 @dataclass(frozen=True)
-class SentenceSample:
-    """Ordered bag of embedding vectors for one sentence.
+class SentenceBlock:
+    """The bags of many sentences as row ranges of one block, in the store's dtype.
 
-    ``vectors`` has shape (n, d), in the store's dtype when looked up, with
-    n >= 2 guaranteed by padding.  ``tokens`` keeps the retained
-    in-vocabulary tokens (pad excluded) for methods that reweight per token.
+    Bag ``i`` is ``vectors[starts[i]:starts[i] + sizes[i]]``: the rows of
+    ``tokens[i]``, its retained tokens in sentence order, then the pad
+    vector once (twice when no token was retained).  The bags tile the block
+    in order, without gaps, so ``starts`` is derived from ``sizes``.  No
+    scorer modifies the block; each reads a bag at a time as float64.
+    ``tokens[i]`` is a list: a dataset's worth of short tuples freed at once
+    fills CPython's per-size tuple free lists, which held about 2 MB more of
+    small-object arenas after a dozen benchmark passes.
     """
 
     vectors: np.ndarray
-    token_count_before_padding: int
-    tokens: tuple[str, ...] = ()
-    oov_count: int = 0
+    sizes: np.ndarray
+    tokens: tuple[list[str], ...]
+    oov_counts: tuple[int, ...]
+    starts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.vectors.ndim != 2 or self.vectors.shape[0] < 2:
-            raise ValueError("a sentence sample needs at least two vectors")
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("sentence vectors must be finite")
+        object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
+    def __len__(self) -> int:
+        return len(self.tokens)
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    def rows(self, i: int) -> np.ndarray:
+        start = self.starts[i]
+        return self.vectors[start:start + self.sizes[i]]
+
+    @property
+    def token_count_before_padding(self) -> int:
+        """Retained tokens over all bags."""
+        return sum(map(len, self.tokens))
+
+    @property
+    def oov_count(self) -> int:
+        """Out-of-vocabulary tokens dropped over all bags."""
+        return sum(self.oov_counts)
+
 
 def bag_rows(data) -> np.ndarray:
-    """(n, d) rows of a SentenceSample or array-like, in their own dtype."""
-    rows = np.asarray(data.vectors if isinstance(data, SentenceSample) else data)
+    """(n, d) rows of an array-like or a one-bag :class:`SentenceBlock`, in their own dtype."""
+    if isinstance(data, SentenceBlock):
+        if len(data) != 1:
+            raise ValueError(f"expected a block of one bag, got {len(data)} bags")
+        data = data.vectors
+    rows = np.asarray(data)
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
     return rows
 
 
 def as_matrix(data) -> np.ndarray:
-    """(n, d) float64 rows of a SentenceSample or array-like: a view when they are float64."""
+    """(n, d) float64 rows of a bag (:func:`bag_rows`): a view when they are float64."""
     return np.asarray(bag_rows(data), dtype=np.float64)
 
 
@@ -246,77 +268,17 @@ def find_pad_token(store: EmbeddingStore) -> str:
     return next(iter(store.vocab))
 
 
-def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> SentenceSample:
-    """Assemble the vector bag for a sentence under the uniform padding rule.
-
-    Tokens missing from the vocabulary are dropped (counted in ``oov_count``).
-    The pad vector is appended once to every sentence; a sentence with no
-    retained tokens gets it twice, so n >= 2 always holds.  A block of one
-    sentence (:func:`lookup_sentences`).
-    """
-    return lookup_sentences(store, [text], pad_token).sample(0)
-
-
-@dataclass(frozen=True)
-class SentenceBlock:
-    """The bags of many sentences as row ranges of one block, in the store's dtype.
-
-    Bag ``i`` is ``vectors[starts[i]:starts[i] + sizes[i]]``: the rows of
-    ``tokens[i]``, its retained tokens in sentence order, then the pad
-    vector once (twice when no token was retained).  The bags tile the block
-    in order, without gaps, so ``starts`` is derived from ``sizes``.  No
-    scorer modifies the block; each reads a bag at a time as float64.
-    ``tokens[i]`` is a list: a dataset's worth of short tuples freed at once
-    fills CPython's per-size tuple free lists, which held about 2 MB more of
-    small-object arenas after a dozen benchmark passes.
-    """
-
-    vectors: np.ndarray
-    sizes: np.ndarray
-    tokens: tuple[list[str], ...]
-    oov_counts: tuple[int, ...]
-    starts: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def rows(self, i: int) -> np.ndarray:
-        start = self.starts[i]
-        return self.vectors[start:start + self.sizes[i]]
-
-    def sample(self, i: int) -> SentenceSample:
-        return SentenceSample(
-            vectors=self.rows(i),
-            token_count_before_padding=len(self.tokens[i]),
-            tokens=tuple(self.tokens[i]),
-            oov_count=self.oov_counts[i],
-        )
-
-    @classmethod
-    def stack(cls, samples) -> SentenceBlock:
-        """A block holding the given sentence samples, in order; they must share one width."""
-        for s in samples:
-            if s.dim != samples[0].dim:
-                raise ValueError(f"dimension mismatch: {samples[0].dim} vs {s.dim}")
-        sizes = np.array([s.n for s in samples], dtype=np.intp)
-        return cls(
-            vectors=np.vstack([s.vectors for s in samples]),
-            sizes=sizes,
-            tokens=tuple(list(s.tokens) for s in samples),
-            oov_counts=tuple(s.oov_count for s in samples),
-        )
+def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> SentenceBlock:
+    """The block of the one sentence ``text``: ``lookup_sentences(store, [text], pad_token)``."""
+    return lookup_sentences(store, [text], pad_token)
 
 
 def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBlock:
-    """The padded bags of many sentences in one block (see :func:`lookup_sentence`).
+    """The padded bags of many sentences in one block.
 
+    Tokens missing from the vocabulary are dropped (counted in
+    ``oov_counts``).  The pad vector is appended once to every sentence; a
+    sentence with no retained tokens gets it twice, so n >= 2 always holds.
     Each text is tokenised once; the rows of all bags are gathered from the
     store in one ``take``, in the store's dtype, and checked finite.  Bags
     are laid out in the order of ``texts``.

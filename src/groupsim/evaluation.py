@@ -21,7 +21,9 @@ their sentence vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
 sentence vector scores 0.0).  Every per-pair value agrees with scoring the
 pair alone the way the harness did before dataset batches (the tests check
-1e-12 relative).
+1e-12 relative).  One pair, two one-bag blocks from
+:func:`groupsim.embeddings.lookup_sentence`, is scored as a block of two
+(:func:`score_pair`).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from . import baselines, comparison
 from .embeddings import (
     EmbeddingStore,
     SentenceBlock,
-    SentenceSample,
     as_matrix,
+    bag_rows,
     find_pad_token,
     lookup_sentences,
 )
@@ -200,13 +202,13 @@ def spearman(xs, ys) -> float:
     return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def unit_rows(sample, out=None) -> np.ndarray:
-    """Row-normalised float64 copy of a sample's (or a block's) vectors, for
-    sphere likelihoods; written to ``out`` when given, which must be float64
-    and may be the vectors."""
+def unit_rows(rows, out=None) -> np.ndarray:
+    """Row-normalised float64 copy of (n, d) rows, or of a one-bag block's,
+    for sphere likelihoods; written to ``out`` when given, which must be
+    float64 and may be the rows."""
     if out is not None and out.dtype != np.float64:
         raise ValueError(f"out must be float64, got {out.dtype}")
-    x = as_matrix(sample)
+    x = as_matrix(rows)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero vector cannot be projected to the sphere")
@@ -276,15 +278,22 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
 
 def score_pair(
     method: str,
-    sample_a: SentenceSample,
-    sample_b: SentenceSample,
+    a: SentenceBlock,
+    b: SentenceBlock,
     store: EmbeddingStore,
     options: EvalOptions | None = None,
 ) -> comparison.SimilarityScore:
     """Score one pair with any supported method (baselines included): a
-    batch of one, on a copy of the two samples' rows.  ``store`` is not
-    read; it stays in the signature for existing callers."""
-    block = SentenceBlock.stack([sample_a, sample_b])
+    batch of one, on a block of two joined from the one-bag blocks ``a`` and
+    ``b`` (:func:`groupsim.embeddings.lookup_sentence`), which must be as
+    wide as ``store``."""
+    rows = [bag_rows(a), bag_rows(b)]  # a block of k != 1 bags raises
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.dim != store.dim:
+        raise ValueError(f"dimension mismatch: {store.dim} vs {a.dim}")
+    block = SentenceBlock(np.vstack(rows), np.concatenate([a.sizes, b.sizes]),
+                          a.tokens + b.tokens, a.oov_counts + b.oov_counts)
     return _score_block(method, block, options or EvalOptions())[0]
 
 

@@ -74,7 +74,7 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
 
 
 def moments(*bags, order: int = 4) -> GaussianMoments:
-    """Moments of each bag (a SentenceSample or an (n, d) array), as one batch.
+    """Moments of each bag (an (n, d) array or a one-bag block), as one batch.
 
     ``order=4`` (the default) takes M2, M3 and M4; ``order=2`` stops after
     M2 and leaves ``m3`` and ``m4`` None, with n, the mean and M2 bit for

@@ -11,8 +11,8 @@ diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
 brute-force quadrature for marginal likelihoods, plus the dense
 Normal-Wishart evidence, the multivariate log-gamma as a full sum of its
 terms, the column-major low-rank evidence with full multivariate gammas, the
-line-by-line embedding loader, Spearman rho from scipy's average ranks,
-the per-pair evaluation path: sentence
+line-by-line embedding loader, a block of given bags, Spearman rho from
+scipy's average ranks, the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
 on a stacked joint bag, for every model, the batch composition from three
 per-bag criterion calls, and corpus model selection with one fit per
@@ -1067,9 +1067,19 @@ def pair_rows_per_pair(method: str, pairs, store, pad_token: str):
     return rows
 
 
+def block_of(*arrays, tokens=None):
+    """A block of the given (n, d) bags, in order, with ``tokens[i]`` (empty
+    lists by default) as bag i's tokens and no out-of-vocabulary count."""
+    from groupsim.embeddings import SentenceBlock
+
+    tokens = [[] for _ in arrays] if tokens is None else [list(t) for t in tokens]
+    return SentenceBlock(np.vstack(arrays), np.array([len(x) for x in arrays], dtype=np.intp),
+                         tuple(tokens), (0,) * len(arrays))
+
+
 def lookup_sentence_per_token(store, text: str, pad_token: str):
-    """The sentence lookup before dataset blocks: one bag per call."""
-    from groupsim.embeddings import SentenceSample, tokenize
+    """The sentence lookup before dataset blocks: a block of one bag per call."""
+    from groupsim.embeddings import SentenceBlock, tokenize
 
     if pad_token not in store:
         raise KeyError(f"pad token {pad_token!r} not in vocabulary")
@@ -1082,8 +1092,8 @@ def lookup_sentence_per_token(store, text: str, pad_token: str):
         vectors = np.vstack([body, pad_vec])
     else:
         vectors = np.vstack([pad_vec, pad_vec])
-    return SentenceSample(vectors=vectors, token_count_before_padding=len(retained),
-                          tokens=tuple(retained), oov_count=len(tokens) - len(retained))
+    return SentenceBlock(vectors, np.array([len(vectors)], dtype=np.intp), (retained,),
+                         (len(tokens) - len(retained),))
 
 
 def unit_rows_per_bag(sample) -> np.ndarray:
@@ -1110,9 +1120,9 @@ def embedding_scores_per_sentence(method, samples_a, samples_b, store, options) 
     from groupsim.baselines import remove_first_pc
 
     def sentence_vector(sample):
-        if method == "mwv" or not sample.tokens:
+        if method == "mwv" or not sample.tokens[0]:
             return sample.vectors.mean(axis=0)
-        return sif_embed_per_token(sample.tokens, store, options.freqs, options.sif_a)
+        return sif_embed_per_token(sample.tokens[0], store, options.freqs, options.sif_a)
 
     va = np.vstack([sentence_vector(s) for s in samples_a])
     vb = np.vstack([sentence_vector(s) for s in samples_b])

@@ -15,9 +15,10 @@ from groupsim.baselines import (
     row_cosines,
     sif_weights,
 )
-from groupsim.embeddings import SentenceBlock, SentenceSample
 from groupsim.errors import EmbeddingFormatError
 from groupsim.evaluation import EvalOptions, embedding_scores, pair_block, score_pair
+
+from helpers import block_of
 
 PAD = "."
 
@@ -32,13 +33,9 @@ def sif_score(store, a: str, b: str, freqs=None, sif_a: float = 1e-3) -> float:
     return float(embedding_scores("sif", block, EvalOptions(sif_a=sif_a, freqs=freqs))[0])
 
 
-def samples(*bags) -> list[SentenceSample]:
-    return [SentenceSample(vectors=x, token_count_before_padding=1) for x in bags]
-
-
 def mwv(x1, x2) -> float:
     """The harness's "mwv" score of two bags of rows, from a block of two."""
-    return float(embedding_scores("mwv", SentenceBlock.stack(samples(x1, x2)), EvalOptions())[0])
+    return float(embedding_scores("mwv", block_of(x1, x2), EvalOptions())[0])
 
 
 def vec(store, token: str) -> np.ndarray:
@@ -70,15 +67,15 @@ class TestMwv:
         x1 = np.array([[1.0, 0.0, 2.0, 0.0], [-1.0, 0.0, -2.0, 0.0]])
         x2 = np.array([[1.0, 0.0, 0.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
         assert mwv(x1, x2) == 0.0
-        assert score_pair("mwv", *samples(x1, x2), store).value == 0.0
+        assert score_pair("mwv", block_of(x1), block_of(x2), store).value == 0.0
 
     def test_equals_harness(self, store):
         # a pair scored alone equals its row of a whole dataset's batch, bit for bit
         rng = np.random.default_rng(9)
         pairs = [(rng.standard_normal((5, 4)), rng.standard_normal((3, 4))) for _ in range(20)]
-        block = SentenceBlock.stack(samples(*(x1 for x1, _ in pairs), *(x2 for _, x2 in pairs)))
+        block = block_of(*(x1 for x1, _ in pairs), *(x2 for _, x2 in pairs))
         batch = embedding_scores("mwv", block, EvalOptions())
-        alone = [score_pair("mwv", *samples(x1, x2), store).value for x1, x2 in pairs]
+        alone = [score_pair("mwv", block_of(x1), block_of(x2), store).value for x1, x2 in pairs]
         assert alone == batch.tolist()
 
     def test_dimension_mismatch(self):

@@ -18,7 +18,6 @@ from groupsim.comparison import IC_KINDS, MODELS, corpus_model_selection
 from groupsim.vmf import fit_vmf
 from groupsim.embeddings import (
     EmbeddingStore,
-    SentenceSample,
     load_embeddings,
     lookup_sentence,
     lookup_sentences,
@@ -40,6 +39,7 @@ from groupsim.evaluation import (
 
 from conftest import EMBEDDING_FIXTURE
 from helpers import (
+    block_of,
     lookup_sentence_per_token,
     pair_rows_per_pair,
     pair_scores_per_pair,
@@ -122,12 +122,12 @@ def test_block_bags_equal_per_sentence_lookups(stores, texts):
     block = lookup_sentences(store, texts, PAD)
     for i, text in enumerate(texts):
         want = lookup_sentence_per_token(store, text, PAD)
-        got = block.sample(i)
-        np.testing.assert_array_equal(got.vectors, want.vectors)
-        assert got.vectors.dtype == store.matrix.dtype
-        assert got.tokens == want.tokens
-        assert got.token_count_before_padding == want.token_count_before_padding
-        assert got.oov_count == want.oov_count
+        got = block.rows(i)
+        np.testing.assert_array_equal(got, want.vectors)
+        assert got.dtype == store.matrix.dtype
+        assert block.tokens[i] == want.tokens[0]
+        assert len(block.tokens[i]) == want.token_count_before_padding
+        assert block.oov_counts[i] == want.oov_count
 
 
 def test_score_pair_leaves_samples_for_the_next_method(stores):
@@ -149,10 +149,27 @@ def test_score_pair_leaves_samples_for_the_next_method(stores):
 @pytest.mark.parametrize("method", ["diag_aic", "vmf_tic", "bayes_factor", "mwv"])
 def test_score_pair_width_mismatch_named(stores, method):
     rng = np.random.default_rng(2)
-    sa, sb = (SentenceSample(vectors=rng.standard_normal((3, d)), token_count_before_padding=2)
-              for d in (4, 5))
+    sa, sb = (block_of(rng.standard_normal((3, d)), tokens=[["the", "cat"]]) for d in (4, 5))
     with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
         score_pair(method, sa, sb, stores[False], OPTIONS)
+
+
+@pytest.mark.parametrize("method", ["diag_aic", "vmf_tic", "bayes_factor", "mwv"])
+def test_score_pair_store_width_mismatch_named(stores, method):
+    """Two bags as wide as each other but not as the store raise, naming both widths."""
+    rng = np.random.default_rng(3)
+    sa, sb = (block_of(rng.standard_normal((3, 5)), tokens=[["the", "cat"]]) for _ in range(2))
+    with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+        score_pair(method, sa, sb, stores[False], OPTIONS)
+
+
+@pytest.mark.parametrize("texts", [[], ["the cat", "dog sat"]])
+def test_score_pair_rejects_blocks_of_other_sizes(stores, texts):
+    store = stores[False]
+    one, other = lookup_sentence(store, "the cat", PAD), lookup_sentences(store, texts, PAD)
+    for a, b in ((one, other), (other, one)):
+        with pytest.raises(ValueError, match=f"got {len(texts)} bags"):
+            score_pair("diag_aic", a, b, store, OPTIONS)
 
 
 @pytest.fixture(scope="module")

@@ -71,6 +71,12 @@ class TestScore:
         captured = capsys.readouterr()
         assert "no in-vocabulary" in captured.err
 
+    @pytest.mark.parametrize("a,b,warns", [("the cat", "zzz qqq", True),
+                                           ("the cat", "the dog", False)])
+    def test_warns_only_when_a_sentence_keeps_no_token(self, embedding_file, capsys, a, b, warns):
+        assert main(["score", "--embeddings", str(embedding_file), a, b]) == EXIT_OK
+        assert ("no in-vocabulary" in capsys.readouterr().err) == warns
+
     def test_invalid_method_usage_error(self, embedding_file, capsys):
         code = main([
             "score", "--embeddings", str(embedding_file), "--method", "bogus",

@@ -143,8 +143,8 @@ class TestGenericComposition:
     @pytest.mark.parametrize("model,ic", [(model, ic) for model in MODELS for ic in IC_KINDS]
                              + [("bayes", None)])
     def test_sentence_samples_score_as_their_rows(self, model, ic, store, unit_store):
-        """A bag may be a looked-up ``SentenceSample``: the batch is bit for
-        bit the batch of its rows."""
+        """A bag may be a looked-up one-bag ``SentenceBlock``: the batch is bit
+        for bit the batch of its rows."""
         lexicon = unit_store if model == VMF else store
         a, b = (lookup_sentence(lexicon, text, ".") for text in ("the cat sat on the mat", "dog"))
         got = pair_scores(model, ic, [a, b], [b, a], on_degenerate="aic")
@@ -921,3 +921,35 @@ class TestOnDegenerate:
         for candidates in ([(DIAG, "aic")], [(VMF, "tic")]):
             with pytest.raises(ValueError, match="on_degenerate"):
                 corpus_model_selection(corpus, candidates, on_degenerate=value)
+
+
+class TestSharedPadRow:
+    """Every looked-up bag ends in the pad row, so both bags of a pair share
+    it.  Under the null (all rows from one law) a shared row raises the
+    score: 3 rows plus a shared pad row per bag score higher on average than
+    4 independent rows per bag, by more than 3 standard errors of the
+    difference of the two means (200 pairs each, d = 16, seed 5)."""
+
+    D, PAIRS = 16, 200
+
+    @pytest.mark.parametrize("model,ic", [(DIAG, "aic"), (VMF, "tic")])
+    def test_shared_pad_row_raises_the_null_score(self, model, ic):
+        rng = np.random.default_rng(5)
+
+        def draw(n):
+            x = rng.standard_normal((n, self.D))
+            return x / np.linalg.norm(x, axis=1, keepdims=True) if model == VMF else x
+
+        shared_first, shared_second, first, second = [], [], [], []
+        for _ in range(self.PAIRS):
+            pad = draw(1)
+            shared_first.append(np.vstack([draw(3), pad]))
+            shared_second.append(np.vstack([draw(3), pad]))
+            first.append(draw(4))
+            second.append(draw(4))
+        shared = pair_scores(model, ic, shared_first, shared_second)
+        independent = pair_scores(model, ic, first, second)
+        assert shared.fallback_pairs == independent.fallback_pairs == 0
+        excess = shared.values.mean() - independent.values.mean()
+        se = math.sqrt((shared.values.var(ddof=1) + independent.values.var(ddof=1)) / self.PAIRS)
+        assert excess > 3 * se, (shared.values.mean(), independent.values.mean(), se)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from groupsim.embeddings import (
     EmbeddingStore,
-    SentenceSample,
+    bag_rows,
     find_pad_token,
     load_embeddings,
     lookup_sentence,
@@ -114,20 +114,20 @@ class TestPadTokenSearch:
 class TestLookup:
     def test_basic_padding(self, store):
         sample = lookup_sentence(store, "The cat", ".")
-        assert sample.n == 3  # the, cat, pad
+        assert sample.sizes[0] == 3  # the, cat, pad
         assert sample.token_count_before_padding == 2
         np.testing.assert_allclose(sample.vectors[-1], store.vector("."), atol=1e-7)
 
     def test_all_oov_double_pad(self, store):
         sample = lookup_sentence(store, "zzz qqq", ".")
-        assert sample.n == 2
+        assert sample.sizes[0] == 2
         assert sample.token_count_before_padding == 0
         assert sample.oov_count == 2
         np.testing.assert_allclose(sample.vectors[0], sample.vectors[1])
 
     def test_duplicates_kept(self, store):
         sample = lookup_sentence(store, "cat cat cat", ".")
-        assert sample.n == 4
+        assert sample.sizes[0] == 4
         for row in sample.vectors[:3]:
             np.testing.assert_allclose(row, store.vector("cat"), atol=1e-7)
 
@@ -137,7 +137,7 @@ class TestLookup:
 
     def test_never_below_two(self, store):
         for text in ("", "x", "the", "zz zz zz"):
-            assert lookup_sentence(store, text, ".").n >= 2
+            assert lookup_sentence(store, text, ".").sizes[0] >= 2
 
     def test_deterministic(self, store):
         a = lookup_sentence(store, "The cat sat on the mat.", ".")
@@ -171,16 +171,43 @@ class TestTokenizer:
         assert tokenize("") == []
 
 
-class TestSentenceSample:
-    def test_rejects_single_vector(self):
-        with pytest.raises(ValueError):
-            SentenceSample(vectors=np.ones((1, 3)), token_count_before_padding=1)
+class TestSentenceBlock:
+    TEXTS = ["the cat", "zzz qqq", "", "dog sat on the mat", "cat qqq cat"]
 
-    def test_rejects_non_finite(self):
-        bad = np.ones((2, 3))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            SentenceSample(vectors=bad, token_count_before_padding=2)
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_lookup_sentence_is_a_block_of_one(self, store, text):
+        one = lookup_sentence(store, text, ".")
+        want = lookup_sentences(store, [text], ".")
+        assert len(one) == 1
+        np.testing.assert_array_equal(one.vectors, want.vectors)
+        assert one.vectors.dtype == want.vectors.dtype
+        np.testing.assert_array_equal(one.sizes, want.sizes)
+        np.testing.assert_array_equal(one.starts, want.starts)
+        assert one.tokens == want.tokens
+        assert one.oov_counts == want.oov_counts
+
+    def test_totals_are_sums_over_the_bags(self, store):
+        block = lookup_sentences(store, self.TEXTS, ".")
+        assert block.token_count_before_padding == sum(len(t) for t in block.tokens) == 9
+        assert block.oov_count == sum(block.oov_counts) == 3
+        for text in self.TEXTS:
+            one = lookup_sentence(store, text, ".")
+            assert one.token_count_before_padding == len(one.tokens[0])
+            assert one.oov_count == one.oov_counts[0]
+
+    @pytest.mark.parametrize("texts", [[], ["the cat", "dog"]])
+    def test_bag_rows_rejects_other_block_sizes(self, store, texts):
+        block = lookup_sentences(store, texts, ".")
+        with pytest.raises(ValueError, match=f"got {len(texts)} bags"):
+            bag_rows(block)
+
+    def test_rejects_non_finite_rows(self, store):
+        matrix = store.matrix.copy()
+        matrix[store.vocab["cat"], 0] = np.nan
+        bad = EmbeddingStore(dim=store.dim, vocab=store.vocab, matrix=matrix)
+        with pytest.raises(ValueError, match="finite"):
+            lookup_sentence(bad, "the cat", ".")
+        lookup_sentence(bad, "the dog", ".")  # a bag without the bad row is fine
 
 
 class TestStoreInvariants:

@@ -20,7 +20,7 @@ PUBLIC = [
     "SUPPORTED_METHODS",
     "ScoreBreakdown",
     "ScoredPairSet",
-    "SentenceSample",
+    "SentenceBlock",
     "SimilarityScore",
     "UnknownTokenError",
     "corpus_model_selection",
@@ -44,6 +44,7 @@ REMOVED = {
     "gaussian": ("GaussianFit", "fit_gaussian", "gaussian_tic_penalty"),
     "baselines": ("mwv_similarity",),
     "comparison": ("_validated_pair", "similarity_ic", "bayes_factor_similarity"),
+    "embeddings": ("SentenceSample",),
     "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
     "vmf": ("vmf_tic_penalty",),
 }
@@ -71,6 +72,11 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(home, name), f"groupsim.{module}.{name}"
             assert not hasattr(groupsim, name), name
+
+
+def test_a_block_converts_to_no_second_bag_type():
+    for name in ("sample", "stack"):
+        assert not hasattr(groupsim.SentenceBlock, name), name
 
 
 def test_internal_names_stay_in_their_module_only():
