@@ -178,6 +178,49 @@ if row["weighted_average"] is None or not math.isfinite(row["weighted_average"])
 if row["fallback_pairs"] < 1 or row["degenerate_fits"] < 1:
     sys.exit(f"the double-padded pair must be a fallback with a clamped fit, got {row}")
 EOF
+# both vMF methods at d = 129 count the same fallbacks and clamped fits whether the lexicon is
+# unit-normalised on load or only when a dataset is scored; and a block of bags with one
+# non-unit row, scored as one block, is refused by name
+for method in vmf_tic vmf_aic; do
+    for normalize in "" --normalize; do
+        python -m groupsim.cli eval --embeddings "$tmp/lexicon129.txt" $normalize --method "$method" \
+            --out "$tmp/eval129-$method$normalize.jsonl" "$tmp/pairs129.tsv" > /dev/null
+    done
+done
+python - "$tmp" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+from groupsim import comparison
+from groupsim.embeddings import SentenceBlock
+
+
+def counts(name):
+    with open(f"{sys.argv[1]}/{name}.jsonl", encoding="utf-8") as handle:
+        row = [json.loads(line) for line in handle][-1]
+    return row["fallback_pairs"], row["degenerate_fits"]
+
+
+for method in ("vmf_tic", "vmf_aic"):
+    plain, normalized = counts(f"eval129-{method}"), counts(f"eval129-{method}--normalize")
+    if plain != normalized:
+        sys.exit(f"{method} at d = 129: (fallback_pairs, degenerate_fits) {plain} without "
+                 f"--normalize, {normalized} with it")
+rows = np.random.default_rng(129).standard_normal((10, 129))
+rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+rows[6] *= 1.001  # in the first bag of the second block
+sizes = np.array([2, 3], dtype=np.intp)
+first, second = (SentenceBlock(half, sizes, ([], []), (0, 0)) for half in (rows[:5], rows[5:]))
+try:
+    comparison.pair_scores("vmf", "aic", first, second)
+except ValueError as exc:
+    if "unit-norm" not in str(exc):
+        sys.exit(f"a block with a non-unit row raised {exc!r}, which does not name unit-norm")
+else:
+    sys.exit("a block with a non-unit row was scored")
+EOF
 
 # a flag the subcommand does not read is a usage error (exit status exactly 2)
 expect_usage_error() {

@@ -11,9 +11,11 @@ spherical Gaussian model (``MODELS``) takes P from one information criterion
 count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
 each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
 joint bag's are its two bags' moments merged.  The vMF single bags of a
-batch are fitted together from their rows, and its joint bags together from
-their two bags' summed resultants and row counts, each set with one array
-Bessel pass; a joint bag's "tic" penalty reads its two bags' rows in place.
+batch are fitted together, each block of rows checked in one pass of row
+norms, and its joint bags together from their two bags' summed resultants,
+row counts and square norms, each set with one array Bessel pass; a joint
+bag's "tic" penalty reads its two bags' rows in place only for their dots
+with its direction.
 ``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
 criterion.
 The Bayes factor, model "bayes" with no criterion, takes L as the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import as_matrix, bag_rows
+from .embeddings import SentenceBlock, as_matrix, bag_rows
 from .errors import DegenerateCurvatureError
 from .gaussian import (
     DIAG,
@@ -192,8 +194,9 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     block about its bag's mean, rounding error included.  vMF bags are read
     from their batch fit ``fits`` (joint bags' made from merged resultants;
     one :func:`fit_vmf` on the rows of one-block bags when omitted), the
-    "tic" penalty from each bag's blocks in place, and a bag is flagged
-    degenerate when its resultant length was clamped.
+    "tic" penalty from the fits' square norms and each bag's blocks' dots
+    with its direction, read in place, and a bag is flagged degenerate when
+    its resultant length was clamped.
     ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
     penalty whose curvature is degenerate, and flags the bag as a fallback;
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
@@ -241,10 +244,25 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     return fits.max_loglik, penalty, fallback, floored, fits.clamped
 
 
+def _side_bags(side) -> list[np.ndarray]:
+    """The (n, d) bags of one side of :func:`pair_scores`, in their own
+    dtype: a ``SentenceBlock``'s in order, or each of a list's (:func:`bag_rows`)."""
+    if isinstance(side, SentenceBlock):
+        return side.bags()
+    return [bag_rows(x) for x in side]
+
+
+def _fit_blocks(side, bags) -> list:
+    """The blocks of one side of :func:`pair_scores` for :func:`fit_vmf`: a
+    ``SentenceBlock`` whole, so its rows are checked in one pass, or a list's bags."""
+    return [side] if isinstance(side, SentenceBlock) else bags
+
+
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
                 prior: NormalWishartPrior | None = None) -> PairScores:
-    """Scores of the pairs (first[p], second[p]), two equal-length lists of
-    bags, each (n, d) rows or a one-bag block, read in their own dtype.
+    """Scores of the pairs (first[p], second[p]).  Each side is a list of
+    bags, each (n, d) rows or a one-bag block, or a ``SentenceBlock`` of its
+    bags in order; the two sides hold as many bags, read in their own dtype.
 
     ``(model, ic)`` is one of :data:`MODELS` by one of :data:`IC_KINDS`
     (``vmf_bic``, ``spherical_tic`` and ``spherical_bic`` have no method
@@ -261,31 +279,36 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     joint bag reads the merged moments of its two bags
     (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
     moments stop after M2 unless the criterion is the diagonal "tic".  The
-    2P vMF single bags are fitted in one :func:`fit_vmf` batch, and the P
-    joint bags in one batch from their two bags' summed resultants and
-    counts, with the first row of its first bag as the direction of an
-    exactly cancelling pair; a joint bag's "tic" penalty reads the two bags'
-    rows in place.  The Normal-Wishart evidence is taken over stacks
+    2P vMF single bags are fitted in one :func:`fit_vmf` batch, a
+    ``SentenceBlock`` side as one block whose rows are checked in one pass,
+    and the P joint bags in one batch from their two bags' summed
+    resultants, counts and square norms, with the first row of its first bag
+    as the direction of an exactly cancelling pair; a joint bag's "tic"
+    penalty reads the two bags' rows in place for their dots with its
+    direction.  The Normal-Wishart evidence is taken over stacks
     of bags with equal row counts, one :func:`nw_log_evidence` call per
-    distinct count in each of the two calls.  A non-finite term raises.
+    distinct count in each of the two calls.  The same bags give the same
+    values, terms and flags bit for bit whichever form the sides take.  A
+    non-finite term raises.
     """
     _check_criterion(model, ic, on_degenerate)  # before the fits below
-    first, second = [bag_rows(x) for x in first], [bag_rows(x) for x in second]
-    if not first or len(first) != len(second):
+    first_bags, second_bags = _side_bags(first), _side_bags(second)
+    if not first_bags or len(first_bags) != len(second_bags):
         raise ValueError(f"need as many first bags as second bags, at least one: "
-                         f"got {len(first)} and {len(second)}")
-    half, singles = len(first), first + second
+                         f"got {len(first_bags)} and {len(second_bags)}")
+    half, singles = len(first_bags), first_bags + second_bags
     mom = fits = joint_mom = joint_fits = None
     if model in (DIAG, SPHERICAL):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
             mom = moments(*singles, order=_moment_order(model, ic))
             joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
     elif model == VMF:
-        fits = fit_vmf(*singles)
+        fits = fit_vmf(*_fit_blocks(first, first_bags), *_fit_blocks(second, second_bags))
         joint_fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
-                                     fits.n[:half] + fits.n[half:], first)
-    ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first, second)), on_degenerate,
-                                            prior, joint_mom, joint_fits)
+                                     fits.n[:half] + fits.n[half:],
+                                     fits.square_norm[:half] + fits.square_norm[half:], first_bags)
+    ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first_bags, second_bags)),
+                                            on_degenerate, prior, joint_mom, joint_fits)
     ll_s, p_s, f_s, d_s, g_s = bag_criteria(model, ic, [(x,) for x in singles], on_degenerate,
                                             prior, mom, fits)
     (ll_1, ll_2), (p_1, p_2) = np.split(ll_s, 2), np.split(p_s, 2)

@@ -95,6 +95,12 @@ class SentenceBlock:
         start = self.starts[i]
         return self.vectors[start:start + self.sizes[i]]
 
+    def bags(self) -> list[np.ndarray]:
+        """Every bag's rows, views of ``vectors`` in order."""
+        vectors = self.vectors
+        return [vectors[start:start + size]
+                for start, size in zip(self.starts.tolist(), self.sizes.tolist())]
+
     @property
     def token_count_before_padding(self) -> int:
         """Retained tokens over all bags."""

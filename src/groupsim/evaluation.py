@@ -14,8 +14,9 @@ each bag a row range of it that a kernel reads as float64.  Every model
 method scores all the pairs of the block in one call of
 :func:`groupsim.comparison.pair_scores`, the one composition that serves
 every model: the Gaussian methods from the bags' moments merged pairwise,
-the vMF ones from each bag's fit and each pair's summed resultants, on a
-float64 copy of the block's rows normalised once, and the Normal-Wishart
+the vMF ones from each bag's fit and each pair's summed statistics, on a
+float64 copy of the block's rows normalised once and checked once (one pass
+of row norms for each half of the block), and the Normal-Wishart
 evidence over stacks of bags with equal row counts.  The baselines take
 their sentence vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
@@ -251,11 +252,13 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
 
     The block is left as it is: the vMF methods, whose likelihoods live on
     the unit sphere, normalise a float64 copy of its rows in place, slab by
-    slab.  A model method name ``<model>_<criterion>`` selects the model and
-    the criterion of :func:`groupsim.comparison.pair_scores` ("bayes_factor"
-    is the Normal-Wishart evidence), which scores every pair at once; a
-    degenerate vMF curvature under "tic" falls back to the parameter count
-    and flags the score.
+    slab.  The first P bags and the last P are passed as two blocks, so the
+    vMF fit checks each half's unit rows in one pass.  A model method name
+    ``<model>_<criterion>`` selects the model and the criterion of
+    :func:`groupsim.comparison.pair_scores` ("bayes_factor" is the
+    Normal-Wishart evidence), which scores every pair at once; a degenerate
+    vMF curvature under "tic" falls back to the parameter count and flags the
+    score.
     """
     half = len(block) // 2
     if method in BASELINE_METHODS:
@@ -271,8 +274,12 @@ def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> com
         for first in range(0, len(rows), SLAB_ROWS):
             slab = rows[first:first + SLAB_ROWS]
             unit_rows(slab, out=slab)
-    bags = [rows[start:start + size] for start, size in zip(block.starts, block.sizes)]
-    return comparison.pair_scores(model, ic, bags[:half], bags[half:], on_degenerate="aic",
+    split = int(np.add.reduce(block.sizes[:half]))
+    first = SentenceBlock(rows[:split], block.sizes[:half], block.tokens[:half],
+                          block.oov_counts[:half])
+    second = SentenceBlock(rows[split:], block.sizes[half:], block.tokens[half:],
+                           block.oov_counts[half:])
+    return comparison.pair_scores(model, ic, first, second, on_degenerate="aic",
                                   prior=options.prior)
 
 
@@ -286,7 +293,10 @@ def score_pair(
     """Score one pair with any supported method (baselines included): a
     batch of one, on a block of two joined from the one-bag blocks ``a`` and
     ``b`` (:func:`groupsim.embeddings.lookup_sentence`), which must be as
-    wide as ``store``."""
+    wide as ``store``; anything else, a plain array included, raises."""
+    if not (isinstance(a, SentenceBlock) and isinstance(b, SentenceBlock)):
+        raise TypeError(f"score_pair takes two one-bag SentenceBlocks from lookup_sentence, "
+                        f"got {type(a).__name__} and {type(b).__name__}")
     rows = [bag_rows(a), bag_rows(b)]  # a block of k != 1 bags raises
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")

@@ -15,12 +15,17 @@ concentration contributes ``mean((w . mu - A)^2) / A'`` and the d - 1
 tangent directions, which share the curvature ``kappa R_bar``, contribute
 ``kappa mean(|w|^2 - (w . mu)^2) / R_bar``.  The whole penalty is O(nd).
 
-A bag's statistics are its resultant S (the sum of its rows) and its row
-count n.  :func:`fit_vmf` checks each bag's rows and sums them once, then
-fits the batch from its (B, d) resultants and (B,) counts; the fits of two
-bags together are read from S_1 + S_2 and n_1 + n_2 by the same array core,
-and their penalties read the two bags' rows in place, so no joint bag is
-stacked.  The module is internal: the scoring path
+A bag's statistics are its resultant S (the sum of its rows), its row
+count n and its square norm, the sum of its rows' |w|^2.  :func:`fit_vmf`
+takes its bags in blocks, an (n, d) array being one bag and a
+:class:`~groupsim.embeddings.SentenceBlock` its bags in order.  One pass of
+row norms per block checks every row and gives each bag's square norm, one
+sum per bag gives S, and the batch is fitted from its (B, d) resultants and
+(B,) counts.  The fits of two bags together are read from S_1 + S_2,
+n_1 + n_2 and the summed square norms by the same array core, and their
+penalties read the two bags' rows in place only for their dots with the
+fitted direction, so no joint bag is stacked and no row norm is taken
+twice.  The module is internal: the scoring path
 (:func:`groupsim.comparison.bag_criteria`) reads it.
 
 A fit carries its maximised log-likelihood, taken with respect to the
@@ -30,11 +35,12 @@ log-density of other rows at a fit is a test oracle (``tests/helpers.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import as_matrix, bag_rows
+from .embeddings import SentenceBlock, as_matrix
 from .hypersphere import to_spherical
 from .special import (  # noqa: F401 - bessel_ratio stays importable from this module
     bessel_ratio,
@@ -55,10 +61,12 @@ class VmfFit:
     ``max_loglik`` is ``n (kappa_hat r_bar - log Z(kappa_hat))``.  ``a_hat``
     and ``a_prime`` are A_d and its slope A_d' at ``kappa_hat``, the
     concentration's score offset and curvature in the penalty.  ``resultant``
-    is the sum of a bag's rows, its sufficient statistic with ``n``: a joint
-    bag's is the sum of its parts'.  ``clamped`` marks clamped resultant
-    lengths.  ``theta_hat``, the polar angles of ``mu_hat``, is for reference
-    only; joint fits from merged resultants leave it None.
+    is the sum of a bag's rows, its sufficient statistic with ``n``.
+    ``square_norm`` is the sum of its rows' |w|^2 (n up to rounding), which
+    the penalty's tangent term reads.  A joint bag's ``resultant``, ``n`` and
+    ``square_norm`` are the sums of its parts'.  ``clamped`` marks clamped
+    resultant lengths.  ``theta_hat``, the polar angles of ``mu_hat``, is for
+    reference only; joint fits from merged resultants leave it None.
     """
 
     mu_hat: np.ndarray
@@ -70,26 +78,42 @@ class VmfFit:
     a_hat: np.ndarray
     a_prime: np.ndarray
     resultant: np.ndarray
+    square_norm: np.ndarray
     clamped: np.ndarray
 
 
-def as_unit_matrix(data) -> np.ndarray:
-    """``data`` as a 2-D float array whose rows are finite unit vectors (within 1e-6)."""
-    x = as_matrix(data)
-    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0)
-    if not (deviation <= 1e-6).all():  # a NaN deviation fails this comparison too
-        if not np.isfinite(x).all():
-            raise ValueError("vectors must be finite; a row holds NaN or inf")
-        worst = float(np.max(deviation))
-        raise ValueError(f"vectors must be unit-norm within 1e-6 (worst deviation {worst:.2e})")
-    return x
+# the bag starts of a block of one bag, for np.add.reduceat
+_ONE_BAG = np.zeros(1, dtype=np.intp)
+_ONE_BAG.flags.writeable = False
 
 
-def _fit_resultants(resultant: np.ndarray, n: np.ndarray, bags, angles: bool = False) -> VmfFit:
+def _unit_square_norms(x: np.ndarray) -> np.ndarray:
+    """The (n,) square norms of float64 rows ``x``, one pass, checked: every
+    row must be a finite unit vector, its norm within 1e-6 of 1.
+
+    ``|sqrt(s) - 1| <= 1e-6`` holds for every row's square norm s exactly
+    when it holds for the least and the greatest (sqrt is monotone, and the
+    test falls on either side of 1), and a NaN fails it; the worst deviation
+    is the larger of those two.
+    """
+    square = np.einsum("ij,ij->i", x, x)
+    if len(square):
+        low, high = math.sqrt(np.minimum.reduce(square)), math.sqrt(np.maximum.reduce(square))
+        if not (abs(low - 1.0) <= 1e-6 and abs(high - 1.0) <= 1e-6):
+            if not np.isfinite(x).all():
+                raise ValueError("vectors must be finite; a row holds NaN or inf")
+            worst = max(abs(low - 1.0), abs(high - 1.0))
+            raise ValueError(f"vectors must be unit-norm within 1e-6 (worst deviation {worst:.2e})")
+    return square
+
+
+def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarray, bags,
+                    angles: bool = False) -> VmfFit:
     """The fits of B bags from their (B, d) resultants S (the sums of their
-    unit rows) and (B,) row counts n, with one :func:`vmf_kernels` pass.
-    ``bags[b]`` is read only when S_b is exactly 0: its first row is then
-    the direction.  With ``angles`` the fits carry ``theta_hat``.
+    unit rows), (B,) row counts n and (B,) square norms, with one
+    :func:`vmf_kernels` pass.  ``bags[b]`` is read only when S_b is exactly
+    0: its first row is then the direction.  With ``angles`` the fits carry
+    ``theta_hat``.
     """
     d = resultant.shape[1]
     # one dot product per row, as np.linalg.norm of that row sums it
@@ -114,32 +138,51 @@ def _fit_resultants(resultant: np.ndarray, n: np.ndarray, bags, angles: bool = F
         a_hat=a_hat,
         a_prime=a_prime,
         resultant=resultant,
+        square_norm=square_norm,
         clamped=clamped,
     )
 
 
-def fit_vmf(*bags) -> VmfFit:
+def fit_vmf(*blocks) -> VmfFit:
     """Fit each bag's mean direction by maximum likelihood and its
-    concentration in closed form, the B bags as one batch.
+    concentration in closed form, the bags of every block as one batch.
 
-    Each bag is read as float64 in its turn and checked: finite unit rows
-    (within 1e-6), at least two, as wide as the first bag's.  The resultant
-    length is clamped into [1e-7, 1 - 1e-7] so the concentration stays
-    finite on degenerate bags (all vectors equal, or exactly cancelling);
-    such fits are flagged ``clamped``.
+    A block is an (n, d) array, one bag, or a ``SentenceBlock``, its bags in
+    order.  Each block is read as float64 in its turn and checked by one pass
+    of row norms, which also gives every bag's square norm: finite unit rows
+    (within 1e-6), at least two per bag, as wide as the first block's.  A
+    bag's resultant is one sum over its rows.  The resultant length is
+    clamped into [1e-7, 1 - 1e-7] so the concentration stays finite on
+    degenerate bags (all vectors equal, or exactly cancelling); such fits are
+    flagged ``clamped``.
     """
-    n, d = np.empty(len(bags), dtype=np.intp), bag_rows(bags[0]).shape[1]
-    resultant = np.empty((len(bags), d))
-    for b, bag in enumerate(bags):
-        x = as_unit_matrix(bag)
-        if len(x) < 2:
+    count = sum(len(block) if isinstance(block, SentenceBlock) else 1 for block in blocks)
+    if not count:
+        raise ValueError("need at least one bag to fit")
+    resultant, square_norm, n, bags = None, np.empty(count), [], []
+    for block in blocks:
+        if isinstance(block, SentenceBlock):
+            x = np.asarray(block.vectors, dtype=np.float64)
+            starts, sizes = block.starts, block.sizes.tolist()
+            views = [x[start:start + size] for start, size in zip(starts.tolist(), sizes)]
+            bags += views  # an exactly cancelling bag's first row is read from these
+        else:
+            x = as_matrix(block)
+            starts, sizes, views = _ONE_BAG, [len(x)], [x]
+            bags.append(block)  # as given: no float64 copy of a list of bags outlives its turn
+        square = _unit_square_norms(x)
+        if min(sizes, default=2) < 2:
             raise ValueError("need at least two vectors to fit")
-        if x.shape[1] != d:
-            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
-        # np.add.reduce, not .sum: on a short bag the method's Python wrapper costs as much
-        np.add.reduce(x, 0, out=resultant[b])
-        n[b] = len(x)
-    return _fit_resultants(resultant, n, bags, angles=True)
+        if resultant is None:
+            resultant = np.empty((count, x.shape[1]))
+        elif x.shape[1] != resultant.shape[1]:
+            raise ValueError(f"dimension mismatch: {resultant.shape[1]} vs {x.shape[1]}")
+        np.add.reduceat(square, starts, out=square_norm[len(n):len(n) + len(sizes)])
+        for b, view in enumerate(views, start=len(n)):
+            # np.add.reduce, not .sum: on a short bag the method's Python wrapper costs as much
+            np.add.reduce(view, 0, out=resultant[b])
+        n += sizes
+    return _fit_resultants(resultant, np.array(n, dtype=np.intp), square_norm, bags, angles=True)
 
 
 def _tic_penalty(fit: VmfFit, bags) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +191,8 @@ def _tic_penalty(fit: VmfFit, bags) -> tuple[np.ndarray, np.ndarray]:
     and the mask of the bags where they are defined, as (B,) arrays.
 
     ``bags[b]`` holds fit b's unit-row blocks, unchecked and read in place as
-    float64 one at a time by three dot products.  An unclamped fit has
+    float64 one at a time for their dots with the fitted direction; the sum
+    of |w|^2 is the fit's ``square_norm``.  An unclamped fit has
     1 - R_bar >= 1e-7, which bounds the cancellation in
     ``sum(|w|^2) - sum((w . mu)^2)`` to about 1e-9 relative.  The penalty is
     NaN on a clamped fit and where A' or kappa R_bar is below 1e-12 (e.g.
@@ -158,14 +202,13 @@ def _tic_penalty(fit: VmfFit, bags) -> tuple[np.ndarray, np.ndarray]:
     penalty = np.full(len(ok), np.nan)
     for b in np.flatnonzero(ok).tolist():
         mu, a_hat = fit.mu_hat[b], float(fit.a_hat[b])
-        info_kappa, square_norms, square_dots = 0.0, 0.0, 0.0
+        info_kappa, square_dots = 0.0, 0.0
         for x in bags[b]:
-            x = np.asarray(x, dtype=np.float64)
-            dots = x @ mu
+            dots = np.asarray(x, dtype=np.float64) @ mu
             offsets = dots - a_hat
             info_kappa += float(np.dot(offsets, offsets))
-            square_norms += float(np.vdot(x, x))
             square_dots += float(np.dot(dots, dots))
         penalty[b] = (info_kappa / fit.a_prime[b]
-                      + fit.kappa_hat[b] * (square_norms - square_dots) / fit.r_bar[b]) / fit.n[b]
+                      + fit.kappa_hat[b] * (fit.square_norm[b] - square_dots) / fit.r_bar[b]
+                      ) / fit.n[b]
     return penalty, ok

@@ -177,13 +177,37 @@ class VmfBagFit:
     a_hat: float
     a_prime: float
     resultant: np.ndarray
+    square_norm: float
     clamped: bool
 
 
-def fit_resultant_per_bag(resultant: np.ndarray, n: int, first_row, angles: bool = False
-                          ) -> VmfBagFit:
-    """The fit of one bag from its resultant S, its row count n and its first
-    row (the direction when S is exactly 0), with one scalar kernel call."""
+def as_unit_matrix(data) -> np.ndarray:
+    """``data`` as a 2-D float array whose rows are finite unit vectors (within
+    1e-6): the per-bag check, each row's deviation taken on its own, that
+    the vMF fit's one pass of row norms per block must match."""
+    from groupsim.embeddings import as_matrix
+
+    x = as_matrix(data)
+    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0)
+    if not (deviation <= 1e-6).all():  # a NaN deviation fails this comparison too
+        if not np.isfinite(x).all():
+            raise ValueError("vectors must be finite; a row holds NaN or inf")
+        worst = float(np.max(deviation))
+        raise ValueError(f"vectors must be unit-norm within 1e-6 (worst deviation {worst:.2e})")
+    return x
+
+
+def square_norm_per_bag(x: np.ndarray) -> float:
+    """The sum of |w|^2 over one block of float64 rows, in the vMF fit's
+    order: each row's square norm, then their sum from row 0."""
+    return float(np.add.reduceat(np.einsum("ij,ij->i", x, x), [0])[0])
+
+
+def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float, first_row,
+                          angles: bool = False) -> VmfBagFit:
+    """The fit of one bag from its resultant S, its row count n, its square
+    norm and its first row (the direction when S is exactly 0), with one
+    scalar kernel call."""
     from groupsim.hypersphere import to_spherical
     from groupsim.special import inv_bessel_ratio
     from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR
@@ -202,23 +226,24 @@ def fit_resultant_per_bag(resultant: np.ndarray, n: int, first_row, angles: bool
     return VmfBagFit(mu_hat=mu_hat, theta_hat=to_spherical(mu_hat) if angles else None,
                      kappa_hat=kappa_hat, r_bar=r_bar, n=n,
                      max_loglik=n * (kappa_hat * r_bar - log_c), a_hat=a_hat,
-                     a_prime=a_prime, resultant=resultant, clamped=clamped)
+                     a_prime=a_prime, resultant=resultant, square_norm=square_norm,
+                     clamped=clamped)
 
 
 def fit_vmf_per_bag(sample) -> VmfBagFit:
     """The fit of one bag of unit rows, checked and summed on its own."""
-    from groupsim.vmf import as_unit_matrix
-
     x = as_unit_matrix(sample)
     if len(x) < 2:
         raise ValueError("need at least two vectors to fit")
-    return fit_resultant_per_bag(np.add.reduce(x, 0), len(x), x[0], angles=True)
+    return fit_resultant_per_bag(np.add.reduce(x, 0), len(x), square_norm_per_bag(x), x[0],
+                                 angles=True)
 
 
 def tic_penalty_per_bag(fit: VmfBagFit, blocks) -> float:
     """The tangent-space "tic" penalty of one fit over its float64 unit-row
-    blocks; raises ``DegenerateCurvatureError`` on a clamped fit or a
-    curvature below ``vmf.CURVATURE_FLOOR``."""
+    blocks, each block's sum of |w|^2 taken by :func:`square_norm_per_bag`;
+    raises ``DegenerateCurvatureError`` on a clamped fit or a curvature below
+    ``vmf.CURVATURE_FLOOR``."""
     from groupsim.errors import DegenerateCurvatureError
     from groupsim.vmf import CURVATURE_FLOOR
 
@@ -230,7 +255,7 @@ def tic_penalty_per_bag(fit: VmfBagFit, blocks) -> float:
         offsets = dots - fit.a_hat
         n += len(x)
         info_kappa += float(np.dot(offsets, offsets))
-        square_norms += float(np.vdot(x, x))
+        square_norms += square_norm_per_bag(x)
         square_dots += float(np.dot(dots, dots))
     return (info_kappa / fit.a_prime
             + fit.kappa_hat * (square_norms - square_dots) / fit.r_bar) / n
@@ -559,8 +584,6 @@ def diag_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
 def vmf_loglik(fit, sample, b: int = 0) -> float:
     """Log-likelihood of a bag of unit vectors at the parameters of fit ``b``
     of a batch ``VmfFit``."""
-    from groupsim.vmf import as_unit_matrix
-
     x = as_unit_matrix(sample)
     mu_hat, kappa_hat = fit.mu_hat[b], float(fit.kappa_hat[b])
     d = mu_hat.size
@@ -984,7 +1007,8 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
             out.append((loglik, zeros, zeros.astype(bool), zeros.astype(int), zeros.astype(bool)))
     elif model == "vmf":
         f1, f2 = [fit_vmf_per_bag(x) for x in first], [fit_vmf_per_bag(x) for x in second]
-        joint = [fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n, x[0])
+        joint = [fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n,
+                                       a.square_norm + b.square_norm, x[0])
                  for a, b, x in zip(f1, f2, first)]
         out = [vmf_criteria_per_bag(ic, b, f, on_degenerate)
                for b, f in zip(bags, (joint, f1, f2))]

@@ -172,6 +172,17 @@ def test_score_pair_rejects_blocks_of_other_sizes(stores, texts):
             score_pair("diag_aic", a, b, store, OPTIONS)
 
 
+def test_score_pair_rejects_plain_arrays(stores):
+    """``score_pair`` takes one-bag blocks; two (n, d) arrays raise a ``TypeError`` naming them."""
+    store = stores[False]
+    x = lookup_sentence(store, "the cat", PAD)
+    for a, b, names in ((x.vectors, x.vectors, "ndarray and ndarray"),
+                        (x, x.vectors, "SentenceBlock and ndarray")):
+        with pytest.raises(TypeError, match=f"^score_pair takes two one-bag SentenceBlocks from "
+                                            f"lookup_sentence, got {names}$"):
+            score_pair("diag_aic", a, b, store, OPTIONS)
+
+
 @pytest.fixture(scope="module")
 def store_pair():
     """The same unit rows, stored once as float32 and once as float64."""

@@ -29,6 +29,7 @@ from groupsim.evaluation import spearman
 from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR, fit_vmf
 
 from helpers import (
+    block_of,
     corpus_model_selection_per_candidate,
     criterion_rows,
     diag_closed_tic,
@@ -285,6 +286,19 @@ class TestMergedVmfJointFit:
         assert got.degenerate_fits == 1
         assert got[0].fallback == (ic == "tic")
         assert np.isfinite(got.terms).all()
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_joint_square_norms_are_the_sums_of_the_single_ones(self, blocks, monkeypatch):
+        rng = np.random.default_rng(64)
+        pairs = [random_pair(rng, 6, unit=True) for _ in range(5)]
+        first, second = [a for a, _ in pairs], [b for _, b in pairs]
+        joint = self.joint_fits(monkeypatch)
+        if blocks:
+            pair_scores(VMF, "tic", block_of(*first), block_of(*second), on_degenerate="aic")
+        else:
+            pair_scores(VMF, "tic", first, second, on_degenerate="aic")
+        single = fit_vmf(*first, *second).square_norm
+        assert joint[0].square_norm.tobytes() == (single[:5] + single[5:]).tobytes()
 
     @pytest.mark.parametrize("ic", IC_KINDS)
     def test_two_fits_per_pair_and_no_stacking(self, ic, monkeypatch):
@@ -687,6 +701,47 @@ def test_single_bags_in_one_sweep_match_three_calls(seed, model, ic):
     values = got.alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2)
     gold = rng.uniform(0.0, 5.0, count)
     assert spearman(got.values, gold) == spearman(values, gold)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(("model", "ic"),
+                         [(model, ic) for model in MODELS for ic in IC_KINDS] + [("bayes", None)])
+def test_block_sides_score_as_the_lists_of_their_bags(seed, model, ic):
+    """``pair_scores`` on two ``SentenceBlock``s gives every value, term, flag
+    and count bit for bit as on the lists of their bags; the vMF batch mixes
+    float32 blocks, a degenerate pair and an exactly cancelling one."""
+    rng = np.random.default_rng(seed)
+    d, count = 8, 12
+    sizes = rng.integers(2, 13, size=(2, count))
+    if model == VMF:
+        first, second = ([uniform_sphere(rng, n, d) for n in row] for row in sizes)
+        first[0] = np.tile(first[0][0], (len(first[0]), 1))
+        second[3] = -first[3]
+    else:
+        first, second = ([rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d) for n in row]
+                         for row in sizes)
+    for dtype in (np.float64, np.float32):
+        a, b = [x.astype(dtype) for x in first], [x.astype(dtype) for x in second]
+        got = pair_scores(model, ic, block_of(*a), block_of(*b), on_degenerate="aic")
+        want = pair_scores(model, ic, a, b, on_degenerate="aic")
+        for field in dataclasses.fields(want):
+            assert (np.asarray(getattr(got, field.name)).tobytes()
+                    == np.asarray(getattr(want, field.name)).tobytes()), field.name
+
+
+def test_block_sides_need_as_many_bags():
+    rng = np.random.default_rng(8)
+    first = block_of(*(uniform_sphere(rng, 3, 4) for _ in range(3)))
+    with pytest.raises(ValueError, match="got 3 and 1$"):
+        pair_scores(VMF, "aic", first, [uniform_sphere(rng, 3, 4)])
+
+
+def test_vmf_block_with_a_non_unit_row_names_it():
+    rng = np.random.default_rng(9)
+    bags = [uniform_sphere(rng, 3, 4) for _ in range(4)]
+    bags[2][1] *= 1.01
+    with pytest.raises(ValueError, match="unit-norm within 1e-6 .worst deviation 1.00e-02."):
+        pair_scores(VMF, "aic", block_of(*bags[:2]), block_of(*bags[2:]))
 
 
 class TestModelSelection:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -12,6 +13,8 @@ from groupsim.special import vmf_kernels
 from groupsim.vmf import _fit_resultants, _tic_penalty, fit_vmf
 
 from helpers import (
+    as_unit_matrix,
+    block_of,
     fit_resultant_per_bag,
     fit_vmf_per_bag,
     inv_bessel_ratio_newton,
@@ -25,7 +28,7 @@ from helpers import (
 )
 
 FIELDS = ("mu_hat", "theta_hat", "kappa_hat", "r_bar", "n", "max_loglik", "a_hat", "a_prime",
-          "resultant", "clamped")
+          "resultant", "square_norm", "clamped")
 
 
 class TestFit:
@@ -134,11 +137,13 @@ class TestBatchFit:
         first, second = bags[:4], bags[4:8]
         singles = fit_vmf(*first, *second)
         joint = _fit_resultants(singles.resultant[:4] + singles.resultant[4:],
-                                singles.n[:4] + singles.n[4:], first)
+                                singles.n[:4] + singles.n[4:],
+                                singles.square_norm[:4] + singles.square_norm[4:], first)
         assert joint.theta_hat is None
         for p, (x1, x2) in enumerate(zip(first, second)):
             a, b = fit_vmf_per_bag(x1), fit_vmf_per_bag(x2)
-            want = fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n, x1[0])
+            want = fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n,
+                                         a.square_norm + b.square_norm, x1[0])
             for name in FIELDS[2:]:
                 np.testing.assert_array_equal(getattr(joint, name)[p], getattr(want, name),
                                               err_msg=name)
@@ -167,6 +172,105 @@ class TestBatchFit:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="two vectors"):
             fit_vmf(uniform_sphere(rng, 3, 4), uniform_sphere(rng, 1, 4))
+
+
+def outcome(call):
+    """None when ``call()`` returns, its ``ValueError`` message when it raises one."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def with_row(row, n=4, dtype=np.float64):
+    """A bag of n unit rows at d = 3 whose second row is ``row``."""
+    x = uniform_sphere(np.random.default_rng(0), n, 3)
+    x[1] = row
+    return x.astype(dtype)
+
+
+def oracle_outcome(bags):
+    """The per-bag check before blocks: ``as_unit_matrix`` on each bag in turn."""
+    for bag in bags:
+        if (message := outcome(lambda: as_unit_matrix(bag))) is not None:
+            return message
+    return None
+
+
+# rows whose norms lie within 4 ulps of 1 - 1e-6 and of 1 + 1e-6
+EDGE_ROWS = [[float(value), 0.0, 0.0] for edge in (1.0 - 1e-6, 1.0 + 1e-6)
+             for value in edge + np.spacing(edge) * np.arange(-4, 5)]
+
+
+class TestBlockCheck:
+    """``fit_vmf`` checks each block's rows in one pass of row norms; it must
+    accept and reject exactly the rows the per-bag check ``as_unit_matrix``
+    does, with the same message."""
+
+    @pytest.mark.parametrize("row", EDGE_ROWS)
+    def test_deviations_within_ulps_of_the_tolerance(self, row):
+        bag = with_row(row)
+        assert outcome(lambda: fit_vmf(bag)) == oracle_outcome([bag])
+
+    def test_edge_rows_fall_on_both_sides(self):
+        verdicts = {oracle_outcome([with_row(row)]) is None for row in EDGE_ROWS}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(("row", "dtype"), [
+        (row, dtype) for dtype in (np.float64, np.float32)
+        for row in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0 + 2e-6, 0.0, 0.0],
+                    [0.6, 0.8, 0.0])] + [([1e200, 1e200, 0.0], np.float64)])  # |w|^2 overflows
+    def test_bad_and_good_rows_in_one_bag(self, row, dtype):
+        bag = with_row(row, dtype=dtype)
+        want = oracle_outcome([bag])
+        assert outcome(lambda: fit_vmf(bag)) == want
+        assert outcome(lambda: fit_vmf(block_of(bag))) == want
+        if row[0] == 0.6:
+            assert want is None
+        else:
+            assert want.startswith("vectors must be finite" if not np.isfinite(row).all()
+                                   else "vectors must be unit-norm within 1e-6 (worst deviation")
+
+    @pytest.mark.parametrize("row", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                                     [1.0 - 3e-6, 0.0, 0.0]] + EDGE_ROWS[::3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bad_row_in_a_middle_bag_of_a_block(self, row, dtype):
+        rng = np.random.default_rng(5)
+        bags = [uniform_sphere(rng, 3, 3).astype(dtype), with_row(row, n=5, dtype=dtype),
+                uniform_sphere(rng, 4, 3).astype(dtype)]
+        want = oracle_outcome(bags)
+        assert outcome(lambda: fit_vmf(block_of(*bags))) == want
+        assert outcome(lambda: fit_vmf(*bags)) == want
+        assert outcome(lambda: fit_vmf(bags[0], block_of(*bags[1:]))) == want
+
+    def test_block_fits_equal_the_fits_of_its_bags(self):
+        bags = TestBatchFit.bags(300)  # the block of bags 1-6 casts bag 6's float32 rows
+        got, want = fit_vmf(bags[0], block_of(*bags[1:7]), *bags[7:]), fit_vmf(*bags)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+    def test_a_block_bag_of_one_row_is_named(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="two vectors"):
+            fit_vmf(block_of(uniform_sphere(rng, 3, 4), uniform_sphere(rng, 1, 4)))
+
+
+class TestSquareNorm:
+    @pytest.mark.parametrize("d", [2, 5, 8, 300, 301])
+    def test_single_bag_is_its_vdot(self, d):
+        bags = TestBatchFit.bags(d)
+        fit = fit_vmf(*bags)
+        for b, bag in enumerate(bags):
+            x = np.asarray(bag, dtype=np.float64)
+            assert fit.square_norm[b] == pytest.approx(np.vdot(x, x), rel=1e-15, abs=0.0)
+
+    def test_penalty_reads_the_square_norm_of_the_fit(self):
+        x = uniform_sphere(np.random.default_rng(7), 9, 5)
+        fit = fit_vmf(x)
+        shifted = dataclasses.replace(fit, square_norm=fit.square_norm + 0.5)
+        change = _tic_penalty(shifted, [(x,)])[0][0] - _tic_penalty(fit, [(x,)])[0][0]
+        assert change == pytest.approx(fit.kappa_hat[0] * 0.5 / fit.r_bar[0] / fit.n[0], rel=1e-9)
 
 
 class TestLoglik:
