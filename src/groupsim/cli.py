@@ -143,12 +143,11 @@ def _cmd_modelsel(args: argparse.Namespace) -> int:
     if not sentences:
         raise UsageError(f"{args.corpus}: empty corpus")
     block = lookup_sentences(store, sentences, pad)
-    corpus = [block.rows(i) for i in range(len(block))]
     candidates = [(comparison.DIAG, "aic"), ("spherical", "aic")]
     if args.normalize:
         candidates.append((comparison.VMF, "tic"))
         candidates.append((comparison.VMF, "aic"))
-    rows = comparison.corpus_model_selection(corpus, candidates, on_degenerate="aic")
+    rows = comparison.corpus_model_selection(block, candidates, on_degenerate="aic")
     print(f"{'model':<12} {'ic':<5} {'mean_ic':>14}")
     for row in rows:
         print(f"{row.model:<12} {row.ic:<5} {row.mean_ic:>14.4f}")

@@ -17,7 +17,8 @@ row counts and square norms, each set with one array Bessel pass; a joint
 bag's "tic" penalty reads its two bags' rows in place only for their dots
 with its direction.
 ``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
-criterion.
+criterion.  Each entry checks every bag, 2-D and of one width, before any
+fit; the Gaussian and vMF kernels read arrays and statistics only.
 The Bayes factor, model "bayes" with no criterion, takes L as the
 Normal-Wishart log evidence (full covariance, conjugate closed form under a
 prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import SentenceBlock, as_matrix, bag_rows
+from .embeddings import SentenceBlock, bag_rows
 from .errors import DegenerateCurvatureError
 from .gaussian import (
     DIAG,
@@ -168,11 +169,16 @@ def _moment_order(model: str, ic: str | None) -> int:
 
 
 def _check_width(blocks) -> int:
-    """The row width d shared by (n_i, d) blocks; the first other width raises."""
-    d = blocks[0].shape[1]
+    """The row width d shared by (n_i, d) blocks: a block that is not a 2-D
+    array raises, and so does the first other width."""
+    d = None
     for x in blocks:
+        if not isinstance(x, np.ndarray) or x.ndim != 2:
+            raise ValueError("expected a 2-D array of row vectors")
         if x.shape[1] != d:
-            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+            if d is not None:
+                raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+            d = x.shape[1]
     return d
 
 
@@ -182,10 +188,11 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
     of every bag of a batch, as (B,) arrays.
 
-    A bag is a tuple of (n_i, d) row blocks fitted as one.  P is the gradient
-    trace for ``ic="tic"``, the parameter count k for "aic" and
-    ``(k/2) log n`` for "bic"; a ("bayes", None) bag has its Normal-Wishart log
-    evidence as L and P = 0, the bags grouped by total row count and each
+    A bag is a tuple of (n_i, d) row blocks fitted as one, each checked 2-D
+    and as wide as the first before any fit.  P is the gradient trace for
+    ``ic="tic"``, the parameter count k for "aic" and ``(k/2) log n`` for
+    "bic"; a ("bayes", None) bag has its Normal-Wishart log evidence as L and
+    P = 0, the bags grouped by total row count and each
     group's rows (a joint bag's blocks end to end) copied into one float64
     (k, n, d) stack for one :func:`nw_log_evidence` call.  Gaussian bags are
     read from their moments ``mom`` (taken from the rows of one-block bags
@@ -262,7 +269,8 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
                 prior: NormalWishartPrior | None = None) -> PairScores:
     """Scores of the pairs (first[p], second[p]).  Each side is a list of
     bags, each (n, d) rows or a one-bag block, or a ``SentenceBlock`` of its
-    bags in order; the two sides hold as many bags, read in their own dtype.
+    bags in order; the two sides hold as many bags, read in their own dtype
+    and checked 2-D and as wide as the first before any fit.
 
     ``(model, ic)`` is one of :data:`MODELS` by one of :data:`IC_KINDS`
     (``vmf_bic``, ``spherical_tic`` and ``spherical_bic`` have no method
@@ -282,14 +290,12 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     2P vMF single bags are fitted in one :func:`fit_vmf` batch, a
     ``SentenceBlock`` side as one block whose rows are checked in one pass,
     and the P joint bags in one batch from their two bags' summed
-    resultants, counts and square norms, with the first row of its first bag
-    as the direction of an exactly cancelling pair; a joint bag's "tic"
-    penalty reads the two bags' rows in place for their dots with its
-    direction.  The Normal-Wishart evidence is taken over stacks
-    of bags with equal row counts, one :func:`nw_log_evidence` call per
-    distinct count in each of the two calls.  The same bags give the same
-    values, terms and flags bit for bit whichever form the sides take.  A
-    non-finite term raises.
+    resultants, counts and square norms alone; a joint bag's "tic" penalty
+    reads the two bags' rows in place for their dots with its direction.
+    The Normal-Wishart evidence is taken over stacks of bags with equal row
+    counts, one :func:`nw_log_evidence` call per distinct count in each of
+    the two calls.  The same bags give the same values, terms and flags bit
+    for bit whichever form the sides take.  A non-finite term raises.
     """
     _check_criterion(model, ic, on_degenerate)  # before the fits below
     first_bags, second_bags = _side_bags(first), _side_bags(second)
@@ -297,6 +303,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         raise ValueError(f"need as many first bags as second bags, at least one: "
                          f"got {len(first_bags)} and {len(second_bags)}")
     half, singles = len(first_bags), first_bags + second_bags
+    _check_width(singles)
     mom = fits = joint_mom = joint_fits = None
     if model in (DIAG, SPHERICAL):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
@@ -306,7 +313,7 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
         fits = fit_vmf(*_fit_blocks(first, first_bags), *_fit_blocks(second, second_bags))
         joint_fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
                                      fits.n[:half] + fits.n[half:],
-                                     fits.square_norm[:half] + fits.square_norm[half:], first_bags)
+                                     fits.square_norm[:half] + fits.square_norm[half:])
     ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first_bags, second_bags)),
                                             on_degenerate, prior, joint_mom, joint_fits)
     ll_s, p_s, f_s, d_s, g_s = bag_criteria(model, ic, [(x,) for x in singles], on_degenerate,
@@ -402,7 +409,7 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     stack about the size of the (k, n, d) rows it is read from.
     """
     single = np.ndim(data) != 3
-    x = as_matrix(data)[np.newaxis] if single else np.asarray(data, dtype=np.float64)
+    x = np.asarray(bag_rows(data)[np.newaxis] if single else data, dtype=np.float64)
     _, n, d = x.shape
     if d != prior.dim:
         raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
@@ -460,22 +467,24 @@ def corpus_model_selection(
 ) -> list[ModelCandidateScore]:
     """Mean per-bag criterion ``-2 (L - P)`` for each candidate, best first.
 
-    A candidate is a (model, ic) pair with ic in :data:`IC_KINDS`; a "bic"
-    candidate ranks by ``-2 L + k log n``.  Lets two likelihoods be compared
-    on a plain corpus of bags, without any labelled similarity data.
+    ``corpus`` is a ``SentenceBlock`` or an iterable of (n, d) bags or
+    one-bag blocks.  A candidate is a (model, ic) pair with ic in
+    :data:`IC_KINDS`; a "bic" candidate ranks by ``-2 L + k log n``.  Lets two
+    likelihoods be compared on a plain corpus of bags, without labelled data.
 
-    The candidates (at least one) and ``on_degenerate`` (one of
-    :data:`ON_DEGENERATE`) are checked before the first fit.  L depends only
-    on the model, so each model is fitted once, by :func:`bag_criteria` under
-    "tic" when one of its candidates reads it; its other candidates take
-    :func:`count_penalty`.  The Gaussian models share one moment sweep,
-    which stops after M2 unless a diagonal "tic" candidate reads M4.  A
-    candidate whose L or P is not finite on some bag raises ``ValueError``
-    naming it and the first such bag.  Bags keep their dtype (float32 from a
-    lexicon): each kernel reads one bag at a time as float64.
+    The candidates (at least one), ``on_degenerate`` (one of
+    :data:`ON_DEGENERATE`) and the bags (2-D, of one width) are checked
+    before the first fit.  L depends only on the model, so each model is
+    fitted once, by :func:`bag_criteria` under "tic" when one of its
+    candidates reads it; its other candidates take :func:`count_penalty`.
+    The Gaussian models share one moment sweep, which stops after M2 unless
+    a diagonal "tic" candidate reads M4.  A candidate whose L or P is not
+    finite on some bag raises ``ValueError`` naming it and the first such
+    bag.  Bags keep their dtype (float32 from a lexicon), a block's as
+    views: each kernel reads one bag at a time as float64.
     """
-    bags = [(bag_rows(b),) for b in corpus]
-    if not bags:
+    blocks = corpus.bags() if isinstance(corpus, SentenceBlock) else [bag_rows(b) for b in corpus]
+    if not blocks:
         raise ValueError("corpus must contain at least one bag")
     candidates = [(model, ic) for model, ic in candidates]
     if not candidates:
@@ -487,14 +496,15 @@ def corpus_model_selection(
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
         if fit_ic.get(model) != "tic":
             fit_ic[model] = ic
+    d, bags = _check_width(blocks), [(x,) for x in blocks]
     mom = None
     if DIAG in fit_ic or SPHERICAL in fit_ic:
         order = max(_moment_order(model, ic) for model, ic in fit_ic.items())
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L raises below
-            mom = moments(*(x for x, in bags), order=order)
+            mom = moments(*blocks, order=order)
     fits = {model: bag_criteria(model, ic, bags, on_degenerate, mom=mom)[:2]
             for model, ic in fit_ic.items()}
-    d, n = bags[0][0].shape[1], [len(x) for x, in bags]
+    n = [len(x) for x in blocks]
     rows = []
     for model, ic in candidates:
         ll, pen = fits[model]

@@ -7,9 +7,10 @@ every sentence receives one copy of a designated pad vector, and fully
 out-of-vocabulary sentences receive two, so downstream dispersion estimates
 are always defined (n >= 2).  A bag is an (n, d) array or a row range of a
 :class:`SentenceBlock`; a looked-up sentence is a block of one.  Bags keep
-the store's dtype (float32 from the loader); a kernel reads one bag at a
-time as float64 (:func:`as_matrix`), so no step casts a whole corpus or
-dataset.
+the store's dtype (float32 from the loader), and a kernel reads one bag or
+block at a time as float64.  :func:`bag_rows` gives a bag's rows in their
+own dtype, checked 2-D; the scoring entries of :mod:`groupsim.comparison`
+check each bag where it enters.
 """
 
 from __future__ import annotations
@@ -122,11 +123,6 @@ def bag_rows(data) -> np.ndarray:
     if rows.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
     return rows
-
-
-def as_matrix(data) -> np.ndarray:
-    """(n, d) float64 rows of a bag (:func:`bag_rows`): a view when they are float64."""
-    return np.asarray(bag_rows(data), dtype=np.float64)
 
 
 def tokenize(text: str) -> list[str]:

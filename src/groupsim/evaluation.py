@@ -41,7 +41,6 @@ from . import baselines, comparison
 from .embeddings import (
     EmbeddingStore,
     SentenceBlock,
-    as_matrix,
     bag_rows,
     find_pad_token,
     lookup_sentences,
@@ -209,7 +208,7 @@ def unit_rows(rows, out=None) -> np.ndarray:
     float64 and may be the rows."""
     if out is not None and out.dtype != np.float64:
         raise ValueError(f"out must be float64, got {out.dtype}")
-    x = as_matrix(rows)
+    x = np.asarray(bag_rows(rows), dtype=np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("zero vector cannot be projected to the sphere")
@@ -298,8 +297,7 @@ def score_pair(
         raise TypeError(f"score_pair takes two one-bag SentenceBlocks from lookup_sentence, "
                         f"got {type(a).__name__} and {type(b).__name__}")
     rows = [bag_rows(a), bag_rows(b)]  # a block of k != 1 bags raises
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    comparison._check_width(rows)
     if a.dim != store.dim:
         raise ValueError(f"dimension mismatch: {store.dim} vs {a.dim}")
     block = SentenceBlock(np.vstack(rows), np.concatenate([a.sizes, b.sizes]),

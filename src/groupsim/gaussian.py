@@ -8,9 +8,11 @@ merge M4), so moments taken to ``order=2`` stop after M2.  The
 moments of two bags pooled follow from theirs without the rows: Chan, Golub
 & LeVeque (1979) merge M2, Pébay (2008, SAND2008-6212) M3 and M4
 (:func:`merge_moments`).  Fits, log-likelihoods and the kurtosis penalty are
-then read off the moments of a whole batch at once (:func:`moment_fit`).  The
-tests pin merged moments to those of the stacked rows, and every fit and
-pair score to the row-based fit of the stacked bag, at 1e-12 relative.
+then read off the moments of a whole batch at once (:func:`moment_fit`).  It
+reads (n, d) arrays and checks none: :mod:`groupsim.comparison` checks each
+bag's shape and width where it enters.  The tests pin merged moments to
+those of the stacked rows, and every fit and pair score to the row-based fit
+of the stacked bag, at 1e-12 relative.
 
 All moments are biased (1/n).  Variances are floored at 1e-8 so repeated-word
 bags keep finite log-likelihoods; floored dimensions are counted on the fit.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import as_matrix, bag_rows
 from .special import LOG_2PI
 
 VAR_FLOOR = 1e-8
@@ -74,7 +75,7 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
 
 
 def moments(*bags, order: int = 4) -> GaussianMoments:
-    """Moments of each bag (an (n, d) array or a one-bag block), as one batch.
+    """Moments of each (n, d) bag, all of one width, as one batch.
 
     ``order=4`` (the default) takes M2, M3 and M4; ``order=2`` stops after
     M2 and leaves ``m3`` and ``m4`` None, with n, the mean and M2 bit for
@@ -90,14 +91,12 @@ def moments(*bags, order: int = 4) -> GaussianMoments:
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
-    count, d = len(bags), bag_rows(bags[0]).shape[1]
+    count, d = len(bags), bags[0].shape[1]
     n = np.empty(count)
     mean, dev_sum, m2 = (np.empty((count, d)) for _ in range(3))
     m3, m4 = (np.empty((count, d)) for _ in range(2)) if order == 4 else (None, None)
     for b, bag in enumerate(bags):
-        x = as_matrix(bag)
-        if x.shape[1] != d:
-            raise ValueError(f"dimension mismatch: {d} vs {x.shape[1]}")
+        x = np.asarray(bag, dtype=np.float64)
         n[b] = len(x)
         # np.add.reduce, not .sum: on a short bag the method's Python wrapper costs as much
         dev = x - np.divide(np.add.reduce(x, 0), len(x), out=mean[b])

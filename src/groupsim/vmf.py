@@ -21,12 +21,13 @@ takes its bags in blocks, an (n, d) array being one bag and a
 :class:`~groupsim.embeddings.SentenceBlock` its bags in order.  One pass of
 row norms per block checks every row and gives each bag's square norm, one
 sum per bag gives S, and the batch is fitted from its (B, d) resultants and
-(B,) counts.  The fits of two bags together are read from S_1 + S_2,
+(B,) counts alone.  The fits of two bags together are read from S_1 + S_2,
 n_1 + n_2 and the summed square norms by the same array core, and their
 penalties read the two bags' rows in place only for their dots with the
 fitted direction, so no joint bag is stacked and no row norm is taken
 twice.  The module is internal: the scoring path
-(:func:`groupsim.comparison.bag_criteria`) reads it.
+(:func:`groupsim.comparison.bag_criteria`) reads it, and checks each bag's
+shape and width where it enters.
 
 A fit carries its maximised log-likelihood, taken with respect to the
 surface measure of the sphere, so it has no chart volume term; the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import SentenceBlock, as_matrix
+from .embeddings import SentenceBlock
 from .hypersphere import to_spherical
 from .special import (  # noqa: F401 - bessel_ratio stays importable from this module
     bessel_ratio,
@@ -65,8 +66,9 @@ class VmfFit:
     ``square_norm`` is the sum of its rows' |w|^2 (n up to rounding), which
     the penalty's tangent term reads.  A joint bag's ``resultant``, ``n`` and
     ``square_norm`` are the sums of its parts'.  ``clamped`` marks clamped
-    resultant lengths.  ``theta_hat``, the polar angles of ``mu_hat``, is for
-    reference only; joint fits from merged resultants leave it None.
+    resultant lengths, S = 0 among them, whose ``mu_hat`` is then the first
+    axis.  ``theta_hat``, the polar angles of ``mu_hat``, is for reference
+    only; joint fits from merged resultants leave it None.
     """
 
     mu_hat: np.ndarray
@@ -107,13 +109,13 @@ def _unit_square_norms(x: np.ndarray) -> np.ndarray:
     return square
 
 
-def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarray, bags,
+def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarray,
                     angles: bool = False) -> VmfFit:
     """The fits of B bags from their (B, d) resultants S (the sums of their
     unit rows), (B,) row counts n and (B,) square norms, with one
-    :func:`vmf_kernels` pass.  ``bags[b]`` is read only when S_b is exactly
-    0: its first row is then the direction.  With ``angles`` the fits carry
-    ``theta_hat``.
+    :func:`vmf_kernels` pass and no row read: a bag with S = 0 takes the
+    first coordinate axis as its direction, which no L or P reads, as its
+    fit is clamped.  With ``angles`` the fits carry ``theta_hat``.
     """
     d = resultant.shape[1]
     # one dot product per row, as np.linalg.norm of that row sums it
@@ -121,8 +123,7 @@ def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarra
     resultant_norm = np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))).reshape(-1)
     with np.errstate(invalid="ignore"):  # 0 / 0 on a fully cancelling bag, replaced below
         mu_hat = resultant / resultant_norm[:, np.newaxis]
-    for b in np.flatnonzero(resultant_norm == 0.0).tolist():
-        mu_hat[b] = as_matrix(bags[b])[0]  # direction is arbitrary: pick the first vector
+    mu_hat[resultant_norm == 0.0] = np.eye(1, d)
     raw_r_bar = resultant_norm / n
     clamped = ~((R_BAR_FLOOR <= raw_r_bar) & (raw_r_bar <= R_BAR_CEIL))
     r_bar = np.minimum(np.maximum(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
@@ -148,41 +149,37 @@ def fit_vmf(*blocks) -> VmfFit:
     concentration in closed form, the bags of every block as one batch.
 
     A block is an (n, d) array, one bag, or a ``SentenceBlock``, its bags in
-    order.  Each block is read as float64 in its turn and checked by one pass
-    of row norms, which also gives every bag's square norm: finite unit rows
-    (within 1e-6), at least two per bag, as wide as the first block's.  A
-    bag's resultant is one sum over its rows.  The resultant length is
-    clamped into [1e-7, 1 - 1e-7] so the concentration stays finite on
-    degenerate bags (all vectors equal, or exactly cancelling); such fits are
-    flagged ``clamped``.
+    order, every block as wide as the first (the caller checks).  Each block
+    is read as float64 in its turn and checked by one pass of row norms,
+    which also gives every bag's square norm: finite unit rows (within
+    1e-6), at least two per bag.  A bag's resultant is one sum over its
+    rows.  The resultant length is clamped into [1e-7, 1 - 1e-7] so the
+    concentration stays finite on degenerate bags (all vectors equal, or
+    exactly cancelling); such fits are flagged ``clamped``.
     """
     count = sum(len(block) if isinstance(block, SentenceBlock) else 1 for block in blocks)
     if not count:
         raise ValueError("need at least one bag to fit")
-    resultant, square_norm, n, bags = None, np.empty(count), [], []
+    resultant, square_norm, n = None, np.empty(count), []
     for block in blocks:
         if isinstance(block, SentenceBlock):
             x = np.asarray(block.vectors, dtype=np.float64)
             starts, sizes = block.starts, block.sizes.tolist()
             views = [x[start:start + size] for start, size in zip(starts.tolist(), sizes)]
-            bags += views  # an exactly cancelling bag's first row is read from these
         else:
-            x = as_matrix(block)
+            x = np.asarray(block, dtype=np.float64)
             starts, sizes, views = _ONE_BAG, [len(x)], [x]
-            bags.append(block)  # as given: no float64 copy of a list of bags outlives its turn
         square = _unit_square_norms(x)
         if min(sizes, default=2) < 2:
             raise ValueError("need at least two vectors to fit")
         if resultant is None:
             resultant = np.empty((count, x.shape[1]))
-        elif x.shape[1] != resultant.shape[1]:
-            raise ValueError(f"dimension mismatch: {resultant.shape[1]} vs {x.shape[1]}")
         np.add.reduceat(square, starts, out=square_norm[len(n):len(n) + len(sizes)])
         for b, view in enumerate(views, start=len(n)):
             # np.add.reduce, not .sum: on a short bag the method's Python wrapper costs as much
             np.add.reduce(view, 0, out=resultant[b])
         n += sizes
-    return _fit_resultants(resultant, np.array(n, dtype=np.intp), square_norm, bags, angles=True)
+    return _fit_resultants(resultant, np.array(n, dtype=np.intp), square_norm, angles=True)
 
 
 def _tic_penalty(fit: VmfFit, bags) -> tuple[np.ndarray, np.ndarray]:

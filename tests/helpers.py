@@ -185,9 +185,9 @@ def as_unit_matrix(data) -> np.ndarray:
     """``data`` as a 2-D float array whose rows are finite unit vectors (within
     1e-6): the per-bag check, each row's deviation taken on its own, that
     the vMF fit's one pass of row norms per block must match."""
-    from groupsim.embeddings import as_matrix
+    from groupsim.embeddings import bag_rows
 
-    x = as_matrix(data)
+    x = np.asarray(bag_rows(data), dtype=np.float64)
     deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0)
     if not (deviation <= 1e-6).all():  # a NaN deviation fails this comparison too
         if not np.isfinite(x).all():
@@ -203,11 +203,11 @@ def square_norm_per_bag(x: np.ndarray) -> float:
     return float(np.add.reduceat(np.einsum("ij,ij->i", x, x), [0])[0])
 
 
-def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float, first_row,
+def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float,
                           angles: bool = False) -> VmfBagFit:
-    """The fit of one bag from its resultant S, its row count n, its square
-    norm and its first row (the direction when S is exactly 0), with one
-    scalar kernel call."""
+    """The fit of one bag from its resultant S, its row count n and its
+    square norm, with one scalar kernel call; the direction is the first
+    coordinate axis when S is exactly 0."""
     from groupsim.hypersphere import to_spherical
     from groupsim.special import inv_bessel_ratio
     from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR
@@ -220,7 +220,8 @@ def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float, fir
     if resultant_norm > 0.0:
         mu_hat = resultant / resultant_norm
     else:
-        mu_hat = np.array(first_row, dtype=np.float64)
+        mu_hat = np.zeros(d)
+        mu_hat[0] = 1.0
     kappa_hat = inv_bessel_ratio(d, r_bar)
     a_hat, a_prime, log_c = vmf_kernels_scalar(d, kappa_hat)
     return VmfBagFit(mu_hat=mu_hat, theta_hat=to_spherical(mu_hat) if angles else None,
@@ -235,7 +236,7 @@ def fit_vmf_per_bag(sample) -> VmfBagFit:
     x = as_unit_matrix(sample)
     if len(x) < 2:
         raise ValueError("need at least two vectors to fit")
-    return fit_resultant_per_bag(np.add.reduce(x, 0), len(x), square_norm_per_bag(x), x[0],
+    return fit_resultant_per_bag(np.add.reduce(x, 0), len(x), square_norm_per_bag(x),
                                  angles=True)
 
 
@@ -740,9 +741,9 @@ def nw_log_evidence_columns(data, prior) -> float:
     takes both multivariate gammas as full d-term sums through
     :func:`log_multivariate_gamma`.
     """
-    from groupsim.embeddings import as_matrix
+    from groupsim.embeddings import bag_rows
 
-    x = as_matrix(data)
+    x = np.asarray(bag_rows(data), dtype=np.float64)
     n, d = x.shape
     if d != prior.dim:
         raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
@@ -783,10 +784,10 @@ def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str 
         ModelCandidateScore,
         bag_criteria,
     )
-    from groupsim.embeddings import as_matrix
+    from groupsim.embeddings import bag_rows
     from groupsim.gaussian import moments
 
-    bags = [(as_matrix(b),) for b in corpus]
+    bags = [(np.asarray(bag_rows(b), dtype=np.float64),) for b in corpus]
     if not bags:
         raise ValueError("corpus must contain at least one bag")
     mom = moments(*(x for x, in bags))
@@ -1008,8 +1009,8 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
     elif model == "vmf":
         f1, f2 = [fit_vmf_per_bag(x) for x in first], [fit_vmf_per_bag(x) for x in second]
         joint = [fit_resultant_per_bag(a.resultant + b.resultant, a.n + b.n,
-                                       a.square_norm + b.square_norm, x[0])
-                 for a, b, x in zip(f1, f2, first)]
+                                       a.square_norm + b.square_norm)
+                 for a, b in zip(f1, f2)]
         out = [vmf_criteria_per_bag(ic, b, f, on_degenerate)
                for b, f in zip(bags, (joint, f1, f2))]
     else:

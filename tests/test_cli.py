@@ -273,6 +273,20 @@ class TestModelsel:
                     for r in corpus_model_selection(corpus, candidates, on_degenerate="aic")]
         assert [json.loads(line) for line in out_path.read_text().splitlines()] == expected
 
+    def test_passes_its_block_whole(self, embedding_file, corpus_file, monkeypatch, capsys):
+        from groupsim import comparison
+        from groupsim.embeddings import SentenceBlock
+
+        seen = []
+
+        def record(corpus, *args, **kwargs):
+            seen.append(corpus)
+            return corpus_model_selection(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(comparison, "corpus_model_selection", record)
+        assert main(["modelsel", "--embeddings", str(embedding_file), str(corpus_file)]) == EXIT_OK
+        assert [type(c) for c in seen] == [SentenceBlock] and len(seen[0]) == 4
+
     def test_byte_order_mark_before_corpus_is_dropped(self, embedding_file, corpus_file,
                                                       tmp_path, capsys):
         # a blank first line is skipped; with a mark kept, "\ufeff" would be a sentence

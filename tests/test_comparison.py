@@ -255,12 +255,12 @@ class TestMergedVmfJointFit:
         return made
 
     @pytest.mark.parametrize("ic", IC_KINDS)
-    def test_cancelling_pair_falls_back_to_the_first_row(self, ic, monkeypatch):
+    def test_cancelling_pair_falls_back_to_the_first_axis(self, ic, monkeypatch):
         x1 = uniform_sphere(np.random.default_rng(61), 4, 5)
         joint = self.joint_fits(monkeypatch)
         got = self.assert_matches_stacked_oracle(x1, -x1, ic)
         assert not joint[0].resultant[0].any()
-        assert joint[0].mu_hat[0].tobytes() == x1[0].tobytes()
+        assert joint[0].mu_hat[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         assert joint[0].clamped[0] and joint[0].r_bar[0] == R_BAR_FLOOR
         assert got.degenerate_fits == 1
         assert got[0].fallback == (ic == "tic")
@@ -802,19 +802,28 @@ class TestModelSelection:
             corpus_model_selection(corpus, candidates=[])
 
     def test_float32_corpus_is_read_one_bag_at_a_time(self):
-        """No float64 copy of the whole corpus: numpy reports its buffers to
-        tracemalloc, and the traced peak stays under a quarter of that copy."""
+        """No float64 copy of the whole corpus, given as a list of bags or as
+        one block: numpy reports its buffers to tracemalloc, and the traced
+        peak stays under a quarter of that copy."""
         rng = np.random.default_rng(26)
         corpus = [uniform_sphere(rng, 100, 50).astype(np.float32) for _ in range(100)]
         float64_bytes = 8 * sum(x.size for x in corpus)
-        tracemalloc.start()
-        try:
-            rows = corpus_model_selection(corpus, [(DIAG, "aic"), (VMF, "tic")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(rows) == 2
-        assert peak <= 0.25 * float64_bytes, f"traced peak {peak} bytes"
+        for form in (corpus, block_of(*corpus)):
+            tracemalloc.start()
+            try:
+                rows = corpus_model_selection(form, [(DIAG, "aic"), (VMF, "tic")])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == 2
+            assert peak <= 0.25 * float64_bytes, f"traced peak {peak} bytes"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_block_ranks_as_the_list_of_its_bags(self, dtype):
+        corpus = [x.astype(dtype) for x in self._unit_corpus(np.random.default_rng(28))]
+        want = corpus_model_selection(corpus, self.ALL_CANDIDATES, on_degenerate="aic")
+        got = corpus_model_selection(block_of(*corpus), self.ALL_CANDIDATES, on_degenerate="aic")
+        assert got == want
 
     def test_vmf_candidate_supported(self):
         rng = np.random.default_rng(17)
@@ -1008,3 +1017,73 @@ class TestSharedPadRow:
         excess = shared.values.mean() - independent.values.mean()
         se = math.sqrt((shared.values.var(ddof=1) + independent.values.var(ddof=1)) / self.PAIRS)
         assert excess > 3 * se, (shared.values.mean(), independent.values.mean(), se)
+
+
+ENTRY_CRITERIA = [(model, ic) for model in MODELS for ic in IC_KINDS] + [("bayes", None)]
+
+
+class TestEntryChecks:
+    """A bag is checked where it enters (``pair_scores``, ``bag_criteria``,
+    ``corpus_model_selection``): 2-D rows of one width, before any kernel
+    runs, with the message naming the first width and the first other one."""
+
+    @staticmethod
+    def no_kernels(monkeypatch, *more):
+        def fail(*args, **kwargs):
+            raise AssertionError("a kernel ran before the bags were checked")
+
+        for name in ("moments", "fit_vmf", "nw_log_evidence", *more):
+            monkeypatch.setattr(comparison, name, fail)
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_pair_scores_names_both_widths(self, model, ic, blocks, monkeypatch):
+        rng = np.random.default_rng(71)
+        first = [uniform_sphere(rng, 3, 4), uniform_sphere(rng, 4, 4)]
+        second = [uniform_sphere(rng, 3, 5), uniform_sphere(rng, 5, 5)]
+        if blocks:
+            first, second = block_of(*first), block_of(*second)
+        self.no_kernels(monkeypatch, "bag_criteria")
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+            pair_scores(model, ic, first, second)
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    def test_pair_scores_names_a_width_within_one_side(self, model, ic, monkeypatch):
+        rng = np.random.default_rng(72)
+        first = [uniform_sphere(rng, 3, 4), uniform_sphere(rng, 3, 5)]
+        second = [uniform_sphere(rng, 4, 4), uniform_sphere(rng, 4, 4)]
+        self.no_kernels(monkeypatch, "bag_criteria")
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+            pair_scores(model, ic, first, second)
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_bag_criteria_names_both_widths(self, model, ic, joint, monkeypatch):
+        rng = np.random.default_rng(73)
+        x, y = uniform_sphere(rng, 3, 4), uniform_sphere(rng, 4, 5)
+        self.no_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="^dimension mismatch: 4 vs 5$"):
+            comparison.bag_criteria(model, ic, [(x, y)] if joint else [(x,), (y,)])
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_bag_criteria_rejects_a_1d_array(self, model, ic, position):
+        bags = [(uniform_sphere(np.random.default_rng(74), 3, 4),)]
+        bags.insert(position, (np.array([1.0, 0.0, 0.0, 0.0]),))
+        with pytest.raises(ValueError, match="^expected a 2-D array of row vectors$"):
+            comparison.bag_criteria(model, ic, bags)
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    def test_bag_criteria_rejects_a_block(self, model, ic):
+        # a bag's blocks are arrays; a SentenceBlock is read through pair_scores
+        block = block_of(uniform_sphere(np.random.default_rng(75), 3, 4))
+        with pytest.raises(ValueError, match="^expected a 2-D array of row vectors$"):
+            comparison.bag_criteria(model, ic, [(block,)])
+
+    @pytest.mark.parametrize("candidate", [(DIAG, "tic"), (SPHERICAL, "aic"), (VMF, "aic")])
+    def test_corpus_model_selection_names_both_widths(self, candidate, monkeypatch):
+        rng = np.random.default_rng(76)
+        corpus = [uniform_sphere(rng, 6, 3), uniform_sphere(rng, 5, 3), uniform_sphere(rng, 6, 4)]
+        self.no_kernels(monkeypatch, "bag_criteria")
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+            corpus_model_selection(corpus, candidates=[candidate])

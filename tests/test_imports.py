@@ -6,6 +6,7 @@ Each check runs in a fresh interpreter with only ``src`` on the import path,
 so modules that the test suite itself has imported do not count.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,6 +46,27 @@ def write_inputs(tmp_path, d: int, seed: int, pairs: str):
     pair_file = tmp_path / "pairs.tsv"
     pair_file.write_text(pairs)
     return str(vectors), str(pair_file)
+
+
+def imported_modules(path: Path) -> list[str]:
+    """Every module and name a groupsim source file imports, by full name:
+    ``from .special import LOG_2PI`` gives groupsim.special and
+    groupsim.special.LOG_2PI."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["groupsim" if node.level else "", node.module]))
+            names += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    return names
+
+
+def test_gaussian_imports_nothing_from_embeddings():
+    # the Gaussian kernels read arrays; bags are checked where they enter, in comparison
+    names = imported_modules(SRC / "groupsim" / "gaussian.py")
+    assert "groupsim.special.LOG_2PI" in names
+    assert not [n for n in names if n.split(".")[:2] == ["groupsim", "embeddings"]], names
 
 
 def test_import_loads_no_scipy():

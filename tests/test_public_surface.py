@@ -44,7 +44,7 @@ REMOVED = {
     "gaussian": ("GaussianFit", "fit_gaussian", "gaussian_tic_penalty"),
     "baselines": ("mwv_similarity",),
     "comparison": ("_validated_pair", "similarity_ic", "bayes_factor_similarity"),
-    "embeddings": ("SentenceSample",),
+    "embeddings": ("SentenceSample", "as_matrix"),
     "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
     "vmf": ("vmf_tic_penalty",),
 }
