@@ -94,11 +94,25 @@ for run in with_config with_pairs with_corpus; do
     fi
 done
 printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
+printf 'Dog, the CAT!\tzzz qqq\t0.5\nthe cat sat\tcat\t3.0\ndog\tdog cat\t2.5\n' > "$tmp/pairs2.tsv"
 # every method with scipy made unimportable: at d = 3 each bag has n + 1 >= d rows, so the
 # Bayes factor takes the d x d side of the Normal-Wishart evidence, on numpy alone
 python -c 'import sys; sys.modules["scipy"] = None; from groupsim.cli import main; sys.exit(main(sys.argv[1:]))' \
-    eval --embeddings "$tmp/lexicon.txt" --method all --out "$tmp/eval.jsonl" "$tmp/pairs.tsv" \
-    > /dev/null
+    eval --embeddings "$tmp/lexicon.txt" --method all --out "$tmp/eval.jsonl" \
+    "$tmp/pairs.tsv" "$tmp/pairs2.tsv" > /dev/null
+# each pair file is tokenised once, when it is read, and serves every method: the report of
+# --method all is, byte for byte, the ten one-method reports end to end in SUPPORTED_METHODS order
+: > "$tmp/eval-each.jsonl"
+for method in $(python -c 'from groupsim.evaluation import SUPPORTED_METHODS; print(*SUPPORTED_METHODS)'); do
+    python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method "$method" \
+        --out "$tmp/eval-$method.jsonl" "$tmp/pairs.tsv" "$tmp/pairs2.tsv" > /dev/null
+    cat "$tmp/eval-$method.jsonl" >> "$tmp/eval-each.jsonl"
+done
+if ! cmp -s "$tmp/eval.jsonl" "$tmp/eval-each.jsonl"; then
+    echo "eval --method all wrote a report that is not the ten one-method reports end to end" >&2
+    diff "$tmp/eval.jsonl" "$tmp/eval-each.jsonl" >&2 || true
+    exit 1
+fi
 # the report holds one summary row per supported method
 python - "$tmp/eval.jsonl" <<'EOF'
 import json

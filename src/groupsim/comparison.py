@@ -189,7 +189,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     of every bag of a batch, as (B,) arrays.
 
     A bag is a tuple of (n_i, d) row blocks fitted as one, each checked 2-D
-    and as wide as the first before any fit.  P is the gradient trace for
+    and as wide as the first before any fit; an empty batch raises
+    ``ValueError``.  P is the gradient trace for
     ``ic="tic"``, the parameter count k for "aic" and ``(k/2) log n`` for
     "bic"; a ("bayes", None) bag has its Normal-Wishart log evidence as L and
     P = 0, the bags grouped by total row count and each
@@ -209,6 +210,8 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
     """
     _check_criterion(model, ic, on_degenerate)
+    if not bags:
+        raise ValueError("bag_criteria got an empty batch: need at least one bag")
     d = _check_width([x for bag in bags for x in bag])
     count = len(bags)
     fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)

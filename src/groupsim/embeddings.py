@@ -2,10 +2,14 @@
 
 Loads whitespace-separated text embeddings (``token v1 ... vd`` per line,
 optional two-integer count/dimension header) into an immutable store, and
-turns raw text into a block of bags of vectors under a uniform padding rule:
-every sentence receives one copy of a designated pad vector, and fully
+turns tokenised text into a block of bags of vectors under a uniform padding
+rule: every sentence receives one copy of a designated pad vector, and fully
 out-of-vocabulary sentences receive two, so downstream dispersion estimates
-are always defined (n >= 2).  A bag is an (n, d) array or a row range of a
+are always defined (n >= 2).  A store records its non-finite rows once, when
+it is made, and exposes its matrix read-only; :func:`lookup_tokens` is the
+one gather, one vocabulary probe per token and one ``take``, and refuses a
+block that reads a recorded row.  :func:`lookup_sentences` tokenises, then
+gathers.  A bag is an (n, d) array or a row range of a
 :class:`SentenceBlock`; a looked-up sentence is a block of one.  Bags keep
 the store's dtype (float32 from the loader), and a kernel reads one bag or
 block at a time as float64.  :func:`bag_rows` gives a bag's rows in their
@@ -37,19 +41,28 @@ PAD_TOKEN_CANDIDATES = (".", "the")
 class EmbeddingStore:
     """Immutable token -> vector map backed by a single matrix.
 
-    ``vocab`` maps each token to its row in ``matrix``.
+    ``vocab`` maps each token to its row in ``matrix``, which the store holds
+    as a read-only view (the caller's array keeps its own flags); the array
+    must not change after the store is made.  ``non_finite_rows`` records,
+    once, the rows with a NaN or an infinite entry, in order; it is empty for
+    every store :func:`load_embeddings` makes.
     """
 
     dim: int
     vocab: dict[str, int]
     matrix: np.ndarray
     duplicate_count: int = 0
+    non_finite_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vocab:
             raise ValueError("embedding store must contain at least one token")
         if self.matrix.shape != (len(self.vocab), self.dim):
             raise ValueError("matrix shape does not match vocab size and dimension")
+        matrix = self.matrix.view()
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "non_finite_rows", _non_finite_rows(matrix))
 
     def __contains__(self, token: str) -> bool:
         return token in self.vocab
@@ -60,6 +73,21 @@ class EmbeddingStore:
     def vector(self, token: str) -> np.ndarray:
         """Vector for a token, as float64."""
         return self.matrix[self.vocab[token]].astype(np.float64)
+
+
+def _non_finite_rows(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the rows with a non-finite entry.
+
+    A finite float64 sum of every entry proves there are none, and needs no
+    whole-matrix boolean temporary.  Otherwise each row's float64 sum names
+    the candidates, and only those are checked entry by entry, so a row whose
+    sum overflows from finite entries is not recorded.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(np.add.reduce(matrix, axis=None, dtype=np.float64)):
+            return np.empty(0, dtype=np.intp)
+        rows = np.flatnonzero(~np.isfinite(np.add.reduce(matrix, axis=1, dtype=np.float64)))
+    return rows[~np.isfinite(matrix[rows]).all(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -276,29 +304,43 @@ def lookup_sentence(store: EmbeddingStore, text: str, pad_token: str) -> Sentenc
 
 
 def lookup_sentences(store: EmbeddingStore, texts, pad_token: str) -> SentenceBlock:
-    """The padded bags of many sentences in one block.
+    """The padded bags of many sentences in one block: each text is tokenised
+    once (:func:`tokenize`), then gathered by :func:`lookup_tokens`."""
+    return lookup_tokens(store, [tokenize(text) for text in texts], pad_token)
+
+
+def lookup_tokens(store: EmbeddingStore, token_lists, pad_token: str) -> SentenceBlock:
+    """The padded bags of many tokenised sentences in one block: the one gather.
 
     Tokens missing from the vocabulary are dropped (counted in
     ``oov_counts``).  The pad vector is appended once to every sentence; a
     sentence with no retained tokens gets it twice, so n >= 2 always holds.
-    Each text is tokenised once; the rows of all bags are gathered from the
-    store in one ``take``, in the store's dtype, and checked finite.  Bags
-    are laid out in the order of ``texts``.
+    Each token is probed in the vocabulary once, and the rows of all bags
+    are gathered from the store in one ``take``, in the store's dtype.  A
+    block that reads one of the store's non-finite rows raises; no row is
+    scanned when the store has none.  Bags are laid out in the order of
+    ``token_lists``.
     """
     if pad_token not in store:
         raise UnknownTokenError(f"pad token {pad_token!r} not in vocabulary")
-    vocab = store.vocab
-    pad = vocab[pad_token]
-    indices, tokens, oov_counts = [], [], []
-    for text in texts:
-        words = tokenize(text)
-        retained = [t for t in words if t in vocab]
+    probe = store.vocab.get
+    pad = store.vocab[pad_token]
+    rows, sizes, tokens, oov_counts = [], [], [], []
+    for words in token_lists:
+        ids = list(map(probe, words))
+        if None in ids:
+            retained = [t for t, i in zip(words, ids) if i is not None]
+            ids = [i for i in ids if i is not None]
+        else:
+            retained = list(words)
         tokens.append(retained)
         oov_counts.append(len(words) - len(retained))
-        indices.append([vocab[t] for t in retained] + [pad] * (1 if retained else 2))
-    sizes = np.array([len(rows) for rows in indices], dtype=np.intp)
-    rows = np.fromiter(itertools.chain.from_iterable(indices), dtype=np.intp)
-    vectors = store.matrix.take(rows, axis=0)
-    if not np.isfinite(vectors).all():
+        ids += (pad,) if retained else (pad, pad)
+        rows += ids
+        sizes.append(len(ids))
+    rows = np.array(rows, dtype=np.intp)
+    bad = store.non_finite_rows
+    if bad.size and np.isin(rows, bad).any():
         raise ValueError("sentence vectors must be finite")
-    return SentenceBlock(vectors, sizes, tuple(tokens), tuple(oov_counts))
+    return SentenceBlock(store.matrix.take(rows, axis=0), np.array(sizes, dtype=np.intp),
+                         tuple(tokens), tuple(oov_counts))

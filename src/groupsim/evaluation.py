@@ -8,8 +8,9 @@ summary row, which also counts the pairs whose gradient penalty fell back to
 the parameter count, the Gaussian dimensions held at the variance floor and
 the vMF fits whose resultant length was clamped.
 
-A dataset is scored as one batch.  Its sentences are looked up together into
-one block in the lexicon's float32 (:func:`groupsim.embeddings.lookup_sentences`),
+A pair file is tokenised once, when it is read (:attr:`ScoredPairSet.tokens`),
+and each method's run gathers a dataset's bags from those tokens into one
+block in the lexicon's float32 (:func:`groupsim.embeddings.lookup_tokens`),
 each bag a row range of it that a kernel reads as float64.  Every model
 method scores all the pairs of the block in one call of
 :func:`groupsim.comparison.pair_scores`, the one composition that serves
@@ -19,21 +20,22 @@ float64 copy of the block's rows normalised once and checked once (one pass
 of row norms for each half of the block), and the Normal-Wishart
 evidence over stacks of bags with equal row counts.  The baselines take
 their sentence vectors from the same rows, in :func:`embedding_scores`, the one
-implementation of MWV, SIF and SIF with PC removal over a dataset (a zero
-sentence vector scores 0.0).  Every per-pair value agrees with scoring the
-pair alone the way the harness did before dataset batches (the tests check
-1e-12 relative).  One pair, two one-bag blocks from
+implementation of MWV, SIF and SIF with PC removal over a dataset, with one
+SIF weight pass over the block's tokens (a zero sentence vector scores 0.0).
+Every per-pair value agrees with scoring the pair alone the way the harness
+did before dataset batches (the tests check 1e-12 relative).  One pair, two one-bag blocks from
 :func:`groupsim.embeddings.lookup_sentence`, is scored as a block of two
 (:func:`score_pair`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .embeddings import (
     bag_rows,
     find_pad_token,
     lookup_sentences,
+    lookup_tokens,
+    tokenize,
 )
 from .errors import EmbeddingFormatError
 
@@ -67,15 +71,23 @@ SUPPORTED_METHODS = MODEL_METHODS + BASELINE_METHODS
 
 @dataclass(frozen=True)
 class ScoredPairSet:
-    """A named dataset of sentence pairs with gold similarity scores."""
+    """A named dataset of sentence pairs with gold similarity scores.
+
+    ``tokens`` is derived once, when the set is made: the :func:`tokenize`
+    list of every sentence a, then of every sentence b, the bag order of
+    :func:`pair_block`.
+    """
 
     name: str
     pairs: tuple[tuple[str, str, float], ...]
     skipped_lines: int = 0
+    tokens: tuple[list[str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError(f"dataset {self.name!r} has no usable pairs")
+        sentences = [a for a, _, _ in self.pairs] + [b for _, b, _ in self.pairs]
+        object.__setattr__(self, "tokens", tuple(map(tokenize, sentences)))
 
     @property
     def count(self) -> int:
@@ -228,11 +240,14 @@ def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) ->
     (:func:`groupsim.baselines.row_cosines`).
     """
     vectors = np.empty((len(block), block.dim))
-    for i, tokens in enumerate(block.tokens):
-        rows = block.rows(i)
+    if method != "mwv":  # one weight pass over the block's tokens, sliced per bag
+        weights = baselines.sif_weights(list(itertools.chain.from_iterable(block.tokens)),
+                                        options.freqs, options.sif_a)
+    end = 0
+    for i, (tokens, rows) in enumerate(zip(block.tokens, block.bags())):
         if method != "mwv" and tokens:
-            weights = baselines.sif_weights(tokens, options.freqs, options.sif_a)
-            vectors[i] = baselines.weighted_mean(weights, rows[:len(tokens)])
+            start, end = end, end + len(tokens)
+            vectors[i] = baselines.weighted_mean(weights[start:end], rows[:len(tokens)])
         else:
             np.divide(np.add.reduce(rows, 0, dtype=np.float64), len(rows), out=vectors[i])
     if method == "sif_pca":
@@ -308,9 +323,10 @@ def score_pair(
 def _score_dataset(method, dataset, store, pad, options):
     """A dataset's scores and its number of pairs with a sentence that kept no token.
 
-    The block lives only here, so one dataset's rows are held at a time.
+    The block is gathered from the set's tokens, read when it was loaded, and
+    lives only here, so one dataset's rows are held at a time.
     """
-    block = pair_block(store, dataset.pairs, pad)
+    block = lookup_tokens(store, dataset.tokens, pad)
     kept = [bool(tokens) for tokens in block.tokens]
     degenerate = sum(not (a and b) for a, b in zip(kept[:dataset.count], kept[dataset.count:]))
     return _score_block(method, block, options), degenerate

@@ -15,10 +15,12 @@ from groupsim.baselines import (
     row_cosines,
     sif_weights,
 )
+from groupsim import evaluation
+from groupsim.embeddings import tokenize
 from groupsim.errors import EmbeddingFormatError
 from groupsim.evaluation import EvalOptions, embedding_scores, pair_block, score_pair
 
-from helpers import block_of
+from helpers import block_of, sif_embed_per_token
 
 PAD = "."
 
@@ -140,6 +142,61 @@ class TestSif:
     def test_rejects_non_finite_a(self, a):
         with pytest.raises(ValueError, match="finite"):
             sif_weights(["cat"], None, a=a)
+
+
+# the third pair's first sentence and the fourth's second are fully out of vocabulary
+SIF_PAIRS = [
+    ("the cat sat on the mat", "dog on the mat", 3.0),
+    ("cat zzz dog", "the the the", 1.0),
+    ("zzz qqq", "Sat, on the mat!", 2.0),
+    ("mat dog cat", "...", 4.0),
+    ("on", "cat sat", 0.5),
+]
+
+
+class TestBlockSifWeights:
+    """One ``sif_weights`` call over a block's tokens, sliced per bag, gives
+    every sentence vector of the per-sentence oracle, bit for bit."""
+
+    @staticmethod
+    def oracle_scores(method, store, pairs, options):
+        sentences = [a for a, _, _ in pairs] + [b for _, b, _ in pairs]
+        vectors = []
+        for text in sentences:
+            if any(t in store for t in tokenize(text)):
+                vectors.append(sif_embed_per_token(tokenize(text), store, options.freqs,
+                                                   options.sif_a))
+            else:  # the padded mean of two pad rows is the pad row
+                vectors.append(store.vector(PAD))
+        vectors = np.vstack(vectors)
+        if method == "sif_pca":
+            vectors = remove_first_pc(vectors, seed=options.seed)
+        return row_cosines(vectors[:len(pairs)], vectors[len(pairs):])
+
+    @pytest.mark.parametrize("method", ["sif", "sif_pca"])
+    @pytest.mark.parametrize("freqs", [
+        None,
+        FrequencyTable({"the": 40, "cat": 3, "mat": 7}),  # dog, sat and on are absent
+    ], ids=["no-table", "absent-tokens"])
+    def test_scores_equal_the_per_sentence_oracle(self, store, method, freqs):
+        options = EvalOptions(freqs=freqs, sif_a=0.02, seed=3)
+        got = embedding_scores(method, pair_block(store, SIF_PAIRS, PAD), options)
+        want = self.oracle_scores(method, store, SIF_PAIRS, options)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("method", ["sif", "sif_pca"])
+    def test_one_weight_pass_per_block(self, store, method, monkeypatch):
+        calls = []
+        weigh = baselines.sif_weights
+
+        def counted(tokens, freqs, a):
+            calls.append(list(tokens))
+            return weigh(tokens, freqs, a)
+
+        monkeypatch.setattr(evaluation.baselines, "sif_weights", counted)
+        block = pair_block(store, SIF_PAIRS, PAD)
+        embedding_scores(method, block, EvalOptions())
+        assert calls == [[t for tokens in block.tokens for t in tokens]]
 
 
 class TestFrequencyTable:

@@ -1087,3 +1087,9 @@ class TestEntryChecks:
         self.no_kernels(monkeypatch, "bag_criteria")
         with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
             corpus_model_selection(corpus, candidates=[candidate])
+
+    @pytest.mark.parametrize("model,ic", ENTRY_CRITERIA)
+    def test_bag_criteria_names_an_empty_batch(self, model, ic, monkeypatch):
+        self.no_kernels(monkeypatch, "count_penalty", "default_prior", "_tic_penalty")
+        with pytest.raises(ValueError, match="^bag_criteria got an empty batch"):
+            comparison.bag_criteria(model, ic, [])

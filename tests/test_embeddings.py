@@ -12,6 +12,7 @@ from groupsim.embeddings import (
     load_embeddings,
     lookup_sentence,
     lookup_sentences,
+    lookup_tokens,
     tokenize,
 )
 from groupsim.errors import EmbeddingFormatError
@@ -217,3 +218,124 @@ class TestStoreInvariants:
 
     def test_lookup_returns_float64(self, store):
         assert store.vector("cat").dtype == np.float64
+
+
+def with_matrix(store, matrix):
+    return EmbeddingStore(dim=matrix.shape[1], vocab=store.vocab, matrix=matrix)
+
+
+class TestNonFiniteRecord:
+    """A store records its non-finite rows once, when it is made; a lookup
+    reads the record and refuses exactly the bags that read a bad row."""
+
+    def test_empty_for_loaded_stores(self, store, unit_store):
+        for loaded in (store, unit_store):
+            assert loaded.non_finite_rows.dtype == np.intp
+            assert loaded.non_finite_rows.size == 0
+
+    def test_names_every_bad_row_in_order(self, store):
+        matrix = store.matrix.copy()
+        matrix[store.vocab["dog"], 3] = -np.inf
+        matrix[store.vocab["cat"], 0] = np.nan
+        matrix[store.vocab["mat"], 1:3] = (np.inf, -np.inf)
+        want = sorted(store.vocab[t] for t in ("dog", "cat", "mat"))
+        assert with_matrix(store, matrix).non_finite_rows.tolist() == want
+
+    def test_nan_in_the_pad_row_refuses_every_bag(self, store):
+        matrix = store.matrix.copy()
+        matrix[store.vocab["."], 2] = np.nan
+        bad = with_matrix(store, matrix)
+        for text in ("the cat", "zzz qqq", "", "dog sat on the mat"):
+            with pytest.raises(ValueError, match="finite"):
+                lookup_sentence(bad, text, ".")
+        with pytest.raises(ValueError, match="finite"):
+            lookup_sentences(bad, ["the cat", "dog"], ".")
+        lookup_sentence(bad, "the cat", "the")  # another pad row is fine
+
+    def test_a_block_refuses_when_one_of_its_bags_reads_a_bad_row(self, store):
+        matrix = store.matrix.copy()
+        matrix[store.vocab["cat"], 1] = np.inf
+        bad = with_matrix(store, matrix)
+        lookup_sentences(bad, ["the dog", "zzz", "sat on the mat"], ".")
+        with pytest.raises(ValueError, match="finite"):
+            lookup_sentences(bad, ["the dog", "zzz", "sat on the cat"], ".")
+
+    def test_a_clean_store_scans_no_rows(self, store, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a lookup scanned rows of a store with no bad row")
+
+        monkeypatch.setattr(np, "isfinite", fail)
+        monkeypatch.setattr(np, "isin", fail)
+        block = lookup_sentences(store, ["the cat", "zzz qqq", "dog sat on the mat"], ".")
+        assert block.sizes.tolist() == [3, 2, 6]
+
+    def test_matrix_is_a_read_only_view(self, store):
+        matrix = store.matrix.copy()
+        made = with_matrix(store, matrix)
+        assert not made.matrix.flags.writeable
+        assert matrix.flags.writeable
+        assert np.shares_memory(made.matrix, matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            made.matrix[0, 0] = 1.0
+        assert not store.matrix.flags.writeable
+
+    def test_an_overflowing_sum_of_finite_rows_records_no_row(self, store):
+        # every float64 row sum overflows, and so does the whole-matrix sum, with no bad entry
+        matrix = np.full((len(store), 4), 1e308)
+        matrix[:, 1] = 0.9e308
+        matrix[store.vocab["cat"], 2] = np.nan
+        made = with_matrix(store, matrix)
+        assert made.non_finite_rows.tolist() == [store.vocab["cat"]]
+        matrix[store.vocab["cat"], 2] = -1e308
+        clean = with_matrix(store, matrix)
+        assert clean.non_finite_rows.size == 0
+        block = lookup_sentences(clean, ["the cat", "zzz"], ".")
+        np.testing.assert_array_equal(block.rows(0), matrix[[store.vocab["the"],
+                                                                store.vocab["cat"],
+                                                                store.vocab["."]]])
+
+
+class CountingVocab(dict):
+    """A vocabulary that counts its probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+class TestLookupTokens:
+    TEXTS = ["The cat, the DOG!", "zzz qqq", "", "dog sat on the mat zzz"]
+
+    def test_lookup_sentences_is_tokenize_then_the_gather(self, store):
+        want = lookup_tokens(store, [tokenize(t) for t in self.TEXTS], ".")
+        got = lookup_sentences(store, self.TEXTS, ".")
+        assert got.vectors.dtype == want.vectors.dtype
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.sizes.tolist() == want.sizes.tolist()
+        assert got.tokens == want.tokens and got.oov_counts == want.oov_counts
+
+    def test_one_vocab_probe_per_token(self, store):
+        vocab = CountingVocab(store.vocab)
+        counted = EmbeddingStore(dim=store.dim, vocab=vocab, matrix=store.matrix)
+        token_lists = [tokenize(t) for t in self.TEXTS]
+        vocab.probes = 0
+        lookup_tokens(counted, token_lists, ".")
+        # the pad token's membership test and its row, then one probe per token
+        assert vocab.probes == 2 + sum(map(len, token_lists))
+
+    def test_token_lists_are_left_as_they_are(self, store):
+        token_lists = [tokenize(t) for t in self.TEXTS]
+        before = [list(words) for words in token_lists]
+        block = lookup_tokens(store, token_lists, ".")
+        assert token_lists == before
+        assert all(kept is not words for kept, words in zip(block.tokens, token_lists))

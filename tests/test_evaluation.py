@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsim import comparison
+from groupsim import baselines, comparison, embeddings, evaluation
 from groupsim.errors import EmbeddingFormatError, UnknownTokenError
 from groupsim.evaluation import (
     MODEL_METHODS,
@@ -17,12 +17,13 @@ from groupsim.evaluation import (
     average_ranks,
     evaluate,
     load_pairs,
+    pair_block,
     report_lines,
     score_pair,
     spearman,
     unit_rows,
 )
-from groupsim.embeddings import lookup_sentence
+from groupsim.embeddings import lookup_sentence, tokenize
 from helpers import spearman_rankdata
 
 PAIRS_A = """\
@@ -321,6 +322,79 @@ DIRECT_CALLS = {
     "bayes_factor": lambda a, b: comparison.pair_scores(
         "bayes", None, [a.vectors], [b.vectors])[0],
 }
+
+
+# out-of-vocabulary tokens, a fully out-of-vocabulary sentence and an empty one
+PAIRS_OOV = """\
+The cat, zzz SAT!\tdog qqq\t1.5
+zzz qqq\tthe mat\t3.0
+cat\t...\t2.0
+on the mat\tthe dog sat on the mat\t4.0
+"""
+
+
+@pytest.fixture
+def dataset_oov(tmp_path):
+    path = tmp_path / "oov.tsv"
+    path.write_text(PAIRS_OOV)
+    return load_pairs(path)
+
+
+class TestParseOnce:
+    """A pair set is tokenised once, when it is made, and every method's
+    lookup gathers from those tokens."""
+
+    def test_tokens_are_every_a_then_every_b(self, dataset_oov):
+        pairs = dataset_oov.pairs
+        want = [tokenize(a) for a, _, _ in pairs] + [tokenize(b) for _, b, _ in pairs]
+        assert isinstance(dataset_oov.tokens, tuple)
+        assert all(type(words) is list for words in dataset_oov.tokens)
+        assert list(dataset_oov.tokens) == want
+
+    def test_tokens_are_derived_not_passed(self, dataset_oov):
+        with pytest.raises(TypeError):
+            ScoredPairSet(name="x", pairs=dataset_oov.pairs, tokens=())
+        again = ScoredPairSet(name=dataset_oov.name, pairs=dataset_oov.pairs,
+                              skipped_lines=dataset_oov.skipped_lines)
+        assert again == dataset_oov and again.tokens == dataset_oov.tokens
+
+    def test_evaluate_makes_no_tokenize_call(self, store, unit_store, dataset_a, dataset_oov,
+                                             monkeypatch):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for home in (embeddings, evaluation):
+            monkeypatch.setattr(home, "tokenize", counted)
+        options = EvalOptions(freqs=baselines.FrequencyTable({"the": 9, "cat": 2, "sat": 1}))
+        for method in SUPPORTED_METHODS:
+            use = unit_store if method.startswith("vmf") else store
+            evaluate(method, [dataset_a, dataset_oov], use, options)
+        assert calls == []
+        embeddings.lookup_sentences(store, ["the cat"], ".")  # the patch is where lookups look
+        assert calls == ["the cat"]
+
+    def test_the_dataset_block_is_the_pair_block(self, store, dataset_oov, monkeypatch):
+        blocks = []
+        score_block = evaluation._score_block
+
+        def spy(method, block, options):
+            blocks.append(block)
+            return score_block(method, block, options)
+
+        monkeypatch.setattr(evaluation, "_score_block", spy)
+        evaluation._score_dataset("diag_tic", dataset_oov, store, ".", EvalOptions())
+        got, = blocks
+        want = pair_block(store, dataset_oov.pairs, ".")
+        assert got.vectors.dtype == want.vectors.dtype == store.matrix.dtype
+        assert got.vectors.shape == want.vectors.shape
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.sizes.dtype == want.sizes.dtype
+        assert got.sizes.tobytes() == want.sizes.tobytes()
+        assert got.tokens == want.tokens
+        assert got.oov_counts == want.oov_counts
 
 
 class TestDispatch:
