@@ -36,6 +36,35 @@ if not all(math.isfinite(v) for v in values) or values != sorted(values):
     sys.exit(f"modelsel mean_ic must be finite and ascending, got {values}")
 EOF
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method mwv "the cat" "zzz qqq"
+# every method through score_pair end to end: a finite value, and for each model method finite
+# breakdown terms and a fallback line (a baseline prints no breakdown)
+for method in $(python -c 'from groupsim.evaluation import SUPPORTED_METHODS; print(*SUPPORTED_METHODS)'); do
+    python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --method "$method" --verbose \
+        "the cat" "cat dog" > "$tmp/score-$method.txt"
+    python - "$tmp/score-$method.txt" "$method" <<'EOF'
+import math
+import sys
+
+from groupsim.evaluation import MODEL_METHODS
+
+path, method = sys.argv[1:]
+with open(path, encoding="utf-8") as handle:
+    lines = handle.read().splitlines()
+name, value = lines[0].split("\t")
+if name != method or not math.isfinite(float(value)):
+    sys.exit(f"expected a finite {method} score, got {lines[0]!r}")
+fields = dict(line.strip().split(" = ") for line in lines[1:])
+if method not in MODEL_METHODS:
+    if fields:
+        sys.exit(f"{method} is a baseline and prints no breakdown, got {fields}")
+    sys.exit(0)
+keys = ("loglik_joint", "loglik_1", "loglik_2", "penalty_joint", "penalty_1", "penalty_2", "alpha")
+if not all(key in fields and math.isfinite(float(fields[key])) for key in keys):
+    sys.exit(f"expected finite {method} breakdown terms, got {fields}")
+if fields.get("fallback") not in ("True", "False"):
+    sys.exit(f"expected a {method} fallback line, got {fields}")
+EOF
+done
 # the vMF "tic" penalty end to end: a finite score, three finite penalties and no fallback
 python -m groupsim.cli score --embeddings "$tmp/lexicon.txt" --normalize --method vmf_tic \
     --verbose "the cat" "cat dog" > "$tmp/vmf_tic.txt"

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embeddings import _integer_values, _integral
 from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
@@ -30,12 +31,21 @@ POWER_MAX_ITER = 1000
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Token counts and their total, for inverse-frequency weighting."""
+    """Token counts and their total, for inverse-frequency weighting.
+
+    Every count is a positive integer (any ``numbers.Integral`` but a bool),
+    checked when the table is made.
+    """
 
     counts: dict[str, int]
     total: int = field(init=False)
 
     def __post_init__(self) -> None:
+        counts = self.counts.values()
+        if not (_integer_values(counts) and min(counts, default=1) > 0):
+            token, count = next((token, count) for token, count in self.counts.items()
+                                if not (_integral(count) and count > 0))
+            raise ValueError(f"count of {token!r} must be a positive integer, got {count!r}")
         object.__setattr__(self, "total", sum(self.counts.values()))
         if self.total <= 0:
             raise ValueError("frequency table must be non-empty")

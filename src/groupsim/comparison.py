@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import SentenceBlock, bag_rows
+from .embeddings import SentenceBlock, _integral, bag_rows
 from .errors import DegenerateCurvatureError
 from .gaussian import (
     DIAG,
@@ -155,11 +154,6 @@ def _check_criterion(model: str, ic: str | None, on_degenerate: str) -> None:
     _check_on_degenerate(on_degenerate)
     if (model, ic) != (BAYES, None) and (model not in MODELS or ic not in IC_KINDS):
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is an integer (any ``numbers.Integral``) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _moment_order(model: str, ic: str | None) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -41,7 +42,8 @@ PAD_TOKEN_CANDIDATES = (".", "the")
 class EmbeddingStore:
     """Immutable token -> vector map backed by a single matrix.
 
-    ``vocab`` maps each token to its row in ``matrix``, which the store holds
+    ``vocab`` maps each token to its row in ``matrix``, every row to one
+    token (checked when the store is made), and the store holds the matrix
     as a read-only view (the caller's array keeps its own flags); the array
     must not change after the store is made.  ``non_finite_rows`` records,
     once, the rows with a NaN or an infinite entry, in order; it is empty for
@@ -59,6 +61,7 @@ class EmbeddingStore:
             raise ValueError("embedding store must contain at least one token")
         if self.matrix.shape != (len(self.vocab), self.dim):
             raise ValueError("matrix shape does not match vocab size and dimension")
+        _check_vocab(self.vocab)
         matrix = self.matrix.view()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -70,9 +73,37 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def vector(self, token: str) -> np.ndarray:
-        """Vector for a token, as float64."""
-        return self.matrix[self.vocab[token]].astype(np.float64)
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer (any ``numbers.Integral``) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer_values(values) -> bool:
+    """Whether every one of ``values`` is an integer (:func:`_integral`), with
+    one test per distinct type, so a dict of any size is read at C speed."""
+    return all(issubclass(kind, numbers.Integral) and kind is not bool
+               for kind in set(map(type, values)))
+
+
+def _check_vocab(vocab: dict[str, int]) -> None:
+    """Raise unless ``vocab`` maps its n tokens onto the rows 0..n-1, each
+    row once; the error names the first token that breaks the rule."""
+    n = len(vocab)
+    if _integer_values(vocab.values()):
+        try:
+            rows = np.fromiter(vocab.values(), dtype=np.intp, count=n)
+        except OverflowError:  # an integer beyond any row index, named below
+            rows = None
+        if rows is not None and 0 <= rows.min() and rows.max() < n and np.bincount(rows).max() == 1:
+            return
+    seen = set()
+    for token, row in vocab.items():
+        if not (_integral(row) and 0 <= row < n):
+            raise ValueError(f"vocab maps {token!r} to {row!r}, not a row index in [0, {n})")
+        if row in seen:
+            raise ValueError(f"vocab maps {token!r} to row {row}, which an earlier token has")
+        seen.add(row)
 
 
 def _non_finite_rows(matrix: np.ndarray) -> np.ndarray:
@@ -119,10 +150,6 @@ class SentenceBlock:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def rows(self, i: int) -> np.ndarray:
-        start = self.starts[i]
-        return self.vectors[start:start + self.sizes[i]]
 
     def bags(self) -> list[np.ndarray]:
         """Every bag's rows, views of ``vectors`` in order."""

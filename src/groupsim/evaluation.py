@@ -9,23 +9,22 @@ the parameter count, the Gaussian dimensions held at the variance floor and
 the vMF fits whose resultant length was clamped.
 
 A pair file is tokenised once, when it is read (:attr:`ScoredPairSet.tokens`),
-and each method's run gathers a dataset's bags from those tokens into one
-block in the lexicon's float32 (:func:`groupsim.embeddings.lookup_tokens`),
-each bag a row range of it that a kernel reads as float64.  Every model
-method scores all the pairs of the block in one call of
-:func:`groupsim.comparison.pair_scores`, the one composition that serves
+and each method's run gathers a dataset's pairs as two blocks, every
+sentence a and every sentence b, in the lexicon's float32
+(:func:`groupsim.embeddings.lookup_tokens`), each bag a row range of its
+block that a kernel reads as float64; the two blocks are the two sides of
+the batch until it is scored.  Every model method scores all the pairs in
+one :func:`groupsim.comparison.pair_scores` call, the one composition for
 every model: the Gaussian methods from the bags' moments merged pairwise,
 the vMF ones from each bag's fit and each pair's summed statistics, on a
-float64 copy of the block's rows normalised once and checked once (one pass
-of row norms for each half of the block), and the Normal-Wishart
-evidence over stacks of bags with equal row counts.  The baselines take
-their sentence vectors from the same rows, in :func:`embedding_scores`, the one
-implementation of MWV, SIF and SIF with PC removal over a dataset, with one
-SIF weight pass over the block's tokens (a zero sentence vector scores 0.0).
-Every per-pair value agrees with scoring the pair alone the way the harness
-did before dataset batches (the tests check 1e-12 relative).  One pair, two one-bag blocks from
-:func:`groupsim.embeddings.lookup_sentence`, is scored as a block of two
-(:func:`score_pair`).
+float64 copy of both blocks' rows normalised and checked once, and the
+Normal-Wishart evidence over stacks of bags with equal row counts.  The
+baselines take their sentence vectors from the same rows, in
+:func:`embedding_scores`, the one implementation of MWV, SIF and SIF with PC
+removal, with one SIF weight pass over both blocks' tokens (a zero sentence
+vector scores 0.0).  The tests hold every per-pair value within 1e-12
+relative of the pair scored alone as before dataset batches, and one pair,
+two one-bag blocks, is a batch of one (:func:`score_pair`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .embeddings import (
     SentenceBlock,
     bag_rows,
     find_pad_token,
-    lookup_sentences,
     lookup_tokens,
     tokenize,
 )
@@ -53,7 +51,7 @@ from .errors import EmbeddingFormatError
 
 logger = logging.getLogger(__name__)
 
-# rows per slab when the vMF methods normalise a block, so no whole-block temporary sits next to it
+# rows per slab when unit_rows normalises a block, so no whole-block temporary sits next to it
 SLAB_ROWS = 512
 
 MODEL_METHODS = (
@@ -74,8 +72,8 @@ class ScoredPairSet:
     """A named dataset of sentence pairs with gold similarity scores.
 
     ``tokens`` is derived once, when the set is made: the :func:`tokenize`
-    list of every sentence a, then of every sentence b, the bag order of
-    :func:`pair_block`.
+    list of every sentence a, then of every sentence b, so its first
+    ``count`` lists are the first side of the pairs and the rest the second.
     """
 
     name: str
@@ -214,37 +212,43 @@ def spearman(xs, ys) -> float:
     return float(np.dot(rx, ry) / math.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def unit_rows(rows, out=None) -> np.ndarray:
-    """Row-normalised float64 copy of (n, d) rows, or of a one-bag block's,
-    for sphere likelihoods; written to ``out`` when given, which must be
-    float64 and may be the rows."""
-    if out is not None and out.dtype != np.float64:
-        raise ValueError(f"out must be float64, got {out.dtype}")
-    x = np.asarray(bag_rows(rows), dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("zero vector cannot be projected to the sphere")
-    return np.divide(x, norms, out=out)
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Normalise the float64 (n, d) ``rows`` to unit length in place, slab
+    by slab, for sphere likelihoods, and return them."""
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2):
+        raise ValueError("unit_rows takes a float64 (n, d) array, normalised in place")
+    for first in range(0, len(rows), SLAB_ROWS):
+        slab = rows[first:first + SLAB_ROWS]
+        norms = np.linalg.norm(slab, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise ValueError("zero vector cannot be projected to the sphere")
+        np.divide(slab, norms, out=slab)
+    return rows
 
 
-def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) -> np.ndarray:
-    """Cosine scores of the pairs (i, P + i) of a block of 2P bags, for the
+def embedding_scores(method: str, first: SentenceBlock, second: SentenceBlock,
+                     options: EvalOptions) -> np.ndarray:
+    """Cosine scores of the pairs (first[p], second[p]), for the
     sentence-embedding baselines: their one implementation.
 
     ``mwv`` takes each bag's mean row.  The SIF variants take the weighted
     mean of a sentence's token rows, with weights ``a / (a + p(w))``; a fully
     out-of-vocabulary sentence falls back to its padded mean so every pair
     stays scoreable.  The offline variant deflates the first principal
-    direction of all the block's sentence vectors before the cosines are
-    taken.  A pair with a zero sentence vector scores 0.0
-    (:func:`groupsim.baselines.row_cosines`).
+    direction of all the sentence vectors, the first side's then the
+    second's, before the cosines are taken.  A pair with a zero sentence
+    vector scores 0.0 (:func:`groupsim.baselines.row_cosines`).
     """
-    vectors = np.empty((len(block), block.dim))
-    if method != "mwv":  # one weight pass over the block's tokens, sliced per bag
-        weights = baselines.sif_weights(list(itertools.chain.from_iterable(block.tokens)),
+    comparison._check_width([first.vectors, second.vectors])
+    if len(first) != len(second):
+        raise ValueError(f"sides of {len(first)} and {len(second)} bags: need as many of each")
+    token_lists = first.tokens + second.tokens
+    vectors = np.empty((len(token_lists), first.dim))
+    if method != "mwv":  # one weight pass over both sides' tokens, sliced per bag
+        weights = baselines.sif_weights(list(itertools.chain.from_iterable(token_lists)),
                                         options.freqs, options.sif_a)
     end = 0
-    for i, (tokens, rows) in enumerate(zip(block.tokens, block.bags())):
+    for i, (tokens, rows) in enumerate(zip(token_lists, first.bags() + second.bags())):
         if method != "mwv" and tokens:
             start, end = end, end + len(tokens)
             vectors[i] = baselines.weighted_mean(weights[start:end], rows[:len(tokens)])
@@ -252,47 +256,33 @@ def embedding_scores(method: str, block: SentenceBlock, options: EvalOptions) ->
             np.divide(np.add.reduce(rows, 0, dtype=np.float64), len(rows), out=vectors[i])
     if method == "sif_pca":
         vectors = baselines.remove_first_pc(vectors, seed=options.seed)
-    half = len(block) // 2
-    return baselines.row_cosines(vectors[:half], vectors[half:])
+    return baselines.row_cosines(vectors[:len(first)], vectors[len(first):])
 
 
-def pair_block(store: EmbeddingStore, pairs, pad_token: str) -> SentenceBlock:
-    """The bags of a dataset's pairs: first every sentence a, then every sentence b."""
-    return lookup_sentences(store, [a for a, _, _ in pairs] + [b for _, b, _ in pairs], pad_token)
+def _score_sides(method: str, first: SentenceBlock, second: SentenceBlock,
+                 options: EvalOptions) -> comparison.PairScores:
+    """Scores of the pairs (first[p], second[p]) of two blocks, with any supported method.
 
-
-def _score_block(method: str, block: SentenceBlock, options: EvalOptions) -> comparison.PairScores:
-    """Scores of the pairs (i, P + i) of a block of 2P bags, with any supported method.
-
-    The block is left as it is: the vMF methods, whose likelihoods live on
-    the unit sphere, normalise a float64 copy of its rows in place, slab by
-    slab.  The first P bags and the last P are passed as two blocks, so the
-    vMF fit checks each half's unit rows in one pass.  A model method name
-    ``<model>_<criterion>`` selects the model and the criterion of
+    The blocks are left as they are: the vMF methods normalise
+    (:func:`unit_rows`) one float64 copy of both blocks' rows, as large as a
+    dataset (a copy per side took twice the page faults).  A model method
+    name ``<model>_<criterion>`` selects the model and the criterion of
     :func:`groupsim.comparison.pair_scores` ("bayes_factor" is the
     Normal-Wishart evidence), which scores every pair at once; a degenerate
-    vMF curvature under "tic" falls back to the parameter count and flags the
-    score.
+    vMF curvature under "tic" falls back to the parameter count and flags
+    the score.
     """
-    half = len(block) // 2
     if method in BASELINE_METHODS:
-        return comparison.PairScores(method, embedding_scores(method, block, options))
+        return comparison.PairScores(method, embedding_scores(method, first, second, options))
     if method not in MODEL_METHODS:
         raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
     model, _, ic = method.partition("_")
     if model == comparison.BAYES:
         ic = None
-    rows = block.vectors
     if model == comparison.VMF:
-        rows = rows.astype(np.float64)
-        for first in range(0, len(rows), SLAB_ROWS):
-            slab = rows[first:first + SLAB_ROWS]
-            unit_rows(slab, out=slab)
-    split = int(np.add.reduce(block.sizes[:half]))
-    first = SentenceBlock(rows[:split], block.sizes[:half], block.tokens[:half],
-                          block.oov_counts[:half])
-    second = SentenceBlock(rows[split:], block.sizes[half:], block.tokens[half:],
-                           block.oov_counts[half:])
+        rows = unit_rows(np.concatenate([first.vectors, second.vectors], dtype=np.float64))
+        split = len(first.vectors)
+        first, second = replace(first, vectors=rows[:split]), replace(second, vectors=rows[split:])
     return comparison.pair_scores(model, ic, first, second, on_degenerate="aic",
                                   prior=options.prior)
 
@@ -305,31 +295,28 @@ def score_pair(
     options: EvalOptions | None = None,
 ) -> comparison.SimilarityScore:
     """Score one pair with any supported method (baselines included): a
-    batch of one, on a block of two joined from the one-bag blocks ``a`` and
-    ``b`` (:func:`groupsim.embeddings.lookup_sentence`), which must be as
-    wide as ``store``; anything else, a plain array included, raises."""
+    batch of one whose sides are the one-bag blocks ``a`` and ``b``
+    (:func:`groupsim.embeddings.lookup_sentence`), as wide as ``store``;
+    anything else, a plain array included, raises."""
     if not (isinstance(a, SentenceBlock) and isinstance(b, SentenceBlock)):
         raise TypeError(f"score_pair takes two one-bag SentenceBlocks from lookup_sentence, "
                         f"got {type(a).__name__} and {type(b).__name__}")
-    rows = [bag_rows(a), bag_rows(b)]  # a block of k != 1 bags raises
-    comparison._check_width(rows)
+    comparison._check_width([bag_rows(a), bag_rows(b)])  # a block of k != 1 bags raises
     if a.dim != store.dim:
         raise ValueError(f"dimension mismatch: {store.dim} vs {a.dim}")
-    block = SentenceBlock(np.vstack(rows), np.concatenate([a.sizes, b.sizes]),
-                          a.tokens + b.tokens, a.oov_counts + b.oov_counts)
-    return _score_block(method, block, options or EvalOptions())[0]
+    return _score_sides(method, a, b, options or EvalOptions())[0]
 
 
 def _score_dataset(method, dataset, store, pad, options):
     """A dataset's scores and its number of pairs with a sentence that kept no token.
 
-    The block is gathered from the set's tokens, read when it was loaded, and
-    lives only here, so one dataset's rows are held at a time.
+    The two sides are gathered from the set's tokens, read when it was
+    loaded, and live only here, so one dataset's rows are held at a time.
     """
-    block = lookup_tokens(store, dataset.tokens, pad)
-    kept = [bool(tokens) for tokens in block.tokens]
-    degenerate = sum(not (a and b) for a, b in zip(kept[:dataset.count], kept[dataset.count:]))
-    return _score_block(method, block, options), degenerate
+    first = lookup_tokens(store, dataset.tokens[:dataset.count], pad)
+    second = lookup_tokens(store, dataset.tokens[dataset.count:], pad)
+    degenerate = sum(not (a and b) for a, b in zip(first.tokens, second.tokens))
+    return _score_sides(method, first, second, options), degenerate
 
 
 def evaluate(

@@ -8,8 +8,8 @@ float64 range by hundreds of orders of magnitude.
 Supported domain: d integer in [2, 2048] and kappa in [0, 1e16]; out-of-range
 inputs raise rather than silently degrade.  One kernel, :func:`vmf_kernels`,
 returns everything the von Mises-Fisher model needs at (d, kappa) from a
-single evaluation, of one kappa or of an array in one pass.  With
-v = d/2 - 1, the ratios A_d and A_d' come from one of two strategies:
+single evaluation, of a 1-D array of kappa in one pass.  With v = d/2 - 1,
+the ratios A_d and A_d' come from one of two strategies:
 
 * a backward ratio recurrence ``r_nu = 1 / (2 nu / x + r_{nu+1})`` started from
   an Amos-type approximation well above the largest order of interest (the
@@ -27,8 +27,8 @@ The log-normalizer log C_d needs ``log I_v(x)`` itself:
   order and ``log I_v(x)`` telescopes from a base order in {0, 1/2} with
   closed-form logs, or in the Hankel regime it is the log of the order-v sum.
 
-``bessel_ratio`` is a view of the kernel's first output; its other outputs,
-the slope A_d' and log C_d, are read from the kernel directly.  The module
+``bessel_ratio`` is element 0 of a one-element kernel call, as a float;
+the slope A_d' and log C_d are read from the kernel directly.  The module
 needs numpy for the array pass and nothing else.
 """
 
@@ -219,9 +219,9 @@ def _debye_log_c(d: int, kappa: np.ndarray) -> np.ndarray:
 def vmf_kernels(d: int, kappa):
     """``(A_d(kappa), A_d'(kappa), log C_d(kappa))`` from one Bessel evaluation.
 
-    ``kappa`` is a float, which gives three floats, or a 1-D array, which
-    gives three arrays from one pass, each element as the float call on it
-    would give it.  With v = d/2 - 1:
+    ``kappa`` is a 1-D array, and each output an array of its shape from
+    one pass, each element as a one-element call would give it.  With
+    v = d/2 - 1:
 
     * ``A_d = I_{v+1} / I_v`` is the mean resultant length, in (0, 1);
     * ``A_d' = 1 - A_d^2 - (d-1) A_d / kappa`` is its slope, assembled from
@@ -239,8 +239,10 @@ def vmf_kernels(d: int, kappa):
     from there (the Hankel regime takes the log of the order-v sum).
     """
     _check_dim(d)
-    _check_kappa(kappa, positive=True)
-    x = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
+    x = np.asarray(kappa, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"concentration must be a 1-D array, got {x.ndim} dimensions")
+    _check_kappa(x, positive=True)
     v = d / 2.0 - 1.0
     debye = v >= _DEBYE_MIN_ORDER
     frac = 0.0 if d % 2 == 0 else 0.5
@@ -267,8 +269,6 @@ def vmf_kernels(d: int, kappa):
             0.5 * d * LOG_2PI + (log_h if h else _telescoped_log_i(k, frac, idx, a_k))
             - v * math.log(k)
             for k, a_k, log_h, h in zip(x.tolist(), a.tolist(), log_i.tolist(), hankel.tolist())])
-    if np.ndim(kappa) == 0:
-        return float(a[0]), float(slope[0]), float(log_c[0])
     return a, slope, log_c
 
 
@@ -281,7 +281,7 @@ def bessel_ratio(d: int, kappa: float) -> float:
     _check_kappa(kappa)
     if kappa == 0.0:
         return 0.0
-    return vmf_kernels(d, kappa)[0]
+    return float(vmf_kernels(d, np.array([kappa], dtype=np.float64))[0][0])
 
 
 def inv_bessel_ratio(d: int, r_bar):
@@ -289,14 +289,15 @@ def inv_bessel_ratio(d: int, r_bar):
 
     The closed rational approximation ``r_bar (d - r_bar^2) / (1 - r_bar^2)``,
     not the exact root: for r_bar in [0.1, 0.99] it is within 6e-4 relative
-    of the root at d = 300 and within 4e-2 at d = 4.  ``r_bar``, a float or
-    an array, must lie strictly inside (0, 1); callers clamp before calling.
+    of the root at d = 300 and within 4e-2 at d = 4.  ``r_bar``, a 1-D
+    array, must lie strictly inside (0, 1); callers clamp before calling.
     """
     _check_dim(d)
     r = np.asarray(r_bar, dtype=np.float64)
+    if r.ndim != 1:
+        raise ValueError(f"resultant length must be a 1-D array, got {r.ndim} dimensions")
     ok = (0.0 < r) & (r < 1.0)
     if not ok.all():
         value, where = _first_bad(r, ok)
         raise ValueError(f"resultant length must be in (0, 1), got {value!r}{where}")
-    kappa = r * (d - r * r) / (1.0 - r * r)
-    return float(kappa) if r.ndim == 0 else kappa
+    return r * (d - r * r) / (1.0 - r * r)

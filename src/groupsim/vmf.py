@@ -21,13 +21,13 @@ takes its bags in blocks, an (n, d) array being one bag and a
 :class:`~groupsim.embeddings.SentenceBlock` its bags in order.  One pass of
 row norms per block checks every row and gives each bag's square norm, one
 sum per bag gives S, and the batch is fitted from its (B, d) resultants and
-(B,) counts alone.  The fits of two bags together are read from S_1 + S_2,
-n_1 + n_2 and the summed square norms by the same array core, and their
-penalties read the two bags' rows in place only for their dots with the
-fitted direction, so no joint bag is stacked and no row norm is taken
-twice.  The module is internal: the scoring path
-(:func:`groupsim.comparison.bag_criteria`) reads it, and checks each bag's
-shape and width where it enters.
+(B,) counts alone, its directions' polar angles taken in one call.  The
+fits of two bags together are read from S_1 + S_2, n_1 + n_2 and the summed
+square norms by the same array core, and their penalties read the two bags'
+rows in place only for their dots with the fitted direction, so no joint
+bag is stacked and no row norm is taken twice.  The module is internal: the
+scoring path (:func:`groupsim.comparison.bag_criteria`) reads it, and
+checks each bag's shape and width where it enters.
 
 A fit carries its maximised log-likelihood, taken with respect to the
 surface measure of the sphere, so it has no chart volume term; the
@@ -37,7 +37,7 @@ log-density of other rows at a fit is a test oracle (``tests/helpers.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,13 +109,12 @@ def _unit_square_norms(x: np.ndarray) -> np.ndarray:
     return square
 
 
-def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarray,
-                    angles: bool = False) -> VmfFit:
+def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarray) -> VmfFit:
     """The fits of B bags from their (B, d) resultants S (the sums of their
     unit rows), (B,) row counts n and (B,) square norms, with one
     :func:`vmf_kernels` pass and no row read: a bag with S = 0 takes the
     first coordinate axis as its direction, which no L or P reads, as its
-    fit is clamped.  With ``angles`` the fits carry ``theta_hat``.
+    fit is clamped.  ``theta_hat`` is left None.
     """
     d = resultant.shape[1]
     # one dot product per row, as np.linalg.norm of that row sums it
@@ -131,7 +130,7 @@ def _fit_resultants(resultant: np.ndarray, n: np.ndarray, square_norm: np.ndarra
     a_hat, a_prime, log_c = vmf_kernels(d, kappa_hat)
     return VmfFit(
         mu_hat=mu_hat,
-        theta_hat=to_spherical(mu_hat) if angles else None,
+        theta_hat=None,
         kappa_hat=kappa_hat,
         r_bar=r_bar,
         n=n,
@@ -179,7 +178,8 @@ def fit_vmf(*blocks) -> VmfFit:
             # np.add.reduce, not .sum: on a short bag the method's Python wrapper costs as much
             np.add.reduce(view, 0, out=resultant[b])
         n += sizes
-    return _fit_resultants(resultant, np.array(n, dtype=np.intp), square_norm, angles=True)
+    fit = _fit_resultants(resultant, np.array(n, dtype=np.intp), square_norm)
+    return replace(fit, theta_hat=to_spherical(fit.mu_hat))
 
 
 def _tic_penalty(fit: VmfFit, bags) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, separate from
 the library code paths it checks: high-precision Bessel evaluation through
 mpmath, the vMF kernel that telescopes every log-normaliser to order 0, the
-scalar vMF kernel of one kappa, per-bag vMF fits and penalties, the
+scalar vMF kernel of one kappa, element 0 of a one-element call of the
+array kernels, per-bag vMF fits and penalties, the
 Newton-polished maximum-likelihood vMF concentration, dense
 finite-difference information matrices, the polar-chart vMF penalty,
 analytic Gaussian score/curvature matrices, the closed-form vMF and
@@ -11,7 +12,8 @@ diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
 brute-force quadrature for marginal likelihoods, plus the dense
 Normal-Wishart evidence, the multivariate log-gamma as a full sum of its
 terms, the column-major low-rank evidence with full multivariate gammas, the
-line-by-line embedding loader, a block of given bags, Spearman rho from
+line-by-line embedding loader, a block of given bags, the tokenise-then-
+gather block of a dataset's pairs (its bag order), Spearman rho from
 scipy's average ranks, the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
 on a stacked joint bag, for every model, the batch composition from three
@@ -160,6 +162,20 @@ def vmf_kernels_scalar(d: int, kappa: float) -> tuple[float, float, float]:
     return a, slope, 0.5 * d * LOG_2PI + log_i - v * math.log(kappa)
 
 
+def vmf_kernels_at(d: int, kappa: float) -> tuple[float, float, float]:
+    """``special.vmf_kernels`` at one kappa, as floats: element 0 of a one-element call."""
+    from groupsim.special import vmf_kernels
+
+    return tuple(float(column[0]) for column in vmf_kernels(d, np.array([kappa])))
+
+
+def inv_bessel_ratio_at(d: int, r_bar: float) -> float:
+    """``special.inv_bessel_ratio`` at one r_bar, as a float: element 0 of a one-element call."""
+    from groupsim.special import inv_bessel_ratio
+
+    return float(inv_bessel_ratio(d, np.array([r_bar]))[0])
+
+
 # ---------------------------------------------------------------------------
 # per-bag vMF fits and penalties
 # ---------------------------------------------------------------------------
@@ -209,7 +225,6 @@ def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float,
     square norm, with one scalar kernel call; the direction is the first
     coordinate axis when S is exactly 0."""
     from groupsim.hypersphere import to_spherical
-    from groupsim.special import inv_bessel_ratio
     from groupsim.vmf import R_BAR_CEIL, R_BAR_FLOOR
 
     d = resultant.size
@@ -222,9 +237,10 @@ def fit_resultant_per_bag(resultant: np.ndarray, n: int, square_norm: float,
     else:
         mu_hat = np.zeros(d)
         mu_hat[0] = 1.0
-    kappa_hat = inv_bessel_ratio(d, r_bar)
+    kappa_hat = inv_bessel_ratio_at(d, r_bar)
     a_hat, a_prime, log_c = vmf_kernels_scalar(d, kappa_hat)
-    return VmfBagFit(mu_hat=mu_hat, theta_hat=to_spherical(mu_hat) if angles else None,
+    theta_hat = to_spherical(mu_hat[np.newaxis])[0] if angles else None
+    return VmfBagFit(mu_hat=mu_hat, theta_hat=theta_hat,
                      kappa_hat=kappa_hat, r_bar=r_bar, n=n,
                      max_loglik=n * (kappa_hat * r_bar - log_c), a_hat=a_hat,
                      a_prime=a_prime, resultant=resultant, square_norm=square_norm,
@@ -297,11 +313,9 @@ def inv_bessel_ratio_newton(d: int, r_bar: float) -> float:
     Runs until |A_d(kappa) - r_bar| < 1e-8 (at most 20 steps).  A_d and its
     slope come from ``vmf_kernels``, which test_special pins to mpmath.
     """
-    from groupsim.special import inv_bessel_ratio, vmf_kernels
-
-    kappa = inv_bessel_ratio(d, r_bar)
+    kappa = inv_bessel_ratio_at(d, r_bar)
     for _ in range(20):
-        a, slope, _ = vmf_kernels(d, kappa)
+        a, slope, _ = vmf_kernels_at(d, kappa)
         if abs(a - r_bar) < 1e-8 or slope <= 0.0:
             break
         nxt = kappa - (a - r_bar) / slope
@@ -533,7 +547,6 @@ def vmf_closed_tic(x1: np.ndarray, x2: np.ndarray) -> float:
 def _vmf_closed_terms(parts) -> tuple[float, float]:
     """(max loglik, tangent-space penalty) of one vMF fit to the stacked parts."""
     from groupsim.errors import DegenerateCurvatureError
-    from groupsim.special import inv_bessel_ratio, vmf_kernels
     from groupsim.vmf import CURVATURE_FLOOR, R_BAR_CEIL, R_BAR_FLOOR
 
     n = sum(x.shape[0] for x in parts)
@@ -542,8 +555,8 @@ def _vmf_closed_terms(parts) -> tuple[float, float]:
     length = float(np.linalg.norm(resultant))
     raw_r_bar = length / n
     r_bar = min(max(raw_r_bar, R_BAR_FLOOR), R_BAR_CEIL)
-    kappa = inv_bessel_ratio(d, r_bar)
-    a, a_prime, log_c = vmf_kernels(d, kappa)
+    kappa = inv_bessel_ratio_at(d, r_bar)
+    a, a_prime, log_c = vmf_kernels_at(d, kappa)
     loglik = n * (kappa * r_bar - log_c)
     degenerate = not (R_BAR_FLOOR <= raw_r_bar <= R_BAR_CEIL)
     if degenerate or a_prime < CURVATURE_FLOOR or kappa * r_bar < CURVATURE_FLOOR:
@@ -1102,6 +1115,20 @@ def block_of(*arrays, tokens=None):
                          tuple(tokens), (0,) * len(arrays))
 
 
+def store_vector(store, token: str) -> np.ndarray:
+    """The float64 row of ``token`` in ``store``."""
+    return store.matrix[store.vocab[token]].astype(np.float64)
+
+
+def pair_block(store, pairs, pad_token: str):
+    """The bags of a dataset's pairs in one block, tokenised then gathered:
+    first every sentence a, then every sentence b.  The bag order oracle of
+    ``ScoredPairSet.tokens`` and of the two sides the harness gathers."""
+    from groupsim.embeddings import lookup_sentences
+
+    return lookup_sentences(store, [a for a, _, _ in pairs] + [b for _, b, _ in pairs], pad_token)
+
+
 def lookup_sentence_per_token(store, text: str, pad_token: str):
     """The sentence lookup before dataset blocks: a block of one bag per call."""
     from groupsim.embeddings import SentenceBlock, tokenize
@@ -1110,7 +1137,7 @@ def lookup_sentence_per_token(store, text: str, pad_token: str):
         raise KeyError(f"pad token {pad_token!r} not in vocabulary")
     tokens = tokenize(text)
     retained = [t for t in tokens if t in store]
-    pad_vec = store.vector(pad_token)
+    pad_vec = store_vector(store, pad_token)
     if retained:
         idx = [store.vocab[t] for t in retained]
         body = store.matrix[idx].astype(np.float64)
@@ -1136,7 +1163,7 @@ def sif_embed_per_token(tokens, store, freqs, a: float) -> np.ndarray:
     out = np.zeros(store.dim)
     for token in retained:
         p = freqs.probability(token) if freqs is not None else 0.0
-        out += (a / (a + p)) * store.vector(token)
+        out += (a / (a + p)) * store_vector(store, token)
     return out / len(retained)
 
 

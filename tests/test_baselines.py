@@ -16,11 +16,11 @@ from groupsim.baselines import (
     sif_weights,
 )
 from groupsim import evaluation
-from groupsim.embeddings import tokenize
+from groupsim.embeddings import lookup_sentences, tokenize
 from groupsim.errors import EmbeddingFormatError
-from groupsim.evaluation import EvalOptions, embedding_scores, pair_block, score_pair
+from groupsim.evaluation import EvalOptions, embedding_scores, score_pair
 
-from helpers import block_of, sif_embed_per_token
+from helpers import block_of, sif_embed_per_token, store_vector
 
 PAD = "."
 
@@ -29,19 +29,26 @@ def cos(u, v) -> float:
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+def sides(store, pairs):
+    """The two sides of a batch of pairs: every sentence a, then every sentence b."""
+    return (lookup_sentences(store, [a for a, _, _ in pairs], PAD),
+            lookup_sentences(store, [b for _, b, _ in pairs], PAD))
+
+
 def sif_score(store, a: str, b: str, freqs=None, sif_a: float = 1e-3) -> float:
-    """The harness's "sif" score of one pair, from a block of two sentences."""
-    block = pair_block(store, [(a, b, 0.0)], PAD)
-    return float(embedding_scores("sif", block, EvalOptions(sif_a=sif_a, freqs=freqs))[0])
+    """The harness's "sif" score of one pair, from two one-sentence sides."""
+    first, second = sides(store, [(a, b, 0.0)])
+    return float(embedding_scores("sif", first, second,
+                                  EvalOptions(sif_a=sif_a, freqs=freqs))[0])
 
 
 def mwv(x1, x2) -> float:
-    """The harness's "mwv" score of two bags of rows, from a block of two."""
-    return float(embedding_scores("mwv", block_of(x1, x2), EvalOptions())[0])
+    """The harness's "mwv" score of two bags of rows, as two one-bag sides."""
+    return float(embedding_scores("mwv", block_of(x1), block_of(x2), EvalOptions())[0])
 
 
 def vec(store, token: str) -> np.ndarray:
-    return store.vector(token).astype(np.float64)
+    return store_vector(store, token)
 
 
 class TestMwv:
@@ -75,14 +82,21 @@ class TestMwv:
         # a pair scored alone equals its row of a whole dataset's batch, bit for bit
         rng = np.random.default_rng(9)
         pairs = [(rng.standard_normal((5, 4)), rng.standard_normal((3, 4))) for _ in range(20)]
-        block = block_of(*(x1 for x1, _ in pairs), *(x2 for _, x2 in pairs))
-        batch = embedding_scores("mwv", block, EvalOptions())
+        batch = embedding_scores("mwv", block_of(*(x1 for x1, _ in pairs)),
+                                 block_of(*(x2 for _, x2 in pairs)), EvalOptions())
         alone = [score_pair("mwv", block_of(x1), block_of(x2), store).value for x1, x2 in pairs]
         assert alone == batch.tolist()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             mwv(np.ones((2, 3)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("method", ["mwv", "sif", "sif_pca"])
+    def test_sides_of_other_lengths_raise(self, method):
+        # row_cosines would broadcast one first-side vector against two
+        x = np.random.default_rng(8).standard_normal((3, 4))
+        with pytest.raises(ValueError, match="^sides of 1 and 2 bags: need as many of each$"):
+            embedding_scores(method, block_of(x), block_of(x, 2.0 * x), EvalOptions())
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
@@ -167,7 +181,7 @@ class TestBlockSifWeights:
                 vectors.append(sif_embed_per_token(tokenize(text), store, options.freqs,
                                                    options.sif_a))
             else:  # the padded mean of two pad rows is the pad row
-                vectors.append(store.vector(PAD))
+                vectors.append(store_vector(store, PAD))
         vectors = np.vstack(vectors)
         if method == "sif_pca":
             vectors = remove_first_pc(vectors, seed=options.seed)
@@ -180,7 +194,7 @@ class TestBlockSifWeights:
     ], ids=["no-table", "absent-tokens"])
     def test_scores_equal_the_per_sentence_oracle(self, store, method, freqs):
         options = EvalOptions(freqs=freqs, sif_a=0.02, seed=3)
-        got = embedding_scores(method, pair_block(store, SIF_PAIRS, PAD), options)
+        got = embedding_scores(method, *sides(store, SIF_PAIRS), options)
         want = self.oracle_scores(method, store, SIF_PAIRS, options)
         assert got.tolist() == want.tolist()
 
@@ -194,9 +208,9 @@ class TestBlockSifWeights:
             return weigh(tokens, freqs, a)
 
         monkeypatch.setattr(evaluation.baselines, "sif_weights", counted)
-        block = pair_block(store, SIF_PAIRS, PAD)
-        embedding_scores(method, block, EvalOptions())
-        assert calls == [[t for tokens in block.tokens for t in tokens]]
+        first, second = sides(store, SIF_PAIRS)
+        embedding_scores(method, first, second, EvalOptions())
+        assert calls == [[t for tokens in first.tokens + second.tokens for t in tokens]]
 
 
 class TestFrequencyTable:
@@ -225,6 +239,24 @@ class TestFrequencyTable:
         assert FrequencyTable(counts={"a": 5, "b": 3}).total == 8
         with pytest.raises(ValueError, match="non-empty"):
             FrequencyTable(counts={})
+
+    @pytest.mark.parametrize("counts,token,count", [
+        ({"a": -1, "b": 1001}, "a", -1),  # a + p(a) would be 0: a division by zero in sif
+        ({"a": -1, "b": 2}, "a", -1),  # a negative weight
+        ({"a": 3, "b": 0}, "b", 0),
+        ({"a": True, "b": 2.5}, "a", True),
+        ({"a": 2, "b": 2.5}, "b", 2.5),
+        ({"a": 2, "b": "3"}, "b", "3"),
+        ({"a": 2, "b": None}, "b", None),
+    ])
+    def test_counts_must_be_positive_integers(self, counts, token, count):
+        with pytest.raises(ValueError, match=f"^count of {token!r} must be a positive integer, "
+                                             f"got {count!r}$"):
+            FrequencyTable(counts)
+
+    def test_counts_take_any_integral(self):
+        table = FrequencyTable({"a": np.int64(3), "b": 1})
+        assert table.total == 4 and table.probability("a") == 0.75
 
 
 class TestRemoveFirstPc:

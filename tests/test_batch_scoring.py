@@ -1,7 +1,7 @@
 """Dataset-batch scoring against the per-pair oracle of ``tests/helpers.py``.
 
-``evaluate`` looks a dataset up into one block and scores it as a batch; the
-oracle looks every sentence up alone and scores every pair alone, with
+``evaluate`` looks a dataset up into two blocks, the first and the second
+sentence of every pair, and scores them as a batch; the oracle looks every sentence up alone and scores every pair alone, with
 row-based fits and a stacked joint bag.  Every method must give the same
 per-pair values (each breakdown term within 1e-12 of the magnitude of the
 summands it is built from), the same fallback flags and the same
@@ -26,12 +26,14 @@ from groupsim.evaluation import (
     BASELINE_METHODS,
     MODEL_METHODS,
     SUPPORTED_METHODS,
+    SLAB_ROWS,
     EvalOptions,
-    _score_block,
+    ScoredPairSet,
+    _score_dataset,
+    _score_sides,
     evaluate,
     format_table,
     load_pairs,
-    pair_block,
     report_lines,
     score_pair,
     unit_rows,
@@ -71,6 +73,11 @@ def store_for(stores, method):
     return stores[method.startswith("vmf")]
 
 
+def batch_scores(method, store, pairs, pad, options):
+    """The scores of ``pairs`` as ``evaluate`` takes them: one dataset, gathered as two sides."""
+    return _score_dataset(method, ScoredPairSet("set", tuple(pairs)), store, pad, options)[0]
+
+
 def oracle_scales(method, pairs, store):
     """Per pair, the summand magnitudes of its six breakdown terms (None for
     the baselines)."""
@@ -106,7 +113,7 @@ def assert_matches_oracle(got, want, scales):
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_per_pair_oracle(stores, method, pairs):
     store = store_for(stores, method)
-    batch = _score_block(method, pair_block(store, pairs, PAD), OPTIONS)
+    batch = batch_scores(method, store, pairs, PAD, OPTIONS)
     want, floored = pair_scores_per_pair(method, pairs, store, OPTIONS, PAD)
     assert len(batch) == len(want)
     for p, (expected, scales) in enumerate(zip(want, oracle_scales(method, pairs, store))):
@@ -120,9 +127,8 @@ def test_batch_equals_per_pair_oracle(stores, method, pairs):
 def test_block_bags_equal_per_sentence_lookups(stores, texts):
     store = stores[False]
     block = lookup_sentences(store, texts, PAD)
-    for i, text in enumerate(texts):
+    for i, (text, got) in enumerate(zip(texts, block.bags())):
         want = lookup_sentence_per_token(store, text, PAD)
-        got = block.rows(i)
         np.testing.assert_array_equal(got, want.vectors)
         assert got.dtype == store.matrix.dtype
         assert block.tokens[i] == want.tokens[0]
@@ -206,8 +212,7 @@ def test_float32_store_scores_bit_identical_to_float64_store(store_pair, method)
     texts = random_texts(np.random.default_rng(42), 40)
     pairs = [(a, b, 1.0) for a, b in zip(texts[:20], texts[20:])]
     options = EvalOptions(freqs=FrequencyTable({f"w{i}": i + 1 for i in range(40)}), seed=3)
-    got, want = (_score_block(method, pair_block(store, pairs, "w0"), options)
-                 for store in store_pair)
+    got, want = (batch_scores(method, store, pairs, "w0", options) for store in store_pair)
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.terms is None) == (want.terms is None)
     if got.terms is not None:
@@ -227,11 +232,37 @@ def test_float32_corpus_selection_bit_identical_to_float64_store(store_pair):
 @pytest.mark.parametrize("side", [0, 1])
 def test_vmf_scores_leave_the_block_as_it_was(store_pair, side):
     texts = random_texts(np.random.default_rng(44), 20)
-    pairs = [(a, b, 1.0) for a, b in zip(texts[:10], texts[10:])]
-    block = pair_block(store_pair[side], pairs, "w0")
-    before = block.vectors.copy()
-    _score_block("vmf_tic", block, OPTIONS)
-    assert block.vectors.tobytes() == before.tobytes()
+    first, second = (lookup_sentences(store_pair[side], half, "w0")
+                     for half in (texts[:10], texts[10:]))
+    before = first.vectors.copy(), second.vectors.copy()
+    _score_sides("vmf_tic", first, second, OPTIONS)
+    assert first.vectors.tobytes() == before[0].tobytes()
+    assert second.vectors.tobytes() == before[1].tobytes()
+
+
+def score_bytes(score):
+    """Every field of a ``SimilarityScore``, its floats as bytes."""
+    breakdown = None if score.breakdown is None else np.array(
+        [getattr(score.breakdown, name) for name in score.breakdown.__dataclass_fields__])
+    return (score.method, np.float64(score.value).tobytes(), score.fallback,
+            None if breakdown is None else breakdown.tobytes())
+
+
+@pytest.mark.parametrize("method", SUPPORTED_METHODS)
+@pytest.mark.parametrize("side", [0, 1])
+def test_one_pair_dataset_equals_score_pair(store_pair, method, side):
+    """A dataset of one pair and ``score_pair`` on that pair's two lookups
+    are the same batch of one: value, breakdown and fallback bit for bit,
+    from float32 and float64 stores, SIF with a frequency table."""
+    store = store_pair[side]
+    texts = random_texts(np.random.default_rng(45), 16) + ["", "w45 w46"]
+    options = EvalOptions(freqs=FrequencyTable({f"w{i}": i + 1 for i in range(40)}), seed=3)
+    for a, b in zip(texts[::2], texts[1::2]):
+        got = batch_scores(method, store, [(a, b, 1.0)], "w0", options)
+        assert len(got) == 1
+        want = score_pair(method, lookup_sentence(store, a, "w0"),
+                          lookup_sentence(store, b, "w0"), store, options)
+        assert score_bytes(got[0]) == score_bytes(want), (a, b)
 
 
 class TestUnitRows:
@@ -244,30 +275,34 @@ class TestUnitRows:
         texts = [" ".join(f"w{j}" for j in rng.integers(0, 60, size=rng.integers(0, 15)))
                  for _ in range(40)]
         block = lookup_sentences(store, texts, "w0")
-        unit = unit_rows(block.vectors)
+        unit = unit_rows(block.vectors.astype(np.float64))
         for i, text in enumerate(texts):
             rows = unit[block.starts[i]:block.starts[i] + block.sizes[i]]
             want = unit_rows_per_bag(lookup_sentence_per_token(store, text, "w0"))
             assert rows.tobytes() == want.tobytes()
 
-    def test_float32_rows_into_float64_out(self):
-        x = np.random.default_rng(12).standard_normal((5, 7)).astype(np.float32)
-        out = np.empty(x.shape)
-        assert unit_rows(x, out=out) is out
-        assert out.tobytes() == unit_rows(x.astype(np.float64)).tobytes()
+    def test_in_place_slab_by_slab_equals_the_whole_array_at_once(self):
+        x = np.random.default_rng(12).standard_normal((2 * SLAB_ROWS + 3, 7))
+        want = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert unit_rows(x) is x
+        assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_out_must_be_float64(self, dtype):
+        """The rows are ``unit_rows``' output, written in place: any other
+        dtype, or anything but a 2-D array, raises and is left as it was."""
         x = np.random.default_rng(13).standard_normal((5, 7)).astype(dtype)
-        for out in (x, np.empty(x.shape, dtype=np.float32)):
-            with pytest.raises(ValueError, match="^out must be float64, got float"):
-                unit_rows(x, out=out)
+        for rows in (x, x.astype(np.float64)[0], x.astype(np.float64).tolist()):
+            before = np.array(rows).tobytes()
+            with pytest.raises(ValueError, match="^unit_rows takes a float64 \\(n, d\\) array"):
+                unit_rows(rows)
+            assert np.array(rows).tobytes() == before
 
     def test_zero_vector_rejected_on_the_block(self):
         store = EmbeddingStore(dim=2, vocab={".": 0, "nil": 1},
                                matrix=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
         with pytest.raises(ValueError, match="zero vector"):
-            unit_rows(lookup_sentences(store, ["nil", "x"], ".").vectors)
+            unit_rows(lookup_sentences(store, ["nil", "x"], ".").vectors.astype(np.float64))
 
 
 class TestRunCounters:

@@ -17,6 +17,8 @@ from groupsim.embeddings import (
 )
 from groupsim.errors import EmbeddingFormatError
 
+from helpers import store_vector
+
 
 class TestLoader:
     def test_basic_fixture(self, tmp_path):
@@ -25,14 +27,14 @@ class TestLoader:
         store = load_embeddings(path)
         assert len(store) == 3
         assert store.dim == 4
-        np.testing.assert_allclose(store.vector("b"), [0.5, -0.5, 0.25, 0.0], atol=1e-7)
+        np.testing.assert_allclose(store_vector(store, "b"), [0.5, -0.5, 0.25, 0.0], atol=1e-7)
 
     def test_normalize_postcondition(self, tmp_path):
         path = tmp_path / "small.txt"
         path.write_text("a 1 2 3 4\nb 0.5 -0.5 0.25 0e0\nc 1e-1 2e-1 -3e-1 4e-1\n")
         store = load_embeddings(path, normalize=True)
         for token in ("a", "b", "c"):
-            assert abs(np.linalg.norm(store.vector(token)) - 1.0) < 1e-6
+            assert abs(np.linalg.norm(store_vector(store, token)) - 1.0) < 1e-6
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -58,7 +60,7 @@ class TestLoader:
         path.write_text("a 1 2\na 9 9\nb 3 4\n")
         store = load_embeddings(path)
         assert store.duplicate_count == 1
-        np.testing.assert_allclose(store.vector("a"), [1, 2])
+        np.testing.assert_allclose(store_vector(store, "a"), [1, 2])
 
     def test_header_auto_detection(self, tmp_path):
         path = tmp_path / "hdr.txt"
@@ -117,7 +119,7 @@ class TestLookup:
         sample = lookup_sentence(store, "The cat", ".")
         assert sample.sizes[0] == 3  # the, cat, pad
         assert sample.token_count_before_padding == 2
-        np.testing.assert_allclose(sample.vectors[-1], store.vector("."), atol=1e-7)
+        np.testing.assert_allclose(sample.vectors[-1], store_vector(store, "."), atol=1e-7)
 
     def test_all_oov_double_pad(self, store):
         sample = lookup_sentence(store, "zzz qqq", ".")
@@ -130,7 +132,7 @@ class TestLookup:
         sample = lookup_sentence(store, "cat cat cat", ".")
         assert sample.sizes[0] == 4
         for row in sample.vectors[:3]:
-            np.testing.assert_allclose(row, store.vector("cat"), atol=1e-7)
+            np.testing.assert_allclose(row, store_vector(store, "cat"), atol=1e-7)
 
     def test_unknown_pad_token(self, store):
         with pytest.raises(KeyError):
@@ -216,8 +218,30 @@ class TestStoreInvariants:
         with pytest.raises(ValueError):
             EmbeddingStore(dim=2, vocab={}, matrix=np.zeros((0, 2)))
 
-    def test_lookup_returns_float64(self, store):
-        assert store.vector("cat").dtype == np.float64
+    @pytest.mark.parametrize("vocab", [
+        {".": 0, "a": -1},  # would read the last row
+        {".": 0, "a": 7},  # past the last row
+        {".": 0, "a": 2**70},  # past any row index
+        {".": 0, "a": 1.5},
+        {".": 0, "a": True},
+        {".": 0, "a": "1"},
+        {".": 0, "a": None},
+    ], ids=["negative", "past-the-end", "huge", "float", "bool", "str", "none"])
+    def test_vocab_values_must_be_row_indices(self, vocab):
+        with pytest.raises(ValueError, match=f"^vocab maps 'a' to {vocab['a']!r}, not a row index "
+                                             r"in \[0, 2\)$"):
+            EmbeddingStore(dim=3, vocab=vocab, matrix=np.zeros((2, 3), dtype=np.float32))
+
+    def test_vocab_rows_must_be_distinct(self):
+        # row 0 would be unreachable
+        with pytest.raises(ValueError, match="^vocab maps 'a' to row 1, which an earlier token has$"):
+            EmbeddingStore(dim=3, vocab={".": 1, "a": 1}, matrix=np.zeros((2, 3)))
+
+    def test_vocab_takes_any_integral_row_index(self):
+        vocab = {".": np.int64(1), "a": np.int32(0), "b": 2}
+        store = EmbeddingStore(dim=3, vocab=vocab, matrix=np.eye(3))
+        assert store.vocab is vocab
+        np.testing.assert_array_equal(lookup_sentence(store, "a b", ".").vectors, np.eye(3)[[0, 2, 1]])
 
 
 def with_matrix(store, matrix):
@@ -290,9 +314,9 @@ class TestNonFiniteRecord:
         clean = with_matrix(store, matrix)
         assert clean.non_finite_rows.size == 0
         block = lookup_sentences(clean, ["the cat", "zzz"], ".")
-        np.testing.assert_array_equal(block.rows(0), matrix[[store.vocab["the"],
-                                                                store.vocab["cat"],
-                                                                store.vocab["."]]])
+        np.testing.assert_array_equal(block.bags()[0], matrix[[store.vocab["the"],
+                                                                  store.vocab["cat"],
+                                                                  store.vocab["."]]])
 
 
 class CountingVocab(dict):

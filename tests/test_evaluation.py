@@ -17,14 +17,13 @@ from groupsim.evaluation import (
     average_ranks,
     evaluate,
     load_pairs,
-    pair_block,
     report_lines,
     score_pair,
     spearman,
     unit_rows,
 )
 from groupsim.embeddings import lookup_sentence, tokenize
-from helpers import spearman_rankdata
+from helpers import pair_block, spearman_rankdata
 
 PAIRS_A = """\
 the cat sat\tthe cat sat on the mat\t4.5
@@ -305,12 +304,17 @@ class TestEvaluate:
             EvalOptions(sif_a=sif_a)
 
 
+def unit(bag):
+    """A one-bag block's rows as a float64 copy normalised by ``unit_rows``."""
+    return unit_rows(bag.vectors.astype(np.float64))
+
+
 # the comparison call each model method stands for, with EvalOptions() defaults
 DIRECT_CALLS = {
     "vmf_tic": lambda a, b: comparison.pair_scores(
-        "vmf", "tic", [unit_rows(a)], [unit_rows(b)], on_degenerate="aic")[0],
+        "vmf", "tic", [unit(a)], [unit(b)], on_degenerate="aic")[0],
     "vmf_aic": lambda a, b: comparison.pair_scores(
-        "vmf", "aic", [unit_rows(a)], [unit_rows(b)], on_degenerate="aic")[0],
+        "vmf", "aic", [unit(a)], [unit(b)], on_degenerate="aic")[0],
     "diag_tic": lambda a, b: comparison.pair_scores(
         "diag", "tic", [a.vectors], [b.vectors], on_degenerate="aic")[0],
     "diag_aic": lambda a, b: comparison.pair_scores(
@@ -377,24 +381,31 @@ class TestParseOnce:
         assert calls == ["the cat"]
 
     def test_the_dataset_block_is_the_pair_block(self, store, dataset_oov, monkeypatch):
-        blocks = []
-        score_block = evaluation._score_block
+        """The two sides a dataset is scored as are the first and the last
+        ``count`` bags of the tokenise-then-gather block of its pairs."""
+        sides = []
+        score_sides = evaluation._score_sides
 
-        def spy(method, block, options):
-            blocks.append(block)
-            return score_block(method, block, options)
+        def spy(method, first, second, options):
+            sides.append((first, second))
+            return score_sides(method, first, second, options)
 
-        monkeypatch.setattr(evaluation, "_score_block", spy)
+        monkeypatch.setattr(evaluation, "_score_sides", spy)
         evaluation._score_dataset("diag_tic", dataset_oov, store, ".", EvalOptions())
-        got, = blocks
+        (first, second), = sides
         want = pair_block(store, dataset_oov.pairs, ".")
-        assert got.vectors.dtype == want.vectors.dtype == store.matrix.dtype
-        assert got.vectors.shape == want.vectors.shape
-        assert got.vectors.tobytes() == want.vectors.tobytes()
-        assert got.sizes.dtype == want.sizes.dtype
-        assert got.sizes.tobytes() == want.sizes.tobytes()
-        assert got.tokens == want.tokens
-        assert got.oov_counts == want.oov_counts
+        count = dataset_oov.count
+        assert len(first) == len(second) == count
+        split = int(want.sizes[:count].sum())
+        for got, rows, sizes in ((first, want.vectors[:split], want.sizes[:count]),
+                                 (second, want.vectors[split:], want.sizes[count:])):
+            assert got.vectors.dtype == rows.dtype == store.matrix.dtype
+            assert got.vectors.shape == rows.shape
+            assert got.vectors.tobytes() == rows.tobytes()
+            assert got.sizes.dtype == sizes.dtype
+            assert got.sizes.tobytes() == sizes.tobytes()
+        assert first.tokens + second.tokens == want.tokens
+        assert first.oov_counts + second.oov_counts == want.oov_counts
 
 
 class TestDispatch:

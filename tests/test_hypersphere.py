@@ -42,29 +42,42 @@ class TestFromSpherical:
 
 class TestToSpherical:
     def test_two_dim(self):
-        np.testing.assert_allclose(to_spherical(np.array([0.0, 1.0])), [math.pi / 2], atol=1e-15)
+        np.testing.assert_allclose(to_spherical(np.array([[0.0, 1.0]])), [[math.pi / 2]],
+                                   atol=1e-15)
 
     def test_first_axis_pole_convention(self):
-        np.testing.assert_allclose(to_spherical(np.array([1.0, 0.0, 0.0])), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(to_spherical(np.array([[1.0, 0.0, 0.0]])), [[0.0, 0.0]],
+                                   atol=1e-15)
 
     def test_negative_pole(self):
-        angles = to_spherical(np.array([-1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(angles, [math.pi, 0.0], atol=1e-15)
+        angles = to_spherical(np.array([[-1.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(angles, [[math.pi, 0.0]], atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 10, 300])
     def test_round_trip(self, d):
-        rng = np.random.default_rng(d)
-        for w in uniform_sphere(rng, 20, d):
-            np.testing.assert_allclose(sph_to_vec(to_spherical(w)), w, atol=1e-9)
+        rows = uniform_sphere(np.random.default_rng(d), 20, d)
+        rows[3] = 0.0
+        rows[3, 0] = -1.0  # a pole: every later angle is 0
+        angles = to_spherical(rows)
+        assert angles.shape == (20, d - 1)
+        for w, phi in zip(rows, angles):
+            np.testing.assert_allclose(sph_to_vec(phi), w, atol=1e-9)
 
     def test_matches_loop_reference(self):
-        rng = np.random.default_rng(11)
-        for w in uniform_sphere(rng, 10, 6):
-            np.testing.assert_allclose(to_spherical(w), vec_to_sph(w), atol=1e-12)
+        rows = uniform_sphere(np.random.default_rng(11), 10, 6)
+        for w, phi in zip(rows, to_spherical(rows)):
+            np.testing.assert_allclose(phi, vec_to_sph(w), atol=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            to_spherical(np.array([1.0, 1.0]))
+            to_spherical(np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 3, 3), (4, 1)])
+    def test_only_b_by_d_rows_are_taken(self, shape):
+        w = np.zeros(shape)
+        w[(0,) * len(shape)] = 1.0 if shape else 0.0
+        with pytest.raises(ValueError, match=r"\(B, d\) rows of dimension >= 2"):
+            to_spherical(w)
 
     @pytest.mark.parametrize("d", [2, 3, 10, 300])
     def test_rows_equal_per_row_calls(self, d):
@@ -72,9 +85,8 @@ class TestToSpherical:
         rows[3] = 0.0
         rows[3, 0] = -1.0  # a pole: every later angle is 0
         angles = to_spherical(rows)
-        assert angles.shape == (12, d - 1)
         for w, phi in zip(rows, angles):
-            np.testing.assert_array_equal(phi, to_spherical(w))
+            np.testing.assert_array_equal(phi, to_spherical(w[np.newaxis])[0])
 
     def test_rows_reject_a_non_unit_row(self):
         rows = uniform_sphere(np.random.default_rng(1), 4, 3)

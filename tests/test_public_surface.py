@@ -45,6 +45,7 @@ REMOVED = {
     "baselines": ("mwv_similarity",),
     "comparison": ("_validated_pair", "similarity_ic", "bayes_factor_similarity"),
     "embeddings": ("SentenceSample", "as_matrix"),
+    "evaluation": ("pair_block", "_score_block"),
     "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
     "vmf": ("vmf_tic_penalty",),
 }
@@ -75,8 +76,14 @@ def test_removed_names_are_gone():
 
 
 def test_a_block_converts_to_no_second_bag_type():
-    for name in ("sample", "stack"):
+    # a bag is a row range of the block, read through ``bags()``
+    for name in ("sample", "stack", "rows"):
         assert not hasattr(groupsim.SentenceBlock, name), name
+
+
+def test_a_store_reads_its_rows_one_way():
+    # a token's row is ``matrix[vocab[token]]``, or a lookup's block
+    assert not hasattr(groupsim.EmbeddingStore, "vector")
 
 
 def test_internal_names_stay_in_their_module_only():

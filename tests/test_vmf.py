@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from groupsim.comparison import VMF, bag_criteria
 from groupsim.errors import DegenerateCurvatureError
-from groupsim.special import vmf_kernels
+from groupsim.hypersphere import to_spherical
 from groupsim.vmf import _fit_resultants, _tic_penalty, fit_vmf
 
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     sample_vmf,
     uniform_sphere,
     vmf_dense_tic_fd,
+    vmf_kernels_at,
     tic_penalty_per_bag,
     vmf_loglik,
     vmf_tic_penalty_polar,
@@ -50,7 +51,7 @@ class TestFit:
             fit.mu_hat[0], resultant / np.linalg.norm(resultant), atol=1e-9
         )
         assert fit.max_loglik[0] == pytest.approx(
-            fit.n[0] * (fit.kappa_hat[0] * fit.r_bar[0] - vmf_kernels(6, fit.kappa_hat[0])[2]),
+            fit.n[0] * (fit.kappa_hat[0] * fit.r_bar[0] - vmf_kernels_at(6, fit.kappa_hat[0])[2]),
             rel=1e-12,
         )
 
@@ -125,6 +126,14 @@ class TestBatchFit:
         assert batch.mu_hat[4].tolist() == [1.0] + [0.0] * (d - 1)  # S = 0: the first axis
         for b, bag in enumerate(bags):
             self.assert_row_matches(batch, b, fit_vmf_per_bag(bag), d)
+
+    @pytest.mark.parametrize("d", [2, 5, 300])
+    def test_theta_hat_is_to_spherical_of_mu_hat(self, d):
+        """``fit_vmf`` fills the angles from one ``to_spherical`` call on its
+        directions; fits made from resultants alone, as joint fits are, leave them None."""
+        batch = fit_vmf(*self.bags(d))
+        assert batch.theta_hat.tobytes() == to_spherical(batch.mu_hat).tobytes()
+        assert _fit_resultants(batch.resultant, batch.n, batch.square_norm).theta_hat is None
 
     @pytest.mark.parametrize("d", [5, 300])
     def test_a_batch_of_one(self, d):
@@ -291,13 +300,13 @@ class TestLoglik:
         v /= np.linalg.norm(v)
         extended = np.vstack([x, v])
         delta = vmf_loglik(fit, extended) - vmf_loglik(fit, x)
-        assert delta == pytest.approx(-vmf_kernels(5, fit.kappa_hat[0])[2], abs=1e-10)
+        assert delta == pytest.approx(-vmf_kernels_at(5, fit.kappa_hat[0])[2], abs=1e-10)
 
     def test_against_naive_summation(self):
         rng = np.random.default_rng(3)
         x = uniform_sphere(rng, 15, 4)
         fit = fit_vmf(x)
-        log_z = vmf_kernels(4, fit.kappa_hat[0])[2]
+        log_z = vmf_kernels_at(4, fit.kappa_hat[0])[2]
         naive = sum(fit.kappa_hat[0] * float(w @ fit.mu_hat[0]) - log_z for w in x)
         assert vmf_loglik(fit, x) == pytest.approx(naive, abs=1e-10)
 
@@ -398,7 +407,7 @@ class TestTicPenalty:
         def total(theta_vec, kappa):
             return float(
                 kappa * (x @ sph_to_vec(theta_vec)).sum()
-            ) - x.shape[0] * vmf_kernels(4, kappa)[2]
+            ) - x.shape[0] * vmf_kernels_at(4, kappa)[2]
 
         for a in range(3):
             for b in range(a + 1, 3):
