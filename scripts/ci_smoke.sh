@@ -124,24 +124,33 @@ for run in with_config with_pairs with_corpus; do
 done
 printf 'the cat\tcat dog\t4.0\ncat\tdog\t2.0\ndog dog\tthe cat\t1.0\n' > "$tmp/pairs.tsv"
 printf 'Dog, the CAT!\tzzz qqq\t0.5\nthe cat sat\tcat\t3.0\ndog\tdog cat\t2.5\n' > "$tmp/pairs2.tsv"
+# each pair set is gathered once and its statistics taken once per model for every method: the
+# table and the report of --method all ($1.txt and $1.jsonl) are, byte for byte, the ten
+# one-method ones end to end in SUPPORTED_METHODS order, given the same eval arguments ($2 ...)
+check_all_is_each() {
+    local all="$1"
+    shift
+    : > "$all-each.txt"
+    : > "$all-each.jsonl"
+    for method in $(python -c 'from groupsim.evaluation import SUPPORTED_METHODS; print(*SUPPORTED_METHODS)'); do
+        python -m groupsim.cli eval --method "$method" --out "$all-$method.jsonl" "$@" \
+            >> "$all-each.txt"
+        cat "$all-$method.jsonl" >> "$all-each.jsonl"
+    done
+    for kind in txt jsonl; do
+        if ! cmp -s "$all.$kind" "$all-each.$kind"; then
+            echo "eval --method all $*: its $kind is not the ten one-method ones end to end" >&2
+            diff "$all.$kind" "$all-each.$kind" >&2 || true
+            exit 1
+        fi
+    done
+}
 # every method with scipy made unimportable: at d = 3 each bag has n + 1 >= d rows, so the
 # Bayes factor takes the d x d side of the Normal-Wishart evidence, on numpy alone
 python -c 'import sys; sys.modules["scipy"] = None; from groupsim.cli import main; sys.exit(main(sys.argv[1:]))' \
     eval --embeddings "$tmp/lexicon.txt" --method all --out "$tmp/eval.jsonl" \
-    "$tmp/pairs.tsv" "$tmp/pairs2.tsv" > /dev/null
-# each pair file is tokenised once, when it is read, and serves every method: the report of
-# --method all is, byte for byte, the ten one-method reports end to end in SUPPORTED_METHODS order
-: > "$tmp/eval-each.jsonl"
-for method in $(python -c 'from groupsim.evaluation import SUPPORTED_METHODS; print(*SUPPORTED_METHODS)'); do
-    python -m groupsim.cli eval --embeddings "$tmp/lexicon.txt" --method "$method" \
-        --out "$tmp/eval-$method.jsonl" "$tmp/pairs.tsv" "$tmp/pairs2.tsv" > /dev/null
-    cat "$tmp/eval-$method.jsonl" >> "$tmp/eval-each.jsonl"
-done
-if ! cmp -s "$tmp/eval.jsonl" "$tmp/eval-each.jsonl"; then
-    echo "eval --method all wrote a report that is not the ten one-method reports end to end" >&2
-    diff "$tmp/eval.jsonl" "$tmp/eval-each.jsonl" >&2 || true
-    exit 1
-fi
+    "$tmp/pairs.tsv" "$tmp/pairs2.tsv" > "$tmp/eval.txt"
+check_all_is_each "$tmp/eval" --embeddings "$tmp/lexicon.txt" "$tmp/pairs.tsv" "$tmp/pairs2.tsv"
 # the report holds one summary row per supported method
 python - "$tmp/eval.jsonl" <<'EOF'
 import json
@@ -169,6 +178,9 @@ printf '%s\t%s\t%s\n' 'the cat' 'cat dog' 4.0 'cat sat' 'dog the' 3.0 the dog 1.
     dog 'the cat' 2.5 'cat dog' sat 3.5 > "$tmp/pairs8.tsv"
 python -m groupsim.cli eval --embeddings "$tmp/lexicon8.txt" --method bayes_factor \
     --out "$tmp/eval8.jsonl" "$tmp/pairs8.tsv" > /dev/null
+python -m groupsim.cli eval --embeddings "$tmp/lexicon8.txt" --method all \
+    --out "$tmp/eval8-all.jsonl" "$tmp/pairs8.tsv" > "$tmp/eval8-all.txt"
+check_all_is_each "$tmp/eval8-all" --embeddings "$tmp/lexicon8.txt" "$tmp/pairs8.tsv"
 python - "$tmp/eval8.jsonl" <<'EOF'
 import json
 import math
@@ -229,6 +241,14 @@ for method in vmf_tic vmf_aic; do
         python -m groupsim.cli eval --embeddings "$tmp/lexicon129.txt" $normalize --method "$method" \
             --out "$tmp/eval129-$method$normalize.jsonl" "$tmp/pairs129.tsv" > /dev/null
     done
+done
+# and every method at once at d = 129, where there are vMF fallbacks and clamped fits, with and
+# without --normalize
+for normalize in "" --normalize; do
+    python -m groupsim.cli eval --embeddings "$tmp/lexicon129.txt" $normalize --method all \
+        --out "$tmp/eval129-all$normalize.jsonl" "$tmp/pairs129.tsv" > "$tmp/eval129-all$normalize.txt"
+    check_all_is_each "$tmp/eval129-all$normalize" --embeddings "$tmp/lexicon129.txt" $normalize \
+        "$tmp/pairs129.tsv"
 done
 python - "$tmp" <<'EOF'
 import json

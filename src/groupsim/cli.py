@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import baselines, comparison, evaluation
@@ -119,19 +120,21 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _check_scoring(args, allow_all=True)
+    names = [os.path.basename(path) for path in args.datasets]  # a report row's dataset name
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"pair files {args.datasets[names.index(name)]} and "
+                             f"{args.datasets[i]} share the name {name!r}")
     store = _load_store(args)
     datasets = [evaluation.load_pairs(path) for path in args.datasets]
     options = _options(args, dim=store.dim)
     methods = list(evaluation.SUPPORTED_METHODS) if args.method == "all" else [args.method]
-    all_lines: list[str] = []
-    for method in methods:
-        report = evaluation.evaluate(method, datasets, store, options)
-        print(evaluation.format_table(report))
-        print()
-        all_lines.extend(evaluation.report_lines(report))
+    reports = evaluation.evaluate_methods(methods, datasets, store, options)
+    for report in reports:
+        print(evaluation.format_table(report), end="\n\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(all_lines) + "\n")
+            handle.writelines(line + "\n" for r in reports for line in evaluation.report_lines(r))
     return EXIT_OK
 
 

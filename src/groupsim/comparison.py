@@ -8,27 +8,27 @@ bag and for each bag alone, and the score is
 alpha (L_j - L_1 - L_2 - P_j + P_1 + P_2).  A von Mises-Fisher, diagonal or
 spherical Gaussian model (``MODELS``) takes P from one information criterion
 (``IC_KINDS``), with alpha = 2: the gradient trace ("tic"), the parameter
-count k ("aic") or (k/2) log n ("bic").  The Gaussian criteria read
-each bag's moments (M3 and M4 only for the diagonal "tic" penalty), and a
-joint bag's are its two bags' moments merged.  The vMF single bags of a
-batch are fitted together, each block of rows checked in one pass of row
-norms, and its joint bags together from their two bags' summed resultants,
-row counts and square norms, each set with one array Bessel pass; a joint
-bag's "tic" penalty reads its two bags' rows in place only for their dots
-with its direction.
-``corpus_model_selection`` and ``penalty_curve`` read the same per-bag
-criterion.  Each entry checks every bag, 2-D and of one width, before any
-fit; the Gaussian and vMF kernels read arrays and statistics only.
-The Bayes factor, model "bayes" with no criterion, takes L as the
+count k ("aic") or (k/2) log n ("bic").  A model's criteria penalise the
+same maximised likelihood, so one scoring plan takes a batch's statistics
+once for every criterion asked of it, and each reads its (L, P) from them;
+``pair_scores``, ``bag_criteria`` and ``corpus_model_selection`` are that
+plan, and ``penalty_curve`` reads its per-bag criterion.  The Gaussian
+criteria read each bag's moments, one sweep for both models (M3 and M4 only
+for the diagonal "tic" penalty), and a joint bag's are its two bags' moments
+merged.  The vMF single bags of a batch are fitted together, each block of
+rows checked in one pass of row norms, and its joint bags together from
+their two bags' summed resultants, row counts and square norms, each set
+with one array Bessel pass; a joint bag's "tic" penalty reads its two bags'
+rows in place only for their dots with its direction.  Each entry checks
+every bag, 2-D and of one width, before any fit.  The Bayes factor, model "bayes" with no criterion, takes L as the
 Normal-Wishart log evidence (full covariance, conjugate closed form under a
 prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
 alpha = 1; the evidence is taken over stacks of bags with equal row counts,
-a joint bag's two blocks written end to end into its stack.  Each model has
-this one scoring path; the closed forms of the "tic" score that the tests
-check it against are written out in ``tests/helpers.py``, and
-``groupsim.evaluation.score_pair`` scores one pair through it by method
-name.  Rank-based evaluation is insensitive to alpha; the breakdown records
-which convention produced the value.
+a joint bag's two blocks written end to end into its stack.  The closed
+forms of the "tic" score that the tests check the plan against are written
+out in ``tests/helpers.py``, and ``groupsim.evaluation`` scores pairs
+through it by method name.  Rank-based evaluation is insensitive to alpha;
+the breakdown records which convention produced the value.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .errors import DegenerateCurvatureError
 from .gaussian import (
     DIAG,
     SPHERICAL,
-    GaussianMoments,
     merge_moments,
     moment_fit,
     moments,
@@ -52,7 +51,7 @@ from .gaussian import (
     tic_penalties,
 )
 from .special import MAX_DIM, MIN_DIM
-from .vmf import CURVATURE_FLOOR, VmfFit, _fit_resultants, _tic_penalty, fit_vmf
+from .vmf import CURVATURE_FLOOR, _fit_resultants, _tic_penalty, fit_vmf
 
 VMF = "vmf"
 BAYES = "bayes"
@@ -156,12 +155,6 @@ def _check_criterion(model: str, ic: str | None, on_degenerate: str) -> None:
         raise ValueError(f"unknown model and criterion ({model!r}, {ic!r})")
 
 
-def _moment_order(model: str, ic: str | None) -> int:
-    """The moment order a Gaussian criterion reads: 4 for the diagonal "tic"
-    penalty (its kurtosis), 2 for every other."""
-    return 4 if model == DIAG and ic == "tic" else 2
-
-
 def _check_width(blocks) -> int:
     """The row width d shared by (n_i, d) blocks: a block that is not a 2-D
     array raises, and so does the first other width."""
@@ -176,46 +169,49 @@ def _check_width(blocks) -> int:
     return d
 
 
-def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
-                 prior: NormalWishartPrior | None = None, mom: GaussianMoments | None = None,
-                 fits: VmfFit | None = None):
-    """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
-    of every bag of a batch, as (B,) arrays.
+def _statistics(criteria, bags, blocks=None):
+    """(moments, vMF fits) of a batch of one-block ``bags``, each taken once
+    for ``criteria``, (model, ic) pairs, and None when none reads it: one
+    moment sweep for both Gaussian models, to M4 only when ("diag", "tic")
+    is among them, and one :func:`fit_vmf` of ``blocks`` (the bags' rows
+    when None) whatever the penalties.  The evidence reads the rows."""
+    models = {model for model, _ in criteria}
+    mom = fits = None
+    if models & {DIAG, SPHERICAL}:
+        with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
+            mom = moments(*(x for x, in bags), order=4 if (DIAG, "tic") in criteria else 2)
+    if VMF in models:
+        fits = fit_vmf(*(blocks or [x for x, in bags]))
+    return mom, fits
 
-    A bag is a tuple of (n_i, d) row blocks fitted as one, each checked 2-D
-    and as wide as the first before any fit; an empty batch raises
-    ``ValueError``.  P is the gradient trace for
-    ``ic="tic"``, the parameter count k for "aic" and ``(k/2) log n`` for
-    "bic"; a ("bayes", None) bag has its Normal-Wishart log evidence as L and
-    P = 0, the bags grouped by total row count and each
-    group's rows (a joint bag's blocks end to end) copied into one float64
-    (k, n, d) stack for one :func:`nw_log_evidence` call.  Gaussian bags are
-    read from their moments ``mom`` (taken from the rows of one-block bags
-    when omitted, to M4 only for the diagonal "tic" penalty, the one
-    criterion that reads it); the spherical "tic" radial term reads each
-    block about its bag's mean, rounding error included.  vMF bags are read
-    from their batch fit ``fits`` (joint bags' made from merged resultants;
-    one :func:`fit_vmf` on the rows of one-block bags when omitted), the
-    "tic" penalty from the fits' square norms and each bag's blocks' dots
-    with its direction, read in place, and a bag is flagged degenerate when
-    its resultant length was clamped.
-    ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
-    penalty whose curvature is degenerate, and flags the bag as a fallback;
-    any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
-    """
-    _check_criterion(model, ic, on_degenerate)
-    if not bags:
-        raise ValueError("bag_criteria got an empty batch: need at least one bag")
-    d = _check_width([x for bag in bags for x in bag])
-    count = len(bags)
+
+def _joint_statistics(stats, half: int):
+    """The :func:`_statistics` of bags i and half + i pooled, for each
+    i < half, read from those of the 2 half bags alone: merged moments, and
+    fits from summed resultants, row counts and square norms."""
+    mom, fits = stats
+    if mom is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
+    if fits is not None:
+        fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
+                               fits.n[:half] + fits.n[half:],
+                               fits.square_norm[:half] + fits.square_norm[half:])
+    return mom, fits
+
+
+def _criteria(model: str, ic: str | None, bags, stats, on_degenerate: str,
+              prior: NormalWishartPrior | None):
+    """:func:`bag_criteria` of a checked batch, read from its ``stats``; the
+    rows are read only by the "tic" penalties and the evidence."""
+    d, count = bags[0][0].shape[1], len(bags)
+    mom, fits = stats
     fallback, degenerate = np.zeros(count, bool), np.zeros(count, bool)
     floored, penalty = np.zeros(count, np.intp), np.zeros(count)
     if model != BAYES and ic != "tic":
         penalty = count_penalty(model, ic, d, [sum(len(x) for x in bag) for bag in bags])
     if model in (DIAG, SPHERICAL):
         with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
-            if mom is None:
-                mom = moments(*(x for x, in bags), order=_moment_order(model, ic))
             loglik, var, kurt, floored = moment_fit(mom, model)
             if ic == "tic":
                 radial = None if model == DIAG else np.array([
@@ -235,7 +231,6 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
                 np.concatenate(bags[b], out=rows)  # a joint bag's blocks end to end
             loglik[members] = nw_log_evidence(stack, prior)
         return loglik, penalty, fallback, floored, degenerate
-    fits = fit_vmf(*(x for x, in bags)) if fits is None else fits
     if ic == "tic":
         penalty, defined = _tic_penalty(fits, bags)
         if not defined.all():
@@ -248,18 +243,75 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     return fits.max_loglik, penalty, fallback, floored, fits.clamped
 
 
-def _side_bags(side) -> list[np.ndarray]:
-    """The (n, d) bags of one side of :func:`pair_scores`, in their own
-    dtype: a ``SentenceBlock``'s in order, or each of a list's (:func:`bag_rows`)."""
+def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
+                 prior: NormalWishartPrior | None = None):
+    """(max loglik L, penalty P, fallback flag, floored dims, degenerate flag)
+    of every bag of a batch, as (B,) arrays: the scoring plan of one
+    criterion on a batch of bags.
+
+    A bag is a tuple of (n_i, d) row blocks fitted as one (one block for a
+    Gaussian or vMF model), each checked 2-D and as wide as the first before
+    any fit; an empty batch raises ``ValueError``.  P is the gradient trace
+    for ``ic="tic"``, the parameter count k for "aic" and ``(k/2) log n`` for
+    "bic"; a ("bayes", None) bag has its Normal-Wishart log evidence as L and
+    P = 0, the bags grouped by total row count and each group's rows (a
+    joint bag's blocks end to end) copied into one float64 (k, n, d) stack
+    for one :func:`nw_log_evidence` call.  The spherical "tic" radial term
+    reads each block about its bag's mean, rounding error included, and the
+    vMF "tic" penalty each bag's dots with its direction, in place; a vMF
+    bag is flagged degenerate when its resultant length was clamped.
+    ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
+    penalty whose curvature is degenerate, and flags the bag as a fallback;
+    any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
+    """
+    _check_criterion(model, ic, on_degenerate)
+    if not bags:
+        raise ValueError("bag_criteria got an empty batch: need at least one bag")
+    _check_width([x for bag in bags for x in bag])
+    return _criteria(model, ic, bags, _statistics([(model, ic)], bags), on_degenerate, prior)
+
+
+def _side_bags(side):
+    """The (n, d) bags of one side of a pair batch, in their own dtype, and
+    the blocks :func:`fit_vmf` reads: a ``SentenceBlock`` whole, so its rows
+    are checked in one pass, or a list's bags (:func:`bag_rows`)."""
     if isinstance(side, SentenceBlock):
-        return side.bags()
-    return [bag_rows(x) for x in side]
+        return side.bags(), [side]
+    bags = [bag_rows(x) for x in side]
+    return bags, bags
 
 
-def _fit_blocks(side, bags) -> list:
-    """The blocks of one side of :func:`pair_scores` for :func:`fit_vmf`: a
-    ``SentenceBlock`` whole, so its rows are checked in one pass, or a list's bags."""
-    return [side] if isinstance(side, SentenceBlock) else bags
+def _pair_plan(criteria, first, second, on_degenerate: str = "error",
+               prior: NormalWishartPrior | None = None) -> list[PairScores]:
+    """The :func:`pair_scores` of each of ``criteria``, (model, ic) pairs,
+    bit for bit, from the statistics of the single bags taken once and
+    pooled pairwise once; each criterion reads its joint terms, then its
+    single ones."""
+    for model, ic in criteria:
+        _check_criterion(model, ic, on_degenerate)  # before the fits below
+    (first_bags, first_blocks), (second_bags, second_blocks) = _side_bags(first), _side_bags(second)
+    if not first_bags or len(first_bags) != len(second_bags):
+        raise ValueError(f"need as many first bags as second bags, at least one: "
+                         f"got {len(first_bags)} and {len(second_bags)}")
+    half = len(first_bags)
+    _check_width(first_bags + second_bags)
+    singles, joints = [(x,) for x in first_bags + second_bags], list(zip(first_bags, second_bags))
+    stats = _statistics(criteria, singles, first_blocks + second_blocks)
+    joint_stats = _joint_statistics(stats, half)
+    scores = []
+    for model, ic in criteria:
+        ll_j, p_j, f_j, d_j, g_j = _criteria(model, ic, joints, joint_stats, on_degenerate, prior)
+        ll_s, p_s, f_s, d_s, g_s = _criteria(model, ic, singles, stats, on_degenerate, prior)
+        (ll_1, ll_2), (p_1, p_2) = np.split(ll_s, 2), np.split(p_s, 2)
+        terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
+        if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
+            raise ValueError(f"non-finite L or P term in pair {np.isfinite(terms).all(1).argmin()}")
+        alpha = 1.0 if model == BAYES else 2.0
+        scores.append(PairScores(
+            "bayes_factor" if model == BAYES else f"{model}_{ic}",
+            alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2), terms, alpha,
+            f_j | f_s[:half] | f_s[half:], int(d_j.sum() + d_s.sum()), int(g_j.sum() + g_s.sum())))
+    return scores
 
 
 def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = "error",
@@ -275,60 +327,18 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     omitted.  vMF rows must be unit vectors, and a degenerate vMF curvature
     under "tic" raises unless ``on_degenerate="aic"``.
 
-    Every model's score is one composition over the batch:
-    ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)`` from two
-    :func:`bag_criteria` calls, one on the P joint bags and one on the 2P
-    single bags (the first bags, then the second), with alpha = 2 for the
-    information criteria and 1 for "bayes"; P_1 and P_2 add because two
-    independent fits have a block-diagonal joint curvature.  A Gaussian
-    joint bag reads the merged moments of its two bags
-    (:func:`merge_moments`), so no Gaussian bag is stacked or refitted; the
-    moments stop after M2 unless the criterion is the diagonal "tic".  The
-    2P vMF single bags are fitted in one :func:`fit_vmf` batch, a
-    ``SentenceBlock`` side as one block whose rows are checked in one pass,
-    and the P joint bags in one batch from their two bags' summed
-    resultants, counts and square norms alone; a joint bag's "tic" penalty
-    reads the two bags' rows in place for their dots with its direction.
-    The Normal-Wishart evidence is taken over stacks of bags with equal row
-    counts, one :func:`nw_log_evidence` call per distinct count in each of
-    the two calls.  The same bags give the same values, terms and flags bit
-    for bit whichever form the sides take.  A non-finite term raises.
+    The score is ``alpha (L_joint - L_1 - L_2 - P_joint + P_1 + P_2)``, the
+    :func:`bag_criteria` terms of the P joint bags and of the 2P single bags
+    (the first bags, then the second), with alpha = 2 for the information
+    criteria and 1 for "bayes"; P_1 and P_2 add because two independent fits
+    have a block-diagonal joint curvature.  It is the scoring plan of one
+    criterion: the single bags' statistics are taken once (a
+    ``SentenceBlock`` side's vMF rows checked in one pass) and a joint bag's
+    are its two bags' pooled: no Gaussian or vMF bag is stacked or refitted.
+    The same bags give the same values, terms and flags bit for bit whichever
+    form the sides take.  A non-finite term raises.
     """
-    _check_criterion(model, ic, on_degenerate)  # before the fits below
-    first_bags, second_bags = _side_bags(first), _side_bags(second)
-    if not first_bags or len(first_bags) != len(second_bags):
-        raise ValueError(f"need as many first bags as second bags, at least one: "
-                         f"got {len(first_bags)} and {len(second_bags)}")
-    half, singles = len(first_bags), first_bags + second_bags
-    _check_width(singles)
-    mom = fits = joint_mom = joint_fits = None
-    if model in (DIAG, SPHERICAL):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term raises below
-            mom = moments(*singles, order=_moment_order(model, ic))
-            joint_mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
-    elif model == VMF:
-        fits = fit_vmf(*_fit_blocks(first, first_bags), *_fit_blocks(second, second_bags))
-        joint_fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
-                                     fits.n[:half] + fits.n[half:],
-                                     fits.square_norm[:half] + fits.square_norm[half:])
-    ll_j, p_j, f_j, d_j, g_j = bag_criteria(model, ic, list(zip(first_bags, second_bags)),
-                                            on_degenerate, prior, joint_mom, joint_fits)
-    ll_s, p_s, f_s, d_s, g_s = bag_criteria(model, ic, [(x,) for x in singles], on_degenerate,
-                                            prior, mom, fits)
-    (ll_1, ll_2), (p_1, p_2) = np.split(ll_s, 2), np.split(p_s, 2)
-    terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
-    if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
-        raise ValueError(f"non-finite L or P term in pair {np.isfinite(terms).all(1).argmin()}")
-    alpha = 1.0 if model == BAYES else 2.0
-    return PairScores(
-        method="bayes_factor" if model == BAYES else f"{model}_{ic}",
-        values=alpha * (ll_j - ll_1 - ll_2 - p_j + p_1 + p_2),
-        terms=terms,
-        alpha=alpha,
-        fallback=f_j | f_s[:half] | f_s[half:],
-        floored_dims=int(d_j.sum() + d_s.sum()),
-        degenerate_fits=int(g_j.sum() + g_s.sum()),
-    )
+    return _pair_plan([(model, ic)], first, second, on_degenerate, prior)[0]
 
 
 @dataclass(frozen=True)
@@ -471,14 +481,15 @@ def corpus_model_selection(
 
     The candidates (at least one), ``on_degenerate`` (one of
     :data:`ON_DEGENERATE`) and the bags (2-D, of one width) are checked
-    before the first fit.  L depends only on the model, so each model is
-    fitted once, by :func:`bag_criteria` under "tic" when one of its
-    candidates reads it; its other candidates take :func:`count_penalty`.
-    The Gaussian models share one moment sweep, which stops after M2 unless
-    a diagonal "tic" candidate reads M4.  A candidate whose L or P is not
-    finite on some bag raises ``ValueError`` naming it and the first such
-    bag.  Bags keep their dtype (float32 from a lexicon), a block's as
-    views: each kernel reads one bag at a time as float64.
+    before the first fit.  The corpus's statistics are taken once for all
+    the candidates, as for a pair batch: the Gaussian models share one
+    moment sweep, which stops after M2 unless a diagonal "tic" candidate
+    reads M4, and the vMF candidates one fit; each candidate's (L, P) is
+    read from them.  A candidate whose L or P is not finite on some bag
+    raises ``ValueError`` naming it and the first such bag, once every
+    candidate's terms are taken.  Bags keep their dtype (float32 from a
+    lexicon), a block's as views: each kernel reads one bag at a time as
+    float64.
     """
     blocks = corpus.bags() if isinstance(corpus, SentenceBlock) else [bag_rows(b) for b in corpus]
     if not blocks:
@@ -487,26 +498,15 @@ def corpus_model_selection(
     if not candidates:
         raise ValueError(f"candidates must name at least one (model, ic) pair, got {candidates}")
     _check_on_degenerate(on_degenerate)
-    fit_ic = {}  # model -> the criterion its one fit runs under
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        if fit_ic.get(model) != "tic":
-            fit_ic[model] = ic
-    d, bags = _check_width(blocks), [(x,) for x in blocks]
-    mom = None
-    if DIAG in fit_ic or SPHERICAL in fit_ic:
-        order = max(_moment_order(model, ic) for model, ic in fit_ic.items())
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L raises below
-            mom = moments(*blocks, order=order)
-    fits = {model: bag_criteria(model, ic, bags, on_degenerate, mom=mom)[:2]
-            for model, ic in fit_ic.items()}
-    n = [len(x) for x in blocks]
+    _check_width(blocks)
+    bags = [(x,) for x in blocks]
+    stats = _statistics(candidates, bags)
+    terms = [_criteria(model, ic, bags, stats, on_degenerate, None)[:2] for model, ic in candidates]
     rows = []
-    for model, ic in candidates:
-        ll, pen = fits[model]
-        if ic != fit_ic[model]:
-            pen = count_penalty(model, ic, d, n)
+    for (model, ic), (ll, pen) in zip(candidates, terms):
         finite = np.isfinite(np.column_stack([ll, pen])).all(1)
         if not finite.all():
             raise ValueError(f"non-finite L or P for candidate ({model!r}, {ic!r}) "

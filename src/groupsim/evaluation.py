@@ -9,22 +9,22 @@ the parameter count, the Gaussian dimensions held at the variance floor and
 the vMF fits whose resultant length was clamped.
 
 A pair file is tokenised once, when it is read (:attr:`ScoredPairSet.tokens`),
-and each method's run gathers a dataset's pairs as two blocks, every
-sentence a and every sentence b, in the lexicon's float32
-(:func:`groupsim.embeddings.lookup_tokens`), each bag a row range of its
-block that a kernel reads as float64; the two blocks are the two sides of
-the batch until it is scored.  Every model method scores all the pairs in
-one :func:`groupsim.comparison.pair_scores` call, the one composition for
-every model: the Gaussian methods from the bags' moments merged pairwise,
-the vMF ones from each bag's fit and each pair's summed statistics, on a
-float64 copy of both blocks' rows normalised and checked once, and the
-Normal-Wishart evidence over stacks of bags with equal row counts.  The
-baselines take their sentence vectors from the same rows, in
-:func:`embedding_scores`, the one implementation of MWV, SIF and SIF with PC
-removal, with one SIF weight pass over both blocks' tokens (a zero sentence
-vector scores 0.0).  The tests hold every per-pair value within 1e-12
-relative of the pair scored alone as before dataset batches, and one pair,
-two one-bag blocks, is a batch of one (:func:`score_pair`).
+and a run (:func:`evaluate_methods`) gathers each dataset once for all its
+methods, as two blocks, every sentence a and every sentence b, in the
+lexicon's float32 (:func:`groupsim.embeddings.lookup_tokens`), each bag a
+row range of its block that a kernel reads as float64; the two blocks are
+the two sides of the batch until it is scored.  The model methods are the
+scoring plan of :mod:`groupsim.comparison` over all the pairs at once, which
+takes each model's statistics once for all its criteria: the Gaussian
+methods from the bags' moments merged pairwise, the vMF ones from each bag's
+fit and each pair's summed statistics, on a float64 copy of both blocks'
+rows normalised and checked once, and the Normal-Wishart evidence over
+stacks of bags with equal row counts.  The baselines take their sentence
+vectors from the same rows, in :func:`embedding_scores`, the one
+implementation of MWV, SIF and SIF with PC removal, with one SIF weight pass
+over both blocks' tokens (a zero sentence vector scores 0.0).  A report of
+several methods equals theirs one at a time bit for bit, and one pair, two
+one-bag blocks, is a batch of one (:func:`score_pair`).
 """
 
 from __future__ import annotations
@@ -54,15 +54,17 @@ logger = logging.getLogger(__name__)
 # rows per slab when unit_rows normalises a block, so no whole-block temporary sits next to it
 SLAB_ROWS = 512
 
-MODEL_METHODS = (
-    "vmf_tic",
-    "vmf_aic",
-    "diag_tic",
-    "diag_aic",
-    "diag_bic",
-    "spherical_aic",
-    "bayes_factor",
-)
+# each model method's (model, criterion) in groupsim.comparison.pair_scores
+_CRITERIA = {
+    "vmf_tic": (comparison.VMF, "tic"),
+    "vmf_aic": (comparison.VMF, "aic"),
+    "diag_tic": (comparison.DIAG, "tic"),
+    "diag_aic": (comparison.DIAG, "aic"),
+    "diag_bic": (comparison.DIAG, "bic"),
+    "spherical_aic": (comparison.SPHERICAL, "aic"),
+    "bayes_factor": (comparison.BAYES, None),
+}
+MODEL_METHODS = tuple(_CRITERIA)
 BASELINE_METHODS = ("mwv", "sif", "sif_pca")
 SUPPORTED_METHODS = MODEL_METHODS + BASELINE_METHODS
 
@@ -259,32 +261,36 @@ def embedding_scores(method: str, first: SentenceBlock, second: SentenceBlock,
     return baselines.row_cosines(vectors[:len(first)], vectors[len(first):])
 
 
-def _score_sides(method: str, first: SentenceBlock, second: SentenceBlock,
-                 options: EvalOptions) -> comparison.PairScores:
-    """Scores of the pairs (first[p], second[p]) of two blocks, with any supported method.
+def _score_sides(methods, first: SentenceBlock, second: SentenceBlock,
+                 options: EvalOptions) -> list[comparison.PairScores]:
+    """Scores of the pairs (first[p], second[p]) of two blocks, left as they
+    are, under each of ``methods`` in order.  A model method is a criterion
+    of :func:`groupsim.comparison.pair_scores` (a degenerate vMF curvature
+    under "tic" falls back to the parameter count), and the model methods
+    are two scoring plans: the vMF ones on one float64 copy of both blocks'
+    rows normalised once (:func:`unit_rows`; a copy per side took twice the
+    page faults), the others on the blocks."""
+    scores = {}
+    for method in methods:
+        if method in BASELINE_METHODS:
+            scores[method] = comparison.PairScores(
+                method, embedding_scores(method, first, second, options))
+        elif method not in MODEL_METHODS:
+            raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
 
-    The blocks are left as they are: the vMF methods normalise
-    (:func:`unit_rows`) one float64 copy of both blocks' rows, as large as a
-    dataset (a copy per side took twice the page faults).  A model method
-    name ``<model>_<criterion>`` selects the model and the criterion of
-    :func:`groupsim.comparison.pair_scores` ("bayes_factor" is the
-    Normal-Wishart evidence), which scores every pair at once; a degenerate
-    vMF curvature under "tic" falls back to the parameter count and flags
-    the score.
-    """
-    if method in BASELINE_METHODS:
-        return comparison.PairScores(method, embedding_scores(method, first, second, options))
-    if method not in MODEL_METHODS:
-        raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
-    model, _, ic = method.partition("_")
-    if model == comparison.BAYES:
-        ic = None
-    if model == comparison.VMF:
+    def plan(names, *sides):
+        criteria = [_CRITERIA[m] for m in names]
+        scores.update(zip(names, comparison._pair_plan(criteria, *sides, "aic", options.prior)))
+
+    raw = [m for m in methods if m in MODEL_METHODS and _CRITERIA[m][0] != comparison.VMF]
+    sphere = [m for m in methods if m in MODEL_METHODS and _CRITERIA[m][0] == comparison.VMF]
+    if raw:
+        plan(raw, first, second)
+    if sphere:
         rows = unit_rows(np.concatenate([first.vectors, second.vectors], dtype=np.float64))
         split = len(first.vectors)
-        first, second = replace(first, vectors=rows[:split]), replace(second, vectors=rows[split:])
-    return comparison.pair_scores(model, ic, first, second, on_degenerate="aic",
-                                  prior=options.prior)
+        plan(sphere, replace(first, vectors=rows[:split]), replace(second, vectors=rows[split:]))
+    return [scores[method] for method in methods]
 
 
 def score_pair(
@@ -295,80 +301,71 @@ def score_pair(
     options: EvalOptions | None = None,
 ) -> comparison.SimilarityScore:
     """Score one pair with any supported method (baselines included): a
-    batch of one whose sides are the one-bag blocks ``a`` and ``b``
-    (:func:`groupsim.embeddings.lookup_sentence`), as wide as ``store``;
-    anything else, a plain array included, raises."""
+    one-method plan on a batch of one whose sides are the one-bag blocks
+    ``a`` and ``b`` (:func:`groupsim.embeddings.lookup_sentence`), as wide
+    as ``store``; anything else, a plain array included, raises."""
     if not (isinstance(a, SentenceBlock) and isinstance(b, SentenceBlock)):
         raise TypeError(f"score_pair takes two one-bag SentenceBlocks from lookup_sentence, "
                         f"got {type(a).__name__} and {type(b).__name__}")
     comparison._check_width([bag_rows(a), bag_rows(b)])  # a block of k != 1 bags raises
     if a.dim != store.dim:
         raise ValueError(f"dimension mismatch: {store.dim} vs {a.dim}")
-    return _score_sides(method, a, b, options or EvalOptions())[0]
+    return _score_sides([method], a, b, options or EvalOptions())[0][0]
 
 
-def _score_dataset(method, dataset, store, pad, options):
-    """A dataset's scores and its number of pairs with a sentence that kept no token.
-
-    The two sides are gathered from the set's tokens, read when it was
-    loaded, and live only here, so one dataset's rows are held at a time.
-    """
+def _score_dataset(methods, dataset, store, pad, options):
+    """A dataset's scores under each of ``methods`` and its number of pairs
+    with a sentence that kept no token.  Its two sides are gathered once, and
+    live only here, so one dataset's rows are held at a time."""
     first = lookup_tokens(store, dataset.tokens[:dataset.count], pad)
     second = lookup_tokens(store, dataset.tokens[dataset.count:], pad)
     degenerate = sum(not (a and b) for a, b in zip(first.tokens, second.tokens))
-    return _score_sides(method, first, second, options), degenerate
+    return _score_sides(methods, first, second, options), degenerate
 
 
-def evaluate(
-    method: str,
-    datasets,
-    store: EmbeddingStore,
-    options: EvalOptions | None = None,
-) -> EvalReport:
-    """Score every pair of every dataset and aggregate rank correlations.
-
-    ``method`` is a name from :data:`SUPPORTED_METHODS`.  Each dataset is
-    looked up once and scored as one batch.  Datasets whose correlation is
-    undefined (constant scores, or a single pair) are flagged and left out
-    of the weighted average, loudly.
-    """
+def evaluate_methods(methods, datasets, store: EmbeddingStore,
+                     options: EvalOptions | None = None) -> list[EvalReport]:
+    """The :func:`evaluate` report of each of ``methods``, distinct names
+    checked before any gather, with each dataset looked up once and scored
+    as one batch under every method (:func:`_score_sides`)."""
+    methods, datasets = list(methods), list(datasets)
+    for method in methods:
+        if method not in SUPPORTED_METHODS:
+            raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"each method must be named once, got {methods}")
     options = options or EvalOptions()
     pad = options.pad_token or find_pad_token(store)
-    if method not in SUPPORTED_METHODS:
-        raise ValueError(f"unknown method {method!r}; supported: {SUPPORTED_METHODS}")
-
-    rows = []
-    degenerate_pairs = fallback_pairs = floored_dims = degenerate_fits = 0
-    for dataset in datasets:
-        scores, degenerate = _score_dataset(method, dataset, store, pad, options)
-        degenerate_pairs += degenerate
-        fallback_pairs += scores.fallback_pairs
-        floored_dims += scores.floored_dims
-        degenerate_fits += scores.degenerate_fits
-        golds = [g for _, _, g in dataset.pairs]
-        rho = spearman(scores.values, golds) if dataset.count > 1 else float("nan")
-        if math.isnan(rho):
-            logger.warning(
-                "dataset %s: correlation undefined (%s); excluded from average",
-                dataset.name, "constant scores" if dataset.count > 1 else "a single pair",
-            )
-        rows.append(DatasetResult(name=dataset.name, count=dataset.count, spearman=rho))
-
-    defined = [r for r in rows if r.defined]
-    if defined:
+    scored = [_score_dataset(methods, dataset, store, pad, options) for dataset in datasets]
+    degenerate_pairs, reports = sum(count for _, count in scored), []
+    for m, method in enumerate(methods):
+        rows = []
+        for dataset, (scores, _) in zip(datasets, scored):
+            golds = [g for _, _, g in dataset.pairs]
+            rho = spearman(scores[m].values, golds) if dataset.count > 1 else float("nan")
+            if math.isnan(rho):
+                logger.warning(
+                    "dataset %s: correlation undefined (%s); excluded from average",
+                    dataset.name, "constant scores" if dataset.count > 1 else "a single pair",
+                )
+            rows.append(DatasetResult(name=dataset.name, count=dataset.count, spearman=rho))
+        defined = [r for r in rows if r.defined]
         total = sum(r.count for r in defined)
-        weighted = sum(r.count * r.spearman for r in defined) / total
-    else:
-        weighted = float("nan")
-    return EvalReport(
-        method=method,
-        rows=tuple(rows),
-        weighted_average=weighted,
-        degenerate_pair_count=degenerate_pairs,
-        fallback_pairs=fallback_pairs,
-        floored_dims=floored_dims,
-        degenerate_fits=degenerate_fits,
-    )
+        weighted = sum(r.count * r.spearman for r in defined) / total if defined else float("nan")
+        counts = [sum(getattr(scores[m], name) for scores, _ in scored)
+                  for name in ("fallback_pairs", "floored_dims", "degenerate_fits")]
+        reports.append(EvalReport(method, tuple(rows), weighted, degenerate_pairs, *counts))
+    return reports
+
+
+def evaluate(method: str, datasets, store: EmbeddingStore,
+             options: EvalOptions | None = None) -> EvalReport:
+    """Score every pair of every dataset with ``method``, a name from
+    :data:`SUPPORTED_METHODS`, and aggregate rank correlations: a run of
+    :func:`evaluate_methods` with one method.  Datasets whose correlation is
+    undefined (constant scores, or a single pair) are flagged and left out of
+    the weighted average, loudly."""
+    return evaluate_methods([method], datasets, store, options)[0]
 
 
 def report_lines(report: EvalReport) -> list[str]:

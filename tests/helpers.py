@@ -789,16 +789,19 @@ def nw_log_evidence_columns(data, prior) -> float:
 
 def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str = "error"):
     """Corpus model selection as it was before each model was fitted once:
-    every candidate runs its own ``bag_criteria`` call on moments taken to
-    M4, and the rows are sorted by mean criterion."""
+    every candidate reads its own criterion, a Gaussian one from moments
+    taken to M4 and a vMF one from its own fit, and the rows are sorted by
+    mean criterion."""
     from groupsim.comparison import (
         IC_KINDS,
         MODELS,
+        VMF,
         ModelCandidateScore,
-        bag_criteria,
+        _criteria,
     )
     from groupsim.embeddings import bag_rows
     from groupsim.gaussian import moments
+    from groupsim.vmf import fit_vmf
 
     bags = [(np.asarray(bag_rows(b), dtype=np.float64),) for b in corpus]
     if not bags:
@@ -808,7 +811,8 @@ def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str 
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        ll, pen, *_ = bag_criteria(model, ic, bags, on_degenerate, mom=mom)
+        fits = fit_vmf(*(x for x, in bags)) if model == VMF else None
+        ll, pen, *_ = _criteria(model, ic, bags, (mom, fits), on_degenerate, None)
         rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows
@@ -1030,7 +1034,7 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
         order = 4 if (model, ic) == ("diag", "tic") else 2
         mom = moments(*first, *second, order=order)
         m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
-        out = [comparison.bag_criteria(model, ic, b, on_degenerate, mom=m)
+        out = [comparison._criteria(model, ic, b, (m, None), on_degenerate, None)
                for b, m in zip(bags, (merge_moments(m1, m2), m1, m2))]
     (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = out
     terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])

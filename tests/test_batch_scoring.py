@@ -75,7 +75,7 @@ def store_for(stores, method):
 
 def batch_scores(method, store, pairs, pad, options):
     """The scores of ``pairs`` as ``evaluate`` takes them: one dataset, gathered as two sides."""
-    return _score_dataset(method, ScoredPairSet("set", tuple(pairs)), store, pad, options)[0]
+    return _score_dataset([method], ScoredPairSet("set", tuple(pairs)), store, pad, options)[0][0]
 
 
 def oracle_scales(method, pairs, store):
@@ -235,7 +235,7 @@ def test_vmf_scores_leave_the_block_as_it_was(store_pair, side):
     first, second = (lookup_sentences(store_pair[side], half, "w0")
                      for half in (texts[:10], texts[10:]))
     before = first.vectors.copy(), second.vectors.copy()
-    _score_sides("vmf_tic", first, second, OPTIONS)
+    _score_sides(["vmf_tic"], first, second, OPTIONS)
     assert first.vectors.tobytes() == before[0].tobytes()
     assert second.vectors.tobytes() == before[1].tobytes()
 

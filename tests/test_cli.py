@@ -228,6 +228,27 @@ class TestEval:
         ])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("same_file", [False, True])
+    @pytest.mark.parametrize("lexicon", [True, False])
+    def test_pair_files_of_one_name_usage_error(self, embedding_file, tmp_path, same_file,
+                                                lexicon, capsys):
+        """A report row names its pair file by basename, so two files of one
+        name are refused, both named, before the lexicon is read (here
+        perhaps a missing file)."""
+        paths = [tmp_path / "a" / "sts.tsv", tmp_path / ("a" if same_file else "b") / "sts.tsv"]
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(PAIRS)
+        out_path = tmp_path / "report.jsonl"
+        code = main([
+            "eval", "--embeddings", str(embedding_file if lexicon else tmp_path / "nope.txt"),
+            "--method", "mwv", "--out", str(out_path), *map(str, paths),
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"pair files {paths[0]} and {paths[1]} share the name 'sts.tsv'" in captured.err
+        assert captured.out == "" and not out_path.exists()
+
 
 class TestModelsel:
     def test_ranked_table(self, embedding_file, corpus_file, tmp_path, capsys):

@@ -386,12 +386,12 @@ class TestParseOnce:
         sides = []
         score_sides = evaluation._score_sides
 
-        def spy(method, first, second, options):
+        def spy(methods, first, second, options):
             sides.append((first, second))
-            return score_sides(method, first, second, options)
+            return score_sides(methods, first, second, options)
 
         monkeypatch.setattr(evaluation, "_score_sides", spy)
-        evaluation._score_dataset("diag_tic", dataset_oov, store, ".", EvalOptions())
+        evaluation._score_dataset(["diag_tic"], dataset_oov, store, ".", EvalOptions())
         (first, second), = sides
         want = pair_block(store, dataset_oov.pairs, ".")
         count = dataset_oov.count

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsim.comparison import DIAG, bag_criteria, pair_scores
+from groupsim.comparison import DIAG, _criteria, pair_scores
 from groupsim.gaussian import (
     SPHERICAL,
     merge_moments,
@@ -132,7 +132,7 @@ class TestMomentOrder:
         with pytest.raises(ValueError, match="order 4"):
             tic_penalties(DIAG, 3, var, kurt)
         with pytest.raises(ValueError, match="order 4"):
-            bag_criteria(DIAG, "tic", [(x,)], mom=moments(x, order=2))
+            _criteria(DIAG, "tic", [(x,)], (moments(x, order=2), None), "error", None)
 
 
 class TestFitsFromMoments:

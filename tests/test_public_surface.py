@@ -3,6 +3,7 @@ their inputs, and none of the batch-of-one wrappers or duplicate paths that
 the scoring path replaced."""
 
 import importlib
+import inspect
 
 import groupsim
 
@@ -43,7 +44,8 @@ PUBLIC = [
 REMOVED = {
     "gaussian": ("GaussianFit", "fit_gaussian", "gaussian_tic_penalty"),
     "baselines": ("mwv_similarity",),
-    "comparison": ("_validated_pair", "similarity_ic", "bayes_factor_similarity"),
+    "comparison": ("_validated_pair", "similarity_ic", "bayes_factor_similarity",
+                   "_moment_order", "_fit_blocks"),
     "embeddings": ("SentenceSample", "as_matrix"),
     "evaluation": ("pair_block", "_score_block"),
     "special": ("log_vmf_normalizer", "log_multivariate_gamma"),
@@ -53,6 +55,7 @@ REMOVED = {
 # module -> names that stay in it for the scoring path but are not exported
 INTERNAL = {
     "vmf": ("VmfFit", "fit_vmf"),
+    "evaluation": ("evaluate_methods",),
 }
 
 
@@ -92,3 +95,14 @@ def test_internal_names_stay_in_their_module_only():
         for name in names:
             assert hasattr(home, name), f"groupsim.{module}.{name}"
             assert not hasattr(groupsim, name), name
+
+
+def test_bag_criteria_takes_no_precomputed_statistics():
+    # a batch's statistics are taken by the scoring plan, never passed in
+    from groupsim.comparison import bag_criteria
+
+    assert not {"mom", "fits"} & set(inspect.signature(bag_criteria).parameters)
+
+
+def test_evaluate_methods_is_not_exported():
+    assert "evaluate_methods" not in groupsim.__all__
