@@ -324,6 +324,16 @@ if [ "$status" -ne 1 ] || ! grep -q ":2050: expected 3 components, found 2" "$tm
     echo "a ragged row 2,050 gave exit status $status and: $(cat "$tmp/ragged.err")" >&2
     exit 1
 fi
+# a value finite as float64 but beyond float32's range (line 3) fails naming its line (exit 1),
+# with no overflow warning first
+printf '. 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\nbig 1e39 0.5 0.25\n' > "$tmp/lexicon-big.txt"
+status=0
+python -m groupsim.cli score --embeddings "$tmp/lexicon-big.txt" --method mwv "the cat" "big" \
+    > /dev/null 2> "$tmp/big.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "lexicon-big.txt:3: component beyond float32's range" "$tmp/big.err"; then
+    echo "a lexicon value of 1e39 gave exit status $status and: $(cat "$tmp/big.err")" >&2
+    exit 1
+fi
 
 # the README's library quick start (its first python block) runs as written, in a directory
 # whose vectors.txt is the smoke lexicon

@@ -20,14 +20,16 @@ rows checked in one pass of row norms, and its joint bags together from
 their two bags' summed resultants, row counts and square norms, each set
 with one array Bessel pass; a joint bag's "tic" penalty reads its two bags'
 rows in place only for their dots with its direction.  Each entry checks
-every bag, 2-D and of one width, before any fit.  The Bayes factor, model "bayes" with no criterion, takes L as the
-Normal-Wishart log evidence (full covariance, conjugate closed form under a
-prior with mean 0, scale I and settable kappa0 and nu0), P = 0 and
-alpha = 1; the evidence is taken over stacks of bags with equal row counts,
-a joint bag's two blocks written end to end into its stack.  The closed
-forms of the "tic" score that the tests check the plan against are written
-out in ``tests/helpers.py``, and ``groupsim.evaluation`` scores pairs
-through it by method name.  Rank-based evaluation is insensitive to alpha;
+every bag, 2-D and of one width, before any fit.  The Bayes factor, model
+"bayes" with no criterion, takes L as the Normal-Wishart log evidence (full
+covariance, conjugate closed form under a prior with mean 0, scale I and
+settable kappa0 and nu0), P = 0 and alpha = 1; the evidence is taken once
+per row count, over the bags of a batch that have it, joint and single bags
+together, each bag's rows (a joint bag's two blocks end to end) written once
+into a buffer that the evidence centres in place.  The closed forms of the
+"tic" score that the tests check the plan against are written out in
+``tests/helpers.py``, and ``groupsim.evaluation`` scores pairs through it
+by method name.  Rank-based evaluation is insensitive to alpha;
 the breakdown records which convention produced the value.
 """
 
@@ -225,11 +227,8 @@ def _criteria(model: str, ic: str | None, bags, stats, on_degenerate: str,
         groups = {}  # total row count -> the bags that have it
         for b, bag in enumerate(bags):
             groups.setdefault(sum(len(x) for x in bag), []).append(b)
-        for n, members in groups.items():
-            stack = np.empty((len(members), n, d))
-            for rows, b in zip(stack, members):
-                np.concatenate(bags[b], out=rows)  # a joint bag's blocks end to end
-            loglik[members] = nw_log_evidence(stack, prior)
+        for members in groups.values():
+            loglik[members] = nw_log_evidence([bags[b] for b in members], prior)
         return loglik, penalty, fallback, floored, degenerate
     if ic == "tic":
         penalty, defined = _tic_penalty(fits, bags)
@@ -254,12 +253,13 @@ def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",
     any fit; an empty batch raises ``ValueError``.  P is the gradient trace
     for ``ic="tic"``, the parameter count k for "aic" and ``(k/2) log n`` for
     "bic"; a ("bayes", None) bag has its Normal-Wishart log evidence as L and
-    P = 0, the bags grouped by total row count and each group's rows (a
-    joint bag's blocks end to end) copied into one float64 (k, n, d) stack
-    for one :func:`nw_log_evidence` call.  The spherical "tic" radial term
-    reads each block about its bag's mean, rounding error included, and the
-    vMF "tic" penalty each bag's dots with its direction, in place; a vMF
-    bag is flagged degenerate when its resultant length was clamped.
+    P = 0, the bags grouped by total row count and each group handed to one
+    :func:`nw_log_evidence` call, which writes their rows (a joint bag's
+    blocks end to end) once into its float64 buffer.  The spherical "tic"
+    radial term reads each block about its bag's mean, rounding error
+    included, and the vMF "tic" penalty each bag's dots with its direction,
+    in place; a vMF bag is flagged degenerate when its resultant length was
+    clamped.
     ``on_degenerate="aic"`` puts the parameter count in place of a "tic"
     penalty whose curvature is degenerate, and flags the bag as a fallback;
     any value outside :data:`ON_DEGENERATE` raises ``ValueError``.
@@ -300,8 +300,13 @@ def _pair_plan(criteria, first, second, on_degenerate: str = "error",
     joint_stats = _joint_statistics(stats, half)
     scores = []
     for model, ic in criteria:
-        ll_j, p_j, f_j, d_j, g_j = _criteria(model, ic, joints, joint_stats, on_degenerate, prior)
-        ll_s, p_s, f_s, d_s, g_s = _criteria(model, ic, singles, stats, on_degenerate, prior)
+        if model == BAYES:  # a joint and a single bag with one row count share a stack
+            both = _criteria(model, ic, joints + singles, stats, on_degenerate, prior)
+            joint, single = [t[:half] for t in both], [t[half:] for t in both]
+        else:
+            joint = _criteria(model, ic, joints, joint_stats, on_degenerate, prior)
+            single = _criteria(model, ic, singles, stats, on_degenerate, prior)
+        (ll_j, p_j, f_j, d_j, g_j), (ll_s, p_s, f_s, d_s, g_s) = joint, single
         (ll_1, ll_2), (p_1, p_2) = np.split(ll_s, 2), np.split(p_s, 2)
         terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])
         if not np.isfinite(terms).all():  # finite rows so large that a fit overflowed
@@ -335,6 +340,8 @@ def pair_scores(model: str, ic: str | None, first, second, on_degenerate: str = 
     criterion: the single bags' statistics are taken once (a
     ``SentenceBlock`` side's vMF rows checked in one pass) and a joint bag's
     are its two bags' pooled: no Gaussian or vMF bag is stacked or refitted.
+    The "bayes" joint and single bags are grouped by row count together, so
+    a joint bag and a single bag with the same row count share a stack.
     The same bags give the same values, terms and flags bit for bit whichever
     form the sides take.  A non-finite term raises.
     """
@@ -389,12 +396,16 @@ def _factor_identity_plus(gram: np.ndarray) -> np.ndarray:
 def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     """Log marginal likelihood of a bag under the Normal-Wishart prior.
 
-    ``data`` is one (n, d) bag, which gives a float, or a (k, n, d) stack of
-    k bags of n rows each, which gives a (k,) array holding each bag's value
-    bit for bit as a call on that bag alone.  Conjugate closed form in log
-    space (Murphy 2007), with mu_0 = 0 and T_0 = I.  T_n = I + U^T U, where
-    the (n + 1, d) rows of U are the n centred rows and sqrt(c) xbar,
-    c = n kappa0 / kappa_n.  When n + 1 < d, Sylvester's identity gives
+    ``data`` is one (n, d) bag, which gives a float, or k bags of n rows
+    each, which give a (k,) array holding each bag's value bit for bit as a
+    call on that bag alone: a (k, n, d) stack, or a sequence (list or tuple)
+    of bags, each an (n_i, d) array or a tuple of row blocks read end to end
+    (the :func:`bag_criteria` form).  A sequence that is empty, whose bags
+    have different row counts, or whose blocks are not 2-D arrays of one
+    width raises ``ValueError``.  Conjugate closed form in log space (Murphy
+    2007), with mu_0 = 0 and T_0 = I.  T_n = I + U^T U, where the (n + 1, d)
+    rows of U are the n centred rows and sqrt(c) xbar, c = n kappa0 /
+    kappa_n.  When n + 1 < d, Sylvester's identity gives
     log|T_n| = log|I + U U^T|.  Otherwise the mean row is added by the matrix
     determinant lemma (Harville 1997),
     log|T_n| = log|I + S| + log1p(c |L^-1 xbar|^2) with I + S = L L^T and S
@@ -402,44 +413,60 @@ def nw_log_evidence(data, prior: NormalWishartPrior) -> float | np.ndarray:
     Cholesky pivots.  Both factors come from one (d + 1) x (d + 1) factor:
     I + S bordered by xbar / s, with corner 1 + |xbar / s|^2, where
     s = max(1, max_i |xbar_i|) keeps the corner from overflowing.  Its first
-    d pivots are L's, and its last row holds L^-1 xbar / s.  A T_n that
-    overflows, and a factor that rounding makes fail, raise ``ValueError``
-    with no ``RuntimeWarning`` before it.  With a = nu0 / 2 and k = min(n, d),
-    log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
+    d pivots are L's, and its last row holds L^-1 xbar / s.  A non-finite
+    row, a T_n that overflows, and a factor that rounding makes fail raise
+    ``ValueError`` with no ``RuntimeWarning`` before it.  With a = nu0 / 2
+    and k = min(n, d), log Gamma_d(a + n/2) - log Gamma_d(a) telescopes to
     sum_{i=n-k+1..n} lgamma(a + i/2) - sum_{j=d-k..d-1} lgamma(a - j/2).
 
-    Cost per stack: the log-Gamma sum once, since it reads only n, d and the
-    prior, and one stacked Gram and one stacked Cholesky factorisation, two
-    numpy calls on either side.  For n + 1 < d the Grams are
-    (n + 1) x (n + 1), O(k (d n^2 + n^3)); for n + 1 >= d they are the
-    bordered (d + 1) x (d + 1), O(k (n d^2 + d^3)), a (k, d + 1, d + 1)
-    stack about the size of the (k, n, d) rows it is read from.
+    Cost per stack: the rows are copied once, into a float64 (k, n + 1, d)
+    buffer, and centred there in place, the means read from its column sums
+    (which also show that every row is finite, so the rows are scanned only
+    when a mean is not) and, for n + 1 < d, the scaled means written in row
+    n; then the
+    log-Gamma sum once, since it reads only n, d and the prior, and one
+    stacked Gram and one stacked Cholesky factorisation.  For n + 1 < d the
+    Grams are the buffer's (n + 1) x (n + 1), O(k (d n^2 + n^3)); for
+    n + 1 >= d they are the bordered (d + 1) x (d + 1) of its first n rows,
+    O(k (n d^2 + d^3)), a (k, d + 1, d + 1) stack about the size of the
+    buffer.
     """
-    single = np.ndim(data) != 3
-    x = np.asarray(bag_rows(data)[np.newaxis] if single else data, dtype=np.float64)
-    _, n, d = x.shape
+    single = False
+    if not isinstance(data, (list, tuple)):  # one bag, or a stack of bags
+        single = np.ndim(data) != 3
+        data = [bag_rows(data)] if single else np.asarray(data)
+    bags = [bag if isinstance(bag, tuple) else (bag,) for bag in data]
+    if not bags:
+        raise ValueError("need at least one bag")
+    d = _check_width([x for bag in bags for x in bag])
+    counts = [sum(len(x) for x in bag) for bag in bags]
+    k, n = len(bags), counts[0]
+    if counts.count(n) != k:
+        raise ValueError(f"bags must have equal row counts, got {sorted(set(counts))}")
     if d != prior.dim:
         raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
     if n < 1:
         raise ValueError("need at least one observation")
-    if not np.isfinite(x).all():
-        raise ValueError("bag contains non-finite values (NaN or inf)")
+    update = np.empty((k, n + 1, d))  # each bag's rows, centred in place, then sqrt(c) xbar
+    rows = update[:, :n]
+    for out, bag in zip(rows, bags):
+        np.concatenate(bag, out=out)  # a bag's blocks end to end
     nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
     shrink = n * prior.kappa0 / kappa_n
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        xbar = x.mean(axis=1)
+        xbar = np.add.reduce(rows, 1) / n
+        if not np.isfinite(xbar).all() and not np.isfinite(rows).all():
+            raise ValueError("bag contains non-finite values (NaN or inf)")
+        np.subtract(rows, xbar[:, np.newaxis], out=rows)
         if n + 1 < d:
-            update = np.empty((len(x), n + 1, d))
-            np.subtract(x, xbar[:, np.newaxis], out=update[:, :n])
             np.multiply(xbar, math.sqrt(shrink), out=update[:, n])
             chol = _factor_identity_plus(update @ update.transpose(0, 2, 1))
             log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         else:
             scale = np.maximum(1.0, np.abs(xbar).max(axis=1))  # keeps the corner finite
             border = xbar / scale[:, np.newaxis]
-            dev = x - xbar[:, np.newaxis]
-            gram = np.empty((len(x), d + 1, d + 1))  # S bordered by xbar / s, corner |xbar / s|^2
-            np.matmul(dev.transpose(0, 2, 1), dev, out=gram[:, :d, :d])
+            gram = np.empty((k, d + 1, d + 1))  # S bordered by xbar / s, corner |xbar / s|^2
+            np.matmul(rows.transpose(0, 2, 1), rows, out=gram[:, :d, :d])
             gram[:, d, :d] = gram[:, :d, d] = border
             gram[:, d, d] = np.einsum("ij,ij->i", border, border)
             chol = _factor_identity_plus(gram)

@@ -212,8 +212,10 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     float64 (numpy's C parser, or Python's ``float``, which also reads
     ``1_000``), then, after any normalisation, a cast to float32 to halve
     memory for large lexicons; sentence lookups keep float32.  A ragged,
-    token-only, non-finite or unparsable line, or under ``normalize`` a kept
-    zero row, raises an :class:`EmbeddingFormatError` that names its line.
+    token-only, non-finite or unparsable line, a kept row with a value
+    beyond float32's range (after any normalisation), or under ``normalize``
+    a kept zero row, raises an :class:`EmbeddingFormatError` that names its
+    line.
     """
     vocab: dict[str, int] = {}
     blocks: list[np.ndarray] = []
@@ -250,8 +252,9 @@ def _parse_chunk(path, lines: list[str], first_line: int, dim: int | None,
     them, as one ``np.array`` of the split lines, which reads each with
     Python's ``float``.  The rows of tokens new to ``vocab`` (first occurrence
     wins) are kept, normalised under ``normalize``, cast to float32 and added
-    to ``vocab``.  A chunk that fails a check leaves ``vocab`` untouched and
-    raises its first bad line's error (:func:`_raise_bad_line`).
+    to ``vocab``; a kept row whose float32 cast is not finite fails the
+    chunk.  A chunk that fails a check leaves ``vocab`` untouched and raises
+    its first bad line's error (:func:`_raise_bad_line`).
     """
     tokens, values = [], []
     try:
@@ -279,11 +282,15 @@ def _parse_chunk(path, lines: list[str], first_line: int, dim: int | None,
             if not norms.all():
                 raise ValueError("a zero row")
             block /= norms[:, None]
+        with np.errstate(over="ignore"):  # a value beyond float32's range raises below
+            block = block.astype(np.float32)
+        if not np.isfinite(block).all():
+            raise ValueError("a kept row beyond float32's range")
     except ValueError:
         _raise_bad_line(path, lines, first_line, dim, vocab, normalize)
     for token in kept:
         vocab[token] = len(vocab)
-    return block.astype(np.float32), len(tokens) - len(kept)
+    return block, len(tokens) - len(kept)
 
 
 def _raise_bad_line(path, lines: list[str], first_line: int, dim: int | None,
@@ -291,8 +298,9 @@ def _raise_bad_line(path, lines: list[str], first_line: int, dim: int | None,
     """Raise the error of the first bad line of a chunk that :func:`_parse_chunk` rejected.
 
     Checks each line in turn as that parse checks the chunk: its numbers, its
-    width and, under ``normalize``, a zero ``row.dot(row)`` when its token is
-    in neither ``vocab`` nor an earlier line.  Builds no rows.
+    width and, when its token is in neither ``vocab`` nor an earlier line,
+    under ``normalize`` a zero ``row.dot(row)``, then a float32 cast of the
+    row, normalised under ``normalize``, that is not finite.  Builds no rows.
     """
     seen = set()
     for lineno, line in enumerate(lines, start=first_line):
@@ -311,8 +319,14 @@ def _raise_bad_line(path, lines: list[str], first_line: int, dim: int | None,
         if vec.size != dim:
             raise EmbeddingFormatError(f"{path}:{lineno}: expected {dim} components, "
                                        f"found {vec.size}")
-        if normalize and parts[0] not in vocab and parts[0] not in seen and vec.dot(vec) == 0.0:
-            raise EmbeddingFormatError(f"{path}:{lineno}: zero vector cannot be normalized")
+        if parts[0] not in vocab and parts[0] not in seen:  # a kept row
+            if normalize:
+                if vec.dot(vec) == 0.0:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: zero vector cannot be normalized")
+                vec /= math.sqrt(vec.dot(vec))
+            with np.errstate(over="ignore"):
+                if not np.isfinite(vec.astype(np.float32)).all():
+                    raise EmbeddingFormatError(f"{path}:{lineno}: component beyond float32's range")
         seen.add(parts[0])
     raise AssertionError(f"{path}:{first_line}: the chunk was rejected but has no bad line")
 

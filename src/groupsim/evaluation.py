@@ -22,7 +22,9 @@ rows normalised and checked once, and the Normal-Wishart evidence over
 stacks of bags with equal row counts.  The baselines take their sentence
 vectors from the same rows, in :func:`embedding_scores`, the one
 implementation of MWV, SIF and SIF with PC removal, with one SIF weight pass
-over both blocks' tokens (a zero sentence vector scores 0.0).  A report of
+over both blocks' tokens (a zero sentence vector scores 0.0); a run of
+several baselines builds each kind of sentence vector once, and SIF with PC
+removal deflates a copy of the SIF vectors.  A report of
 several methods equals theirs one at a time bit for bit, and one pair, two
 one-bag blocks, is a batch of one (:func:`score_pair`).
 """
@@ -228,8 +230,8 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def embedding_scores(method: str, first: SentenceBlock, second: SentenceBlock,
-                     options: EvalOptions) -> np.ndarray:
+def embedding_scores(method, first: SentenceBlock, second: SentenceBlock,
+                     options: EvalOptions) -> np.ndarray | list[np.ndarray]:
     """Cosine scores of the pairs (first[p], second[p]), for the
     sentence-embedding baselines: their one implementation.
 
@@ -240,25 +242,45 @@ def embedding_scores(method: str, first: SentenceBlock, second: SentenceBlock,
     direction of all the sentence vectors, the first side's then the
     second's, before the cosines are taken.  A pair with a zero sentence
     vector scores 0.0 (:func:`groupsim.baselines.row_cosines`).
+
+    ``method`` is one baseline name, which gives a (P,) array, or a list of
+    them, which gives a list of arrays, each bit for bit the one name's
+    alone: each kind of sentence vector (mean rows, SIF means) is built once
+    for all of them, and ``sif_pca`` deflates a copy.
     """
     comparison._check_width([first.vectors, second.vectors])
     if len(first) != len(second):
         raise ValueError(f"sides of {len(first)} and {len(second)} bags: need as many of each")
-    token_lists = first.tokens + second.tokens
-    vectors = np.empty((len(token_lists), first.dim))
-    if method != "mwv":  # one weight pass over both sides' tokens, sliced per bag
+    token_lists, bags = first.tokens + second.tokens, first.bags() + second.bags()
+    vectors, scores = {}, []  # weighted or not -> the sentence vectors
+    for name in [method] if isinstance(method, str) else method:
+        weighted = name != "mwv"
+        if weighted not in vectors:
+            vectors[weighted] = _sentence_vectors(weighted, token_lists, bags, first.dim, options)
+        x = vectors[weighted]
+        if name == "sif_pca":
+            x = baselines.remove_first_pc(x, seed=options.seed)
+        scores.append(baselines.row_cosines(x[:len(first)], x[len(first):]))
+    return scores[0] if isinstance(method, str) else scores
+
+
+def _sentence_vectors(weighted: bool, token_lists, bags, dim: int,
+                      options: EvalOptions) -> np.ndarray:
+    """One (B, d) sentence vector per bag: its SIF mean when ``weighted``
+    and it kept a token, with one weight pass over all the tokens sliced per
+    bag, else its mean row."""
+    vectors = np.empty((len(token_lists), dim))
+    if weighted:
         weights = baselines.sif_weights(list(itertools.chain.from_iterable(token_lists)),
                                         options.freqs, options.sif_a)
     end = 0
-    for i, (tokens, rows) in enumerate(zip(token_lists, first.bags() + second.bags())):
-        if method != "mwv" and tokens:
+    for i, (tokens, rows) in enumerate(zip(token_lists, bags)):
+        if weighted and tokens:
             start, end = end, end + len(tokens)
             vectors[i] = baselines.weighted_mean(weights[start:end], rows[:len(tokens)])
         else:
             np.divide(np.add.reduce(rows, 0, dtype=np.float64), len(rows), out=vectors[i])
-    if method == "sif_pca":
-        vectors = baselines.remove_first_pc(vectors, seed=options.seed)
-    return baselines.row_cosines(vectors[:len(first)], vectors[len(first):])
+    return vectors
 
 
 def _score_sides(methods, first: SentenceBlock, second: SentenceBlock,
@@ -269,14 +291,16 @@ def _score_sides(methods, first: SentenceBlock, second: SentenceBlock,
     under "tic" falls back to the parameter count), and the model methods
     are two scoring plans: the vMF ones on one float64 copy of both blocks'
     rows normalised once (:func:`unit_rows`; a copy per side took twice the
-    page faults), the others on the blocks."""
-    scores = {}
+    page faults), the others on the blocks.  The baselines are one
+    :func:`embedding_scores` call, which builds each kind of sentence vector
+    once."""
     for method in methods:
-        if method in BASELINE_METHODS:
-            scores[method] = comparison.PairScores(
-                method, embedding_scores(method, first, second, options))
-        elif method not in MODEL_METHODS:
+        if method not in SUPPORTED_METHODS:
             raise ValueError(f"unknown model method {method!r}; supported: {SUPPORTED_METHODS}")
+    scores, base = {}, [m for m in methods if m in BASELINE_METHODS]
+    if base:
+        values = embedding_scores(base, first, second, options)
+        scores.update((m, comparison.PairScores(m, v)) for m, v in zip(base, values))
 
     def plan(names, *sides):
         criteria = [_CRITERIA[m] for m in names]

@@ -12,7 +12,7 @@ diagonal-Gaussian "tic" pair scores, the log-density of a bag at a fit,
 brute-force quadrature for marginal likelihoods, plus the dense
 Normal-Wishart evidence, the multivariate log-gamma as a full sum of its
 terms, the column-major low-rank evidence with full multivariate gammas, the
-line-by-line embedding loader, a block of given bags, the tokenise-then-
+evidence of a stack from two float64 copies of its rows, the line-by-line embedding loader, a block of given bags, the tokenise-then-
 gather block of a dataset's pairs (its bag order), Spearman rho from
 scipy's average ranks, the per-pair evaluation path: sentence
 by sentence lookups, row-based Gaussian fits, and one composition per pair
@@ -783,6 +783,74 @@ def nw_log_evidence_columns(data, prior) -> float:
     )
 
 
+def nw_log_evidence_stack(data, prior) -> float | np.ndarray:
+    """The evidence of one (n, d) bag, a float, or of a (k, n, d) stack, a
+    (k,) array, as it was before each bag's rows were written once into a
+    buffer centred in place: the bit-for-bit reference for
+    ``groupsim.comparison.nw_log_evidence``.
+
+    Copies the data to float64, scans every entry for finiteness, takes the
+    means with ``np.mean`` and writes the centred rows (and, for n + 1 < d,
+    sqrt(c) xbar) into a second array; the Gram, the Cholesky factor (with
+    its overflow and rounding errors) and the telescoped log-Gamma sum are
+    the library's, written out here.
+    """
+    from groupsim.embeddings import bag_rows
+
+    def factor_identity_plus(gram):
+        m = gram.shape[-1]
+        if not np.isfinite(gram).all():
+            raise ValueError(f"posterior scale overflows: its {m} x {m} Gram is not finite")
+        gram.reshape(-1, m * m)[:, ::m + 1] += 1.0
+        try:
+            return np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"posterior scale matrix ({m} x {m}) not positive definite after "
+                             f"rounding: the rows are too far from 0 to resolve their spread") from exc
+
+    single = np.ndim(data) != 3
+    x = np.asarray(bag_rows(data)[np.newaxis] if single else data, dtype=np.float64)
+    _, n, d = x.shape
+    if d != prior.dim:
+        raise ValueError(f"dimension mismatch: prior has {prior.dim}, data has {d}")
+    if n < 1:
+        raise ValueError("need at least one observation")
+    if not np.isfinite(x).all():
+        raise ValueError("bag contains non-finite values (NaN or inf)")
+    nu_n, kappa_n = prior.nu0 + n, prior.kappa0 + n
+    shrink = n * prior.kappa0 / kappa_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = x.mean(axis=1)
+        if n + 1 < d:
+            update = np.empty((len(x), n + 1, d))
+            np.subtract(x, xbar[:, np.newaxis], out=update[:, :n])
+            np.multiply(xbar, math.sqrt(shrink), out=update[:, n])
+            chol = factor_identity_plus(update @ update.transpose(0, 2, 1))
+            log_det_tn = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        else:
+            scale = np.maximum(1.0, np.abs(xbar).max(axis=1))
+            border = xbar / scale[:, np.newaxis]
+            dev = x - xbar[:, np.newaxis]
+            gram = np.empty((len(x), d + 1, d + 1))
+            np.matmul(dev.transpose(0, 2, 1), dev, out=gram[:, :d, :d])
+            gram[:, d, :d] = gram[:, :d, d] = border
+            gram[:, d, d] = np.einsum("ij,ij->i", border, border)
+            chol = factor_identity_plus(gram)
+            solved = scale * np.linalg.norm(chol[:, d, :d], axis=1)
+            log_det_tn = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :d]).sum(axis=1)
+                          + np.log1p(shrink * solved * solved))
+    finite = np.isfinite(log_det_tn)
+    if not finite.all():
+        raise ValueError(f"posterior scale overflows: log|T_n| = {log_det_tn[finite.argmin()]} "
+                         f"(n={n}, d={d})")
+    top, bottom = 0.5 * nu_n, 0.5 * (prior.nu0 - d + 1)
+    log_gamma = sum([math.lgamma(top - 0.5 * i) - math.lgamma(bottom + 0.5 * i)
+                     for i in range(min(n, d))])
+    evidence = (log_gamma - 0.5 * n * d * math.log(math.pi) - 0.5 * nu_n * log_det_tn
+                + 0.5 * d * (math.log(prior.kappa0) - math.log(kappa_n)))
+    return float(evidence[0]) if single else evidence
+
+
 # ---------------------------------------------------------------------------
 # corpus model selection, one fit per candidate
 # ---------------------------------------------------------------------------
@@ -867,8 +935,12 @@ def load_embeddings_per_line(path, normalize: bool = False):
                         f"{path}:{lineno}: zero vector cannot be normalized"
                     )
                 vec = vec / norm
+            with np.errstate(over="ignore"):
+                vec = vec.astype(np.float32)
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingFormatError(f"{path}:{lineno}: component beyond float32's range")
             vocab[token] = len(rows)
-            rows.append(vec.astype(np.float32))
+            rows.append(vec)
     if not rows:
         raise EmbeddingFormatError(f"{path}: no embedding rows found")
     return EmbeddingStore(dim=int(dim), vocab=vocab, matrix=np.vstack(rows),
@@ -1008,7 +1080,7 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
     Gaussian bags read their moments (the joint bags' merged), vMF bags
     their per-bag fits and penalties (:func:`vmf_criteria_per_bag`; the joint
     bags' fits from summed resultants), and "bayes" bags take one
-    ``nw_log_evidence`` each, the joint bag on the stacked pair.
+    :func:`nw_log_evidence_stack` each, the joint bag on the stacked pair.
     """
     from groupsim import comparison
     from groupsim.gaussian import merge_moments, moments
@@ -1019,8 +1091,7 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
         prior = comparison.default_prior(first[0].shape[1]) if prior is None else prior
         out = []
         for group in bags:
-            loglik = np.array([comparison.nw_log_evidence(np.vstack(bag), prior)
-                               for bag in group])
+            loglik = np.array([nw_log_evidence_stack(np.vstack(bag), prior) for bag in group])
             zeros = np.zeros(half)
             out.append((loglik, zeros, zeros.astype(bool), zeros.astype(int), zeros.astype(bool)))
     elif model == "vmf":

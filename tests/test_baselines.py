@@ -197,6 +197,9 @@ class TestBlockSifWeights:
         got = embedding_scores(method, *sides(store, SIF_PAIRS), options)
         want = self.oracle_scores(method, store, SIF_PAIRS, options)
         assert got.tolist() == want.tolist()
+        methods = ["sif_pca", "mwv", "sif"]  # one call, each kind of vector built once
+        every = embedding_scores(methods, *sides(store, SIF_PAIRS), options)
+        assert every[methods.index(method)].tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("method", ["sif", "sif_pca"])
     def test_one_weight_pass_per_block(self, store, method, monkeypatch):
@@ -211,6 +214,8 @@ class TestBlockSifWeights:
         first, second = sides(store, SIF_PAIRS)
         embedding_scores(method, first, second, EvalOptions())
         assert calls == [[t for tokens in first.tokens + second.tokens for t in tokens]]
+        embedding_scores(["sif", "sif_pca"], first, second, EvalOptions())
+        assert calls[1:] == calls[:1]
 
 
 class TestFrequencyTable:

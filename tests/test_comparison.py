@@ -40,6 +40,7 @@ from helpers import (
     nw_log_evidence_dense,
     nw_log_evidence_mp,
     nw_log_evidence_quadrature,
+    nw_log_evidence_stack,
     pair_score_rows,
     pair_terms_three_calls,
     random_rotation,
@@ -605,43 +606,85 @@ class TestBayesFactor:
 
 
 class TestStackedEvidence:
-    """``nw_log_evidence`` over a (k, n, d) stack of equal-size bags, and the
-    Normal-Wishart pair scores that group their bags into such stacks."""
+    """``nw_log_evidence`` over k equal-size bags, as a (k, n, d) stack or a
+    sequence of bags, and the Normal-Wishart pair scores that group their
+    bags by row count."""
 
-    @pytest.mark.parametrize("d", [8, 50])
+    @pytest.mark.parametrize("d", [1, 8, 50])
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_stack_equals_per_bag_calls(self, d, k, dtype, offset):
-        """Bit for bit on both sides of n + 1 = d, and each bag within the
+        """Bit for bit on both sides of n + 1 = d: the stack, each bag alone,
+        and the stack as a sequence of its bags, whole or split into row
+        blocks, against the two-copy oracle; a joint bag of two blocks and a
+        single bag with its row count share a stack.  Each bag is within the
         bounds of the column-major and the dense oracles."""
         rng = np.random.default_rng(5000 + d + k)
         for prior in TestBayesFactor._priors(d):
-            for n in sorted({1, 2, d - 2, d - 1, d, d + 5}):
+            for n in sorted({n for n in (1, 2, d - 2, d - 1, d, d + 5) if n >= 1}):
                 means = offset * rng.standard_normal((k, 1, d))
                 x = (rng.standard_normal((k, n, d)) + means).astype(dtype)
                 got = nw_log_evidence(x, prior)
                 assert isinstance(got, np.ndarray) and got.shape == (k,)
+                assert got.tobytes() == nw_log_evidence_stack(x, prior).tobytes()
                 assert got.tolist() == [nw_log_evidence(bag, prior) for bag in x]
+                cuts = rng.integers(0, n + 1, size=k)
+                for bags in (list(x), tuple(x), [(bag[:c], bag[c:]) for bag, c in zip(x, cuts)],
+                             [(bag,) if b % 2 else (bag[:cuts[b]], bag[cuts[b]:])
+                              for b, bag in enumerate(x)]):
+                    assert nw_log_evidence(bags, prior).tobytes() == got.tobytes()
                 for value, bag in zip(got, x):
                     TestBayesFactor.assert_matches_oracles(value, bag.astype(np.float64), prior)
 
     @pytest.mark.parametrize("n", [2, 9])  # n + 1 < d and n + 1 >= d at d = 8
     def test_bad_stacks_raise(self, n):
+        """A non-finite entry and an overflowing Gram raise the two-copy
+        oracle's errors, in every form; a finite bag whose column sums
+        overflow is not called non-finite."""
         prior = default_prior(8)
         x = np.random.default_rng(72).standard_normal((4, n, 8))
         x[2, 1, 5] = math.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            nw_log_evidence(x, prior)
+        huge = np.random.default_rng(73).standard_normal((4, n, 8)) * 1e155
+        huge[1] = 1.7e308  # finite rows whose sums overflow
+        for bad, match in ((x, "non-finite"), (huge, "overflows")):
+            with pytest.raises(ValueError, match=match) as want:
+                nw_log_evidence_stack(bad, prior)
+            for data in (bad, list(bad), [(bag[:1], bag[1:]) for bag in bad]):
+                with pytest.raises(ValueError) as got:
+                    nw_log_evidence(data, prior)
+                assert str(got.value) == str(want.value)
         for bad in (np.zeros((4, n, 7)), np.zeros((4, 0, 8)), np.zeros(8),
                     np.zeros((2, 4, n, 8))):
             with pytest.raises(ValueError):
                 nw_log_evidence(bad, prior)
 
+    def test_bad_sequences_raise(self):
+        prior = default_prior(8)
+        rng = np.random.default_rng(74)
+        a, b, c = (rng.standard_normal((n, 8)) for n in (3, 2, 5))
+        with pytest.raises(ValueError, match="need at least one bag"):
+            nw_log_evidence([], prior)
+        with pytest.raises(ValueError, match=r"equal row counts, got \[3, 5\]"):
+            nw_log_evidence([a, c], prior)
+        with pytest.raises(ValueError, match=r"equal row counts, got \[3, 5\]"):
+            nw_log_evidence([(a, b), a], prior)
+        with pytest.raises(ValueError, match="dimension mismatch: 8 vs 7"):
+            nw_log_evidence([a, np.zeros((3, 7))], prior)
+        with pytest.raises(ValueError, match="dimension mismatch: 8 vs 7"):
+            nw_log_evidence([(a[:1], np.zeros((2, 7)))], prior)
+        with pytest.raises(ValueError, match="dimension mismatch: prior has 8, data has 7"):
+            nw_log_evidence([np.zeros((3, 7))], prior)
+        with pytest.raises(ValueError, match="2-D array"):
+            nw_log_evidence([a[0]], prior)
+        with pytest.raises(ValueError, match="need at least one observation"):
+            nw_log_evidence([a[:0], (a[:0], b[:0])], prior)
+
     def test_pair_scores_one_call_per_row_count(self, monkeypatch):
-        """Mixed sizes, some repeated: one stack per distinct row count in
-        each of the joint and the single sweeps, no ``np.vstack``, and the
-        terms of the per-pair oracle on the stacked pair."""
+        """Mixed sizes, some repeated, joint and single bags sharing row
+        counts: one stack per distinct row count over the joint and the
+        single bags together, no ``np.vstack``, and the terms of the
+        per-pair oracle on the stacked pair."""
         rng = np.random.default_rng(73)
         d = 8
         sizes = [(2, 3), (3, 2), (2, 2), (5, 9), (9, 5), (3, 3), (2, 3), (1, 4)]
@@ -651,7 +694,7 @@ class TestStackedEvidence:
         shapes = []
 
         def counted(data, prior):
-            shapes.append(np.shape(data))
+            shapes.append((len(data), sum(len(x) for x in data[0]), data[0][0].shape[1]))
             return evidence(data, prior)
 
         def no_stack(*args, **kwargs):
@@ -662,11 +705,8 @@ class TestStackedEvidence:
         monkeypatch.setattr(np, "vstack", no_stack)
         got = pair_scores("bayes", None, first, second)
         monkeypatch.undo()
-        joint = [n + m for n, m in sizes]
-        single = [n for n, _ in sizes] + [m for _, m in sizes]
-        assert sorted(shapes) == sorted(
-            [(joint.count(n), n, d) for n in set(joint)]
-            + [(single.count(n), n, d) for n in set(single)])
+        counts = [n + m for n, m in sizes] + [n for n, _ in sizes] + [m for _, m in sizes]
+        assert sorted(shapes) == sorted((counts.count(n), n, d) for n in set(counts))
         names = ("loglik_joint", "loglik_1", "loglik_2", "penalty_joint", "penalty_1", "penalty_2")
         for row, breakdown, a, b in zip(got.terms, want, first, second):
             for name, term, scale in zip(names, row, term_scales(a, b, "bayes")):

@@ -55,6 +55,18 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match="zero"):
             load_embeddings(path, normalize=True)
 
+    def test_value_beyond_float32_range(self, tmp_path):
+        """A kept 1e39 is finite as float64 but inf as float32: the line is
+        named, with no RuntimeWarning first.  A dropped duplicate is not read,
+        and under ``normalize`` the row is scaled before the cast."""
+        path = tmp_path / "big.txt"
+        path.write_text("a 1 2\nbig 1e39 0.5\nb 3 4\na 1e39 1e39\n")
+        with pytest.raises(EmbeddingFormatError, match=r"big\.txt:2: component beyond float32"):
+            load_embeddings(path)
+        store = load_embeddings(path, normalize=True)
+        assert store_vector(store, "big").tolist() == [1.0, np.float32(5e-40)]
+        assert store.non_finite_rows.size == 0 and store.duplicate_count == 1
+
     def test_duplicates_first_wins(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("a 1 2\na 9 9\nb 3 4\n")

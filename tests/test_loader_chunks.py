@@ -16,7 +16,8 @@ from groupsim.embeddings import _CHUNK_LINES as CHUNK
 from groupsim.embeddings import load_embeddings
 from groupsim.errors import EmbeddingFormatError
 
-SPECIALS = ("blank", "dup", "zero_dup", "zero_dup_near", "tab", "underscore", "arabic")
+SPECIALS = ("blank", "dup", "zero_dup", "zero_dup_near", "big_dup", "tab", "underscore",
+            "arabic")
 # data-row indices at the first two chunk boundaries
 BOUNDARIES = (CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK)
 FORMATS = (repr, "{:.4g}".format, "{:.6e}".format)
@@ -81,6 +82,8 @@ class TestAgainstPerLineOracle:
                 fields[:] = [f"w{rng.integers(0, pos)}"] + ["0"] * spec["dim"]
             elif kind == "zero_dup_near":  # the previous row's token, mostly in the same chunk
                 fields[:] = [rows[pos - 1][0]] + ["0"] * spec["dim"]
+            elif kind == "big_dup":  # beyond float32's range is an error only when kept
+                fields[:] = [rows[pos - 1][0]] + ["1e39"] * spec["dim"]
             elif kind == "tab":
                 separators[pos] = "\t"
             elif kind == "underscore":
@@ -132,6 +135,8 @@ def _corrupt(kind, rows, pos, dim):
         fields[1] = "-inf"
     elif kind == "overflow":
         fields[1] = "1e999"
+    elif kind == "float32_overflow":  # finite as float64, inf as float32
+        fields[2] = "-3.5e38"
     elif kind == "unparsable":
         fields[2] = "1.2.3"
     elif kind == "zero_row":
@@ -146,7 +151,8 @@ def _corrupt(kind, rows, pos, dim):
 class TestErrorsMatchOracle:
     @pytest.mark.parametrize("pos", [CHUNK + 3, 2 * CHUNK - 1, 2 * CHUNK + 10])
     @pytest.mark.parametrize("kind", ["short_row", "long_row", "narrow_tail", "token_only",
-                                      "nan", "inf", "overflow", "unparsable", "zero_row",
+                                      "nan", "inf", "overflow", "float32_overflow",
+                                      "unparsable", "zero_row",
                                       "tiny_row", "zero_dup_short"])
     def test_same_message_and_line(self, tmp_path, kind, pos):
         dim = 3

@@ -203,12 +203,18 @@ def test_evaluate_methods_equals_evaluate_per_method(stores, datasets, one_metho
                                                        for m in ordered]
 
 
-@pytest.mark.parametrize("methods", [SUPPORTED_METHODS, ["mwv"], ["vmf_tic", "vmf_aic"]])
+@pytest.mark.parametrize("methods", [SUPPORTED_METHODS, ["mwv"], ["vmf_tic", "vmf_aic"],
+                                     ["sif_pca", "sif"]])
 def test_one_gather_per_dataset_and_one_fit_per_model(stores, datasets, methods, monkeypatch):
+    """Per dataset: one gather, one fit per model, and one build of each
+    kind of sentence vector (mean rows, SIF means) for all the baselines."""
     gathers = counting(monkeypatch, evaluation, "lookup_tokens")
+    vectors = counting(monkeypatch, evaluation, "_sentence_vectors")
     sweeps, fits = (counting(monkeypatch, comparison, name) for name in ("moments", "fit_vmf"))
     evaluate_methods(methods, datasets, stores["float32"], OPTIONS)
     assert len(gathers) == 2 * len(datasets)
+    weighted = {m != "mwv" for m in methods if m in ("mwv", "sif", "sif_pca")}
+    assert sorted(args[0] for args in vectors) == sorted(list(weighted) * len(datasets))
     assert len(sweeps) == len(datasets) * any(m.startswith(("diag", "spherical")) for m in methods)
     assert len(fits) == len(datasets) * any(m.startswith("vmf") for m in methods)
 
