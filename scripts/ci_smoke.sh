@@ -324,6 +324,57 @@ if [ "$status" -ne 1 ] || ! grep -q ":2050: expected 3 components, found 2" "$tm
     echo "a ragged row 2,050 gave exit status $status and: $(cat "$tmp/ragged.err")" >&2
     exit 1
 fi
+# a lexicon above the loader's split size is parsed by two processes: eval --method all on it
+# raises no overflow or deprecation warning (Python 3.12 warns on a fork in a process with
+# threads), and its store is, vocabulary and matrix bytes, the one-range load's
+python - "$tmp" <<'EOF'
+import sys
+
+import numpy as np
+
+rng = np.random.default_rng(33)
+words = ["."] + [f"w{i}" for i in range(2999)]
+rows = rng.standard_normal((len(words), 100))
+with open(f"{sys.argv[1]}/lexicon-split.txt", "w", encoding="utf-8") as handle:
+    handle.write(f"{len(words)} 100\n")
+    for i, (token, row) in enumerate(zip(words, rows)):
+        token = "w7" if i == 2900 else token  # a first-half token again, in the second half
+        handle.write(" ".join([token] + [f"{v:.6f}" for v in row]) + ("\r\n" if i % 3 else "\n"))
+with open(f"{sys.argv[1]}/pairs-split.tsv", "w", encoding="utf-8") as handle:
+    for p in range(20):
+        a, b = (" ".join(rng.choice(words[1:], size=int(rng.integers(2, 6)))) for _ in range(2))
+        handle.write(f"{a}\t{b}\t{rng.uniform(0.0, 5.0)!r}\n")
+EOF
+export PYTHONWARNINGS=error::RuntimeWarning,error::DeprecationWarning
+python -m groupsim.cli eval --embeddings "$tmp/lexicon-split.txt" --method all \
+    --out "$tmp/eval-split.jsonl" "$tmp/pairs-split.tsv" > /dev/null
+python - "$tmp/lexicon-split.txt" <<'EOF'
+import os
+import sys
+
+from groupsim import embeddings
+
+path, split_bytes = sys.argv[1], embeddings._SPLIT_BYTES
+if os.path.getsize(path) < split_bytes:
+    sys.exit(f"{path} is below the split size, {split_bytes} bytes")
+for normalize in (False, True):
+    embeddings._SPLIT_BYTES = split_bytes
+    split = embeddings.load_embeddings(path, normalize=normalize)
+    embeddings._SPLIT_BYTES = float("inf")
+    whole = embeddings.load_embeddings(path, normalize=normalize)
+    if (list(split.vocab), split.matrix.tobytes(), split.duplicate_count) != (
+            list(whole.vocab), whole.matrix.tobytes(), whole.duplicate_count):
+        sys.exit(f"normalize={normalize}: the split load's store is not the one-range load's")
+    if split.duplicate_count != 1:
+        sys.exit(f"expected one duplicate token, got {split.duplicate_count}")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    sys.exit("a child process was left after the loads")
+EOF
+export PYTHONWARNINGS=error::RuntimeWarning
 # a value finite as float64 but beyond float32's range (line 3) fails naming its line (exit 1),
 # with no overflow warning first
 printf '. 0.1 0.2 0.3\ncat 0.5 -0.2 0.1\nbig 1e39 0.5 0.25\n' > "$tmp/lexicon-big.txt"

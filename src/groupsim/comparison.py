@@ -15,7 +15,7 @@ once for every criterion asked of it, and each reads its (L, P) from them;
 plan, and ``penalty_curve`` reads its per-bag criterion.  The Gaussian
 criteria read each bag's moments, one sweep for both models (M3 and M4 only
 for the diagonal "tic" penalty), and a joint bag's are its two bags' moments
-merged.  The vMF single bags of a batch are fitted together, each block of
+merged; each model's fit is read from them once per set of bags.  The vMF single bags of a batch are fitted together, each block of
 rows checked in one pass of row norms, and its joint bags together from
 their two bags' summed resultants, row counts and square norms, each set
 with one array Bessel pass; a joint bag's "tic" penalty reads its two bags'
@@ -172,33 +172,47 @@ def _check_width(blocks) -> int:
 
 
 def _statistics(criteria, bags, blocks=None):
-    """(moments, vMF fits) of a batch of one-block ``bags``, each taken once
-    for ``criteria``, (model, ic) pairs, and None when none reads it: one
-    moment sweep for both Gaussian models, to M4 only when ("diag", "tic")
-    is among them, and one :func:`fit_vmf` of ``blocks`` (the bags' rows
-    when None) whatever the penalties.  The evidence reads the rows."""
+    """(moments, fits) of a batch of one-block ``bags`` for ``criteria``,
+    (model, ic) pairs, each taken once: one moment sweep for both Gaussian
+    models, to M4 only when ("diag", "tic") is among them (None when no
+    Gaussian criterion reads it), and a dict of each model's fit, one
+    :func:`fit_vmf` of ``blocks`` (the bags' rows when None) whatever the
+    penalties and one :func:`moment_fit` per Gaussian model.  The evidence
+    reads the rows."""
     models = {model for model, _ in criteria}
-    mom = fits = None
+    mom, fits = None, {}
     if models & {DIAG, SPHERICAL}:
         with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
             mom = moments(*(x for x, in bags), order=4 if (DIAG, "tic") in criteria else 2)
     if VMF in models:
-        fits = fit_vmf(*(blocks or [x for x, in bags]))
-    return mom, fits
+        fits[VMF] = fit_vmf(*(blocks or [x for x, in bags]))
+    return _with_moment_fits(mom, models, fits)
 
 
 def _joint_statistics(stats, half: int):
     """The :func:`_statistics` of bags i and half + i pooled, for each
     i < half, read from those of the 2 half bags alone: merged moments, and
-    fits from summed resultants, row counts and square norms."""
+    fits from them or from summed resultants, row counts and square norms."""
     mom, fits = stats
+    joint = {}
     if mom is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             mom = merge_moments(mom.take(slice(0, half)), mom.take(slice(half, 2 * half)))
-    if fits is not None:
-        fits = _fit_resultants(fits.resultant[:half] + fits.resultant[half:],
-                               fits.n[:half] + fits.n[half:],
-                               fits.square_norm[:half] + fits.square_norm[half:])
+    if VMF in fits:
+        fit = fits[VMF]
+        joint[VMF] = _fit_resultants(fit.resultant[:half] + fit.resultant[half:],
+                                     fit.n[:half] + fit.n[half:],
+                                     fit.square_norm[:half] + fit.square_norm[half:])
+    return _with_moment_fits(mom, fits, joint)
+
+
+def _with_moment_fits(mom, models, fits):
+    """(mom, fits) with ``fits[model] = moment_fit(mom, model)`` for each
+    Gaussian model among ``models``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
+        for model in (DIAG, SPHERICAL):
+            if model in models:
+                fits[model] = moment_fit(mom, model)
     return mom, fits
 
 
@@ -213,8 +227,8 @@ def _criteria(model: str, ic: str | None, bags, stats, on_degenerate: str,
     if model != BAYES and ic != "tic":
         penalty = count_penalty(model, ic, d, [sum(len(x) for x in bag) for bag in bags])
     if model in (DIAG, SPHERICAL):
+        loglik, var, kurt, floored = fits[model]
         with np.errstate(over="ignore", invalid="ignore"):  # callers raise on a non-finite term
-            loglik, var, kurt, floored = moment_fit(mom, model)
             if ic == "tic":
                 radial = None if model == DIAG else np.array([
                     sum(radial_sq_sum(x, mu, err) for x in bag) / sum(len(x) for x in bag)
@@ -230,8 +244,9 @@ def _criteria(model: str, ic: str | None, bags, stats, on_degenerate: str,
         for members in groups.values():
             loglik[members] = nw_log_evidence([bags[b] for b in members], prior)
         return loglik, penalty, fallback, floored, degenerate
+    fit = fits[VMF]
     if ic == "tic":
-        penalty, defined = _tic_penalty(fits, bags)
+        penalty, defined = _tic_penalty(fit, bags)
         if not defined.all():
             if on_degenerate != "aic":
                 raise DegenerateCurvatureError(
@@ -239,7 +254,7 @@ def _criteria(model: str, ic: str | None, bags, stats, on_degenerate: str,
                     f"on bag {defined.argmin()}")
             fallback = ~defined
             penalty[fallback] = aic_param_count(VMF, d)
-    return fits.max_loglik, penalty, fallback, floored, fits.clamped
+    return fit.max_loglik, penalty, fallback, floored, fit.clamped
 
 
 def bag_criteria(model: str, ic: str | None, bags, on_degenerate: str = "error",

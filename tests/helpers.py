@@ -868,7 +868,7 @@ def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str 
         _criteria,
     )
     from groupsim.embeddings import bag_rows
-    from groupsim.gaussian import moments
+    from groupsim.gaussian import moment_fit, moments
     from groupsim.vmf import fit_vmf
 
     bags = [(np.asarray(bag_rows(b), dtype=np.float64),) for b in corpus]
@@ -879,8 +879,8 @@ def corpus_model_selection_per_candidate(corpus, candidates, on_degenerate: str 
     for model, ic in candidates:
         if model not in MODELS or ic not in IC_KINDS:
             raise ValueError(f"unsupported candidate ({model!r}, {ic!r})")
-        fits = fit_vmf(*(x for x, in bags)) if model == VMF else None
-        ll, pen, *_ = _criteria(model, ic, bags, (mom, fits), on_degenerate, None)
+        fit = fit_vmf(*(x for x, in bags)) if model == VMF else moment_fit(mom, model)
+        ll, pen, *_ = _criteria(model, ic, bags, (mom, {model: fit}), on_degenerate, None)
         rows.append(ModelCandidateScore(model, ic, mean_ic=float(np.mean(-2.0 * (ll - pen)))))
     rows.sort(key=lambda r: r.mean_ic)
     return rows
@@ -929,7 +929,11 @@ def load_embeddings_per_line(path, normalize: bool = False):
                 duplicates += 1
                 continue
             if normalize:
-                norm = float(np.linalg.norm(vec))
+                with np.errstate(over="ignore"):  # a square norm beyond float64: scale first
+                    norm = float(np.linalg.norm(vec))
+                if math.isinf(norm):
+                    vec = vec / np.abs(vec).max()
+                    norm = float(np.linalg.norm(vec))
                 if norm == 0.0:
                     raise EmbeddingFormatError(
                         f"{path}:{lineno}: zero vector cannot be normalized"
@@ -1083,7 +1087,7 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
     :func:`nw_log_evidence_stack` each, the joint bag on the stacked pair.
     """
     from groupsim import comparison
-    from groupsim.gaussian import merge_moments, moments
+    from groupsim.gaussian import merge_moments, moment_fit, moments
 
     half = len(first)
     bags = (list(zip(first, second)), [(x,) for x in first], [(x,) for x in second])
@@ -1105,7 +1109,8 @@ def pair_terms_three_calls(model: str, ic: str | None, first, second,
         order = 4 if (model, ic) == ("diag", "tic") else 2
         mom = moments(*first, *second, order=order)
         m1, m2 = mom.take(slice(0, half)), mom.take(slice(half, 2 * half))
-        out = [comparison._criteria(model, ic, b, (m, None), on_degenerate, None)
+        out = [comparison._criteria(model, ic, b, (m, {model: moment_fit(m, model)}),
+                                    on_degenerate, None)
                for b, m in zip(bags, (merge_moments(m1, m2), m1, m2))]
     (ll_j, p_j, f_j, d_j, g_j), (ll_1, p_1, f_1, d_1, g_1), (ll_2, p_2, f_2, d_2, g_2) = out
     terms = np.column_stack([ll_j, ll_1, ll_2, p_j, p_1, p_2])

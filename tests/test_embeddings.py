@@ -17,7 +17,7 @@ from groupsim.embeddings import (
 )
 from groupsim.errors import EmbeddingFormatError
 
-from helpers import store_vector
+from helpers import load_embeddings_per_line, store_vector
 
 
 class TestLoader:
@@ -66,6 +66,21 @@ class TestLoader:
         store = load_embeddings(path, normalize=True)
         assert store_vector(store, "big").tolist() == [1.0, np.float32(5e-40)]
         assert store.non_finite_rows.size == 0 and store.duplicate_count == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_square_norm_under_normalize(self, tmp_path):
+        """A row whose squared norm overflows float64 is divided by its largest
+        magnitude first, so it loads as its unit vector, with no overflow
+        warning; a row whose squared norm is finite keeps its bits."""
+        path = tmp_path / "huge.txt"
+        path.write_text(". 0.1 0.2\na 1e200 2e200\nb -3e300 4e300\nc 3 4\n")
+        store = load_embeddings(path, normalize=True)
+        unit = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        assert store_vector(store, "a").tolist() == unit.astype(np.float32).tolist()
+        assert store_vector(store, "b").tolist() == [np.float32(-0.6), np.float32(0.8)]
+        assert store_vector(store, "c").tolist() == [np.float32(0.6), np.float32(0.8)]
+        oracle = load_embeddings_per_line(path, normalize=True)
+        assert store.matrix.tobytes() == oracle.matrix.tobytes()
 
     def test_duplicates_first_wins(self, tmp_path):
         path = tmp_path / "dup.txt"

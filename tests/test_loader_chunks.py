@@ -16,8 +16,8 @@ from groupsim.embeddings import _CHUNK_LINES as CHUNK
 from groupsim.embeddings import load_embeddings
 from groupsim.errors import EmbeddingFormatError
 
-SPECIALS = ("blank", "dup", "zero_dup", "zero_dup_near", "big_dup", "tab", "underscore",
-            "arabic")
+SPECIALS = ("blank", "dup", "zero_dup", "zero_dup_near", "big_dup", "huge", "tab",
+            "underscore", "arabic")
 # data-row indices at the first two chunk boundaries
 BOUNDARIES = (CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK)
 FORMATS = (repr, "{:.4g}".format, "{:.6e}".format)
@@ -84,6 +84,8 @@ class TestAgainstPerLineOracle:
                 fields[:] = [rows[pos - 1][0]] + ["0"] * spec["dim"]
             elif kind == "big_dup":  # beyond float32's range is an error only when kept
                 fields[:] = [rows[pos - 1][0]] + ["1e39"] * spec["dim"]
+            elif kind == "huge":  # its squared norm overflows: loads only under normalize
+                fields[1] = "-3e200"
             elif kind == "tab":
                 separators[pos] = "\t"
             elif kind == "underscore":

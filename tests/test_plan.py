@@ -206,12 +206,17 @@ def test_evaluate_methods_equals_evaluate_per_method(stores, datasets, one_metho
 @pytest.mark.parametrize("methods", [SUPPORTED_METHODS, ["mwv"], ["vmf_tic", "vmf_aic"],
                                      ["sif_pca", "sif"]])
 def test_one_gather_per_dataset_and_one_fit_per_model(stores, datasets, methods, monkeypatch):
-    """Per dataset: one gather, one fit per model, and one build of each
-    kind of sentence vector (mean rows, SIF means) for all the baselines."""
+    """Per dataset: one gather, one fit per model (a Gaussian model's once
+    for the single bags and once for the joint ones, whatever its criteria),
+    and one build of each kind of sentence vector (mean rows, SIF means) for
+    all the baselines."""
     gathers = counting(monkeypatch, evaluation, "lookup_tokens")
     vectors = counting(monkeypatch, evaluation, "_sentence_vectors")
-    sweeps, fits = (counting(monkeypatch, comparison, name) for name in ("moments", "fit_vmf"))
+    sweeps, fits, moment_fits = (counting(monkeypatch, comparison, name)
+                                 for name in ("moments", "fit_vmf", "moment_fit"))
     evaluate_methods(methods, datasets, stores["float32"], OPTIONS)
+    gaussian = {m.split("_")[0] for m in methods if m.startswith(("diag", "spherical"))}
+    assert sorted(args[1] for args in moment_fits) == sorted(list(gaussian) * 2 * len(datasets))
     assert len(gathers) == 2 * len(datasets)
     weighted = {m != "mwv" for m in methods if m in ("mwv", "sif", "sif_pca")}
     assert sorted(args[0] for args in vectors) == sorted(list(weighted) * len(datasets))
