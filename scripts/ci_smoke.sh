@@ -374,6 +374,29 @@ except ChildProcessError:
 else:
     sys.exit("a child process was left after the loads")
 EOF
+# a bad line in either half of that lexicon fails groupsim score (exit 1), named by its line in
+# the whole file: line 1,000 is short, in the first half; line 2,800 holds a nan, in the second
+python - "$tmp" <<'EOF'
+import sys
+
+with open(f"{sys.argv[1]}/lexicon-split.txt", encoding="utf-8", newline="") as handle:
+    lines = handle.readlines()
+for half, line in (("first", 1000), ("second", 2800)):
+    fields = lines[line - 1].split()
+    fields = fields[:-1] if half == "first" else fields[:1] + ["nan"] + fields[2:]
+    with open(f"{sys.argv[1]}/lexicon-bad-{half}.txt", "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(lines[:line - 1] + [" ".join(fields) + "\n"] + lines[line:])
+EOF
+for bad in "first:1000: expected 100 components, found 99" "second:2800: non-finite component"; do
+    half="${bad%%:*}"
+    status=0
+    python -m groupsim.cli score --embeddings "$tmp/lexicon-bad-$half.txt" --method mwv "w7 w8" "w9" \
+        > /dev/null 2> "$tmp/bad-$half.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q "lexicon-bad-$half.txt:${bad#*:}" "$tmp/bad-$half.err"; then
+        echo "a bad line in the $half half gave exit status $status and: $(cat "$tmp/bad-$half.err")" >&2
+        exit 1
+    fi
+done
 export PYTHONWARNINGS=error::RuntimeWarning
 # a value finite as float64 but beyond float32's range (line 3) fails naming its line (exit 1),
 # with no overflow warning first

@@ -1,12 +1,14 @@
 """Word-embedding lexicon and sentence assembly.
 
 Loads whitespace-separated text embeddings (``token v1 ... vd`` per line,
-optional two-integer count/dimension header) into an immutable store (on
-Linux a file of 2 MiB or more is parsed by two processes, with the store and
-every error of a load in one), and turns tokenised text into a block of bags
-of vectors under a uniform padding rule: every sentence receives one copy of
-a designated pad vector, and fully out-of-vocabulary sentences receive two,
-so downstream dispersion estimates are always defined (n >= 2).  A store
+optional two-integer count/dimension header) into an immutable store, and
+turns tokenised text into a block of bags of vectors under a uniform padding
+rule: every sentence receives one copy of a designated pad vector, and fully
+out-of-vocabulary sentences receive two, so downstream dispersion estimates
+are always defined (n >= 2).  One parse, :func:`_parse_rows`, holds the
+rules a lexicon row must meet: it makes a chunk's rows, and names a bad line
+when run on one line at a time (on Linux a file of 2 MiB or more is parsed by
+two processes, with the store and every error of a load in one).  A store
 records its non-finite rows once, when it is made, and exposes its matrix
 read-only; :func:`lookup_tokens` is the one gather, one vocabulary probe per
 token and one ``take``, and refuses a block that reads a recorded row.
@@ -223,15 +225,18 @@ def load_embeddings(path, normalize: bool = False) -> EmbeddingStore:
     On duplicate tokens the first occurrence wins and the count is reported.
 
     The file is read in chunks of at most 1,024 lines, and only
-    :func:`_parse_chunk` turns one into rows: a single parse of its numbers as
+    :func:`_parse_rows` turns one into rows: a single parse of its numbers as
     float64 (numpy's C parser, or Python's ``float``, which also reads
     ``1_000``), then, after any normalisation, a cast to float32 to halve
-    memory for large lexicons; sentence lookups keep float32.  A ragged,
-    token-only, non-finite or unparsable line, a kept row with a value
-    beyond float32's range (after any normalisation), or under ``normalize``
-    a kept zero row, raises an :class:`EmbeddingFormatError` that names its
-    line.  The store's matrix is allocated once, when every row is parsed,
-    and each chunk is released as it is copied in.
+    memory for large lexicons; sentence lookups keep float32.  A chunk it
+    rejects is parsed again by it one line at a time (:func:`_parse_chunk`),
+    and the first bad line raises an :class:`EmbeddingFormatError` that
+    names it: in the order the rules are checked, a number neither parser
+    reads, a token-only line, a non-finite value, a row of another width, under
+    ``normalize`` a kept zero row, or a kept row with a value beyond
+    float32's range (after any normalisation).  The store's matrix is
+    allocated once, when every row is parsed, and each chunk is released as
+    it is copied in.
 
     On Linux a file of at least 2 MiB is parsed on two cores: a forked child
     parses the lines from the first line start at or after half the file
@@ -310,8 +315,6 @@ def _text_range(path, start: int, stop: int | None):
     """The text of the bytes [start, stop) of ``path`` (to its end when ``stop`` is None),
     read as ``open(path, encoding="utf-8-sig")`` reads it: lines split at ``\\n``, ``\\r\\n``
     and a lone ``\\r``, and a byte-order mark dropped only at the start of the file."""
-    if start == 0 and stop is None:
-        return open(path, "r", encoding="utf-8-sig")
     raw = open(path, "rb", buffering=0)
     raw.seek(start)
     reader = io.BufferedReader(raw if stop is None else _Span(raw, stop - start))
@@ -444,45 +447,72 @@ def _parse_chunk(path, lines: list[str], first_line: int, dim: int | None,
                  vocab: dict[str, int], normalize: bool) -> tuple[np.ndarray, int]:
     """The rows of a chunk that starts at line ``first_line``, and its duplicate count.
 
-    The numbers are parsed in one ``np.loadtxt`` call or, if numpy rejects
-    them, as one ``np.array`` of the split lines, which reads each with
-    Python's ``float``.  The rows of tokens new to ``vocab`` (first occurrence
-    wins) are kept, normalised under ``normalize``, cast to float32 and added
-    to ``vocab``; a kept row whose float32 cast is not finite fails the
-    chunk.  A chunk that fails a check leaves ``vocab`` untouched and raises
-    its first bad line's error (:func:`_raise_bad_line`).
+    A chunk :func:`_parse_rows` rejects is parsed again one line at a time,
+    against a copy of ``vocab`` that each good line's kept token joins, and
+    its first bad line raises the rule's message, named by its line.
+    """
+    try:
+        return _parse_rows(lines, dim, vocab, normalize)
+    except ValueError:
+        pass
+    trial = dict(vocab)
+    for lineno, line in enumerate(lines, start=first_line):
+        try:
+            block, _ = _parse_rows([line], dim, trial, normalize)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+        if block.size:
+            dim = block.shape[1]
+    raise AssertionError(f"{path}:{first_line}: the chunk was rejected but has no bad line")
+
+
+def _parse_rows(lines: list[str], dim: int | None, vocab: dict[str, int],
+                normalize: bool) -> tuple[np.ndarray, int]:
+    """The kept rows of ``lines`` as float32, and the count of the others.
+
+    The one place the row rules live.  The numbers are parsed in one
+    ``np.loadtxt`` call or, if numpy rejects them, as one ``np.array`` of the
+    split lines, which reads each with Python's ``float``.  A ``ValueError``
+    with the rule's message is raised for a token-only line, an unparsable
+    number, a non-finite value or a width other than ``dim``.  The rows of
+    tokens new to ``vocab`` (first occurrence wins) are kept, normalised
+    under ``normalize`` (a zero row fails), cast to float32 (a value beyond
+    its range fails) and, when no rule failed, added to ``vocab``.
     """
     tokens, values = [], []
+    for line in lines:
+        if parts := line.split(None, 1):
+            if len(parts) == 1:
+                raise ValueError("no vector components")
+            tokens.append(parts[0])
+            values.append(parts[1])
+    if not values:
+        return np.empty((0, 0), dtype=np.float32), 0
     try:
-        for line in lines:
-            if parts := line.split(None, 1):
-                token, rest = parts  # a token-only line raises
-                tokens.append(token)
-                values.append(rest)
-        if not values:
-            return np.empty((0, 0), dtype=np.float32), 0
-        try:
-            block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            block = np.array([v.split() for v in values], dtype=np.float64)
-        if (dim is not None and block.shape[1] != dim) or not np.isfinite(block).all():
-            raise ValueError("a row of another width or a non-finite number")
-        kept = {}  # each new token -> its first row in the chunk
-        for i, token in enumerate(tokens):
-            if token not in vocab:
-                kept.setdefault(token, i)
-        block = block[list(kept.values())]
-        if normalize:
-            norms = _row_norms(block)
-            if not norms.all():
-                raise ValueError("a zero row")
-            block /= norms[:, None]
-        with np.errstate(over="ignore"):  # a value beyond float32's range raises below
-            block = block.astype(np.float32)
-        if not np.isfinite(block).all():
-            raise ValueError("a kept row beyond float32's range")
+        block = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        _raise_bad_line(path, lines, first_line, dim, vocab, normalize)
+        try:
+            block = np.array([v.split() for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"unparsable number ({exc})") from None
+    if not np.isfinite(block).all():
+        raise ValueError("non-finite component")
+    if dim is not None and block.shape[1] != dim:
+        raise ValueError(f"expected {dim} components, found {block.shape[1]}")
+    kept = {}  # each new token -> its first row in the chunk
+    for i, token in enumerate(tokens):
+        if token not in vocab:
+            kept.setdefault(token, i)
+    block = block[list(kept.values())]
+    if normalize:
+        norms = _row_norms(block)
+        if not norms.all():
+            raise ValueError("zero vector cannot be normalized")
+        block /= norms[:, None]
+    with np.errstate(over="ignore"):  # a value beyond float32's range raises below
+        block = block.astype(np.float32)
+    if not np.isfinite(block).all():
+        raise ValueError("component beyond float32's range")
     for token in kept:
         vocab[token] = len(vocab)
     return block, len(tokens) - len(kept)
@@ -501,46 +531,6 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
         row /= np.abs(row).max()
         norms[i] = math.sqrt(row.dot(row))
     return norms
-
-
-def _raise_bad_line(path, lines: list[str], first_line: int, dim: int | None,
-                    vocab: dict[str, int], normalize: bool) -> NoReturn:
-    """Raise the error of the first bad line of a chunk that :func:`_parse_chunk` rejected.
-
-    Checks each line in turn as that parse checks the chunk: its numbers, its
-    width and, when its token is in neither ``vocab`` nor an earlier line,
-    under ``normalize`` a zero norm (:func:`_row_norms`), then a float32
-    cast of the row, normalised under ``normalize``, that is not finite.
-    Builds no rows.
-    """
-    seen = set()
-    for lineno, line in enumerate(lines, start=first_line):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            vec = np.array(parts[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}:{lineno}: unparsable number ({exc})") from None
-        if vec.size == 0:
-            raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
-        dim = vec.size if dim is None else dim
-        if vec.size != dim:
-            raise EmbeddingFormatError(f"{path}:{lineno}: expected {dim} components, "
-                                       f"found {vec.size}")
-        if parts[0] not in vocab and parts[0] not in seen:  # a kept row
-            if normalize:
-                (norm,) = _row_norms(vec[None])
-                if norm == 0.0:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: zero vector cannot be normalized")
-                vec /= norm
-            with np.errstate(over="ignore"):
-                if not np.isfinite(vec.astype(np.float32)).all():
-                    raise EmbeddingFormatError(f"{path}:{lineno}: component beyond float32's range")
-        seen.add(parts[0])
-    raise AssertionError(f"{path}:{first_line}: the chunk was rejected but has no bad line")
 
 
 def find_pad_token(store: EmbeddingStore) -> str:

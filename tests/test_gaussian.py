@@ -143,6 +143,16 @@ class TestTicPenalty:
         penalty = tic(x, SPHERICAL)
         assert abs(penalty - 7.0) / 7.0 < 0.05
 
+    @pytest.mark.parametrize("d", [5, 10, 50])
+    def test_spherical_mean_penalty_is_param_count(self, d):
+        """On isotropic normal bags the mean spherical "tic" penalty is d + 1, the
+        spherical model's parameter count, within 1% (40 bags of 2,000 rows; the
+        penalty's spread over bags is about 0.04 at every d here)."""
+        rng = np.random.default_rng(d)
+        bags = [(rng.standard_normal((2000, d)),) for _ in range(40)]
+        penalties = bag_criteria(SPHERICAL, "tic", bags)[1]
+        assert abs(penalties.mean() - (d + 1)) / (d + 1) < 0.01
+
 
 class TestInvarianceProperties:
     @given(st.integers(min_value=0, max_value=10**6))

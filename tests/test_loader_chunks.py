@@ -98,10 +98,10 @@ class TestAgainstPerLineOracle:
         assert _outcome(load_embeddings, path, spec["normalize"]) == expected
 
     def test_clean_chunks_take_the_fast_path(self, tmp_path, monkeypatch):
-        calls = []
-        scan = embeddings._raise_bad_line
-        monkeypatch.setattr(embeddings, "_raise_bad_line",
-                            lambda *args: calls.append(args[2]) or scan(*args))
+        calls = []  # the number of lines of each parse
+        parse = embeddings._parse_rows
+        monkeypatch.setattr(embeddings, "_parse_rows",
+                            lambda *args: calls.append(len(args[0])) or parse(*args))
         rows = _rows(np.random.default_rng(3), 3 * CHUNK, 5)
         path = tmp_path / "lexicon.txt"
         _write(path, rows, header=True)
@@ -109,15 +109,31 @@ class TestAgainstPerLineOracle:
         rows[CHUNK + 7][2] = "1_000"  # read by the chunk's parse, with Python's float
         _write(path, rows, header=True)
         store = load_embeddings(path, normalize=True)
-        assert calls == []
+        chunks = [CHUNK, CHUNK, CHUNK, 1]  # the header and 3 * CHUNK rows, one parse per chunk
+        assert calls == 2 * chunks
         assert _outcome(load_embeddings, path, True) == _outcome(
             load_embeddings_per_line, path, True)
         assert len(store) == 3 * CHUNK
         del rows[2 * CHUNK + 3][-1]
         _write(path, rows, header=True)
+        calls.clear()
         with pytest.raises(EmbeddingFormatError, match=f":{2 * CHUNK + 5}: expected 5 components"):
             load_embeddings(path, normalize=True)
-        assert calls == [2 * CHUNK + 1]  # only the chunk with the bad line, named by its first line
+        # a line-by-line pass only over the chunk with the bad line, up to that line, its fifth
+        assert calls == [CHUNK, CHUNK, CHUNK] + [1] * 5
+
+
+# kind -> (the values of a line of width 3 that breaks two rules, the rule that names it)
+TWO_RULES = {
+    "short_nan": (["nan", "0.5"], "non-finite component"),
+    "short_unparsable": (["1.2.3", "0.5"],
+                         "unparsable number (could not convert string to float: '1.2.3')"),
+    "nan_unparsable": (["nan", "x", "1"],
+                       "unparsable number (could not convert string to float: 'x')"),
+    "short_zero": (["0", "0"], "expected 3 components, found 2"),
+    "short_big": (["1e39", "0.5"], "expected 3 components, found 2"),
+    "short_big_normalize": (["1e39", "0.5"], "expected 3 components, found 2"),
+}
 
 
 def _corrupt(kind, rows, pos, dim):
@@ -148,6 +164,8 @@ def _corrupt(kind, rows, pos, dim):
     elif kind == "zero_dup_short":  # a dropped zero row, then a short row
         rows[pos - 1][:] = [rows[pos - 5][0]] + ["0"] * dim
         del fields[-1]
+    elif kind in TWO_RULES:  # values that break two rules
+        fields[1:] = TWO_RULES[kind][0]
 
 
 class TestErrorsMatchOracle:
@@ -155,17 +173,20 @@ class TestErrorsMatchOracle:
     @pytest.mark.parametrize("kind", ["short_row", "long_row", "narrow_tail", "token_only",
                                       "nan", "inf", "overflow", "float32_overflow",
                                       "unparsable", "zero_row",
-                                      "tiny_row", "zero_dup_short"])
+                                      "tiny_row", "zero_dup_short", *TWO_RULES])
     def test_same_message_and_line(self, tmp_path, kind, pos):
         dim = 3
         rows = _rows(np.random.default_rng(11), 3 * CHUNK, dim)
         _corrupt(kind, rows, pos, dim)
         path = tmp_path / "lexicon.txt"
         _write(path, rows, header=True)
-        normalize = kind in ("zero_row", "tiny_row", "zero_dup_short")
+        normalize = kind in ("zero_row", "tiny_row", "zero_dup_short", "short_zero",
+                             "short_big_normalize")
         with pytest.raises(EmbeddingFormatError) as oracle:
             load_embeddings_per_line(path, normalize=normalize)
         with pytest.raises(EmbeddingFormatError) as chunked:
             load_embeddings(path, normalize=normalize)
         assert str(chunked.value) == str(oracle.value)
         assert str(chunked.value).startswith(f"{path}:{pos + 2}: ")  # after the header line
+        if kind in TWO_RULES:  # the rule checked first names the line
+            assert str(chunked.value) == f"{path}:{pos + 2}: {TWO_RULES[kind][1]}"
